@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import dependence, is_bounded_case, p_min, restrict_to_reachable
+from .graph import DependenceInfo, dependence, is_bounded_case, p_min, restrict_to_reachable
 from .model import Pda
 from .moments import expectations, moment_matrix
 from .termination import (
@@ -40,7 +40,6 @@ __all__ = [
     "threshold_for_epsilon",
     "estimate_lower_constant",
     "g_function",
-    "bound_curve",
 ]
 
 CASE3_LOWER_EXPONENT = 0.5
@@ -89,24 +88,28 @@ def classify(
     start: str,
     table: TerminationTable | None = None,
     eps: float = 1e-9,
+    deps: DependenceInfo | None = None,
 ) -> TailReport:
     """Assign the tail regime for runs from ``start``.
 
     The model is restricted to the symbols the start depends on first;
     raises NotAlmostSurelyTerminating when the restriction can diverge.
+    Callers classifying many starts of one model pass its ``table`` and
+    ``deps`` so that neither is recomputed per start.
     """
-    restricted = restrict_to_reachable(model, start)
+    deps = deps or dependence(model)
+    restricted = restrict_to_reachable(model, start, deps)
+    deps = deps.restrict(restricted.alphabet)
     if table is None:
         table = termination_probs(restricted)
     if not is_almost_surely_terminating(restricted, table, eps=eps):
         raise NotAlmostSurelyTerminating(
             f"symbols reachable from {start} may diverge; transform or condition first"
         )
-    deps = dependence(restricted)
     pmin = p_min(restricted)
     gamma = len(restricted.alphabet)
 
-    if is_bounded_case(restricted, start):
+    if is_bounded_case(restricted, start, deps):
         return TailReport(start=start, case=1, gamma_size=gamma, p_min=pmin,
                           height=deps.height)
 
@@ -185,17 +188,6 @@ def threshold_for_epsilon(report: TailReport, eps: float) -> ThresholdResult:
         )
         return ThresholdResult(max(n, _ceil_with_slack(2.0 * report.e_start)), False)
     return ThresholdResult(_ceil_with_slack((report.d1 / eps) ** (1.0 / report.d2)), True)
-
-
-def bound_curve(report: TailReport, kind: str):
-    """Monotone evaluator n -> [0, 1] for CSV export; kinds mirror the bounds."""
-    if kind == "lower-pmin":
-        return lambda n: lower_bound_pmin(report, n)
-    if kind == "upper-azuma":
-        return lambda n: upper_bound_azuma(report, n)
-    if kind == "upper-poly":
-        return lambda n: upper_bound_poly(report, n)
-    raise ValueError(f"unknown curve kind {kind!r}")
 
 
 def estimate_lower_constant(model: Pda, start: str, grid=(64, 256, 1024, 4096)) -> float:

@@ -1,8 +1,9 @@
 """Command-line front end: analyze, transform, dist, simulate, bounds.
 
 Exit codes: 0 success, 2 file/parse/validation problems, 3 numeric
-non-convergence.  All commands are deterministic given their flags; JSON
-reports round floats to 12 significant digits and spell infinity "inf".
+failures (non-convergence, a transform row that misses 1).  All commands
+are deterministic given their flags; JSON reports round floats to 12
+significant digits and spell infinity "inf".
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .distribution import (
 )
 from .graph import dependence
 from .model import Configuration, ModelError, Pda, Triple, parse_model, serialize, validate
-from .moments import expectations, moment_matrix
+from .moments import PowerIterationError, expectations, moment_matrix
 from .termination import NewtonDivergedError, termination_probs
-from .transform import terminating_part, to_bpa
+from .transform import TransformError, terminating_part, to_bpa
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -135,11 +136,7 @@ def cmd_analyze(args) -> int:
     t_parse = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    try:
-        table = termination_probs(model, tol=args.tol)
-    except NewtonDivergedError as exc:
-        print(f"termination solver: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    table = termination_probs(model, tol=args.tol)
     t_solve = time.perf_counter() - t0
 
     report = {
@@ -167,8 +164,11 @@ def cmd_analyze(args) -> int:
     try:
         if model.stateless:
             analyzed = model
-            report["tails"] = [_tail_report_dict(classify(model, start.stack[0], table))]
-            exp = expectations(model, moment_matrix(model))
+            deps = dependence(model)
+            report["tails"] = [
+                _tail_report_dict(classify(model, start.stack[0], table, deps=deps))
+            ]
+            exp = expectations(model, moment_matrix(model, deps))
             report["expectations"] = {
                 "values": dict(sorted(exp.values.items())),
                 "e_max": exp.e_max,
@@ -179,33 +179,31 @@ def cmd_analyze(args) -> int:
             result = to_bpa(model, table)
             part = terminating_part(result)
             analyzed = part
+            triples = {name: result.symbols[name].triple for name in part.alphabet}
             report["transform"] = {
-                "terminating_symbols": [
-                    s for s in result.bpa.alphabet
-                    if not result.symbols[s].triple.diverging
-                ],
+                "terminating_symbols": list(part.alphabet),
                 "diverging_symbols": [
                     s for s in result.bpa.alphabet if result.symbols[s].triple.diverging
                 ],
                 "rules": len(result.bpa.rules),
             }
-            tails = []
-            cond = {}
-            part_exp = expectations(part) if part.alphabet else None
-            for name in part.alphabet:
-                trip = result.symbols[name].triple
-                cond[str(trip)] = part_exp[name]
-                if (trip.state, trip.symbol) == (start.state, start.stack[0]):
-                    tails.append(_tail_report_dict(classify(part, name)))
-            report["tails"] = tails
+            # One dependence pass and one solve of the part serve every start.
+            deps = dependence(part) if part.alphabet else None
+            starts = [name for name, trip in triples.items()
+                      if (trip.state, trip.symbol) == (start.state, start.stack[0])]
+            part_table = termination_probs(part) if starts else None
+            report["tails"] = [
+                _tail_report_dict(classify(part, name, part_table, deps=deps))
+                for name in starts
+            ]
+            part_exp = expectations(part, moment_matrix(part, deps)) if part.alphabet else None
             report["expectations"] = {
-                "values": cond,
+                "values": {str(trip): part_exp[name] for name, trip in triples.items()},
                 "e_max": part_exp.e_max if part_exp else 0.0,
                 "b_constant": part_exp.b_constant if part_exp else None,
                 "finite": part_exp.finite if part_exp else True,
             }
         if analyzed.alphabet:
-            deps = dependence(analyzed)
             report["dependence"] = {
                 "sccs": [list(comp) for comp in deps.sccs],
                 "height": deps.height,
@@ -230,11 +228,7 @@ def cmd_transform(args) -> int:
     model = _load(args.model)
     if model.stateless:
         raise CliError("model is already stateless")
-    try:
-        table = termination_probs(model)
-    except NewtonDivergedError as exc:
-        print(f"termination solver: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    table = termination_probs(model)
     result = to_bpa(model, table)
     text = serialize(result.bpa)
     if args.out:
@@ -265,11 +259,7 @@ def cmd_dist(args) -> int:
         if args.target not in model.state_index:
             raise CliError(f"unknown target state {args.target!r}")
         triple = Triple(start.state, start.stack[0], args.target)
-        try:
-            solved = termination_probs(model)
-        except NewtonDivergedError as exc:
-            print(f"termination solver: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        solved = termination_probs(model)
         table = exact_distribution_pda(model, triple, args.nmax, norm=solved.probs[triple])
     text = dist_csv(table)
     if args.csv:
@@ -312,9 +302,6 @@ def cmd_bounds(args) -> int:
         report = classify(model, start.stack[0])
     except NotAlmostSurelyTerminating as exc:
         raise CliError(str(exc)) from exc
-    except NewtonDivergedError as exc:
-        print(f"termination solver: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
     exact = None
     if grid[-1] <= DP_CURVE_HORIZON:
@@ -402,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except NewtonDivergedError as exc:
+    except (NewtonDivergedError, PowerIterationError, TransformError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -28,13 +28,22 @@ class DependenceInfo:
     scc_dag_edges: frozenset[tuple[int, int]]
     height: int
     reachable_from: dict[str, frozenset[str]]
-
-    def scc_members(self, symbol: str) -> tuple[str, ...]:
-        return self.sccs[self.scc_of[symbol]]
+    scc_successors: tuple[frozenset[int], ...]  # the DAG edges, per source SCC
 
     def on_cycle(self, symbol: str) -> bool:
-        scc = self.sccs[self.scc_of[symbol]]
-        return len(scc) > 1 or symbol in self.direct_edges[symbol]
+        return symbol in self.reachable_from[symbol]
+
+    def restrict(self, keep) -> DependenceInfo:
+        """The relation on a set closed under dependence, such as a reach set.
+
+        Such a set is a union of SCCs and loses no edge, so the kept SCCs in
+        their order are again a reverse-topological partition.
+        """
+        keep = set(keep)
+        return _condense(
+            {x: ys for x, ys in self.direct_edges.items() if x in keep},
+            [comp for comp in self.sccs if comp[0] in keep],
+        )
 
 
 def _require_stateless(model: Pda):
@@ -48,43 +57,38 @@ def dependence(model: Pda) -> DependenceInfo:
     edges: dict[str, set[str]] = {sym: set() for sym in model.alphabet}
     for rule in model.rules:
         edges[rule.lhs_symbol].update(rule.rhs_word)
+    return _condense(edges, _tarjan(model.alphabet, edges))
 
-    sccs = _tarjan(model.alphabet, edges)
+
+def _condense(edges, sccs) -> DependenceInfo:
+    """Condensation, height and reach sets in one pass over the SCCs.
+
+    The SCCs come callees-first, so every successor is final when its
+    predecessors are visited.  A symbol reaches the members of its own SCC
+    when that SCC is cyclic, and every successor SCC together with all that
+    successor reaches; members of one SCC share one reach set.
+    """
     scc_of = {sym: i for i, comp in enumerate(sccs) for sym in comp}
-    dag_edges = {
-        (scc_of[x], scc_of[y])
-        for x, ys in edges.items()
-        for y in ys
-        if scc_of[x] != scc_of[y]
-    }
-
-    # Longest path in the condensation, counted in edges.  Tarjan emits the
-    # SCCs in reverse topological order, so successors are already final.
-    longest = [0] * len(sccs)
-    for i in range(len(sccs)):
-        longest[i] = max((longest[j] + 1 for (k, j) in dag_edges if k == i), default=0)
-    height = max(longest, default=0) + 1
-
-    reach = {sym: frozenset(_closure(sym, edges)) for sym in model.alphabet}
+    succ = [frozenset({scc_of[y] for x in comp for y in edges[x]} - {i})
+            for i, comp in enumerate(sccs)]
+    longest: list[int] = []  # longest path below each SCC, counted in edges
+    below: list[frozenset[str]] = []  # each SCC's members and all they reach
+    reach: dict[str, frozenset[str]] = {}
+    for i, comp in enumerate(sccs):
+        longest.append(max((longest[j] + 1 for j in succ[i]), default=0))
+        cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
+        shared = frozenset(comp if cyclic else ()).union(*(below[j] for j in succ[i]))
+        below.append(shared.union(comp))
+        reach.update(dict.fromkeys(comp, shared))
     return DependenceInfo(
         direct_edges={x: frozenset(ys) for x, ys in edges.items()},
         sccs=tuple(tuple(c) for c in sccs),
         scc_of=scc_of,
-        scc_dag_edges=frozenset(dag_edges),
-        height=height,
-        reachable_from=reach,
+        scc_dag_edges=frozenset((i, j) for i, js in enumerate(succ) for j in js),
+        height=max(longest, default=0) + 1,
+        reachable_from={x: reach[x] for x in edges},
+        scc_successors=tuple(succ),
     )
-
-
-def _closure(sym: str, edges: dict[str, set[str]]) -> set[str]:
-    seen: set[str] = set()
-    stack = list(edges[sym])
-    while stack:
-        y = stack.pop()
-        if y not in seen:
-            seen.add(y)
-            stack.extend(edges[y])
-    return seen
 
 
 def _tarjan(nodes: tuple[str, ...], edges: dict[str, set[str]]) -> list[list[str]]:
@@ -136,13 +140,19 @@ def _tarjan(nodes: tuple[str, ...], edges: dict[str, set[str]]) -> list[list[str
     return sccs
 
 
-def restrict_to_reachable(model: Pda, start: str) -> Pda:
-    """Sub-model over the start symbol and everything it depends on."""
+def _reach(model: Pda, start: str, deps: DependenceInfo | None) -> frozenset[str]:
     _require_stateless(model)
     if start not in model.symbol_index:
         raise ModelError(f"unknown start symbol {start!r}")
-    info = dependence(model)
-    keep = {start} | set(info.reachable_from[start])
+    return (deps or dependence(model)).reachable_from[start]
+
+
+def restrict_to_reachable(model: Pda, start: str, deps: DependenceInfo | None = None) -> Pda:
+    """Sub-model over the start symbol and everything it depends on.
+
+    ``deps``, the dependence of ``model`` when the caller has it, is reused.
+    """
+    keep = {start} | _reach(model, start, deps)
     alphabet = tuple(sym for sym in model.alphabet if sym in keep)
     rules = tuple(rule for rule in model.rules if rule.lhs_symbol in keep)
     return Pda(model.states, alphabet, rules, kind=model.kind,
@@ -156,13 +166,13 @@ def p_min(model: Pda, start: str | None = None) -> float:
     return float(min((rule.prob for rule in model.rules), default=Fraction(1)))
 
 
-def is_bounded_case(model: Pda, start: str) -> bool:
+def is_bounded_case(model: Pda, start: str, deps: DependenceInfo | None = None) -> bool:
     """True iff no symbol reachable from start depends on itself.
 
     For an almost surely terminating model this is exactly the regime where
     all termination mass sits below 2^|alphabet| steps: a repeated symbol on
     a derivation path could otherwise be pumped into arbitrarily long runs.
+    A start on a cycle reaches itself, so its reach set is all there is to check.
     """
-    restricted = restrict_to_reachable(model, start)
-    info = dependence(restricted)
-    return not any(info.on_cycle(sym) for sym in restricted.alphabet)
+    deps = deps or dependence(model)
+    return not any(deps.on_cycle(sym) for sym in _reach(model, start, deps))

@@ -43,9 +43,6 @@ class MomentMatrix:
     deps: DependenceInfo
     block_radii: tuple[float, ...]
 
-    def block_radius(self, scc_index: int) -> float:
-        return self.block_radii[scc_index]
-
 
 @dataclass(frozen=True)
 class ExpectationTable:
@@ -137,7 +134,7 @@ def expectations(model: Pda, mm: MomentMatrix | None = None) -> ExpectationTable
     infected = list(bad)
     for i in range(n_sccs):
         if not infected[i]:
-            infected[i] = any(infected[j] for (k, j) in deps.scc_dag_edges if k == i)
+            infected[i] = any(infected[j] for j in deps.scc_successors[i])
 
     infinite = {sym for sym in model.alphabet if infected[deps.scc_of[sym]]}
     finite_syms = [sym for sym in model.alphabet if sym not in infinite]

@@ -9,15 +9,26 @@ For every triple pXq the value [pXq] is the least nonnegative solution of
 solved here with undamped Newton iteration from the zero vector after a
 boolean preprocessing pass pins the structurally-zero variables.  The
 divergence mass [pX^] is reported as the clamped complement.
+
+At a critical fixed point, where I - F' is singular, Newton in doubles
+stalls about sqrt(machine epsilon) short, and rounding the rule
+probabilities to doubles moves the fixed point by as much.  In stateful
+models, variable SCCs whose Jacobian block is near-singular are therefore
+solved again, with all they depend on, by Newton in decimal arithmetic from
+the exact rule probabilities; the variables above them are then solved in
+doubles again.  Stateless models are certified structurally instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
-from .graph import dependence, restrict_to_reachable
+from .graph import _tarjan, dependence, restrict_to_reachable
 from .model import Pda, Triple
 
 __all__ = [
@@ -31,6 +42,18 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10_000
+# A Newton step longer than this multiple of its residual marks a nearly
+# singular I - F'; doubles then cannot reach DEFAULT_TOL in the value.
+NEAR_CRITICAL = 1e4
+# Decimal Newton on near-critical SCCs: at a critical fixed point the error
+# only halves per step, and a step of e leaves a residual of order e^2,
+# which the working precision must still resolve.
+EXTENDED_DIGITS = 50
+EXTENDED_TOL = Decimal("1e-20")
+EXTENDED_ITERATIONS = 500
+SLOW_SOLVE = 20  # Newton steps; off critical points it converges quadratically
+WARM_START = 1e-4  # a step in doubles this short is still far above their noise
+DOUBLING_BELOW = Decimal("1e-10")  # a doubled final step errs by about its square
 
 
 class NewtonDivergedError(RuntimeError):
@@ -39,7 +62,8 @@ class NewtonDivergedError(RuntimeError):
     def __init__(self, table: "TerminationTable"):
         self.table = table
         super().__init__(
-            f"no convergence after {table.iterations} iterations, residual {table.residual:.3e}"
+            f"termination solver: no convergence after {table.iterations} iterations, "
+            f"residual {table.residual:.3e}"
         )
 
 
@@ -62,9 +86,6 @@ class TerminationTable:
 
     def diverge(self, state: str, symbol: str) -> float:
         return self.probs[Triple(state, symbol, None)]
-
-    def termination(self, state: str, symbol: str) -> float:
-        return 1.0 - self.diverge(state, symbol)
 
     def symbol_prob(self, model: Pda, symbol: str) -> float:
         """[X] for stateless models."""
@@ -98,7 +119,10 @@ def may_terminate(model: Pda) -> frozenset[Triple]:
 
 def qualitative_zero(model: Pda) -> frozenset[Triple]:
     """Triples pXq whose termination probability is exactly zero."""
-    can = may_terminate(model)
+    return _zeros(model, may_terminate(model))
+
+
+def _zeros(model: Pda, can: frozenset[Triple]) -> frozenset[Triple]:
     return frozenset(
         Triple(p, X, q)
         for p in model.states
@@ -119,24 +143,30 @@ def termination_probs(
     Newton steps from the zero vector are componentwise nondecreasing for
     this system; iterates are clamped into [0, 1] against round-off.  On a
     singular Jacobian a plain fixed-point step substitutes for that round.
-    A caller-supplied ``trace`` list receives a copy of every iterate.
+    A caller-supplied ``trace`` list receives a copy of every iterate; when
+    near-critical SCCs are refined, the iterates in doubles past the restart
+    point are replaced by the decimal ones, rounded to doubles.  The error
+    estimate of the decimal solves counts towards the residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    can = may_terminate(model)
     positive = sorted(
-        (t for t in may_terminate(model) if not t.diverging),
+        (t for t in can if not t.diverging),
         key=lambda t: (model.state_index[t.state], model.symbol_index[t.symbol],
                        model.state_index[t.target]),
     )
-    zeros = qualitative_zero(model)
     idx = {t: i for i, t in enumerate(positive)}
     n = len(positive)
 
     # Term lists of the polynomial map F: per equation, (coef, variable
     # product).  A rule pX -> r Y1..Ym contributes one monomial per segment
     # chain r = s0, s1, .., sm = q with every factor structurally nonzero.
+    # The exact coefficients, in the same order, serve the decimal refinement.
     const = np.zeros(n)
     terms: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n)]
+    exact_const = [Fraction(0)] * n
+    exact_coefs: list[list[Fraction]] = [[] for _ in range(n)]
     for rule in model.rules:
         p, X = rule.lhs_state, rule.lhs_symbol
         x = float(rule.prob)
@@ -154,8 +184,10 @@ def termination_probs(
                 continue
             if factors:
                 terms[idx[t]].append((x, factors))
+                exact_coefs[idx[t]].append(rule.prob)
             else:
                 const[idx[t]] += x
+                exact_const[idx[t]] += rule.prob
 
     def apply_f(v: np.ndarray) -> np.ndarray:
         out = const.copy()
@@ -181,33 +213,82 @@ def termination_probs(
                     jac[i, a] += prod
         return jac
 
-    def newton_step(v: np.ndarray, fv: np.ndarray) -> np.ndarray:
-        try:
-            delta = np.linalg.solve(np.eye(n) - jacobian(v), fv - v)
-        except np.linalg.LinAlgError:
-            delta = fv - v
-        return np.clip(v + delta, 0.0, 1.0)
+    def newton_matrix(v: np.ndarray, free: np.ndarray) -> np.ndarray:
+        # Temporaries only: no n-by-n array outlives the solve using the result.
+        if len(free) == n:
+            return np.eye(n) - jacobian(v)
+        return np.eye(len(free)) - jacobian(v)[np.ix_(free, free)]
 
-    # Stop on step size, not residual: at critical fixed points Newton
-    # degrades to halving the error, where the residual is quadratically
-    # smaller than the remaining value error.
+    def newton(v: np.ndarray, free: np.ndarray):
+        """Newton steps on the indices ``free``, the other entries held fixed.
+
+        Returns the last iterate, the step count, the largest ratio of a step
+        to its residual (a lower bound on the norm of (I - F')^-1), and the
+        step count and iterate where a step first fell to WARM_START.
+        """
+        v = v.copy()
+        iterations, gain, warm = 0, 0.0, (0, v.copy())
+        # Stop on step size, not residual: at critical fixed points Newton
+        # degrades to halving the error, where the residual is quadratically
+        # smaller than the remaining value error.
+        while len(free) and iterations < MAX_ITERATIONS:
+            residual = (apply_f(v) - v)[free]
+            size = np.max(np.abs(residual))
+            if size == 0.0:
+                break
+            try:
+                delta = np.linalg.solve(newton_matrix(v, free), residual)
+            except np.linalg.LinAlgError:
+                delta = residual
+            new = np.clip(v[free] + delta, 0.0, 1.0)
+            step = float(np.max(np.abs(new - v[free])))
+            gain = max(gain, step / size)
+            v[free] = new
+            iterations += 1
+            if trace is not None:
+                trace.append(v.copy())
+            if not warm[0] and step <= WARM_START:
+                warm = (iterations, v.copy())
+            if step <= tol:
+                break
+        return v, iterations, gain, warm
+
     v = np.zeros(n)
-    iterations = 0
     if trace is not None:
         trace.append(v.copy())
-    while n and iterations < MAX_ITERATIONS:
-        fv = apply_f(v)
-        if np.max(np.abs(fv - v)) == 0.0:
+    mark = len(trace) if trace is not None else 0
+    v, steps, gain, (done, warm) = newton(v, np.arange(n))
+    iterations, extended_error = steps, 0.0
+    # A stalled or slow solve hints at a critical SCC.  Each round solves the
+    # near-critical SCCs found, and all SCCs they depend on, again one by one
+    # in decimal from the first iterate with a step down to WARM_START (that
+    # far the iterates in doubles follow exact Newton closely), then the rest
+    # again in doubles; an SCC above a critical one can turn critical only
+    # then.  Stateless models get exact values from the certainty snap below.
+    exact: dict[int, Decimal] = {}
+    while not model.stateless and (steps >= SLOW_SOLVE or gain > NEAR_CRITICAL):
+        comps = _near_critical(terms, jacobian(v), exact)
+        if not comps:
             break
-        new_v = newton_step(v, fv)
-        step = float(np.max(np.abs(new_v - v)))
-        v = new_v
-        iterations += 1
+        exact_terms = [[(c, factors) for c, (_, factors) in zip(coefs, row)]
+                       for coefs, row in zip(exact_coefs, terms)]
         if trace is not None:
-            trace.append(v.copy())
-        if step <= tol:
-            break
+            del trace[mark + done:]
+        v = warm
+        for comp in comps:
+            iterates, error = _extended_newton(exact_const, exact_terms, comp, warm[comp], exact)
+            extended_error = max(extended_error, error)
+            iterations += len(iterates)
+            for values in iterates:
+                v[comp] = values
+                if trace is not None:
+                    trace.append(v.copy())
+        mark = len(trace) if trace is not None else 0
+        rest = np.array([i for i in range(n) if i not in exact], dtype=int)
+        v, steps, gain, (done, warm) = newton(v, rest)
+        iterations += steps
     residual = float(np.max(np.abs(apply_f(v) - v))) if n else 0.0
+    residual = max(residual, extended_error)
 
     probs: dict[Triple, float] = {}
     for p in model.states:
@@ -221,7 +302,7 @@ def termination_probs(
             probs[Triple(p, X, None)] = min(1.0, max(0.0, 1.0 - total))
 
     if model.stateless and n:
-        _snap_certain_termination(model, probs)
+        _snap_certain_termination(model, probs, positive)
         v = np.array([probs[t] for t in positive])
         residual = float(np.max(np.abs(apply_f(v) - v)))
 
@@ -229,7 +310,7 @@ def termination_probs(
         probs=probs,
         residual=residual,
         iterations=iterations,
-        qualitative_zero=zeros,
+        qualitative_zero=_zeros(model, can),
         tol=tol,
     )
     if strict and not table.converged:
@@ -237,26 +318,140 @@ def termination_probs(
     return table
 
 
-def _snap_certain_termination(model: Pda, probs: dict[Triple, float]):
+def _near_critical(terms, jac: np.ndarray, skip) -> list[list[int]]:
+    """SCCs whose block of I - jac is nearly singular, and all they depend on.
+
+    ``terms`` are the monomials of F per variable.  SCCs in ``skip`` are
+    passed over.  The SCCs come callees first.
+    """
+    edges = {i: {a for _, factors in row for a in factors} for i, row in enumerate(terms)}
+    comps = _tarjan(tuple(edges), edges)
+    found: set[int] = set()
+    for comp in comps:
+        cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
+        if not cyclic or comp[0] in skip:
+            continue
+        block = np.eye(len(comp)) - jac[np.ix_(comp, comp)]
+        try:
+            gain = float(np.max(np.abs(np.linalg.solve(block, np.ones(len(comp))))))
+        except np.linalg.LinAlgError:
+            gain = math.inf
+        if not gain <= NEAR_CRITICAL:
+            found.update(comp)
+    stack = list(found)
+    while stack:
+        for a in edges[stack.pop()] - found:
+            if a not in skip:
+                found.add(a)
+                stack.append(a)
+    return [sorted(comp) for comp in comps if comp[0] in found]
+
+
+def _extended_newton(const: list[Fraction], terms, members: list[int], start: np.ndarray,
+                     exact: dict[int, Decimal]):
+    """Newton in decimal arithmetic on the variables ``members`` from ``start``.
+
+    ``const`` and ``terms`` hold exact coefficients.  Variables outside
+    ``members`` are read from ``exact``, which receives the solution.
+    Returns every iterate rounded to doubles and an estimate of the error
+    left.  Iterates are not clamped: exact Newton from below stays below the
+    fixed point, and a value pinned at a critical 1 would make the matrix
+    exactly singular.
+    """
+    local = {g: k for k, g in enumerate(members)}
+    m = len(members)
+    iterates: list[list[float]] = []
+    with localcontext() as ctx:
+        ctx.prec = EXTENDED_DIGITS
+        zero, one = Decimal(0), Decimal(1)
+
+        def dec(c: Fraction) -> Decimal:
+            return Decimal(c.numerator) / Decimal(c.denominator)
+
+        # per member: the constant, then each monomial as its coefficient
+        # times its fixed factors, with the local indices of the others
+        base = [dec(const[g]) for g in members]
+        rows = []
+        for i, g in enumerate(members):
+            row = []
+            for c, factors in terms[g]:
+                coef = dec(c) * math.prod(exact[a] for a in factors if a not in local)
+                mine = [local[a] for a in factors if a in local]
+                if mine:
+                    row.append((coef, mine))
+                else:
+                    base[i] += coef
+            rows.append(row)
+        x = [Decimal(float(value)) for value in start]
+        error = previous = one
+        while error > EXTENDED_TOL and len(iterates) < EXTENDED_ITERATIONS:
+            residual = [b - xi for b, xi in zip(base, x)]
+            matrix = [[one if i == j else zero for j in range(m)] for i in range(m)]
+            for i, row in enumerate(rows):
+                for c, factors in row:
+                    residual[i] += c * math.prod(x[k] for k in factors)
+                    for pos, k in enumerate(factors):
+                        others = (x[l] for j, l in enumerate(factors) if j != pos)
+                        matrix[i][k] -= c * math.prod(others)
+            delta = _solve_decimal(matrix, residual) or residual
+            # Near a critical fixed point each step is half the error left, so
+            # twice the step lands within about its square.  Newton from there
+            # can take wild steps (the error no longer lies along the singular
+            # direction), so that step is the last.
+            error = max(abs(d) for d in delta)
+            final = error <= DOUBLING_BELOW and abs(2 * error - previous) <= previous / 8
+            previous = error
+            x = [xi + (2 * d if final else d) for xi, d in zip(x, delta)]
+            iterates.append([float(xi) for xi in x])
+            if final:
+                error *= error
+                break
+    exact.update(zip(members, x))
+    return iterates, float(error)
+
+
+def _solve_decimal(a: list[list[Decimal]], b: list[Decimal]) -> list[Decimal] | None:
+    """Gaussian elimination with partial pivoting; None if a is singular."""
+    m = len(b)
+    rows = [row[:] + [bi] for row, bi in zip(a, b)]
+    for col in range(m):
+        pivot = max(range(col, m), key=lambda i: abs(rows[i][col]))
+        if rows[pivot][col] == 0:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(col + 1, m):
+            factor = rows[i][col] / rows[col][col]
+            if factor:
+                for j in range(col, m + 1):
+                    rows[i][j] -= factor * rows[col][j]
+    x = [Decimal(0)] * m
+    for i in reversed(range(m)):
+        x[i] = (rows[i][m] - sum(rows[i][j] * x[j] for j in range(i + 1, m))) / rows[i][i]
+    return x
+
+
+def _snap_certain_termination(model: Pda, probs: dict[Triple, float],
+                              positive: list[Triple]):
     """Pin [X] = 1 where termination with probability one is certain.
 
     Newton in doubles cannot push critical fixed points past an error of
     about sqrt(machine epsilon).  For stateless models certainty is
     structural: every reachable symbol can reach the empty stack and no
-    reachable SCC block of the moment matrix is supercritical.
+    reachable SCC block of the moment matrix is supercritical.  ``positive``
+    lists the triples that may terminate.
     """
     from .moments import moment_matrix
 
     info = dependence(model)
     mm = moment_matrix(model, info)
     p = model.only_state
-    can_empty = {t.symbol for t in may_terminate(model) if not t.diverging}
+    can_empty = {t.symbol for t in positive}
 
     certain: list[bool] = []
     for i, comp in enumerate(info.sccs):
         good = all(sym in can_empty for sym in comp)
         good = good and mm.block_radii[i] <= 1.0 + 1e-9
-        good = good and all(certain[j] for (k, j) in info.scc_dag_edges if k == i)
+        good = good and all(certain[j] for j in info.scc_successors[i])
         certain.append(good)
 
     for sym in model.alphabet:

@@ -1,17 +1,21 @@
-"""Shared test utilities: an independent exact oracle and model strategies.
+"""Shared test utilities: independent oracles and model strategies.
 
-The oracle unfolds the induced Markov chain one step at a time with exact
-rational weights, merging identical configurations.  It shares no code with
-the convolution dynamic program it is used to check.
+The distribution oracle unfolds the induced Markov chain one step at a time
+with exact rational weights, merging identical configurations.  It shares no
+code with the convolution dynamic program it is used to check.  The
+reachability oracles walk the dependence graph once per symbol, apart from
+the SCC pass of ``ppda.graph``.
 """
 
+import functools
+import random
 from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ppda import Configuration, Pda, make_bpa, step_distribution
+from ppda import Configuration, Pda, make_bpa, parse_model, step_distribution
 from ppda.model import Rule
 
 
@@ -70,6 +74,55 @@ def suffix_tail(table, n: int) -> float:
 
 def table_residual(table) -> float:
     return max(table.norm - float(np.sum(table.mass)), 0.0)
+
+
+def closure(sym: str, edges) -> set[str]:
+    """Every symbol reachable from sym by one or more dependence edges."""
+    seen: set[str] = set()
+    stack = list(edges[sym])
+    while stack:
+        y = stack.pop()
+        if y not in seen:
+            seen.add(y)
+            stack.extend(edges[y])
+    return seen
+
+
+def longest_scc_chain(edges) -> int:
+    """Most SCCs on one dependence path, from mutual reachability alone."""
+    reach = {x: closure(x, edges) for x in edges}
+    scc = {x: frozenset({x} | {y for y in reach[x] if x in reach[y]}) for x in edges}
+
+    @functools.lru_cache(maxsize=None)
+    def chain(comp) -> int:
+        below = {scc[y] for x in comp for y in edges[x]} - {comp}
+        return 1 + max((chain(c) for c in below), default=0)
+
+    return max((chain(c) for c in set(scc.values())), default=0)
+
+
+def random_pda(n_states: int, n_symbols: int, seed: int, band: int = 2) -> Pda:
+    """Seeded stateful model whose words only push symbols X_i .. X_(i+band-1).
+
+    Each (p, X_i) gets a pop, a unary and a binary rule with random target
+    states and integer weights 1..5; the banded words give the transformed
+    model a long dependence DAG of mixed SCCs.
+    """
+    rng = random.Random(seed)
+    states = tuple(f"p{i}" for i in range(n_states))
+    syms = tuple(f"X{i}" for i in range(n_symbols))
+    rules = []
+    for p in states:
+        for i, X in enumerate(syms):
+            pool = syms[i:i + band]
+            words = ((), (rng.choice(pool),), (rng.choice(pool), rng.choice(pool)))
+            weights = [rng.randint(1, 5) for _ in words]
+            merged: dict = {}
+            for w, word in zip(weights, words):
+                key = (rng.choice(states), word)
+                merged[key] = merged.get(key, Fraction(0)) + Fraction(w, sum(weights))
+            rules += [Rule(p, X, r, word, prob) for (r, word), prob in merged.items()]
+    return Pda(states, syms, tuple(rules), kind="pda")
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +207,32 @@ def chained_critical():
         (("Y", "Y", "Y"), Fraction(1, 2)),
         (("Y",), Fraction(1, 2)),
     ])
+
+
+# Stateful models with critical fixed points, where Newton in doubles stalls
+# about sqrt(eps) short: Hypothesis counterexamples of the random-model
+# tests (non-monotone iterates, rows summing to 1 +- 2.5e-9, spurious
+# diverging triples that to_bpa rejects).
+CRITICAL_PDAS = {
+    name: parse_model("pda\n" + text)
+    for name, text in {
+        "one_state": "states: u\nalphabet: S0\n"
+                     "rule: u S0 -> u : 1/2\nrule: u S0 -> u S0 S0 : 1/2\n",
+        "symmetric": "states: u v\nalphabet: S0\n"
+                     + "".join(f"rule: {a} S0 -> {b}{w} : 1/4\n"
+                               for a in "uv" for b in "uv" for w in ("", " S0 S0")),
+        "with_bystander": "states: u v\nalphabet: S0 S1\n"
+                          "rule: u S0 -> u S0 S0 : 2/3\nrule: u S0 -> v : 1/3\n"
+                          "rule: u S1 -> u : 1\nrule: v S0 -> u S0 : 1/2\n"
+                          "rule: v S0 -> v : 1/2\nrule: v S1 -> u : 1\n",
+        "alternating": "states: u v\nalphabet: S0\n"
+                       "rule: u S0 -> u : 2/3\nrule: u S0 -> v S0 S0 : 1/3\n"
+                       "rule: v S0 -> u S0 S0 : 1\n",
+        "unary": "states: u v\nalphabet: S0\n"
+                 "rule: u S0 -> v : 1/4\nrule: u S0 -> v S0 : 1/8\n"
+                 "rule: u S0 -> u S0 S0 : 5/8\nrule: v S0 -> u : 1\n",
+    }.items()
+}
 
 
 def subcritical_unit():

@@ -2,12 +2,21 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ppda import parse_model
+import ppda.bounds
+import ppda.cli
+import ppda.graph
+import ppda.moments
+import ppda.termination
+import ppda.transform
+from ppda import parse_model, serialize
 from ppda.cli import main
+
+from helpers import random_pda
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -225,3 +234,72 @@ def test_module_entry_point(models_dir):
     )
     assert proc.returncode == 0
     assert '"case": 3' in proc.stdout
+
+
+# Critical models where Newton in doubles stalls about sqrt(eps) short of the
+# fixed point; the solver refines them, so both terminate with certainty.
+BLOCKING = {
+    "one_state.ppda": ("pda\nstates: u\nalphabet: S\nstart: u S\n"
+                       "rule: u S -> u : 1/2\nrule: u S -> u S S : 1/2\n",
+                       {"u.S.u": 1.0}),
+    "two_state.ppda": ("pda\nstates: p q\nalphabet: X\nstart: p X\n"
+                       + "".join(f"rule: {a} X -> {b}{w} : 1/4\n"
+                                 for a in "pq" for b in "pq" for w in ("", " X X")),
+                       {f"{a}.X.{b}": 0.5 for a in "pq" for b in "pq"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKING))
+def test_analyze_critical_models_exit_cleanly(tmp_path, name):
+    text, exact = BLOCKING[name]
+    src = tmp_path / name
+    src.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "ppda", "analyze", str(src)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    probs = json.loads(proc.stdout)["termination"]["probs"]
+    assert set(probs) == set(exact)  # no diverging triple is reported
+    for triple, value in exact.items():
+        assert probs[triple] == pytest.approx(value, abs=1e-15)
+
+
+@pytest.mark.parametrize("error", [ppda.transform.TransformError("row for p.X.up sums to 0.9"),
+                                   ppda.moments.PowerIterationError("no convergence")])
+def test_numeric_failure_exits_3(models_dir, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+    target = "to_bpa" if isinstance(error, ppda.transform.TransformError) else "moment_matrix"
+    monkeypatch.setattr(ppda.cli, target, fail)
+    assert main(["analyze", str(models_dir / "ab.ppda")]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {error}"]
+
+
+def count_calls(monkeypatch, *functions) -> Counter:
+    """Count calls of each function under every ppda name bound to it."""
+    counts: Counter = Counter()
+    modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "ppda"]
+    for fn in functions:
+        def wrapper(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("source,start", [("tree.ppda", "q.A"), ("random", "p0.X0")])
+def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, source, start):
+    path = models_dir / source
+    if source == "random":
+        path = tmp_path / "random.ppda"
+        path.write_text(serialize(random_pda(2, 6, seed=2)))
+    counts = count_calls(monkeypatch, ppda.termination.termination_probs,
+                         ppda.graph.dependence, ppda.bounds.classify)
+    assert main(["analyze", str(path), "--start", start,
+                 "--json", str(tmp_path / "out.json")]) == 0
+    assert counts["classify"] == 2  # one tail report per target state
+    assert counts["termination_probs"] <= 2  # the model and its terminating part
+    assert counts["dependence"] <= 2  # the part, and inside its solve; not per start

@@ -11,12 +11,23 @@ from ppda import (
     make_bpa,
     p_min,
     restrict_to_reachable,
+    terminating_part,
     termination_probs,
+    to_bpa,
     is_almost_surely_terminating,
 )
 
 from conftest import load_model
-from helpers import acyclic_bpas, brute_total_mass, critical_chain, suffix_tail
+from helpers import (
+    acyclic_bpas,
+    brute_total_mass,
+    closure,
+    critical_chain,
+    longest_scc_chain,
+    random_pda,
+    small_bpas,
+    suffix_tail,
+)
 
 
 def test_dependence_delta1(delta1):
@@ -139,3 +150,49 @@ def test_every_symbol_in_exactly_one_scc(tree, ab, delta3):
         assert sorted(seen) == sorted(part.alphabet)
         for i, j in info.scc_dag_edges:
             assert i != j
+
+
+def assert_matches_oracles(model):
+    info = dependence(model)
+    edges = {x: set(ys) for x, ys in info.direct_edges.items()}
+    for sym in model.alphabet:
+        assert info.reachable_from[sym] == closure(sym, edges)
+    assert info.height == longest_scc_chain(edges)
+    # members of one SCC share one reach set object
+    for comp in info.sccs:
+        assert len({id(info.reachable_from[s]) for s in comp}) == 1
+    return info
+
+
+@given(small_bpas(max_symbols=4))
+@settings(max_examples=80, deadline=None)
+def test_reach_sets_and_height_match_oracles(model):
+    assert_matches_oracles(model)
+
+
+def transformed_random_part():
+    pda = random_pda(2, 6, seed=2)
+    return terminating_part(to_bpa(pda, termination_probs(pda)))
+
+
+def test_reach_sets_and_height_on_transformed_random_model():
+    info = assert_matches_oracles(transformed_random_part())
+    singletons = [c[0] for c in info.sccs if len(c) == 1]
+    assert sum(len(c) > 1 for c in info.sccs) >= 3
+    assert any(s in info.direct_edges[s] for s in singletons)
+    assert any(s not in info.direct_edges[s] for s in singletons)
+    assert info.height >= 5
+
+
+def test_restricted_info_matches_recomputed(delta3):
+    for model in (transformed_random_part(), delta3):
+        full = dependence(model)
+        for start in model.alphabet:
+            sub = restrict_to_reachable(model, start, full)
+            assert sub == restrict_to_reachable(model, start)
+            fresh, kept = dependence(sub), full.restrict(sub.alphabet)
+            assert kept.height == fresh.height
+            assert kept.reachable_from == fresh.reachable_from
+            assert kept.direct_edges == fresh.direct_edges
+            assert {frozenset(c) for c in kept.sccs} == {frozenset(c) for c in fresh.sccs}
+            assert is_bounded_case(sub, start, kept) == is_bounded_case(model, start)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ppda import (
     Configuration,
@@ -18,7 +18,7 @@ from ppda import (
 )
 from ppda.model import Pda, Rule
 
-from helpers import small_bpas, small_pdas
+from helpers import CRITICAL_PDAS, small_bpas, small_pdas
 
 GRID = [Fraction(11, 20), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10)]
 
@@ -110,6 +110,9 @@ def test_newton_iterates_monotone_bounded(tree, ab):
 
 @given(small_pdas())
 @settings(max_examples=40, deadline=None)
+@example(CRITICAL_PDAS["with_bystander"])
+@example(CRITICAL_PDAS["alternating"])
+@example(CRITICAL_PDAS["unary"])
 def test_newton_monotone_and_consistent_random(model):
     trace: list[np.ndarray] = []
     table = termination_probs(model, trace=trace)

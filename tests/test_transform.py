@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from ppda import (
     Configuration,
@@ -26,7 +26,7 @@ from ppda.model import Pda, Rule
 from ppda.moments import rule_weight_change
 from ppda.transform import TransformError
 
-from helpers import chained_critical, small_bpas, small_pdas, symmetric_pair
+from helpers import CRITICAL_PDAS, chained_critical, small_bpas, small_pdas, symmetric_pair
 
 
 def rules_as_set(model):
@@ -140,6 +140,9 @@ def test_projection_head_pairs_small(ab):
 
 @given(small_pdas())
 @settings(max_examples=30, deadline=None)
+@example(CRITICAL_PDAS["one_state"])
+@example(CRITICAL_PDAS["symmetric"])
+@example(CRITICAL_PDAS["with_bystander"])
 def test_distribution_equality_random_models(model):
     """Transform preserves conditional laws on arbitrary small models."""
     table = termination_probs(model, strict=False)
