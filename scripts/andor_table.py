@@ -27,11 +27,12 @@ def main():
     table = termination_probs(model)
     cond = conditional_expectations(model, table)
 
+    dists = exact_distribution_pda(model, None, HORIZON)  # every triple in one pass
+
     print(f"{'triple':<12} {'[pXq]':>12} {'E[pXq]':>12} {'trunc mean':>12}")
     for trip in sorted(cond, key=str):
         norm = table.probs[trip]
-        dist = exact_distribution_pda(model, trip, HORIZON, norm=norm)
-        truncated = sum(n * dist.mass[n] for n in range(HORIZON + 1)) / norm
+        truncated = sum(n * dists[trip].mass[n] for n in range(HORIZON + 1)) / norm
         print(f"{str(trip):<12} {norm:>12.6f} {cond[trip]:>12.6f} {truncated:>12.6f}")
 
 

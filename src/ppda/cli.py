@@ -246,15 +246,14 @@ def cmd_dist(args) -> int:
     if model.stateless:
         table = exact_distribution_bpa(model, start.stack[0], args.nmax)
     elif args.target in (None, "none"):
-        # unconditioned: sum the per-target masses; diverging runs stay in
-        # the tail, so the table normalizes against full mass 1
-        masses = [
-            exact_distribution_pda(model, Triple(start.state, start.stack[0], q),
-                                   args.nmax).mass
-            for q in model.states
-        ]
+        # unconditioned: sum the start pair's rows of one all-targets pass;
+        # diverging runs stay in the tail, so the table normalizes against 1
+        tables = exact_distribution_pda(model, None, args.nmax)
+        pair = (start.state, start.stack[0])
+        mass = sum((t.mass for trip, t in tables.items() if (trip.state, trip.symbol) == pair),
+                   np.zeros(args.nmax + 1))
         table = DistTable(subject=f"{start.state}.{start.stack[0]}",
-                          mass=np.sum(masses, axis=0), n_max=args.nmax, norm=1.0)
+                          mass=mass, n_max=args.nmax, norm=1.0)
     else:
         if args.target not in model.state_index:
             raise CliError(f"unknown target state {args.target!r}")

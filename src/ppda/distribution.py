@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .model import Configuration, ModelError, Pda, Triple
-from .termination import may_terminate
+from .termination import CompiledSystem, may_terminate
 
 __all__ = [
     "DistTable",
@@ -132,60 +132,67 @@ def _bpa_masses(model: Pda, n_max: int) -> dict[str, np.ndarray]:
 
 
 def exact_distribution_pda(
-    model: Pda, triple: Triple, n_max: int, norm: float | None = None
-) -> DistTable:
-    """Exact unconditioned mass P(T = n, terminate in triple.target)."""
-    if triple.diverging:
+    model: Pda, triple: Triple | None, n_max: int, norm: float | None = None
+) -> DistTable | dict[Triple, DistTable]:
+    """Exact unconditioned mass P(T = n, terminate in triple.target).
+
+    One pass computes the mass of every triple; with ``triple`` None the
+    tables of all triples that may terminate come back, keyed by triple,
+    without a norm.
+    """
+    if triple is not None and triple.diverging:
         raise ModelError("distributions are defined for terminating triples only")
     if n_max < 1:
         raise ModelError("n_max must be at least 1")
     for rule in model.rules:
         if len(rule.rhs_word) > 2:
             raise ModelError("stateful DP expects right-hand sides of length <= 2")
+    system = CompiledSystem(model, may_terminate(model))
+    mass = _pda_masses(system, n_max)
+    if triple is None:
+        return {t: DistTable(subject=t, mass=row, n_max=n_max, norm=None)
+                for t, row in zip(system.triples, mass)}
+    i = system.index.get(triple)
+    row = mass[i].copy() if i is not None else np.zeros(n_max + 1)
+    return DistTable(subject=triple, mass=row, n_max=n_max, norm=norm)
 
-    alive = sorted(
-        (t for t in may_terminate(model) if not t.diverging),
-        key=lambda t: (model.state_index[t.state], model.symbol_index[t.symbol],
-                       model.state_index[t.target]),
-    )
-    D = {t: np.zeros(n_max + 1) for t in alive}
 
-    eps_terms: list[tuple[np.ndarray, float]] = []
-    lin_terms: list[tuple[np.ndarray, float, np.ndarray]] = []
-    pair_terms: list[tuple[np.ndarray, float, np.ndarray, np.ndarray]] = []
-    for rule in model.rules:
-        p, X, x = rule.lhs_state, rule.lhs_symbol, float(rule.prob)
-        r, word = rule.rhs_state, rule.rhs_word
-        if len(word) == 0:
-            t = Triple(p, X, r)
-            if t in D:
-                eps_terms.append((D[t], x))
-        elif len(word) == 1:
-            for q in model.states:
-                t, a = Triple(p, X, q), Triple(r, word[0], q)
-                if t in D and a in D:
-                    lin_terms.append((D[t], x, D[a]))
-        else:
-            Y, Z = word
-            for q in model.states:
-                t = Triple(p, X, q)
-                if t not in D:
-                    continue
-                for s in model.states:
-                    a, b = Triple(r, Y, s), Triple(s, Z, q)
-                    if a in D and b in D:
-                        pair_terms.append((D[t], x, D[a], D[b]))
+# Pair terms are dotted in blocks of about this many products, so that the
+# gathered rows (64 KB each) stay in cache and do not grow with pairs times
+# horizon; on the random (4, 20) models at horizon 100, blocks of 2^13 to
+# 2^14 products ran fastest.
+DOT_BLOCK = 1 << 13
 
-    for target, x in eps_terms:
-        target[1] += x
-    for n in range(2, n_max + 1):
-        for target, x, a in lin_terms:
-            target[n] += x * a[n - 1]
-        for target, x, a, b in pair_terms:
-            target[n] += x * float(np.dot(a[1 : n - 1], b[n - 2 : 0 : -1]))
 
-    mass = D.get(triple, np.zeros(n_max + 1)).copy()
-    return DistTable(subject=triple, mass=mass, n_max=n_max, norm=norm)
+def _pda_masses(system: CompiledSystem, n_max: int) -> np.ndarray:
+    """mass[i, n] = P(T = n, terminate as triple i), for every triple at once.
+
+    Epsilon monomials put their mass at step 1; a unary one shifts its
+    factor by one step, a pair one convolves its two factors.
+    """
+    n, degree = system.n, system.degree
+    mass = np.zeros((n, n_max + 1))
+    mass[:, 1] = system.const
+    unary, pair = degree == 1, degree == 2
+    u_arg = system.factors[unary, 0]
+    p_left, p_right = system.factors[pair, 0], system.factors[pair, 1]
+    lhs = np.concatenate([system.lhs[unary], system.lhs[pair]])
+    coef = np.concatenate([system.coef[unary], system.coef[pair]])
+    weights = np.empty(len(lhs))
+    u_out = weights[: len(u_arg)]
+    p_out = weights[len(u_arg):, None, None]  # one 1x1 product per pair
+    for step in range(2, n_max + 1):
+        if len(u_arg):
+            np.take(mass[:, step - 1], u_arg, out=u_out)
+        block = max(1, DOT_BLOCK // step)
+        for lo in range(0, len(p_left), block):
+            hi = lo + block
+            left = mass[p_left[lo:hi], None, 1 : step - 1]
+            right = mass[p_right[lo:hi], step - 2 : 0 : -1, None]
+            np.matmul(left, right, out=p_out[lo:hi])
+        weights *= coef
+        mass[:, step] = np.bincount(lhs, weights, minlength=n)
+    return mass
 
 
 # ---------------------------------------------------------------------------

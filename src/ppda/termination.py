@@ -54,6 +54,7 @@ EXTENDED_ITERATIONS = 500
 SLOW_SOLVE = 20  # Newton steps; off critical points it converges quadratically
 WARM_START = 1e-4  # a step in doubles this short is still far above their noise
 DOUBLING_BELOW = Decimal("1e-10")  # a doubled final step errs by about its square
+_ONE = np.ones(1)  # the value of the padding factor
 
 
 class NewtonDivergedError(RuntimeError):
@@ -132,6 +133,106 @@ def _zeros(model: Pda, can: frozenset[Triple]) -> frozenset[Triple]:
     )
 
 
+class CompiledSystem:
+    """The polynomial system over the may-terminate triples, as flat arrays.
+
+    ``triples`` are sorted by (state, symbol, target) and numbered 0..n-1.
+    A rule pX -> r Y1..Ym contributes one monomial per segment chain
+    r = s0, s1, .., sm = q whose factors s(i-1) Yi s(i) may all terminate:
+    monomial k adds ``coef[k]`` times the product of ``v[factors[k]]`` to
+    equation ``lhs[k]``.  Factor rows are padded with n, the index of a
+    constant 1 appended to v; ``degree[k]`` counts the real factors.
+    ``rule[k]`` indexes ``model.rules``, whose exact probability serves the
+    decimal refinement.  Within each equation, monomials keep the order the
+    rules list them, and F and F' add them in that order, so the sums are
+    those of a plain loop over the rules.
+    """
+
+    def __init__(self, model: Pda, can: frozenset[Triple]):
+        self.model = model
+        self.triples = sorted(
+            (t for t in can if not t.diverging),
+            key=lambda t: (model.state_index[t.state], model.symbol_index[t.symbol],
+                           model.state_index[t.target]),
+        )
+        self.index = {t: i for i, t in enumerate(self.triples)}
+        n = self.n = len(self.triples)
+        # at least two columns, so that a pair monomial's factors can always be read
+        width = max([2] + [len(rule.rhs_word) for rule in model.rules])
+        lhs, rules, factors = [], [], []
+        for k, rule in enumerate(model.rules):
+            chains: list[tuple[str, tuple[int, ...]]] = [(rule.rhs_state, ())]
+            for sym in rule.rhs_word:
+                chains = [
+                    (q, chain + (self.index[Triple(s, sym, q)],))
+                    for s, chain in chains
+                    for q in model.states
+                    if Triple(s, sym, q) in self.index
+                ]
+            for q, chain in chains:
+                t = Triple(rule.lhs_state, rule.lhs_symbol, q)
+                if t in self.index:
+                    lhs.append(self.index[t])
+                    rules.append(k)
+                    factors.append(chain + (n,) * (width - len(chain)))
+        lhs = np.array(lhs, dtype=np.intp)
+        factors = np.array(factors, dtype=np.intp).reshape(-1, width)
+        degree = np.count_nonzero(factors < n, axis=1)
+        # epsilon monomials first, then the others; each part grouped by lhs
+        order = np.lexsort((lhs, degree > 0))
+        self.lhs, self.factors, self.degree = lhs[order], factors[order], degree[order]
+        self.rule = np.array(rules, dtype=np.intp)[order]
+        self.coef = np.array([float(model.rules[k].prob) for k in self.rule])
+        first = len(self.lhs) - np.count_nonzero(self.degree)
+        self.const = np.bincount(self.lhs[:first], self.coef[:first], minlength=n)
+        # views of the monomials with factors, and the flat index into F' of
+        # each of their factors
+        self._lhs, self._coef = self.lhs[first:], self.coef[first:]
+        self._factors = self.factors[first:]
+        real = self._factors < n
+        self._real = np.flatnonzero(real)
+        self._flat = np.repeat(self._lhs, width)[self._real] * n + self._factors[real]
+
+    def _gather(self, v: np.ndarray) -> np.ndarray:
+        """v, extended by the padding 1, at every factor of the monomials with factors."""
+        return np.concatenate((v, _ONE))[self._factors]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """F(v)."""
+        at = self._gather(v)
+        prod = self._coef * at[:, 0]
+        for k in range(1, at.shape[1]):
+            prod *= at[:, k]
+        return self.const + np.bincount(self._lhs, prod, minlength=self.n)
+
+    def newton_matrix(self, v: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """I - F'(v) on the variables ``free``, in their order."""
+        at = self._gather(v)
+        # negated partial derivatives: their sums are exactly -F'
+        partial = np.empty_like(at)
+        for k in range(at.shape[1]):
+            np.negative(self._coef, out=partial[:, k])
+            for j in range(at.shape[1]):
+                if j != k:
+                    partial[:, k] *= at[:, j]
+        weights = partial.take(self._real)
+        m = len(free)
+        if m == self.n:
+            flat = self._flat
+        else:
+            local = np.full(self.n, -1, dtype=np.intp)
+            local[free] = np.arange(m)
+            rows, cols = np.divmod(self._flat, self.n)
+            rows, cols = local[rows], local[cols]
+            keep = (rows >= 0) & (cols >= 0)
+            flat, weights = rows[keep] * m + cols[keep], weights[keep]
+        # (bincount of no monomials gives integers)
+        matrix = np.bincount(flat, weights, minlength=m * m).astype(float, copy=False)
+        matrix = matrix.reshape(m, m)
+        matrix.ravel()[:: m + 1] += 1.0
+        return matrix
+
+
 def termination_probs(
     model: Pda,
     tol: float = DEFAULT_TOL,
@@ -151,73 +252,8 @@ def termination_probs(
     if tol <= 0:
         raise ValueError("tol must be positive")
     can = may_terminate(model)
-    positive = sorted(
-        (t for t in can if not t.diverging),
-        key=lambda t: (model.state_index[t.state], model.symbol_index[t.symbol],
-                       model.state_index[t.target]),
-    )
-    idx = {t: i for i, t in enumerate(positive)}
-    n = len(positive)
-
-    # Term lists of the polynomial map F: per equation, (coef, variable
-    # product).  A rule pX -> r Y1..Ym contributes one monomial per segment
-    # chain r = s0, s1, .., sm = q with every factor structurally nonzero.
-    # The exact coefficients, in the same order, serve the decimal refinement.
-    const = np.zeros(n)
-    terms: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n)]
-    exact_const = [Fraction(0)] * n
-    exact_coefs: list[list[Fraction]] = [[] for _ in range(n)]
-    for rule in model.rules:
-        p, X = rule.lhs_state, rule.lhs_symbol
-        x = float(rule.prob)
-        chains: list[tuple[str, tuple[int, ...]]] = [(rule.rhs_state, ())]
-        for sym in rule.rhs_word:
-            chains = [
-                (q, factors + (idx[Triple(s, sym, q)],))
-                for s, factors in chains
-                for q in model.states
-                if Triple(s, sym, q) in idx
-            ]
-        for q, factors in chains:
-            t = Triple(p, X, q)
-            if t not in idx:
-                continue
-            if factors:
-                terms[idx[t]].append((x, factors))
-                exact_coefs[idx[t]].append(rule.prob)
-            else:
-                const[idx[t]] += x
-                exact_const[idx[t]] += rule.prob
-
-    def apply_f(v: np.ndarray) -> np.ndarray:
-        out = const.copy()
-        for i in range(n):
-            acc = 0.0
-            for x, factors in terms[i]:
-                prod = x
-                for a in factors:
-                    prod *= v[a]
-                acc += prod
-            out[i] += acc
-        return out
-
-    def jacobian(v: np.ndarray) -> np.ndarray:
-        jac = np.zeros((n, n))
-        for i in range(n):
-            for x, factors in terms[i]:
-                for k, a in enumerate(factors):
-                    prod = x
-                    for j, b in enumerate(factors):
-                        if j != k:
-                            prod *= v[b]
-                    jac[i, a] += prod
-        return jac
-
-    def newton_matrix(v: np.ndarray, free: np.ndarray) -> np.ndarray:
-        # Temporaries only: no n-by-n array outlives the solve using the result.
-        if len(free) == n:
-            return np.eye(n) - jacobian(v)
-        return np.eye(len(free)) - jacobian(v)[np.ix_(free, free)]
+    system = CompiledSystem(model, can)
+    positive, idx, n = system.triples, system.index, system.n
 
     def newton(v: np.ndarray, free: np.ndarray):
         """Newton steps on the indices ``free``, the other entries held fixed.
@@ -232,12 +268,12 @@ def termination_probs(
         # degrades to halving the error, where the residual is quadratically
         # smaller than the remaining value error.
         while len(free) and iterations < MAX_ITERATIONS:
-            residual = (apply_f(v) - v)[free]
+            residual = (system.apply(v) - v)[free]
             size = np.max(np.abs(residual))
             if size == 0.0:
                 break
             try:
-                delta = np.linalg.solve(newton_matrix(v, free), residual)
+                delta = np.linalg.solve(system.newton_matrix(v, free), residual)
             except np.linalg.LinAlgError:
                 delta = residual
             new = np.clip(v[free] + delta, 0.0, 1.0)
@@ -267,16 +303,14 @@ def termination_probs(
     # then.  Stateless models get exact values from the certainty snap below.
     exact: dict[int, Decimal] = {}
     while not model.stateless and (steps >= SLOW_SOLVE or gain > NEAR_CRITICAL):
-        comps = _near_critical(terms, jacobian(v), exact)
+        comps = _near_critical(system, v, exact)
         if not comps:
             break
-        exact_terms = [[(c, factors) for c, (_, factors) in zip(coefs, row)]
-                       for coefs, row in zip(exact_coefs, terms)]
         if trace is not None:
             del trace[mark + done:]
         v = warm
         for comp in comps:
-            iterates, error = _extended_newton(exact_const, exact_terms, comp, warm[comp], exact)
+            iterates, error = _extended_newton(system, comp, warm[comp], exact)
             extended_error = max(extended_error, error)
             iterations += len(iterates)
             for values in iterates:
@@ -287,8 +321,23 @@ def termination_probs(
         rest = np.array([i for i in range(n) if i not in exact], dtype=int)
         v, steps, gain, (done, warm) = newton(v, rest)
         iterations += steps
-    residual = float(np.max(np.abs(apply_f(v) - v))) if n else 0.0
+    residual = float(np.max(np.abs(system.apply(v) - v))) if n else 0.0
     residual = max(residual, extended_error)
+
+    # Stateless models: pin the symbols that terminate with certainty to 1,
+    # then solve the others again with those held fixed, since values above
+    # a critical SCC were computed from its stalled ones.
+    if model.stateless and n:
+        p = model.only_state
+        uncertain = np.ones(n, dtype=bool)
+        for sym in _certain_symbols(model, positive):
+            uncertain[idx[Triple(p, sym, p)]] = False
+        v[~uncertain] = 1.0
+        residual = float(np.max(np.abs(system.apply(v) - v)))
+        if residual > tol:
+            v, steps, _, _ = newton(v, np.flatnonzero(uncertain))
+            iterations += steps
+            residual = float(np.max(np.abs(system.apply(v) - v)))
 
     probs: dict[Triple, float] = {}
     for p in model.states:
@@ -300,11 +349,6 @@ def termination_probs(
                 probs[t] = float(val)
                 total += float(val)
             probs[Triple(p, X, None)] = min(1.0, max(0.0, 1.0 - total))
-
-    if model.stateless and n:
-        _snap_certain_termination(model, probs, positive)
-        v = np.array([probs[t] for t in positive])
-        residual = float(np.max(np.abs(apply_f(v) - v)))
 
     table = TerminationTable(
         probs=probs,
@@ -318,20 +362,21 @@ def termination_probs(
     return table
 
 
-def _near_critical(terms, jac: np.ndarray, skip) -> list[list[int]]:
-    """SCCs whose block of I - jac is nearly singular, and all they depend on.
+def _near_critical(system: CompiledSystem, v: np.ndarray, skip) -> list[list[int]]:
+    """SCCs whose block of I - F'(v) is nearly singular, and all they depend on.
 
-    ``terms`` are the monomials of F per variable.  SCCs in ``skip`` are
-    passed over.  The SCCs come callees first.
+    SCCs in ``skip`` are passed over.  The SCCs come callees first.
     """
-    edges = {i: {a for _, factors in row for a in factors} for i, row in enumerate(terms)}
+    edges: dict[int, set[int]] = {i: set() for i in range(system.n)}
+    for i, a in zip(*(part.tolist() for part in np.divmod(system._flat, system.n))):
+        edges[i].add(a)
     comps = _tarjan(tuple(edges), edges)
     found: set[int] = set()
     for comp in comps:
         cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
         if not cyclic or comp[0] in skip:
             continue
-        block = np.eye(len(comp)) - jac[np.ix_(comp, comp)]
+        block = system.newton_matrix(v, np.array(comp))
         try:
             gain = float(np.max(np.abs(np.linalg.solve(block, np.ones(len(comp))))))
         except np.linalg.LinAlgError:
@@ -347,11 +392,11 @@ def _near_critical(terms, jac: np.ndarray, skip) -> list[list[int]]:
     return [sorted(comp) for comp in comps if comp[0] in found]
 
 
-def _extended_newton(const: list[Fraction], terms, members: list[int], start: np.ndarray,
+def _extended_newton(system: CompiledSystem, members: list[int], start: np.ndarray,
                      exact: dict[int, Decimal]):
     """Newton in decimal arithmetic on the variables ``members`` from ``start``.
 
-    ``const`` and ``terms`` hold exact coefficients.  Variables outside
+    Coefficients are the exact rule probabilities.  Variables outside
     ``members`` are read from ``exact``, which receives the solution.
     Returns every iterate rounded to doubles and an estimate of the error
     left.  Iterates are not clamped: exact Newton from below stays below the
@@ -360,6 +405,7 @@ def _extended_newton(const: list[Fraction], terms, members: list[int], start: np
     """
     local = {g: k for k, g in enumerate(members)}
     m = len(members)
+    rules = system.model.rules
     iterates: list[list[float]] = []
     with localcontext() as ctx:
         ctx.prec = EXTENDED_DIGITS
@@ -370,17 +416,24 @@ def _extended_newton(const: list[Fraction], terms, members: list[int], start: np
 
         # per member: the constant, then each monomial as its coefficient
         # times its fixed factors, with the local indices of the others
-        base = [dec(const[g]) for g in members]
-        rows = []
-        for i, g in enumerate(members):
-            row = []
-            for c, factors in terms[g]:
+        base, rows = [], []
+        for g in members:
+            const, row, fixed = Fraction(0), [], []
+            for k in np.flatnonzero(system.lhs == g):
+                factors = system.factors[k, : system.degree[k]].tolist()
+                if factors:
+                    fixed.append((rules[system.rule[k]].prob, factors))
+                else:
+                    const += rules[system.rule[k]].prob
+            total = dec(const)
+            for c, factors in fixed:
                 coef = dec(c) * math.prod(exact[a] for a in factors if a not in local)
                 mine = [local[a] for a in factors if a in local]
                 if mine:
                     row.append((coef, mine))
                 else:
-                    base[i] += coef
+                    total += coef
+            base.append(total)
             rows.append(row)
         x = [Decimal(float(value)) for value in start]
         error = previous = one
@@ -430,9 +483,8 @@ def _solve_decimal(a: list[list[Decimal]], b: list[Decimal]) -> list[Decimal] | 
     return x
 
 
-def _snap_certain_termination(model: Pda, probs: dict[Triple, float],
-                              positive: list[Triple]):
-    """Pin [X] = 1 where termination with probability one is certain.
+def _certain_symbols(model: Pda, positive: list[Triple]) -> list[str]:
+    """Symbols of a stateless model that terminate with probability one.
 
     Newton in doubles cannot push critical fixed points past an error of
     about sqrt(machine epsilon).  For stateless models certainty is
@@ -444,7 +496,6 @@ def _snap_certain_termination(model: Pda, probs: dict[Triple, float],
 
     info = dependence(model)
     mm = moment_matrix(model, info)
-    p = model.only_state
     can_empty = {t.symbol for t in positive}
 
     certain: list[bool] = []
@@ -453,11 +504,7 @@ def _snap_certain_termination(model: Pda, probs: dict[Triple, float],
         good = good and mm.block_radii[i] <= 1.0 + 1e-9
         good = good and all(certain[j] for j in info.scc_successors[i])
         certain.append(good)
-
-    for sym in model.alphabet:
-        if certain[info.scc_of[sym]]:
-            probs[Triple(p, sym, p)] = 1.0
-            probs[Triple(p, sym, None)] = 0.0
+    return [sym for sym in model.alphabet if certain[info.scc_of[sym]]]
 
 
 def is_almost_surely_terminating(

@@ -15,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from ppda import Configuration, Pda, make_bpa, parse_model, step_distribution
+from ppda import Configuration, Pda, Triple, make_bpa, parse_model, step_distribution
 from ppda.model import Rule
+from ppda.termination import may_terminate
 
 
 def brute_mass(model: Pda, cfg: Configuration, n_max: int):
@@ -250,3 +251,114 @@ def critical_chain(h: int) -> Pda:
         else:
             rules.append((("X1",), Fraction(1, 2)))
     return make_bpa(rules, start=f"X{h}")
+
+
+# ---------------------------------------------------------------------------
+# per-term references for the compiled polynomial system
+
+
+def _sorted_triples(model: Pda):
+    can = may_terminate(model)
+    return sorted(
+        (t for t in can if not t.diverging),
+        key=lambda t: (model.state_index[t.state], model.symbol_index[t.symbol],
+                       model.state_index[t.target]),
+    )
+
+
+def term_dp_masses(model: Pda, n_max: int) -> dict:
+    """Stateful DP with one dot product per pair term per step.
+
+    Returns triple -> mass array for every triple that may terminate; the
+    mass of the others is zero.
+    """
+    D = {t: np.zeros(n_max + 1) for t in _sorted_triples(model)}
+    eps_terms, lin_terms, pair_terms = [], [], []
+    for rule in model.rules:
+        p, X, x = rule.lhs_state, rule.lhs_symbol, float(rule.prob)
+        r, word = rule.rhs_state, rule.rhs_word
+        if len(word) == 0:
+            t = Triple(p, X, r)
+            if t in D:
+                eps_terms.append((D[t], x))
+        elif len(word) == 1:
+            for q in model.states:
+                t, a = Triple(p, X, q), Triple(r, word[0], q)
+                if t in D and a in D:
+                    lin_terms.append((D[t], x, D[a]))
+        else:
+            Y, Z = word
+            for q in model.states:
+                t = Triple(p, X, q)
+                if t not in D:
+                    continue
+                for s in model.states:
+                    a, b = Triple(r, Y, s), Triple(s, Z, q)
+                    if a in D and b in D:
+                        pair_terms.append((D[t], x, D[a], D[b]))
+    for target, x in eps_terms:
+        target[1] += x
+    for n in range(2, n_max + 1):
+        for target, x, a in lin_terms:
+            target[n] += x * a[n - 1]
+        for target, x, a, b in pair_terms:
+            target[n] += x * float(np.dot(a[1 : n - 1], b[n - 2 : 0 : -1]))
+    return D
+
+
+def term_system(model: Pda):
+    """F and I - F' of the termination system from per-variable term lists.
+
+    Returns (triples, apply_f, newton_matrix); each equation sums its
+    monomials in rule order, one multiplication at a time.
+    """
+    positive = _sorted_triples(model)
+    idx = {t: i for i, t in enumerate(positive)}
+    n = len(positive)
+    const = np.zeros(n)
+    terms = [[] for _ in range(n)]
+    for rule in model.rules:
+        p, X = rule.lhs_state, rule.lhs_symbol
+        x = float(rule.prob)
+        chains = [(rule.rhs_state, ())]
+        for sym in rule.rhs_word:
+            chains = [
+                (q, factors + (idx[Triple(s, sym, q)],))
+                for s, factors in chains
+                for q in model.states
+                if Triple(s, sym, q) in idx
+            ]
+        for q, factors in chains:
+            t = Triple(p, X, q)
+            if t not in idx:
+                continue
+            if factors:
+                terms[idx[t]].append((x, factors))
+            else:
+                const[idx[t]] += x
+
+    def apply_f(v):
+        out = const.copy()
+        for i in range(n):
+            acc = 0.0
+            for x, factors in terms[i]:
+                prod = x
+                for a in factors:
+                    prod *= v[a]
+                acc += prod
+            out[i] += acc
+        return out
+
+    def newton_matrix(v, free):
+        jac = np.zeros((n, n))
+        for i in range(n):
+            for x, factors in terms[i]:
+                for k, a in enumerate(factors):
+                    prod = x
+                    for j, b in enumerate(factors):
+                        if j != k:
+                            prod *= v[b]
+                    jac[i, a] += prod
+        return np.eye(len(free)) - jac[np.ix_(free, free)]
+
+    return positive, apply_f, newton_matrix

@@ -5,18 +5,20 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ppda.bounds
 import ppda.cli
+import ppda.distribution
 import ppda.graph
 import ppda.moments
 import ppda.termination
 import ppda.transform
-from ppda import parse_model, serialize
+from ppda import Triple, parse_model, serialize, termination_probs
 from ppda.cli import main
 
-from helpers import random_pda
+from helpers import random_pda, term_dp_masses
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -201,6 +203,12 @@ def test_analyze_diverging_bpa_rejected(tmp_path, capsys):
     src.write_text("bpa\nalphabet: X\nstart: X\nrule: X -> X X : 7/10\nrule: X -> : 3/10\n")
     assert main(["analyze", str(src), "--start", "X"]) == 2
     assert "diverge" in capsys.readouterr().err
+    # X diverges above the critical Y: the solve converges, and X is rejected
+    src.write_text("bpa\nalphabet: X Y\nstart: X\nrule: X -> X X : 3/5\nrule: X -> Y : 2/5\n"
+                   "rule: Y -> Y Y : 1/2\nrule: Y -> : 1/2\n")
+    assert main(["analyze", str(src)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: symbols reachable from X may diverge; transform or condition first"]
 
 
 def test_bounds_case1_grid(tmp_path, capsys):
@@ -303,3 +311,36 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     assert counts["classify"] == 2  # one tail report per target state
     assert counts["termination_probs"] <= 2  # the model and its terminating part
     assert counts["dependence"] <= 2  # the part, and inside its solve; not per start
+
+
+def csv_column(path, k: int) -> list[float]:
+    return [float(row.split(",")[k]) for row in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("source,start", [("ab.ppda", "p.X"), ("tree.ppda", "q.A"),
+                                          ("random", "p0.X0")])
+def test_dist_runs_one_dp_for_all_targets(models_dir, tmp_path, monkeypatch, source, start):
+    path = models_dir / source
+    if source == "random":
+        path = tmp_path / "random.ppda"
+        path.write_text(serialize(random_pda(2, 6, seed=2)))
+    model = parse_model(path.read_text())
+    oracle = term_dp_masses(model, 60)
+    state, symbol = start.split(".")
+    rows = {q: oracle.get(Triple(state, symbol, q), np.zeros(61)) for q in model.states}
+    counts = count_calls(monkeypatch, ppda.distribution.exact_distribution_pda)
+    out = tmp_path / "all.csv"
+    assert main(["dist", str(path), "--start", start, "--nmax", "60", "--csv", str(out)]) == 0
+    assert counts["exact_distribution_pda"] == 1
+    np.testing.assert_allclose(csv_column(out, 1), sum(rows.values()), rtol=1e-13, atol=0)
+
+    solved = termination_probs(model)
+    for q in model.states:
+        out = tmp_path / f"{q}.csv"
+        assert main(["dist", str(path), "--start", start, "--target", q, "--nmax", "60",
+                     "--csv", str(out)]) == 0
+        assert out.read_text().startswith("n,mass,cumulative,tail,cond_tail\n")
+        np.testing.assert_allclose(csv_column(out, 1), rows[q], rtol=1e-13, atol=0)
+        norm = solved.probs[Triple(state, symbol, q)]
+        assert csv_column(out, 3)[1] == pytest.approx(norm, rel=1e-12)  # the tail at n = 1
+    assert counts["exact_distribution_pda"] == 1 + len(model.states)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ppda import (
     Configuration,
@@ -16,9 +16,19 @@ from ppda import (
     tail,
     termination_probs,
 )
+import ppda.distribution
 from ppda.distribution import dist_csv, dist_json, sample_csv, sample_json
 
-from helpers import brute_mass, brute_total_mass, small_bpas, small_pdas, subcritical_unit
+from helpers import (
+    CRITICAL_PDAS,
+    brute_mass,
+    brute_total_mass,
+    random_pda,
+    small_bpas,
+    small_pdas,
+    subcritical_unit,
+    term_dp_masses,
+)
 
 
 def test_single_step_mass():
@@ -92,6 +102,33 @@ def test_pda_dp_matches_exact_enumeration(model):
         table = exact_distribution_pda(model, Triple(start.state, start.stack[0], q), 8)
         for n in range(9):
             assert table.mass[n] == pytest.approx(float(truth[q][n]), abs=1e-12)
+
+
+@given(small_pdas(max_symbols=3))
+@settings(max_examples=40, deadline=None)
+@example(CRITICAL_PDAS["symmetric"])
+@example(CRITICAL_PDAS["with_bystander"])
+@example(CRITICAL_PDAS["unary"])
+def test_pda_dp_all_targets_matches_per_term_dp(model):
+    tables = exact_distribution_pda(model, None, 40)
+    oracle = term_dp_masses(model, 40)
+    assert set(tables) == set(oracle)
+    for triple, table in tables.items():
+        assert table.subject == triple and table.norm is None
+        np.testing.assert_allclose(table.mass, oracle[triple], rtol=1e-13, atol=0)
+        single = exact_distribution_pda(model, triple, 40, norm=0.5)
+        assert np.array_equal(single.mass, table.mass) and single.norm == 0.5
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_pda_dp_pair_blocks_match_per_term_dp(monkeypatch, tree, block):
+    # rows of up to DOT_BLOCK // step pairs: here one to a few dozen per block
+    monkeypatch.setattr(ppda.distribution, "DOT_BLOCK", block)
+    for model in (tree, random_pda(2, 6, seed=2)):
+        tables = exact_distribution_pda(model, None, 60)
+        oracle = term_dp_masses(model, 60)
+        for triple, table in tables.items():
+            np.testing.assert_allclose(table.mass, oracle[triple], rtol=1e-13, atol=0)
 
 
 def test_word_distribution_is_convolution():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppda import (
     Configuration,
@@ -17,8 +18,9 @@ from ppda import (
     termination_probs,
 )
 from ppda.model import Pda, Rule
+from ppda.termination import CompiledSystem, may_terminate
 
-from helpers import CRITICAL_PDAS, small_bpas, small_pdas
+from helpers import CRITICAL_PDAS, small_bpas, small_pdas, term_system
 
 GRID = [Fraction(11, 20), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10)]
 
@@ -97,6 +99,54 @@ def test_delta_family_snaps_to_certainty():
         t = termination_probs(m)
         assert t.symbol_prob(m, f"X{h}") == 1.0
         assert t.residual <= 1e-12
+
+
+def test_snap_resolves_symbols_above_a_critical_one():
+    # Y is critical; X = 3/5 X^2 + 2/5 [Y] has least root 2/3 once [Y] = 1,
+    # but Newton computed X from the stalled [Y], 1.5e-8 short of 1.
+    m = make_bpa([(("X", "X", "X"), Fraction(3, 5)), (("X", "Y"), Fraction(2, 5)),
+                  (("Y", "Y", "Y"), Fraction(1, 2)), (("Y",), Fraction(1, 2))])
+    t = termination_probs(m)
+    assert t.symbol_prob(m, "Y") == 1.0
+    assert t.symbol_prob(m, "X") == pytest.approx(2 / 3, abs=1e-15)
+    assert t.diverge("_", "X") == pytest.approx(1 / 3, abs=1e-15)
+    assert t.residual <= t.tol
+
+
+def check_compiled_system(model: Pda, seed: int):
+    """F and I - F' of the compiled system equal the term-list ones exactly."""
+    system = CompiledSystem(model, may_terminate(model))
+    triples, apply_f, newton_matrix = term_system(model)
+    assert system.triples == triples
+    rng = np.random.default_rng(seed)
+    n = len(triples)
+    for v in (np.zeros(n), np.ones(n), rng.random(n)):
+        assert np.array_equal(system.apply(v), apply_f(v))
+        for free in (np.arange(n), np.sort(rng.permutation(n)[: n // 2]),
+                     rng.permutation(n)[: (n + 1) // 2]):
+            assert np.array_equal(system.newton_matrix(v, free), newton_matrix(v, free))
+
+
+@given(small_pdas(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+@example(CRITICAL_PDAS["one_state"], 0)
+@example(CRITICAL_PDAS["symmetric"], 1)
+@example(CRITICAL_PDAS["with_bystander"], 2)
+@example(CRITICAL_PDAS["alternating"], 3)
+@example(CRITICAL_PDAS["unary"], 4)
+def test_compiled_system_matches_term_lists(model, seed):
+    check_compiled_system(model, seed)
+
+
+def test_compiled_system_relaxed_words():
+    m = make_bpa(
+        [(("X", "Y", "Y", "Y"), Fraction(1, 2)), (("X", "X", "Y", "Z", "Y"), Fraction(1, 4)),
+         (("X",), Fraction(1, 4)), (("Y",), Fraction(2, 3)), (("Y", "Y", "Z", "Y"), Fraction(1, 3)),
+         (("Z", "Y"), Fraction(1, 2)), (("Z", "Z", "Z"), Fraction(1, 2))],
+        relaxed=True,
+    )
+    assert {len(r.rhs_word) for r in m.rules} == {0, 1, 2, 3, 4}
+    check_compiled_system(m, 5)
 
 
 def test_newton_iterates_monotone_bounded(tree, ab):
