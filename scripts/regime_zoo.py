@@ -2,7 +2,7 @@
 """Classify every bundled model and print its tail regime and constants.
 
 Stateful models are reduced first; each terminating triple symbol of the
-start pair gets its own row.
+start pair gets its own row.  One Analysis per model serves every row.
 """
 
 import sys
@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from ppda import classify, parse_model, terminating_part, termination_probs, to_bpa
+from ppda import Analysis, classify, parse_model, terminating_part, termination_probs, to_bpa
 
 BUNDLED = [
     ("tree.ppda", "q", "A"),
@@ -39,16 +39,14 @@ def main():
         model = parse_model((models / name).read_text(encoding="utf-8"))
         print(f"== {name}")
         if model.stateless:
-            print(f"  {symbol:<10} {describe(classify(model, symbol))}")
+            print(f"  {symbol:<10} {describe(classify(Analysis(model), symbol))}")
             continue
-        table = termination_probs(model)
-        result = to_bpa(model, table)
-        part = terminating_part(result)
-        for sym in part.alphabet:
+        result = to_bpa(model, termination_probs(model))
+        analysis = Analysis(terminating_part(result))
+        for sym in analysis.model.alphabet:
             trip = result.symbols[sym].triple
             if (trip.state, trip.symbol) == (state, symbol):
-                print(f"  {sym:<10} {describe(classify(part, sym))}")
-
+                print(f"  {sym:<10} {describe(classify(analysis, sym))}")
 
 if __name__ == "__main__":
     main()

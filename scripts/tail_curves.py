@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from ppda import (
+    Analysis,
     Configuration,
     classify,
     exact_distribution_bpa,
@@ -29,7 +30,7 @@ from ppda import (
 
 def run(path: str, start: str, n_max: int, samples: int, seed: int, out: str | None):
     model = parse_model(Path(path).read_text(encoding="utf-8"))
-    report = classify(model, start)
+    report = classify(Analysis(model), start)
     dist = exact_distribution_bpa(model, start, n_max)
     stats = simulate(model, Configuration(model.only_state, (start,)),
                      samples=samples, step_cap=n_max, seed=seed)

@@ -8,6 +8,7 @@ everything against an exact distribution oracle and a seeded simulator.
 __version__ = "0.1.0"
 
 from .bounds import (
+    Analysis,
     NotAlmostSurelyTerminating,
     TailReport,
     ThresholdResult,

@@ -12,6 +12,11 @@ The constants come straight from the structure: d1 = 18 h |alphabet| /
 p_min^(3 |alphabet|), d2 = 1 / (2^(h+1) - 2) with h the dependence-DAG
 height.  The case-3 lower constant has no closed form here; only the 1/2
 exponent is reported, with estimation left to callers holding exact tails.
+
+What a start's regime depends on is model-wide: the dependence SCCs and
+their heights, the moment matrix, the expectations and the symbols certified
+to terminate with certainty.  ``Analysis`` computes these once per model, and
+``classify`` reads them over the start's reach set.
 """
 
 from __future__ import annotations
@@ -19,16 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import DependenceInfo, dependence, is_bounded_case, p_min, restrict_to_reachable
-from .model import Pda
-from .moments import expectations, moment_matrix
-from .termination import (
-    TerminationTable,
-    is_almost_surely_terminating,
-    termination_probs,
-)
+from .graph import dependence
+from .model import ModelError, Pda
+from .moments import expectations, moment_matrix, rule_weight_change
+from .termination import _certain_symbols, may_terminate
 
 __all__ = [
+    "Analysis",
     "TailReport",
     "ThresholdResult",
     "NotAlmostSurelyTerminating",
@@ -83,44 +85,49 @@ class ThresholdResult:
     n0_caveat: bool
 
 
-def classify(
-    model: Pda,
-    start: str,
-    table: TerminationTable | None = None,
-    eps: float = 1e-9,
-    deps: DependenceInfo | None = None,
-) -> TailReport:
+class Analysis:
+    """What classification reads of one stateless model, each part computed once."""
+
+    def __init__(self, model: Pda):
+        self.model = model
+        self.deps = dependence(model)
+        self.moments = moment_matrix(model, self.deps)
+        self.expectations = expectations(model, self.moments)
+        can_empty = {t.symbol for t in may_terminate(model)}
+        # the symbols that terminate with certainty, by the structural certificate
+        self.certain = _certain_symbols(self.deps, self.moments.block_radii, can_empty)
+
+
+def classify(analysis: Analysis, start: str) -> TailReport:
     """Assign the tail regime for runs from ``start``.
 
-    The model is restricted to the symbols the start depends on first;
-    raises NotAlmostSurelyTerminating when the restriction can diverge.
-    Callers classifying many starts of one model pass its ``table`` and
-    ``deps`` so that neither is recomputed per start.
+    Only the symbols the start depends on count; raises
+    NotAlmostSurelyTerminating unless they terminate with certainty.
     """
-    deps = deps or dependence(model)
-    restricted = restrict_to_reachable(model, start, deps)
-    deps = deps.restrict(restricted.alphabet)
-    if table is None:
-        table = termination_probs(restricted)
-    if not is_almost_surely_terminating(restricted, table, eps=eps):
+    model, deps = analysis.model, analysis.deps
+    if start not in model.symbol_index:
+        raise ModelError(f"unknown start symbol {start!r}")
+    if start not in analysis.certain:
         raise NotAlmostSurelyTerminating(
             f"symbols reachable from {start} may diverge; transform or condition first"
         )
-    pmin = p_min(restricted)
-    gamma = len(restricted.alphabet)
+    keep = deps.reachable_from[start] | {start}
+    rules = [rule for sym in keep for rule in model.rules_for(model.only_state, sym)]
+    gamma = len(keep)
+    pmin = min((float(rule.prob) for rule in rules), default=1.0)
+    h = deps.scc_height[deps.scc_of[start]]
 
-    if is_bounded_case(restricted, start, deps):
-        return TailReport(start=start, case=1, gamma_size=gamma, p_min=pmin,
-                          height=deps.height)
+    if deps.bounded(start):
+        return TailReport(start=start, case=1, gamma_size=gamma, p_min=pmin, height=h)
 
-    mm = moment_matrix(restricted, deps)
-    exp = expectations(restricted, mm)
-    if exp.finite:
+    exp = analysis.expectations
+    if math.isfinite(exp[start]):  # then so is every symbol the start reaches
         return TailReport(
-            start=start, case=2, gamma_size=gamma, p_min=pmin, height=deps.height,
-            e_start=exp[start], e_max=exp.e_max, b_constant=exp.b_constant,
+            start=start, case=2, gamma_size=gamma, p_min=pmin, height=h,
+            e_start=exp[start],
+            e_max=max(exp[sym] for sym in keep),
+            b_constant=max(abs(1.0 - rule_weight_change(rule, exp.values)) for rule in rules),
         )
-    h = deps.height
     return TailReport(
         start=start, case=3, gamma_size=gamma, p_min=pmin, height=h,
         d1=18.0 * h * gamma / pmin ** (3 * gamma),

@@ -1,9 +1,12 @@
 """Command-line front end: analyze, transform, dist, simulate, bounds.
 
-Exit codes: 0 success, 2 file/parse/validation problems, 3 numeric
-failures (non-convergence, a transform row that misses 1).  All commands
-are deterministic given their flags; JSON reports round floats to 12
-significant digits and spell infinity "inf".
+``analyze`` solves the model once, then classifies through one ``Analysis``
+of the model, or of its terminating part when it is stateful.
+
+Exit codes: 0 success, 2 file/parse/validation problems and bad flag
+values, 3 numeric failures (non-convergence, a transform row that misses
+1).  All commands are deterministic given their flags; JSON reports round
+floats to 12 significant digits and spell infinity "inf".
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    Analysis,
     NotAlmostSurelyTerminating,
     TailReport,
     classify,
@@ -36,9 +40,8 @@ from .distribution import (
     simulate,
     tail,
 )
-from .graph import dependence
 from .model import Configuration, ModelError, Pda, Triple, parse_model, serialize, validate
-from .moments import PowerIterationError, expectations, moment_matrix
+from .moments import PowerIterationError
 from .termination import NewtonDivergedError, termination_probs
 from .transform import TransformError, terminating_part, to_bpa
 
@@ -130,6 +133,8 @@ def _tail_report_dict(rep: TailReport) -> dict:
 # commands
 
 def cmd_analyze(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise CliError("--tol must be a positive finite number")
     t0 = time.perf_counter()
     model = _load(args.model)
     start = _parse_start(model, args.start)
@@ -161,59 +166,44 @@ def cmd_analyze(args) -> int:
     }
 
     t0 = time.perf_counter()
+    if model.stateless:
+        analyzed, starts = model, [start.stack[0]]
+        labels = {sym: sym for sym in sorted(model.alphabet)}
+    else:
+        result = to_bpa(model, table)
+        analyzed = terminating_part(result)
+        triples = {name: result.symbols[name].triple for name in analyzed.alphabet}
+        labels = {name: str(trip) for name, trip in triples.items()}
+        starts = [name for name, trip in triples.items()
+                  if (trip.state, trip.symbol) == (start.state, start.stack[0])]
+        report["transform"] = {
+            "terminating_symbols": list(analyzed.alphabet),
+            "diverging_symbols": [
+                s for s in result.bpa.alphabet if result.symbols[s].triple.diverging
+            ],
+            "rules": len(result.bpa.rules),
+        }
+    analysis = Analysis(analyzed)
     try:
-        if model.stateless:
-            analyzed = model
-            deps = dependence(model)
-            report["tails"] = [
-                _tail_report_dict(classify(model, start.stack[0], table, deps=deps))
-            ]
-            exp = expectations(model, moment_matrix(model, deps))
-            report["expectations"] = {
-                "values": dict(sorted(exp.values.items())),
-                "e_max": exp.e_max,
-                "b_constant": exp.b_constant,
-                "finite": exp.finite,
-            }
-        else:
-            result = to_bpa(model, table)
-            part = terminating_part(result)
-            analyzed = part
-            triples = {name: result.symbols[name].triple for name in part.alphabet}
-            report["transform"] = {
-                "terminating_symbols": list(part.alphabet),
-                "diverging_symbols": [
-                    s for s in result.bpa.alphabet if result.symbols[s].triple.diverging
-                ],
-                "rules": len(result.bpa.rules),
-            }
-            # One dependence pass and one solve of the part serve every start.
-            deps = dependence(part) if part.alphabet else None
-            starts = [name for name, trip in triples.items()
-                      if (trip.state, trip.symbol) == (start.state, start.stack[0])]
-            part_table = termination_probs(part) if starts else None
-            report["tails"] = [
-                _tail_report_dict(classify(part, name, part_table, deps=deps))
-                for name in starts
-            ]
-            part_exp = expectations(part, moment_matrix(part, deps)) if part.alphabet else None
-            report["expectations"] = {
-                "values": {str(trip): part_exp[name] for name, trip in triples.items()},
-                "e_max": part_exp.e_max if part_exp else 0.0,
-                "b_constant": part_exp.b_constant if part_exp else None,
-                "finite": part_exp.finite if part_exp else True,
-            }
-        if analyzed.alphabet:
-            report["dependence"] = {
-                "sccs": [list(comp) for comp in deps.sccs],
-                "height": deps.height,
-                "scc_dag_edges": sorted(list(e) for e in deps.scc_dag_edges),
-            }
+        report["tails"] = [_tail_report_dict(classify(analysis, name)) for name in starts]
     except NotAlmostSurelyTerminating as exc:
         raise CliError(str(exc)) from exc
+    exp = analysis.expectations
+    report["expectations"] = {
+        "values": {label: exp[name] for name, label in labels.items()},
+        "e_max": exp.e_max,
+        "b_constant": exp.b_constant,
+        "finite": exp.finite,
+    }
+    if analyzed.alphabet:
+        deps = analysis.deps
+        report["dependence"] = {
+            "sccs": [list(comp) for comp in deps.sccs],
+            "height": deps.height,
+            "scc_dag_edges": sorted(list(e) for e in deps.scc_dag_edges),
+        }
     t_bounds = time.perf_counter() - t0
 
-    report["curves"] = []
     report["timings"] = {"parse_s": t_parse, "solve_s": t_solve, "bounds_s": t_bounds}
 
     text = _report_json(report)
@@ -298,9 +288,13 @@ def cmd_bounds(args) -> int:
     if not grid or grid[0] < 1:
         raise CliError("--grid needs positive integers")
     try:
-        report = classify(model, start.stack[0])
+        report = classify(Analysis(model), start.stack[0])
     except NotAlmostSurelyTerminating as exc:
         raise CliError(str(exc)) from exc
+    try:
+        threshold = threshold_for_epsilon(report, args.eps)
+    except ValueError as exc:
+        raise CliError(f"bad --eps: {exc}") from exc
 
     exact = None
     if grid[-1] <= DP_CURVE_HORIZON:
@@ -324,7 +318,6 @@ def cmd_bounds(args) -> int:
     else:
         sys.stdout.write(text)
 
-    threshold = threshold_for_epsilon(report, args.eps)
     caveat = " (valid beyond an unknown n0)" if threshold.n0_caveat else ""
     print(f"case={report.case} threshold(eps={args.eps})={threshold.n}{caveat}",
           file=sys.stderr)
@@ -388,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (NewtonDivergedError, PowerIterationError, TransformError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

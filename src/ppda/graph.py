@@ -20,7 +20,11 @@ __all__ = ["DependenceInfo", "dependence", "restrict_to_reachable", "p_min", "is
 
 @dataclass(frozen=True)
 class DependenceInfo:
-    """Direct edges, SCC partition (reverse-topological), condensation, height."""
+    """Direct edges, SCC partition (reverse-topological), condensation, height.
+
+    ``scc_height[i]`` counts the SCCs on the longest path down from SCC i:
+    the height of the relation restricted to what SCC i reaches.
+    """
 
     direct_edges: dict[str, frozenset[str]]
     sccs: tuple[tuple[str, ...], ...]
@@ -29,21 +33,14 @@ class DependenceInfo:
     height: int
     reachable_from: dict[str, frozenset[str]]
     scc_successors: tuple[frozenset[int], ...]  # the DAG edges, per source SCC
+    scc_height: tuple[int, ...]
 
     def on_cycle(self, symbol: str) -> bool:
         return symbol in self.reachable_from[symbol]
 
-    def restrict(self, keep) -> DependenceInfo:
-        """The relation on a set closed under dependence, such as a reach set.
-
-        Such a set is a union of SCCs and loses no edge, so the kept SCCs in
-        their order are again a reverse-topological partition.
-        """
-        keep = set(keep)
-        return _condense(
-            {x: ys for x, ys in self.direct_edges.items() if x in keep},
-            [comp for comp in self.sccs if comp[0] in keep],
-        )
+    def bounded(self, start: str) -> bool:
+        """No symbol reachable from start, itself included, is on a cycle."""
+        return not any(self.on_cycle(sym) for sym in self.reachable_from[start])
 
 
 def _require_stateless(model: Pda):
@@ -71,11 +68,11 @@ def _condense(edges, sccs) -> DependenceInfo:
     scc_of = {sym: i for i, comp in enumerate(sccs) for sym in comp}
     succ = [frozenset({scc_of[y] for x in comp for y in edges[x]} - {i})
             for i, comp in enumerate(sccs)]
-    longest: list[int] = []  # longest path below each SCC, counted in edges
+    longest: list[int] = []  # SCCs on the longest path from each SCC down
     below: list[frozenset[str]] = []  # each SCC's members and all they reach
     reach: dict[str, frozenset[str]] = {}
     for i, comp in enumerate(sccs):
-        longest.append(max((longest[j] + 1 for j in succ[i]), default=0))
+        longest.append(max((longest[j] for j in succ[i]), default=0) + 1)
         cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
         shared = frozenset(comp if cyclic else ()).union(*(below[j] for j in succ[i]))
         below.append(shared.union(comp))
@@ -85,9 +82,10 @@ def _condense(edges, sccs) -> DependenceInfo:
         sccs=tuple(tuple(c) for c in sccs),
         scc_of=scc_of,
         scc_dag_edges=frozenset((i, j) for i, js in enumerate(succ) for j in js),
-        height=max(longest, default=0) + 1,
+        height=max(longest, default=1),
         reachable_from={x: reach[x] for x in edges},
         scc_successors=tuple(succ),
+        scc_height=tuple(longest),
     )
 
 
@@ -140,19 +138,16 @@ def _tarjan(nodes: tuple[str, ...], edges: dict[str, set[str]]) -> list[list[str
     return sccs
 
 
-def _reach(model: Pda, start: str, deps: DependenceInfo | None) -> frozenset[str]:
+def _dependence_at(model: Pda, start: str) -> DependenceInfo:
     _require_stateless(model)
     if start not in model.symbol_index:
         raise ModelError(f"unknown start symbol {start!r}")
-    return (deps or dependence(model)).reachable_from[start]
+    return dependence(model)
 
 
-def restrict_to_reachable(model: Pda, start: str, deps: DependenceInfo | None = None) -> Pda:
-    """Sub-model over the start symbol and everything it depends on.
-
-    ``deps``, the dependence of ``model`` when the caller has it, is reused.
-    """
-    keep = {start} | _reach(model, start, deps)
+def restrict_to_reachable(model: Pda, start: str) -> Pda:
+    """Sub-model over the start symbol and everything it depends on."""
+    keep = {start} | _dependence_at(model, start).reachable_from[start]
     alphabet = tuple(sym for sym in model.alphabet if sym in keep)
     rules = tuple(rule for rule in model.rules if rule.lhs_symbol in keep)
     return Pda(model.states, alphabet, rules, kind=model.kind,
@@ -166,13 +161,11 @@ def p_min(model: Pda, start: str | None = None) -> float:
     return float(min((rule.prob for rule in model.rules), default=Fraction(1)))
 
 
-def is_bounded_case(model: Pda, start: str, deps: DependenceInfo | None = None) -> bool:
+def is_bounded_case(model: Pda, start: str) -> bool:
     """True iff no symbol reachable from start depends on itself.
 
     For an almost surely terminating model this is exactly the regime where
     all termination mass sits below 2^|alphabet| steps: a repeated symbol on
     a derivation path could otherwise be pumped into arbitrarily long runs.
-    A start on a cycle reaches itself, so its reach set is all there is to check.
     """
-    deps = deps or dependence(model)
-    return not any(deps.on_cycle(sym) for sym in _reach(model, start, deps))
+    return _dependence_at(model, start).bounded(start)

@@ -157,9 +157,9 @@ def expectations(model: Pda, mm: MomentMatrix | None = None) -> ExpectationTable
     finite = all(math.isfinite(v) for v in values.values())
     e_max = max(values.values(), default=0.0)
     b_constant = None
-    if finite:
+    if finite:  # a model without rules, such as an empty terminating part, has none
         b_constant = max(
-            abs(1.0 - rule_weight_change(rule, values)) for rule in model.rules
+            (abs(1.0 - rule_weight_change(rule, values)) for rule in model.rules), default=None
         )
     return ExpectationTable(values=values, e_max=e_max, b_constant=b_constant, finite=finite)
 

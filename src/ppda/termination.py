@@ -28,8 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import _tarjan, dependence, restrict_to_reachable
+from .graph import DependenceInfo, _tarjan, dependence
 from .model import Pda, Triple
+from .moments import moment_matrix
 
 __all__ = [
     "TerminationTable",
@@ -330,7 +331,9 @@ def termination_probs(
     if model.stateless and n:
         p = model.only_state
         uncertain = np.ones(n, dtype=bool)
-        for sym in _certain_symbols(model, positive):
+        deps = dependence(model)
+        radii = moment_matrix(model, deps).block_radii
+        for sym in _certain_symbols(deps, radii, {t.symbol for t in positive}):
             uncertain[idx[Triple(p, sym, p)]] = False
         v[~uncertain] = 1.0
         residual = float(np.max(np.abs(system.apply(v) - v)))
@@ -483,38 +486,27 @@ def _solve_decimal(a: list[list[Decimal]], b: list[Decimal]) -> list[Decimal] | 
     return x
 
 
-def _certain_symbols(model: Pda, positive: list[Triple]) -> list[str]:
+def _certain_symbols(deps: DependenceInfo, block_radii, can_empty) -> frozenset[str]:
     """Symbols of a stateless model that terminate with probability one.
 
     Newton in doubles cannot push critical fixed points past an error of
     about sqrt(machine epsilon).  For stateless models certainty is
     structural: every reachable symbol can reach the empty stack and no
-    reachable SCC block of the moment matrix is supercritical.  ``positive``
-    lists the triples that may terminate.
+    reachable SCC block of the moment matrix is supercritical.  ``deps`` is
+    the model's dependence, ``block_radii`` the spectral radii of its SCC
+    blocks, and ``can_empty`` the symbols that may terminate.
     """
-    from .moments import moment_matrix
-
-    info = dependence(model)
-    mm = moment_matrix(model, info)
-    can_empty = {t.symbol for t in positive}
-
     certain: list[bool] = []
-    for i, comp in enumerate(info.sccs):
+    for i, comp in enumerate(deps.sccs):
         good = all(sym in can_empty for sym in comp)
-        good = good and mm.block_radii[i] <= 1.0 + 1e-9
-        good = good and all(certain[j] for j in info.scc_successors[i])
+        good = good and block_radii[i] <= 1.0 + 1e-9
+        good = good and all(certain[j] for j in deps.scc_successors[i])
         certain.append(good)
-    return [sym for sym in model.alphabet if certain[info.scc_of[sym]]]
+    return frozenset(sym for sym in deps.scc_of if certain[deps.scc_of[sym]])
 
 
 def is_almost_surely_terminating(
-    model: Pda,
-    table: TerminationTable,
-    eps: float = 1e-9,
-    start: str | None = None,
+    model: Pda, table: TerminationTable, eps: float = 1e-9
 ) -> bool:
-    """True iff every (reachable) symbol of a stateless model terminates a.s."""
-    symbols = model.alphabet
-    if start is not None:
-        symbols = restrict_to_reachable(model, start).alphabet
-    return all(table.symbol_prob(model, sym) >= 1.0 - eps for sym in symbols)
+    """True iff every symbol of a stateless model terminates a.s."""
+    return all(table.symbol_prob(model, sym) >= 1.0 - eps for sym in model.alphabet)

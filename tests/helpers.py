@@ -15,7 +15,24 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from ppda import Configuration, Pda, Triple, make_bpa, parse_model, step_distribution
+from ppda import (
+    Configuration,
+    NotAlmostSurelyTerminating,
+    Pda,
+    TailReport,
+    Triple,
+    dependence,
+    expectations,
+    is_almost_surely_terminating,
+    make_bpa,
+    moment_matrix,
+    p_min,
+    parse_model,
+    restrict_to_reachable,
+    step_distribution,
+    termination_probs,
+)
+from ppda.bounds import CASE3_LOWER_EXPONENT
 from ppda.model import Rule
 from ppda.termination import may_terminate
 
@@ -62,6 +79,48 @@ def scc_restriction(model: Pda, members) -> Pda:
         if r.lhs_symbol in keep
     )
     return Pda(model.states, alphabet, rules, kind=model.kind)
+
+
+def restricted_analysis(model: Pda, start: str):
+    """The per-start path: restrict ``model`` to the reach set of ``start``,
+    then run ``dependence``, ``termination_probs``, ``moment_matrix`` and
+    ``expectations`` on the restriction.
+
+    Starts with one reach set (the members of one cyclic SCC) share it.
+    """
+    restricted = restrict_to_reachable(model, start)
+    deps = dependence(restricted)
+    table = termination_probs(restricted)
+    exp = expectations(restricted, moment_matrix(restricted, deps))
+    return restricted, deps, table, exp
+
+
+def classify_restricted(restricted: Pda, deps, table, exp, start: str,
+                        eps: float = 1e-9) -> TailReport:
+    """The tail regime of ``start`` from its restriction's own analysis.
+
+    Judges certainty from the solved probabilities; the oracle for
+    ``classify``, which reads one model-wide analysis instead.
+    """
+    if not is_almost_surely_terminating(restricted, table, eps=eps):
+        raise NotAlmostSurelyTerminating(f"symbols reachable from {start} may diverge")
+    pmin = p_min(restricted)
+    gamma = len(restricted.alphabet)
+    h = deps.height
+    if deps.bounded(start):
+        return TailReport(start=start, case=1, gamma_size=gamma, p_min=pmin, height=h)
+    if exp.finite:
+        return TailReport(
+            start=start, case=2, gamma_size=gamma, p_min=pmin, height=h,
+            e_start=exp[start], e_max=exp.e_max, b_constant=exp.b_constant,
+        )
+    return TailReport(
+        start=start, case=3, gamma_size=gamma, p_min=pmin, height=h,
+        d1=18.0 * h * gamma / pmin ** (3 * gamma),
+        d2=1.0 / (2 ** (h + 1) - 2),
+        lower_exponent=CASE3_LOWER_EXPONENT,
+        n0_caveat=True,
+    )
 
 
 def suffix_tail(table, n: int) -> float:

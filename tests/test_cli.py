@@ -211,6 +211,20 @@ def test_analyze_diverging_bpa_rejected(tmp_path, capsys):
         "error: symbols reachable from X may diverge; transform or condition first"]
 
 
+def test_analyze_model_that_never_terminates(tmp_path):
+    src = tmp_path / "never.ppda"
+    src.write_text("pda\nstates: p q\nalphabet: X\nstart: p X\n"
+                   "rule: p X -> p X X : 1\nrule: q X -> q X X : 1\n")
+    out = tmp_path / "never.json"
+    assert main(["analyze", str(src), "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["transform"]["terminating_symbols"] == []
+    assert report["tails"] == []
+    assert report["expectations"] == {"values": {}, "e_max": 0.0, "b_constant": None,
+                                      "finite": True}
+    assert "dependence" not in report
+
+
 def test_bounds_case1_grid(tmp_path, capsys):
     src = tmp_path / "flat.bpa"
     src.write_text("bpa\nalphabet: X Y\nstart: X\n"
@@ -276,8 +290,10 @@ def test_analyze_critical_models_exit_cleanly(tmp_path, name):
 def test_numeric_failure_exits_3(models_dir, monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error
-    target = "to_bpa" if isinstance(error, ppda.transform.TransformError) else "moment_matrix"
-    monkeypatch.setattr(ppda.cli, target, fail)
+    if isinstance(error, ppda.transform.TransformError):
+        monkeypatch.setattr(ppda.cli, "to_bpa", fail)
+    else:
+        monkeypatch.setattr(ppda.bounds, "moment_matrix", fail)
     assert main(["analyze", str(models_dir / "ab.ppda")]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {error}"]
@@ -305,12 +321,30 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
         path = tmp_path / "random.ppda"
         path.write_text(serialize(random_pda(2, 6, seed=2)))
     counts = count_calls(monkeypatch, ppda.termination.termination_probs,
-                         ppda.graph.dependence, ppda.bounds.classify)
+                         ppda.graph.dependence, ppda.moments.moment_matrix,
+                         ppda.bounds.classify)
     assert main(["analyze", str(path), "--start", start,
                  "--json", str(tmp_path / "out.json")]) == 0
     assert counts["classify"] == 2  # one tail report per target state
-    assert counts["termination_probs"] <= 2  # the model and its terminating part
-    assert counts["dependence"] <= 2  # the part, and inside its solve; not per start
+    assert counts["termination_probs"] == 1  # the model; its terminating part is not solved
+    assert counts["dependence"] == 1  # the part, once for every start
+    assert counts["moment_matrix"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "ab.ppda", "--tol", "0"],
+    ["analyze", "ab.ppda", "--tol", "-1"],
+    ["analyze", "ab.ppda", "--tol", "nan"],
+    ["simulate", "ab.ppda", "--samples", "0"],
+    ["simulate", "ab.ppda", "--cap", "0"],
+    ["bounds", "delta1.bpa", "--eps", "0"],
+    ["bounds", "delta1.bpa", "--eps", "2"],
+], ids=" ".join)
+def test_bad_flag_values_exit_2(models_dir, capsys, argv):
+    command, name, *flags = argv
+    assert main([command, str(models_dir / name), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def csv_column(path, k: int) -> list[float]:

@@ -188,11 +188,7 @@ def test_restricted_info_matches_recomputed(delta3):
     for model in (transformed_random_part(), delta3):
         full = dependence(model)
         for start in model.alphabet:
-            sub = restrict_to_reachable(model, start, full)
-            assert sub == restrict_to_reachable(model, start)
-            fresh, kept = dependence(sub), full.restrict(sub.alphabet)
-            assert kept.height == fresh.height
-            assert kept.reachable_from == fresh.reachable_from
-            assert kept.direct_edges == fresh.direct_edges
-            assert {frozenset(c) for c in kept.sccs} == {frozenset(c) for c in fresh.sccs}
-            assert is_bounded_case(sub, start, kept) == is_bounded_case(model, start)
+            sub = restrict_to_reachable(model, start)
+            fresh = dependence(sub)
+            assert full.scc_height[full.scc_of[start]] == fresh.height
+            assert full.bounded(start) == fresh.bounded(start) == is_bounded_case(model, start)
