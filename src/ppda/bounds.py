@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .graph import dependence
 from .model import ModelError, Pda
 from .moments import expectations, moment_matrix, rule_weight_change
-from .termination import _certain_symbols, may_terminate
+from .termination import _certain_symbols
 
 __all__ = [
     "Analysis",
@@ -93,7 +93,7 @@ class Analysis:
         self.deps = dependence(model)
         self.moments = moment_matrix(model, self.deps)
         self.expectations = expectations(model, self.moments)
-        can_empty = {t.symbol for t in may_terminate(model)}
+        can_empty = {t.symbol for t in model.terminating_triples}
         # the symbols that terminate with certainty, by the structural certificate
         self.certain = _certain_symbols(self.deps, self.moments.block_radii, can_empty)
 

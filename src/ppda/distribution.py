@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .model import Configuration, ModelError, Pda, Triple
-from .termination import CompiledSystem, may_terminate
+from .termination import CompiledSystem
 
 __all__ = [
     "DistTable",
@@ -147,7 +147,7 @@ def exact_distribution_pda(
     for rule in model.rules:
         if len(rule.rhs_word) > 2:
             raise ModelError("stateful DP expects right-hand sides of length <= 2")
-    system = CompiledSystem(model, may_terminate(model))
+    system = CompiledSystem(model, model.terminating_triples)
     mass = _pda_masses(system, n_max)
     if triple is None:
         return {t: DistTable(subject=t, mass=row, n_max=n_max, norm=None)
@@ -227,11 +227,6 @@ class SampleStats:
         )
         p = hits / self.samples
         return p, sqrt(p * (1.0 - p) / self.samples)
-
-    def mean_steps(self) -> float:
-        """Mean termination time over non-censored runs."""
-        total = sum(s * c for ctr in self.outcomes.values() for s, c in ctr.items())
-        return total / max(self.terminated, 1)
 
 
 def _compile_rules(model: Pda):

@@ -155,6 +155,14 @@ class Pda:
     def symbol_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.alphabet)}
 
+    @cached_property
+    def terminating_triples(self) -> frozenset[Triple]:
+        """``termination.may_terminate`` of this model, computed once:
+        validation, the solve and the analysis each need it."""
+        from .termination import may_terminate
+
+        return may_terminate(self)
+
     @property
     def stateless(self) -> bool:
         return self.kind in ("bpa", "relaxed-bpa")
@@ -270,9 +278,7 @@ def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
         return []
     # Pairs (q, Z) exposed by popping are over-approximated through the
     # boolean may-terminate relation on triples.
-    from .termination import may_terminate
-
-    can = may_terminate(model)
+    can = model.terminating_triples
     reach: set[tuple[str, str]] = set()
     frontier: list[tuple[str, str]] = []
 

@@ -10,6 +10,17 @@ solved here with undamped Newton iteration from the zero vector after a
 boolean preprocessing pass pins the structurally-zero variables.  The
 divergence mass [pX^] is reported as the clamped complement.
 
+Each Newton step solves (I - F'(v)) delta = F(v) - v.  Systems of at most
+DENSE_MAX (512) variables build the matrix and take one LAPACK solve: on a
+few hundred variables that costs less than a Python GMRES loop.  Larger
+systems never form the matrix.  Restarted GMRES works on the product
+(I - F'(v)) x, one gather and one bincount over the compiled monomials, down
+to a relative residual of KRYLOV_RTOL (1e-12).  The steps are then close
+enough to exact that the iterates climb monotonically, as exact Newton's do
+on monotone systems.  If GMRES misses that tolerance within its cap, the
+step is solved densely as on small systems, up to DENSE_FALLBACK_MAX
+variables; above that the GMRES iterate is taken as it stands.
+
 At a critical fixed point, where I - F' is singular, Newton in doubles
 stalls about sqrt(machine epsilon) short, and rounding the rule
 probabilities to doubles moves the fixed point by as much.  In stateful
@@ -56,6 +67,12 @@ SLOW_SOLVE = 20  # Newton steps; off critical points it converges quadratically
 WARM_START = 1e-4  # a step in doubles this short is still far above their noise
 DOUBLING_BELOW = Decimal("1e-10")  # a doubled final step errs by about its square
 _ONE = np.ones(1)  # the value of the padding factor
+# How a Newton step is solved; see the module docstring.
+DENSE_MAX = 512  # variables; larger systems take GMRES steps
+DENSE_FALLBACK_MAX = 4096  # largest system a missed GMRES step solves densely (128 MB)
+KRYLOV_RTOL = 1e-12
+KRYLOV_RESTART = 60  # Arnoldi steps between restarts
+KRYLOV_MAX_STEPS = 600  # Arnoldi steps per solve
 
 
 class NewtonDivergedError(RuntimeError):
@@ -100,28 +117,61 @@ def may_terminate(model: Pda) -> frozenset[Triple]:
 
     Boolean least fixed point of the same first-step system over {0, 1};
     the complement of this set is exactly the set of zero variables.
+    ``Pda.terminating_triples`` keeps it for the model.
     """
-    can: set[tuple[str, str, str]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in model.rules:
-            p, X = rule.lhs_state, rule.lhs_symbol
-            reachable = {rule.rhs_state}
-            for sym in rule.rhs_word:
-                reachable = {
-                    q for s in reachable for q in model.states if (s, sym, q) in can
-                }
-            for q in reachable:
-                if (p, X, q) not in can:
-                    can.add((p, X, q))
-                    changed = True
-    return frozenset(Triple(*t) for t in can)
+    states, alphabet = model.states, model.alphabet
+    return frozenset(Triple(states[p], alphabet[x], states[q])
+                     for p, x, q in np.argwhere(_may_terminate_table(model)).tolist())
+
+
+def _rule_arrays(model: Pda):
+    """Per rule: lhs state, lhs symbol, rhs state, word length, and the word
+    as symbol indices, padded with |alphabet| to at least two columns."""
+    sidx, aidx = model.state_index, model.symbol_index
+    rules, pad = model.rules, len(model.alphabet)
+    width = max([2] + [len(rule.rhs_word) for rule in rules])
+    table = np.array(
+        [(sidx[rule.lhs_state], aidx[rule.lhs_symbol], sidx[rule.rhs_state],
+          len(rule.rhs_word), *(aidx[sym] for sym in rule.rhs_word),
+          *(pad,) * (width - len(rule.rhs_word))) for rule in rules],
+        dtype=np.intp,
+    ).reshape(len(rules), 4 + width)
+    return table[:, 0], table[:, 1], table[:, 2], table[:, 3], table[:, 4:]
+
+
+def _may_terminate_table(model: Pda) -> np.ndarray:
+    """``may_terminate`` as a boolean [state, symbol, target] array.
+
+    Each round recomputes, for the rules whose word holds a symbol that
+    gained a target in the round before, the states their word can empty
+    into, one word position at a time.
+    """
+    nq, ng = len(model.states), len(model.alphabet)
+    lhs_state, lhs_symbol, rhs_state, _, words = _rule_arrays(model)
+    lhs = (lhs_symbol * nq + lhs_state) * nq
+    # can[X, s, q]; the padding symbol ng takes every state to itself
+    can = np.zeros((ng + 1, nq, nq), dtype=bool)
+    can[ng] = np.eye(nq, dtype=bool)
+    start = np.eye(nq, dtype=bool)[rhs_state]
+    active = np.arange(len(words))
+    while len(active):
+        reach = start[active]
+        for column in words[active].T:
+            reach = (reach[:, :, None] & can[column]).any(axis=1)
+        rows, targets = np.nonzero(reach)
+        found = np.zeros(can.size, dtype=bool)
+        found[lhs[active[rows]] + targets] = True
+        gained = found.reshape(can.shape) & ~can
+        if not gained.any():
+            break
+        can |= gained
+        active = np.flatnonzero(gained.any(axis=(1, 2))[words].any(axis=1))
+    return can[:ng].transpose(1, 0, 2)
 
 
 def qualitative_zero(model: Pda) -> frozenset[Triple]:
     """Triples pXq whose termination probability is exactly zero."""
-    return _zeros(model, may_terminate(model))
+    return _zeros(model, model.terminating_triples)
 
 
 def _zeros(model: Pda, can: frozenset[Triple]) -> frozenset[Triple]:
@@ -151,48 +201,58 @@ class CompiledSystem:
 
     def __init__(self, model: Pda, can: frozenset[Triple]):
         self.model = model
-        self.triples = sorted(
-            (t for t in can if not t.diverging),
-            key=lambda t: (model.state_index[t.state], model.symbol_index[t.symbol],
-                           model.state_index[t.target]),
-        )
+        states, alphabet = model.states, model.alphabet
+        nq, ng = len(states), len(alphabet)
+        sidx, aidx = model.state_index, model.symbol_index
+        known = np.zeros((nq, ng, nq), dtype=bool)
+        for t in can:
+            if not t.diverging:
+                known[sidx[t.state], aidx[t.symbol], sidx[t.target]] = True
+        n = self.n = int(np.count_nonzero(known))
+        # table[p, X, q]: the number of triple pXq, or -1 if it cannot terminate
+        table = np.full(known.shape, -1, dtype=np.intp)
+        table[known] = np.arange(n)
+        self.triples = [Triple(states[p], alphabet[x], states[q])
+                        for p, x, q in np.argwhere(known).tolist()]
         self.index = {t: i for i, t in enumerate(self.triples)}
-        n = self.n = len(self.triples)
-        # at least two columns, so that a pair monomial's factors can always be read
-        width = max([2] + [len(rule.rhs_word) for rule in model.rules])
-        lhs, rules, factors = [], [], []
-        for k, rule in enumerate(model.rules):
-            chains: list[tuple[str, tuple[int, ...]]] = [(rule.rhs_state, ())]
-            for sym in rule.rhs_word:
-                chains = [
-                    (q, chain + (self.index[Triple(s, sym, q)],))
-                    for s, chain in chains
-                    for q in model.states
-                    if Triple(s, sym, q) in self.index
-                ]
-            for q, chain in chains:
-                t = Triple(rule.lhs_state, rule.lhs_symbol, q)
-                if t in self.index:
-                    lhs.append(self.index[t])
-                    rules.append(k)
-                    factors.append(chain + (n,) * (width - len(chain)))
-        lhs = np.array(lhs, dtype=np.intp)
-        factors = np.array(factors, dtype=np.intp).reshape(-1, width)
-        degree = np.count_nonzero(factors < n, axis=1)
+        lhs_state, lhs_symbol, rhs_state, length, words = _rule_arrays(model)
+        width = words.shape[1]
+        # Chains r = s0, s1, .., sm of every rule, extended one word position
+        # at a time by every next state in order, so they stay sorted by rule
+        # and then by state sequence: the order of a loop over rules and states.
+        rule, state = np.arange(len(words)), rhs_state
+        factors = np.full((len(words), width), n, dtype=np.intp)
+        for j in range(width):
+            grows = length[rule] > j
+            count = np.where(grows, nq, 1)
+            src = np.repeat(np.arange(len(rule)), count)
+            nxt = np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)
+            rule, state, factors, grows = rule[src], state[src], factors[src], grows[src]
+            factor = table[state[grows], words[rule[grows], j], nxt[grows]]
+            factors[grows, j] = factor
+            state[grows] = nxt[grows]
+            keep = np.ones(len(rule), dtype=bool)
+            keep[grows] = factor >= 0
+            rule, state, factors = rule[keep], state[keep], factors[keep]
+        lhs = table[lhs_state[rule], lhs_symbol[rule], state]
+        keep = lhs >= 0
+        lhs, rule, factors = lhs[keep], rule[keep], factors[keep]
+        degree = length[rule]
         # epsilon monomials first, then the others; each part grouped by lhs
         order = np.lexsort((lhs, degree > 0))
         self.lhs, self.factors, self.degree = lhs[order], factors[order], degree[order]
-        self.rule = np.array(rules, dtype=np.intp)[order]
-        self.coef = np.array([float(model.rules[k].prob) for k in self.rule])
+        self.rule = rule[order]
+        self.coef = np.array([float(r.prob) for r in model.rules])[self.rule]
         first = len(self.lhs) - np.count_nonzero(self.degree)
         self.const = np.bincount(self.lhs[:first], self.coef[:first], minlength=n)
-        # views of the monomials with factors, and the flat index into F' of
-        # each of their factors
+        # views of the monomials with factors, and the row and column in F'
+        # of each of their factors
         self._lhs, self._coef = self.lhs[first:], self.coef[first:]
         self._factors = self.factors[first:]
         real = self._factors < n
         self._real = np.flatnonzero(real)
-        self._flat = np.repeat(self._lhs, width)[self._real] * n + self._factors[real]
+        self._rows = np.repeat(self._lhs, width)[self._real]
+        self._cols = self._factors[real]
 
     def _gather(self, v: np.ndarray) -> np.ndarray:
         """v, extended by the padding 1, at every factor of the monomials with factors."""
@@ -206,8 +266,8 @@ class CompiledSystem:
             prod *= at[:, k]
         return self.const + np.bincount(self._lhs, prod, minlength=self.n)
 
-    def newton_matrix(self, v: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """I - F'(v) on the variables ``free``, in their order."""
+    def _jacobian(self, v: np.ndarray, free: np.ndarray):
+        """Rows and columns, local to ``free``, and values of the entries of -F'(v)."""
         at = self._gather(v)
         # negated partial derivatives: their sums are exactly -F'
         partial = np.empty_like(at)
@@ -217,21 +277,29 @@ class CompiledSystem:
                 if j != k:
                     partial[:, k] *= at[:, j]
         weights = partial.take(self._real)
+        if len(free) == self.n:
+            return self._rows, self._cols, weights
+        local = np.full(self.n, -1, dtype=np.intp)
+        local[free] = np.arange(len(free))
+        rows, cols = local[self._rows], local[self._cols]
+        keep = (rows >= 0) & (cols >= 0)
+        return rows[keep], cols[keep], weights[keep]
+
+    def newton_matrix(self, v: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """I - F'(v) on the variables ``free``, in their order."""
+        rows, cols, weights = self._jacobian(v, free)
         m = len(free)
-        if m == self.n:
-            flat = self._flat
-        else:
-            local = np.full(self.n, -1, dtype=np.intp)
-            local[free] = np.arange(m)
-            rows, cols = np.divmod(self._flat, self.n)
-            rows, cols = local[rows], local[cols]
-            keep = (rows >= 0) & (cols >= 0)
-            flat, weights = rows[keep] * m + cols[keep], weights[keep]
         # (bincount of no monomials gives integers)
-        matrix = np.bincount(flat, weights, minlength=m * m).astype(float, copy=False)
+        matrix = np.bincount(rows * m + cols, weights, minlength=m * m).astype(float, copy=False)
         matrix = matrix.reshape(m, m)
         matrix.ravel()[:: m + 1] += 1.0
         return matrix
+
+    def newton_operator(self, v: np.ndarray, free: np.ndarray):
+        """x -> (I - F'(v)) x on the variables ``free``, without forming the matrix."""
+        rows, cols, weights = self._jacobian(v, free)
+        m = len(free)
+        return lambda x: x + np.bincount(rows, weights * x[cols], minlength=m)
 
 
 def termination_probs(
@@ -252,7 +320,7 @@ def termination_probs(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    can = may_terminate(model)
+    can = model.terminating_triples
     system = CompiledSystem(model, can)
     positive, idx, n = system.triples, system.index, system.n
 
@@ -273,10 +341,7 @@ def termination_probs(
             size = np.max(np.abs(residual))
             if size == 0.0:
                 break
-            try:
-                delta = np.linalg.solve(system.newton_matrix(v, free), residual)
-            except np.linalg.LinAlgError:
-                delta = residual
+            delta = _newton_step(system, v, free, residual)
             new = np.clip(v[free] + delta, 0.0, 1.0)
             step = float(np.max(np.abs(new - v[free])))
             gain = max(gain, step / size)
@@ -365,13 +430,83 @@ def termination_probs(
     return table
 
 
+def _newton_step(system: CompiledSystem, v: np.ndarray, free: np.ndarray,
+                 residual: np.ndarray) -> np.ndarray:
+    """The step delta with (I - F'(v)) delta = residual on the variables ``free``.
+
+    Small systems are solved densely.  Larger ones by GMRES on the
+    matrix-free operator; if it misses KRYLOV_RTOL, the dense solve stands
+    in while its matrix is small enough, else the GMRES iterate is taken.
+    A singular matrix gives the fixed-point step, the residual itself.
+    """
+    m = len(free)
+    if m > DENSE_MAX:
+        delta, solved = _gmres(system.newton_operator(v, free), residual)
+        if solved or m > DENSE_FALLBACK_MAX:
+            return delta
+    try:
+        return np.linalg.solve(system.newton_matrix(v, free), residual)
+    except np.linalg.LinAlgError:
+        return residual
+
+
+def _gmres(matvec, b: np.ndarray):
+    """Restarted GMRES for A x = b from x = 0, with A given by ``matvec``.
+
+    The Arnoldi basis is built by modified Gram-Schmidt; Givens rotations
+    keep the Hessenberg matrix triangular, so the residual of the
+    least-squares problem is known at every step without solving it.
+    Returns x and whether ||b - A x|| <= KRYLOV_RTOL ||b|| held within
+    KRYLOV_MAX_STEPS Arnoldi steps, restarting every KRYLOV_RESTART.
+    """
+    m = len(b)
+    x = np.zeros(m)
+    target = KRYLOV_RTOL * np.linalg.norm(b)
+    r, beta, steps = b, np.linalg.norm(b), 0
+    while beta > target and steps < KRYLOV_MAX_STEPS:
+        size = min(KRYLOV_RESTART, m, KRYLOV_MAX_STEPS - steps)
+        basis = np.empty((size + 1, m))
+        h = np.zeros((size + 1, size))
+        cos, sin = np.zeros(size), np.zeros(size)
+        g = np.zeros(size + 1)
+        g[0] = beta
+        basis[0] = r / beta
+        k = 0
+        while k < size:
+            w = matvec(basis[k])
+            for i in range(k + 1):
+                h[i, k] = basis[i] @ w
+                w -= h[i, k] * basis[i]
+            below = np.linalg.norm(w)
+            for i in range(k):
+                h[i, k], h[i + 1, k] = (cos[i] * h[i, k] + sin[i] * h[i + 1, k],
+                                        cos[i] * h[i + 1, k] - sin[i] * h[i, k])
+            diag = math.hypot(h[k, k], below)
+            if diag == 0.0:  # the projected matrix is singular: stop this cycle
+                break
+            cos[k], sin[k] = h[k, k] / diag, below / diag
+            h[k, k] = diag
+            g[k + 1], g[k] = -sin[k] * g[k], cos[k] * g[k]
+            k += 1
+            if abs(g[k]) <= target or below == 0.0:
+                break
+            basis[k] = w / below
+        steps += k
+        if k == 0:
+            break
+        x = x + np.linalg.solve(h[:k, :k], g[:k]) @ basis[:k]  # h[:k, :k] is triangular
+        r = b - matvec(x)
+        beta = np.linalg.norm(r)
+    return x, bool(beta <= target)
+
+
 def _near_critical(system: CompiledSystem, v: np.ndarray, skip) -> list[list[int]]:
     """SCCs whose block of I - F'(v) is nearly singular, and all they depend on.
 
     SCCs in ``skip`` are passed over.  The SCCs come callees first.
     """
     edges: dict[int, set[int]] = {i: set() for i in range(system.n)}
-    for i, a in zip(*(part.tolist() for part in np.divmod(system._flat, system.n))):
+    for i, a in zip(system._rows.tolist(), system._cols.tolist()):
         edges[i].add(a)
     comps = _tarjan(tuple(edges), edges)
     found: set[int] = set()
@@ -379,11 +514,15 @@ def _near_critical(system: CompiledSystem, v: np.ndarray, skip) -> list[list[int
         cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
         if not cyclic or comp[0] in skip:
             continue
-        block = system.newton_matrix(v, np.array(comp))
-        try:
-            gain = float(np.max(np.abs(np.linalg.solve(block, np.ones(len(comp))))))
-        except np.linalg.LinAlgError:
-            gain = math.inf
+        free, ones = np.array(comp), np.ones(len(comp))
+        if len(comp) > DENSE_MAX:
+            x, solved = _gmres(system.newton_operator(v, free), ones)
+        else:
+            try:
+                x, solved = np.linalg.solve(system.newton_matrix(v, free), ones), True
+            except np.linalg.LinAlgError:
+                solved = False
+        gain = float(np.max(np.abs(x))) if solved else math.inf
         if not gain <= NEAR_CRITICAL:
             found.update(comp)
     stack = list(found)

@@ -46,11 +46,6 @@ class TripleSymbol:
     def name(self) -> str:
         return str(self.triple)
 
-    @property
-    def display(self) -> str:
-        tgt = "↑" if self.triple.target is None else self.triple.target
-        return f"⟨{self.triple.state}{self.triple.symbol}{tgt}⟩"
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -66,10 +61,6 @@ class TransformResult:
     symbols: dict[str, TripleSymbol]
     rule_provenance: dict[Rule, Provenance]
     used_table: TerminationTable
-
-    def symbol_for(self, triple: Triple) -> str | None:
-        name = str(triple)
-        return name if name in self.symbols else None
 
 
 def to_bpa(model: Pda, table: TerminationTable, cutoff: float = OMIT_BELOW) -> TransformResult:

@@ -34,7 +34,6 @@ from ppda import (
 )
 from ppda.bounds import CASE3_LOWER_EXPONENT
 from ppda.model import Rule
-from ppda.termination import may_terminate
 
 
 def brute_mass(model: Pda, cfg: Configuration, n_max: int):
@@ -317,7 +316,7 @@ def critical_chain(h: int) -> Pda:
 
 
 def _sorted_triples(model: Pda):
-    can = may_terminate(model)
+    can = may_terminate_loop(model)
     return sorted(
         (t for t in can if not t.diverging),
         key=lambda t: (model.state_index[t.state], model.symbol_index[t.symbol],
@@ -421,3 +420,96 @@ def term_system(model: Pda):
         return np.eye(len(free)) - jac[np.ix_(free, free)]
 
     return positive, apply_f, newton_matrix
+
+
+# ---------------------------------------------------------------------------
+# per-rule loops: references for the vectorised set-up and for Newton
+
+
+@st.composite
+def relaxed_bpas(draw, max_symbols=3, max_alts=3, max_length=4):
+    """Stateless models with words of length 0 to ``max_length``."""
+    k = draw(st.integers(1, max_symbols))
+    syms = SYMS[:k]
+    rules = []
+    for lhs in syms:
+        alts = draw(st.integers(1, max_alts))
+        weights = [draw(st.integers(1, 6)) for _ in range(alts)]
+        seen = {}
+        for w in weights:
+            length = draw(st.integers(0, max_length))
+            word = tuple(draw(st.sampled_from(syms)) for _ in range(length))
+            seen[word] = seen.get(word, Fraction(0)) + Fraction(w, sum(weights))
+        rules += [Rule("_", lhs, "_", word, prob) for word, prob in seen.items()]
+    return Pda(("_",), syms, tuple(rules), kind="relaxed-bpa")
+
+
+def may_terminate_loop(model: Pda) -> frozenset[Triple]:
+    """``may_terminate`` by sweeps over the rules until nothing changes."""
+    can: set[tuple[str, str, str]] = set()
+    changed = True
+    while changed:
+        changed = False
+        for rule in model.rules:
+            p, X = rule.lhs_state, rule.lhs_symbol
+            reachable = {rule.rhs_state}
+            for sym in rule.rhs_word:
+                reachable = {
+                    q for s in reachable for q in model.states if (s, sym, q) in can
+                }
+            for q in reachable:
+                if (p, X, q) not in can:
+                    can.add((p, X, q))
+                    changed = True
+    return frozenset(Triple(*t) for t in can)
+
+
+def chain_monomials(model: Pda) -> dict:
+    """``lhs``, ``factors``, ``degree``, ``rule`` and ``coef`` of the compiled
+    system, from a loop over the rules and their segment chains."""
+    triples = _sorted_triples(model)
+    index = {t: i for i, t in enumerate(triples)}
+    n = len(triples)
+    width = max([2] + [len(rule.rhs_word) for rule in model.rules])
+    lhs, rules, factors = [], [], []
+    for k, rule in enumerate(model.rules):
+        chains = [(rule.rhs_state, ())]
+        for sym in rule.rhs_word:
+            chains = [
+                (q, chain + (index[Triple(s, sym, q)],))
+                for s, chain in chains
+                for q in model.states
+                if Triple(s, sym, q) in index
+            ]
+        for q, chain in chains:
+            t = Triple(rule.lhs_state, rule.lhs_symbol, q)
+            if t in index:
+                lhs.append(index[t])
+                rules.append(k)
+                factors.append(chain + (n,) * (width - len(chain)))
+    lhs = np.array(lhs, dtype=np.intp)
+    factors = np.array(factors, dtype=np.intp).reshape(-1, width)
+    degree = np.count_nonzero(factors < n, axis=1)
+    order = np.lexsort((lhs, degree > 0))
+    rule = np.array(rules, dtype=np.intp)[order]
+    return {
+        "lhs": lhs[order], "factors": factors[order], "degree": degree[order],
+        "rule": rule, "coef": np.array([float(model.rules[k].prob) for k in rule]),
+    }
+
+
+def dense_newton(model: Pda, tol: float = 1e-12, max_steps: int = 200) -> dict:
+    """Least fixed point by undamped dense Newton from zero on the term lists.
+
+    Returns triple -> value for every triple that may terminate; a model
+    with a critical fixed point stalls short of it.
+    """
+    triples, apply_f, newton_matrix = term_system(model)
+    free = np.arange(len(triples))
+    v = np.zeros(len(triples))
+    for _ in range(max_steps):
+        delta = np.linalg.solve(newton_matrix(v, free), apply_f(v) - v)
+        v = np.clip(v + delta, 0.0, 1.0)
+        if not len(delta) or np.max(np.abs(delta)) <= tol:
+            break
+    return dict(zip(triples, v.tolist()))

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ppda import (
@@ -13,14 +14,33 @@ from ppda import (
     exact_distribution_pda,
     is_almost_surely_terminating,
     make_bpa,
+    parse_model,
     qualitative_zero,
     simulate,
     termination_probs,
 )
 from ppda.model import Pda, Rule
-from ppda.termination import CompiledSystem, may_terminate
+import ppda.termination
+from ppda.termination import CompiledSystem, _gmres, may_terminate
 
-from helpers import CRITICAL_PDAS, small_bpas, small_pdas, term_system
+from helpers import (
+    CRITICAL_PDAS,
+    chain_monomials,
+    dense_newton,
+    may_terminate_loop,
+    random_pda,
+    relaxed_bpas,
+    small_bpas,
+    small_pdas,
+    term_system,
+)
+
+# the critical models of the benchmark, read from its directory
+BLOCKING = {
+    name: parse_model((Path(__file__).parent.parent / "perfbench" / "models" / f"{name}.ppda")
+                      .read_text(encoding="utf-8"))
+    for name in ("blocking_one_state", "blocking_two_state")
+}
 
 GRID = [Fraction(11, 20), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10)]
 
@@ -164,6 +184,10 @@ def test_newton_iterates_monotone_bounded(tree, ab):
 @example(CRITICAL_PDAS["alternating"])
 @example(CRITICAL_PDAS["unary"])
 def test_newton_monotone_and_consistent_random(model):
+    check_newton_monotone_and_consistent(model)
+
+
+def check_newton_monotone_and_consistent(model: Pda):
     trace: list[np.ndarray] = []
     table = termination_probs(model, trace=trace)
     for prev, cur in zip(trace, trace[1:]):
@@ -173,6 +197,121 @@ def test_newton_monotone_and_consistent_random(model):
         for X in model.alphabet:
             row = sum(table.prob(p, X, q) for q in model.states) + table.diverge(p, X)
             assert row == pytest.approx(1.0, abs=1e-9)
+    return table
+
+
+@pytest.fixture
+def krylov(monkeypatch):
+    """Every Newton step and near-critical block gain goes through GMRES."""
+    monkeypatch.setattr(ppda.termination, "DENSE_MAX", 0)
+
+
+@given(small_pdas())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(CRITICAL_PDAS["with_bystander"])
+@example(CRITICAL_PDAS["alternating"])
+@example(CRITICAL_PDAS["unary"])
+def test_newton_monotone_and_consistent_random_krylov(krylov, model):
+    check_newton_monotone_and_consistent(model)
+
+
+def dense_table(model: Pda):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ppda.termination, "DENSE_MAX", math.inf)
+        return termination_probs(model)
+
+
+@pytest.mark.parametrize("name", [*CRITICAL_PDAS, *BLOCKING])
+def test_critical_models_krylov_match_dense(krylov, name):
+    model = {**CRITICAL_PDAS, **BLOCKING}[name]
+    table = check_newton_monotone_and_consistent(model)
+    dense = dense_table(model)
+    for t, value in dense.probs.items():
+        assert table.probs[t] == pytest.approx(value, abs=1e-13)
+
+
+def test_blocking_models_exact_under_krylov(krylov):
+    one = termination_probs(BLOCKING["blocking_one_state"])
+    assert one.prob("u", "S", "u") == pytest.approx(1.0, abs=1e-15)
+    table = termination_probs(BLOCKING["blocking_two_state"])
+    for p in "pq":
+        for q in "pq":
+            assert table.prob(p, "X", q) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_krylov_above_crossover_matches_dense_newton():
+    model = random_pda(6, 20, seed=1)
+    system = CompiledSystem(model, may_terminate(model))
+    assert system.n > ppda.termination.DENSE_MAX
+    solves = []
+
+    def counted(*args, **kwargs):
+        x, solved = _gmres(*args, **kwargs)
+        solves.append(solved)
+        return x, solved
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ppda.termination, "_gmres", counted)
+        table = check_newton_monotone_and_consistent(model)
+    assert solves and all(solves)
+    oracle = dense_newton(model)
+    for t, value in table.probs.items():
+        if not t.diverging:
+            assert value == pytest.approx(oracle.get(t, 0.0), abs=1e-13)
+
+
+def test_missed_gmres_steps_are_solved_densely(krylov, monkeypatch, tree, ab):
+    monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 0)
+    for model in (tree, ab, CRITICAL_PDAS["unary"]):
+        assert termination_probs(model) == dense_table(model)
+
+
+def test_gmres_solves_nonsymmetric_systems_across_restarts(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = np.eye(40) - 0.9 * rng.random((40, 40)) / 40
+    b = rng.random(40)
+    for restart in (3, 40):
+        monkeypatch.setattr(ppda.termination, "KRYLOV_RESTART", restart)
+        x, solved = _gmres(lambda y: a @ y, b)
+        assert solved
+        assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-11)
+    monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 2)
+    x, solved = _gmres(lambda y: a @ y, b)
+    assert not solved
+
+
+@given(small_pdas())
+@settings(max_examples=60, deadline=None)
+@example(CRITICAL_PDAS["with_bystander"])
+def test_may_terminate_matches_rule_sweeps(model):
+    assert may_terminate(model) == may_terminate_loop(model)
+
+
+def check_chain_monomials(model: Pda):
+    system = CompiledSystem(model, may_terminate(model))
+    oracle = chain_monomials(model)
+    for name, want in oracle.items():
+        assert np.array_equal(getattr(system, name), want), name
+
+
+@given(small_pdas())
+@settings(max_examples=60, deadline=None)
+@example(CRITICAL_PDAS["one_state"])
+@example(CRITICAL_PDAS["symmetric"])
+@example(CRITICAL_PDAS["with_bystander"])
+@example(CRITICAL_PDAS["alternating"])
+@example(CRITICAL_PDAS["unary"])
+def test_compiled_monomials_match_chain_loop(model):
+    check_chain_monomials(model)
+
+
+@given(relaxed_bpas())
+@settings(max_examples=60, deadline=None)
+def test_compiled_monomials_match_chain_loop_relaxed(model):
+    assert may_terminate(model) == may_terminate_loop(model)
+    check_chain_monomials(model)
 
 
 @given(small_bpas())
