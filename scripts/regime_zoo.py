@@ -44,7 +44,7 @@ def main():
         result = to_bpa(model, termination_probs(model))
         analysis = Analysis(terminating_part(result))
         for sym in analysis.model.alphabet:
-            trip = result.symbols[sym].triple
+            trip = result.symbols[sym]
             if (trip.state, trip.symbol) == (state, symbol):
                 print(f"  {sym:<10} {describe(classify(analysis, sym))}")
 

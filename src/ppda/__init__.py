@@ -65,7 +65,6 @@ from .termination import (
 from .transform import (
     TransformError,
     TransformResult,
-    TripleSymbol,
     cone_vector,
     make_u_progressive,
     terminating_part,

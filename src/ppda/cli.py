@@ -172,14 +172,14 @@ def cmd_analyze(args) -> int:
     else:
         result = to_bpa(model, table)
         analyzed = terminating_part(result)
-        triples = {name: result.symbols[name].triple for name in analyzed.alphabet}
+        triples = {name: result.symbols[name] for name in analyzed.alphabet}
         labels = {name: str(trip) for name, trip in triples.items()}
         starts = [name for name, trip in triples.items()
                   if (trip.state, trip.symbol) == (start.state, start.stack[0])]
         report["transform"] = {
             "terminating_symbols": list(analyzed.alphabet),
             "diverging_symbols": [
-                s for s in result.bpa.alphabet if result.symbols[s].triple.diverging
+                s for s in result.bpa.alphabet if result.symbols[s].diverging
             ],
             "rules": len(result.bpa.rules),
         }
@@ -234,6 +234,8 @@ def cmd_dist(args) -> int:
     if args.nmax < 1:
         raise CliError("--nmax must be at least 1")
     if model.stateless:
+        if args.target is not None:
+            raise CliError("--target applies to stateful models only")
         table = exact_distribution_bpa(model, start.stack[0], args.nmax)
     elif args.target in (None, "none"):
         # unconditioned: sum the start pair's rows of one all-targets pass;

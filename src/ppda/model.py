@@ -229,6 +229,11 @@ def validate(model: Pda, start: Configuration | None = None) -> list[str]:
         except ModelError as exc:
             violations.append(str(exc))
 
+    if model.kind == "pda":
+        for name in model.states:
+            if name == "up" or "." in name:
+                violations.append(f"state {name!r} clashes with the transformed symbols "
+                                  "p.X.q and p.X.up: no state may be 'up' or contain '.'")
     if model.stateless and len(model.states) != 1:
         violations.append(f"kind {model.kind} requires exactly one control state")
 

@@ -177,6 +177,6 @@ def conditional_expectations(model: Pda, table: TerminationTable) -> dict[Triple
     part = terminating_part(result)
     exp = expectations(part)
     return {
-        result.symbols[name].triple: exp[name]
+        result.symbols[name]: exp[name]
         for name in part.alphabet
     }

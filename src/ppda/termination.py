@@ -199,13 +199,13 @@ class CompiledSystem:
     those of a plain loop over the rules.
     """
 
-    def __init__(self, model: Pda, can: frozenset[Triple]):
+    def __init__(self, model: Pda):
         self.model = model
         states, alphabet = model.states, model.alphabet
         nq, ng = len(states), len(alphabet)
         sidx, aidx = model.state_index, model.symbol_index
         known = np.zeros((nq, ng, nq), dtype=bool)
-        for t in can:
+        for t in model.terminating_triples:
             if not t.diverging:
                 known[sidx[t.state], aidx[t.symbol], sidx[t.target]] = True
         n = self.n = int(np.count_nonzero(known))
@@ -320,8 +320,7 @@ def termination_probs(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    can = model.terminating_triples
-    system = CompiledSystem(model, can)
+    system = CompiledSystem(model)
     positive, idx, n = system.triples, system.index, system.n
 
     def newton(v: np.ndarray, free: np.ndarray):
@@ -422,7 +421,7 @@ def termination_probs(
         probs=probs,
         residual=residual,
         iterations=iterations,
-        qualitative_zero=_zeros(model, can),
+        qualitative_zero=_zeros(model, model.terminating_triples),
         tol=tol,
     )
     if strict and not table.converged:

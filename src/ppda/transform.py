@@ -6,8 +6,11 @@ Each stack symbol of the constructed stateless model is a triple symbol:
 state q, ``p.X.up`` the obligation to never empty it.  Rule probabilities
 are the source probabilities reweighted by the termination masses of the
 obligations they spawn, so they are irrational in general and live in
-floats.  Terminating symbols never depend on diverging ones, and the
-restriction to terminating symbols terminates almost surely.
+floats.  The terminating rules are the monomials of the compiled
+termination system divided by the value of their left-hand side:
+pX -> rYZ gives [pXq] -> [rYs][sZq] with probability x [rYs] [sZq] / [pXq].
+Terminating symbols never depend on diverging ones, and the restriction to
+terminating symbols terminates almost surely.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .model import BPA_STATE, Configuration, Pda, Rule, Triple
 from .moments import moment_matrix, rule_weight_change
-from .termination import TerminationTable
+from .termination import CompiledSystem, TerminationTable
 
 __all__ = [
-    "TripleSymbol",
     "TransformResult",
     "TransformError",
     "to_bpa",
@@ -37,125 +41,73 @@ class TransformError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TripleSymbol:
-    """Stack symbol of the constructed stateless model."""
-
-    triple: Triple
-
-    @property
-    def name(self) -> str:
-        return str(self.triple)
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """Origin of one constructed rule: source rules plus the split state."""
-
-    sources: tuple[Rule, ...]
-    via_state: str | None
-
-
-@dataclass(frozen=True)
 class TransformResult:
     bpa: Pda
-    symbols: dict[str, TripleSymbol]
-    rule_provenance: dict[Rule, Provenance]
-    used_table: TerminationTable
+    symbols: dict[str, Triple]
 
 
-def to_bpa(model: Pda, table: TerminationTable, cutoff: float = OMIT_BELOW) -> TransformResult:
+def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
     """Construct the stateless model over terminating and diverging triples.
 
-    Triples whose probability falls below ``cutoff`` are omitted entirely;
+    Triples whose probability falls below OMIT_BELOW are omitted entirely;
     every emitted rule row sums to one within 1e-9, which follows from the
     first-step identity when the table residual is small.
     """
     probs = table.probs
-
-    def positive(t: Triple) -> bool:
-        return probs.get(t, 0.0) > cutoff
-
-    term_syms = [
-        Triple(p, X, q)
-        for p in model.states
-        for X in model.alphabet
-        for q in model.states
-        if positive(Triple(p, X, q))
-    ]
+    system = CompiledSystem(model)
+    term_syms = [t for t in system.triples if probs[t] > OMIT_BELOW]
     # A pair without rules is stuck, not running forever; it neither gets a
     # diverging symbol nor appears in one.
     div_syms = [
         Triple(p, X, None)
         for p in model.states
         for X in model.alphabet
-        if positive(Triple(p, X, None)) and model.rules_for(p, X)
+        if probs[Triple(p, X, None)] > OMIT_BELOW and model.rules_for(p, X)
     ]
     div_set = set(div_syms)
 
     rules: list[Rule] = []
-    provenance: dict[Rule, Provenance] = {}
 
-    def emit(lhs: Triple, rhs: tuple[Triple, ...], prob: float,
-             sources: tuple[Rule, ...], via: str | None):
-        if prob <= 0.0:
-            return
-        # a lone rule's reweighted probability can overshoot 1 by an ulp
-        rule = Rule(BPA_STATE, str(lhs), BPA_STATE, tuple(str(t) for t in rhs),
-                    Fraction(min(prob, 1.0)))
-        rules.append(rule)
-        provenance[rule] = Provenance(sources=sources, via_state=via)
+    def emit(lhs: str, rhs: tuple[str, ...], prob: float):
+        if prob > 0.0:
+            # a lone rule's reweighted probability can overshoot 1 by an ulp
+            rules.append(Rule(BPA_STATE, lhs, BPA_STATE, rhs, Fraction(min(prob, 1.0))))
 
-    for t in term_syms:
-        p, X, q = t.state, t.symbol, t.target
-        denom = probs[t]
-        if denom <= cutoff:
-            raise TransformError(f"division by vanishing probability for {t}")
-        for rule in model.rules_for(p, X):
-            x, r = float(rule.prob), rule.rhs_state
-            word = rule.rhs_word
-            if len(word) == 0:
-                if r == q:
-                    emit(t, (), x / denom, (rule,), None)
-            elif len(word) == 1:
-                a = Triple(r, word[0], q)
-                if positive(a):
-                    emit(t, (a,), x * probs[a] / denom, (rule,), None)
-            else:
-                Y, Z = word
-                for s in model.states:
-                    a, b = Triple(r, Y, s), Triple(s, Z, q)
-                    if positive(a) and positive(b):
-                        y = x * probs[a] * probs[b]
-                        emit(t, (a, b), y / denom, (rule,), s)
+    # The monomials whose left-hand side and factors all stay, by left-hand
+    # side and then by rule; the sort is stable, so the chains of a rule keep
+    # their split-state order.
+    v = np.array([probs[t] for t in system.triples] + [1.0])
+    kept = np.flatnonzero((v[system.lhs] > OMIT_BELOW)
+                          & (v[system.factors] > OMIT_BELOW).all(axis=1))
+    order = kept[np.lexsort((system.rule[kept], system.lhs[kept]))]
+    lhs, factors = system.lhs[order], system.factors[order]
+    weight = system.coef[order]
+    for column in v[factors].T:
+        weight = weight * column
+    names = [str(t) for t in system.triples]
+    for i, row, degree, prob in zip(lhs.tolist(), factors.tolist(),
+                                    system.degree[order].tolist(), (weight / v[lhs]).tolist()):
+        emit(names[i], tuple(names[f] for f in row[:degree]), prob)
 
     for t in div_syms:
-        p, X = t.state, t.symbol
         denom = probs[t]
-        for rule in model.rules_for(p, X):
+        heads: dict[Triple, Fraction] = {}
+        for rule in model.rules_for(t.state, t.symbol):
             if len(rule.rhs_word) == 2:
                 x, r = float(rule.prob), rule.rhs_state
                 Y, Z = rule.rhs_word
                 for s in model.states:
                     a, b = Triple(r, Y, s), Triple(s, Z, None)
-                    if positive(a) and b in div_set:
-                        y = x * probs[a] * probs[b]
-                        emit(t, (a, b), y / denom, (rule,), s)
+                    if probs[a] > OMIT_BELOW and b in div_set:
+                        emit(str(t), (str(a), str(b)), x * probs[a] * probs[b] / denom)
+            if rule.rhs_word:
+                head = Triple(rule.rhs_state, rule.rhs_word[0], None)
+                heads[head] = heads.get(head, Fraction(0)) + rule.prob
         # Heads that keep running forever aggregate over all rules pushing
         # the same (state, symbol) on top.
-        for r in model.states:
-            for Y in model.alphabet:
-                head = Triple(r, Y, None)
-                if head not in div_set:
-                    continue
-                sources = tuple(
-                    rule
-                    for rule in model.rules_for(p, X)
-                    if rule.rhs_state == r and rule.rhs_word[:1] == (Y,)
-                )
-                if not sources:
-                    continue
-                x = float(sum((rule.prob for rule in sources), Fraction(0)))
-                emit(t, (head,), probs[head] * x / denom, sources, None)
+        for head in sorted(heads.keys() & div_set, key=lambda h: (
+                model.state_index[h.state], model.symbol_index[h.symbol])):
+            emit(str(t), (str(head),), probs[head] * float(heads[head]) / denom)
 
     alphabet = tuple(str(t) for t in (*term_syms, *div_syms))
     start = None
@@ -166,19 +118,17 @@ def to_bpa(model: Pda, table: TerminationTable, cutoff: float = OMIT_BELOW) -> T
                 break
     bpa = Pda((BPA_STATE,), alphabet, tuple(rules), kind="bpa", start=start)
 
-    for (_, lhs), row in bpa.rules_by_pair.items():
+    for (_, sym), row in bpa.rules_by_pair.items():
         total = float(sum((r.prob for r in row), Fraction(0)))
         if abs(total - 1.0) > 1e-9:
-            raise TransformError(f"row for {lhs} sums to {total!r}; table residual too large")
+            raise TransformError(f"row for {sym} sums to {total!r}; table residual too large")
 
-    symbols = {str(t): TripleSymbol(t) for t in (*term_syms, *div_syms)}
-    return TransformResult(bpa=bpa, symbols=symbols, rule_provenance=provenance,
-                           used_table=table)
+    return TransformResult(bpa=bpa, symbols={str(t): t for t in (*term_syms, *div_syms)})
 
 
 def terminating_part(result: TransformResult) -> Pda:
     """Restriction to terminating triple symbols; again a stateless model."""
-    keep = {name for name, sym in result.symbols.items() if not sym.triple.diverging}
+    keep = {name for name, t in result.symbols.items() if not t.diverging}
     alphabet = tuple(s for s in result.bpa.alphabet if s in keep)
     rules = tuple(r for r in result.bpa.rules if r.lhs_symbol in keep)
     for rule in rules:

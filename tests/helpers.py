@@ -33,7 +33,8 @@ from ppda import (
     termination_probs,
 )
 from ppda.bounds import CASE3_LOWER_EXPONENT
-from ppda.model import Rule
+from ppda.model import BPA_STATE, Rule
+from ppda.transform import OMIT_BELOW, TransformError
 
 
 def brute_mass(model: Pda, cfg: Configuration, n_max: int):
@@ -188,7 +189,7 @@ def random_pda(n_states: int, n_symbols: int, seed: int, band: int = 2) -> Pda:
 # hypothesis strategies
 
 SYMS = ("S0", "S1", "S2", "S3")
-STATES = ("u", "v")
+STATES = ("u", "v", "w")
 
 
 def _rows(draw, lhs_pool, rhs_state_pool, symbol_pool, max_alts, eps_bias):
@@ -513,3 +514,89 @@ def dense_newton(model: Pda, tol: float = 1e-12, max_steps: int = 200) -> dict:
         if not len(delta) or np.max(np.abs(delta)) <= tol:
             break
     return dict(zip(triples, v.tolist()))
+
+
+def to_bpa_loop(model: Pda, table) -> Pda:
+    """``to_bpa(model, table).bpa`` by a loop over the triples, their rules
+    and the split states of each rule."""
+    probs = table.probs
+
+    def positive(t: Triple) -> bool:
+        return probs.get(t, 0.0) > OMIT_BELOW
+
+    term_syms = [
+        Triple(p, X, q)
+        for p in model.states
+        for X in model.alphabet
+        for q in model.states
+        if positive(Triple(p, X, q))
+    ]
+    div_syms = [
+        Triple(p, X, None)
+        for p in model.states
+        for X in model.alphabet
+        if positive(Triple(p, X, None)) and model.rules_for(p, X)
+    ]
+    div_set = set(div_syms)
+    rules: list[Rule] = []
+
+    def emit(lhs: Triple, rhs: tuple[Triple, ...], prob: float):
+        if prob > 0.0:
+            rules.append(Rule(BPA_STATE, str(lhs), BPA_STATE, tuple(str(t) for t in rhs),
+                              Fraction(min(prob, 1.0))))
+
+    for t in term_syms:
+        p, X, q = t.state, t.symbol, t.target
+        denom = probs[t]
+        for rule in model.rules_for(p, X):
+            x, r = float(rule.prob), rule.rhs_state
+            word = rule.rhs_word
+            if len(word) == 0:
+                if r == q:
+                    emit(t, (), x / denom)
+            elif len(word) == 1:
+                a = Triple(r, word[0], q)
+                if positive(a):
+                    emit(t, (a,), x * probs[a] / denom)
+            else:
+                Y, Z = word
+                for s in model.states:
+                    a, b = Triple(r, Y, s), Triple(s, Z, q)
+                    if positive(a) and positive(b):
+                        emit(t, (a, b), x * probs[a] * probs[b] / denom)
+
+    for t in div_syms:
+        p, X = t.state, t.symbol
+        denom = probs[t]
+        for rule in model.rules_for(p, X):
+            if len(rule.rhs_word) == 2:
+                x, r = float(rule.prob), rule.rhs_state
+                Y, Z = rule.rhs_word
+                for s in model.states:
+                    a, b = Triple(r, Y, s), Triple(s, Z, None)
+                    if positive(a) and b in div_set:
+                        emit(t, (a, b), x * probs[a] * probs[b] / denom)
+        for r in model.states:
+            for Y in model.alphabet:
+                head = Triple(r, Y, None)
+                if head not in div_set:
+                    continue
+                sources = [rule for rule in model.rules_for(p, X)
+                           if rule.rhs_state == r and rule.rhs_word[:1] == (Y,)]
+                if sources:
+                    x = float(sum((rule.prob for rule in sources), Fraction(0)))
+                    emit(t, (head,), probs[head] * x / denom)
+
+    start = None
+    if model.start is not None and len(model.start.stack) == 1:
+        for cand in (*term_syms, *div_syms):
+            if (cand.state, cand.symbol) == (model.start.state, model.start.stack[0]):
+                start = Configuration(BPA_STATE, (str(cand),))
+                break
+    bpa = Pda((BPA_STATE,), tuple(str(t) for t in (*term_syms, *div_syms)), tuple(rules),
+              kind="bpa", start=start)
+    for (_, lhs), row in bpa.rules_by_pair.items():
+        total = float(sum((r.prob for r in row), Fraction(0)))
+        if abs(total - 1.0) > 1e-9:
+            raise TransformError(f"row for {lhs} sums to {total!r}")
+    return bpa

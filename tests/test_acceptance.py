@@ -113,7 +113,7 @@ def test_criterion_3_transformation_preserves_distributions(tree, ab, twostate):
         result = to_bpa(model, table)
         part = terminating_part(result)
         for name in part.alphabet:
-            trip = result.symbols[name].triple
+            trip = result.symbols[name]
             norm = table.probs[trip]
             conditional = exact_distribution_pda(model, trip, 30, norm=norm).mass / norm
             stateless = exact_distribution_bpa(part, name, 30).mass
@@ -147,7 +147,7 @@ def test_criterion_4_projection_head_pairs(ab):
     for k in range(horizon):
         mapped: dict = {}
         for (_, sym), cnt in image[k].items():
-            trip = result.symbols[sym].triple
+            trip = result.symbols[sym]
             key = (trip.state, trip.symbol)
             mapped[key] = mapped.get(key, 0) + cnt
         for pair in set(original[k]) | set(mapped):

@@ -80,6 +80,18 @@ def test_analyze_rejects_bad_model(tmp_path, capsys):
     assert "(p, X)" in err
 
 
+def test_analyze_rejects_state_named_up(tmp_path, capsys):
+    # p.X.up would name both a terminating and a diverging triple symbol
+    path = tmp_path / "up.ppda"
+    path.write_text("pda\nstates: p up\nalphabet: X\nstart: p X\n"
+                    "rule: p X -> up : 1/3\nrule: p X -> up X X : 2/3\n"
+                    "rule: up X -> up : 1/3\nrule: up X -> up X X : 2/3\n")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: state 'up' clashes with the transformed symbols "
+                   "p.X.q and p.X.up: no state may be 'up' or contain '.'"]
+
+
 def test_analyze_missing_file_exit_2(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.ppda"), "--start", "X"]) == 2
 
@@ -339,6 +351,7 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     ["simulate", "ab.ppda", "--cap", "0"],
     ["bounds", "delta1.bpa", "--eps", "0"],
     ["bounds", "delta1.bpa", "--eps", "2"],
+    ["dist", "delta1.bpa", "--target", "nowhere"],
 ], ids=" ".join)
 def test_bad_flag_values_exit_2(models_dir, capsys, argv):
     command, name, *flags = argv

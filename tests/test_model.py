@@ -75,6 +75,7 @@ def test_parse_accepts_split_rows_summing_to_one():
         ("pda\nstates: p\nalphabet: X\nrule: p X -> p X X X : 1\n", "longer than 2"),
         ("bpa\nalphabet: X\nrule: X -> : 5/4\n", "outside"),
         ("huh\n", "kind"),
+        ("pda\nstates: p.q\nalphabet: X\nrule: p.q X -> p.q : 1\n", "contain '.'"),
     ],
 )
 def test_parse_rejects(text, fragment):

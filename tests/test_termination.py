@@ -135,7 +135,7 @@ def test_snap_resolves_symbols_above_a_critical_one():
 
 def check_compiled_system(model: Pda, seed: int):
     """F and I - F' of the compiled system equal the term-list ones exactly."""
-    system = CompiledSystem(model, may_terminate(model))
+    system = CompiledSystem(model)
     triples, apply_f, newton_matrix = term_system(model)
     assert system.triples == triples
     rng = np.random.default_rng(seed)
@@ -242,7 +242,7 @@ def test_blocking_models_exact_under_krylov(krylov):
 
 def test_krylov_above_crossover_matches_dense_newton():
     model = random_pda(6, 20, seed=1)
-    system = CompiledSystem(model, may_terminate(model))
+    system = CompiledSystem(model)
     assert system.n > ppda.termination.DENSE_MAX
     solves = []
 
@@ -290,7 +290,7 @@ def test_may_terminate_matches_rule_sweeps(model):
 
 
 def check_chain_monomials(model: Pda):
-    system = CompiledSystem(model, may_terminate(model))
+    system = CompiledSystem(model)
     oracle = chain_monomials(model)
     for name, want in oracle.items():
         assert np.array_equal(getattr(system, name), want), name

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ppda import (
     Configuration,
@@ -16,6 +18,7 @@ from ppda import (
     make_bpa,
     make_u_progressive,
     moment_matrix,
+    parse_model,
     simulate_heads,
     terminating_part,
     termination_probs,
@@ -26,7 +29,15 @@ from ppda.model import Pda, Rule
 from ppda.moments import rule_weight_change
 from ppda.transform import TransformError
 
-from helpers import CRITICAL_PDAS, chained_critical, small_bpas, small_pdas, symmetric_pair
+from conftest import load_model
+from helpers import (
+    CRITICAL_PDAS,
+    chained_critical,
+    small_bpas,
+    small_pdas,
+    symmetric_pair,
+    to_bpa_loop,
+)
 
 
 def rules_as_set(model):
@@ -51,8 +62,42 @@ def test_ab_transform_matches_listed_rules(ab):
     }
     assert rules_as_set(result.bpa) == expected
     assert validate(result.bpa) == []
-    for rule in result.bpa.rules:
-        assert result.rule_provenance[rule].sources
+
+
+# u.S0.up steps to the diverging heads u.S1.up and v.S0.up, which come in a
+# different order by state than by symbol
+TWO_HEADS = parse_model(
+    "pda\nstates: u v\nalphabet: S0 S1\n"
+    "rule: u S0 -> u S1 S1 : 1/2\nrule: u S0 -> v S0 S0 : 1/2\n"
+    "rule: u S1 -> u S1 S1 : 3/4\nrule: u S1 -> u : 1/4\n"
+    "rule: v S0 -> v S0 S0 : 3/4\nrule: v S0 -> v : 1/4\nrule: v S1 -> v : 1\n"
+)
+
+
+@given(st.one_of(small_pdas(), small_pdas(max_states=3, max_symbols=3)))
+@settings(max_examples=60, deadline=None)
+@example(load_model("ab.ppda"))  # diverging mass
+@example(TWO_HEADS)
+@example(CRITICAL_PDAS["one_state"])
+@example(CRITICAL_PDAS["symmetric"])
+@example(CRITICAL_PDAS["with_bystander"])
+@example(CRITICAL_PDAS["alternating"])
+@example(CRITICAL_PDAS["unary"])
+def test_to_bpa_matches_rule_loop(model):
+    """The rules read off the compiled monomials are the loop's, in its order."""
+    model = dataclasses.replace(model, start=Configuration(model.states[-1],
+                                                           (model.alphabet[-1],)))
+    table = termination_probs(model, strict=False)
+    try:
+        expected = to_bpa_loop(model, table)
+    except TransformError:
+        with pytest.raises(TransformError):
+            to_bpa(model, table)
+        return
+    bpa = to_bpa(model, table).bpa
+    assert bpa.rules == expected.rules
+    assert bpa.alphabet == expected.alphabet
+    assert bpa.start == expected.start
 
 
 def test_one_rule_pda_transform():
@@ -73,10 +118,10 @@ def test_terminating_part_is_clean_and_certain(tree, ab, twostate):
     for model in (tree, ab, twostate):
         result = to_bpa(model, termination_probs(model))
         part = terminating_part(result)
-        assert all(not result.symbols[s].triple.diverging for s in part.alphabet)
+        assert all(not result.symbols[s].diverging for s in part.alphabet)
         for rule in part.rules:
             for sym in rule.rhs_word:
-                assert not result.symbols[sym].triple.diverging
+                assert not result.symbols[sym].diverging
         t = termination_probs(part)
         assert is_almost_surely_terminating(part, t)
 
@@ -103,7 +148,7 @@ def test_distribution_equality_all_positive_triples(tree, ab, twostate):
         result = to_bpa(model, table)
         part = terminating_part(result)
         for name in part.alphabet:
-            trip = result.symbols[name].triple
+            trip = result.symbols[name]
             norm = table.probs[trip]
             pda_mass = exact_distribution_pda(model, trip, 30, norm=norm).mass / norm
             bpa_mass = exact_distribution_bpa(part, name, 30).mass
@@ -128,7 +173,7 @@ def test_projection_head_pairs_small(ab):
     for k in range(horizon):
         mapped = {}
         for (_, sym), cnt in image[k].items():
-            trip = result.symbols[sym].triple
+            trip = result.symbols[sym]
             key = (trip.state, trip.symbol)
             mapped[key] = mapped.get(key, 0) + cnt
         for pair in set(orig[k]) | set(mapped):
@@ -150,7 +195,7 @@ def test_distribution_equality_random_models(model):
     result = to_bpa(model, table)
     part = terminating_part(result)
     for name in part.alphabet:
-        trip = result.symbols[name].triple
+        trip = result.symbols[name]
         norm = table.probs[trip]
         if norm < 1e-2:  # conditioning amplifies solver noise below this
             continue
@@ -192,7 +237,7 @@ def test_projection_head_pairs_randomized_control():
     for k in range(horizon):
         mapped = {}
         for (_, sym), cnt in image[k].items():
-            trip = result.symbols[sym].triple
+            trip = result.symbols[sym]
             key = (trip.state, trip.symbol)
             mapped[key] = mapped.get(key, 0) + cnt
         if len(mapped) > 1:
