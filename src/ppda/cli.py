@@ -40,7 +40,16 @@ from .distribution import (
     simulate,
     tail,
 )
-from .model import Configuration, ModelError, Pda, Triple, parse_model, serialize, validate
+from .model import (
+    Configuration,
+    ModelError,
+    Pda,
+    Triple,
+    parse_model,
+    serialize,
+    start_problems,
+    validate,
+)
 from .moments import PowerIterationError
 from .termination import NewtonDivergedError, termination_probs
 from .transform import TransformError, terminating_part, to_bpa
@@ -81,13 +90,18 @@ def _parse_start(model: Pda, flag: str | None) -> Configuration:
     if model.stateless:
         if flag not in model.symbol_index:
             raise CliError(f"unknown start symbol {flag!r}")
-        return Configuration(model.only_state, (flag,))
-    state, dot, symbol = flag.partition(".")
-    if not dot:
-        raise CliError("stateful starts are written state.symbol")
-    if state not in model.state_index or symbol not in model.symbol_index:
-        raise CliError(f"unknown start pair {flag!r}")
-    return Configuration(state, (symbol,))
+        start = Configuration(model.only_state, (flag,))
+    else:
+        state, dot, symbol = flag.partition(".")
+        if not dot:
+            raise CliError("stateful starts are written state.symbol")
+        if state not in model.state_index or symbol not in model.symbol_index:
+            raise CliError(f"unknown start pair {flag!r}")
+        start = Configuration(state, (symbol,))
+    problems = start_problems(model, start)
+    if problems:
+        raise CliError(f"--start {flag}: " + "; ".join(problems))
+    return start
 
 
 def _round12(value):

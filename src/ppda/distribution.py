@@ -8,8 +8,21 @@ unconditioned; conditioning on the terminal state divides by the triple's
 termination probability only at the reporting boundary.
 
 The simulator walks the induced Markov chain.  Randomness comes from Philox
-streams keyed per sample as (seed << 64) | sample_index, so results are
-reproducible and mergeable regardless of execution order.
+streams keyed per sample as (seed << 64) | sample_index; step t of sample i
+reads draw t of stream i, so results are reproducible and mergeable
+regardless of execution order.  One walker, ``_walk``, serves ``simulate``
+and ``simulate_heads``: it advances a batch of runs in lockstep, one NumPy
+step for all live runs, with the stacks as rows of small unsigned integers
+and the rules as a table of cumulative probabilities that makes every
+``r < cum`` decision of a one-run-at-a-time walk.  Runs that end leave by
+compaction, and for ``simulate`` samples not yet walked take their places,
+so that heavy tails do not leave a few runs stepping alone.  Uniforms come
+in blocks per run; Philox is counter-based, so a block can start any
+stream at any step that is a multiple of 4, and neither the batching nor
+the block lengths change a single draw.  ``WALK_BYTES`` caps the uniform
+block plus the stacks; ``STACK_BYTES`` bounds the stacks: a walk whose
+stacks would pass it sets its youngest runs aside, to walk them again from
+step 0.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from math import sqrt
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import Configuration, ModelError, Pda, Triple
+from .model import Configuration, ModelError, Pda, Triple, start_problems
 from .termination import CompiledSystem
 
 __all__ = [
@@ -229,49 +242,220 @@ class SampleStats:
         return p, sqrt(p * (1.0 - p) / self.samples)
 
 
-def _compile_rules(model: Pda):
-    """Per-(state, symbol) outcome rows as (cumulative, next state, reversed push)."""
-    rows: dict[tuple[int, int], list[tuple[float, int, tuple[int, ...]]]] = {}
+# Runs walked at once: when runs end, samples not yet walked take their
+# places at the next block of uniforms.  WALK_BYTES caps the uniform block
+# plus the stacks: the block gets what the stacks leave (at least 4 uniforms
+# a run), so deep stacks shorten the blocks instead of adding memory.  Blocks
+# start at FIRST_BLOCK uniforms a run and double with the age of the youngest
+# run.  Stacks alone may outgrow WALK_BYTES up to STACK_BYTES; past that the
+# youngest runs are set aside and walked again from step 0 later.
+WALK_BATCH = 1024
+WALK_BYTES = 3 << 18
+FIRST_BLOCK = 32
+STACK_BYTES = 1 << 26
+
+
+@dataclass(frozen=True)
+class _Outcomes:
+    """The rules as arrays: pair = state·|Γ| + symbol, outcome = pair·k + j.
+
+    Row ``pair`` of the cumulatives holds the pair's rule probabilities
+    accumulated in rule order, the last replaced by the sentinel 1 + 1e-12
+    and padded with +inf, so the outcome a uniform r < 1 picks, the first j
+    with r < cum[j], is the number of entries <= r.  The last column is
+    never <= r and is not stored; ``cum`` is stored column by column.
+    """
+
+    symbols: int  # |Γ|
+    k: int  # most rules of one pair
+    cum: np.ndarray  # [k - 1, |Q|·|Γ|]
+    state: np.ndarray  # next state times |Γ|, per outcome
+    shift: np.ndarray  # pushed length minus one, per outcome
+    push: np.ndarray  # [longest word, outcomes] the word reversed, its head last
+
+
+def _outcomes(model: Pda) -> _Outcomes:
+    n_sym = len(model.alphabet)
     sidx, aidx = model.state_index, model.symbol_index
+    k = max(map(len, model.rules_by_pair.values()), default=1)
+    longest = max((len(rule.rhs_word) for rule in model.rules), default=0)
+    cum = np.full((len(model.states) * n_sym, k), np.inf)
+    state = np.zeros(cum.size, np.intp)
+    shift = np.zeros(cum.size, np.intp)
+    push = np.zeros((longest, cum.size), np.min_scalar_type(max(n_sym - 1, 0)))
     for (p, X), rules in model.rules_by_pair.items():
+        pair = sidx[p] * n_sym + aidx[X]
         acc = 0.0
-        row = []
-        for rule in rules:
+        for j, rule in enumerate(rules):
             acc += float(rule.prob)
-            push = tuple(aidx[sym] for sym in reversed(rule.rhs_word))
-            row.append((acc, sidx[rule.rhs_state], push))
-        row[-1] = (1.0 + 1e-12, row[-1][1], row[-1][2])
-        rows[(sidx[p], aidx[X])] = row
-    return rows
+            cum[pair, j] = acc
+            o = pair * k + j
+            state[o] = sidx[rule.rhs_state] * n_sym
+            shift[o] = len(rule.rhs_word) - 1
+            push[: len(rule.rhs_word), o] = [aidx[sym] for sym in reversed(rule.rhs_word)]
+        cum[pair, len(rules) - 1] = 1.0 + 1e-12
+    return _Outcomes(n_sym, k, np.ascontiguousarray(cum[:, :-1].T), state, shift, push)
 
 
-def _sample_stream(seed: int, index: int) -> Generator:
-    key = ((seed & (2**64 - 1)) << 64) | index
-    return Generator(Philox(key=key))
+class _Streams:
+    """Blocks of uniforms from the per-sample Philox streams.
+
+    Sample i reads the stream keyed (seed << 64) | i.  Philox turns one
+    counter into four words, one double each, so after t draws, t a multiple
+    of 4, a stream stands at counter t/4 with an empty buffer.  Setting one
+    generator to that key and counter continues any stream at step t, bit
+    for bit, at a tenth of the cost of a new generator.
+    """
+
+    def __init__(self, seed: int):
+        self.bits = Philox(0)
+        self.gen = Generator(self.bits)
+        self.counter = [0, 0, 0, 0]
+        self.key = [0, seed & (2**64 - 1)]
+        self.state = {"bit_generator": "Philox",
+                      "state": {"counter": self.counter, "key": self.key},
+                      "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.buffer = np.empty(WALK_BYTES // 8)
+
+    def block(self, ids: np.ndarray, t: np.ndarray, size: int) -> np.ndarray:
+        """Row r holds draws t[r] .. t[r] + size - 1 of sample ids[r]'s stream."""
+        if len(self.buffer) < len(ids) * size:  # 4 uniforms a run top a tiny budget
+            self.buffer = np.empty(len(ids) * size)
+        out = self.buffer[: len(ids) * size].reshape(len(ids), size)
+        for row, i, c in zip(out, ids.tolist(), (t // 4).tolist()):
+            self.key[0] = i
+            self.counter[0] = c
+            self.bits.state = self.state
+            self.gen.random(out=row)
+        return out
 
 
-def _run_one(rows, state: int, stack: list[int], cap: int, gen: Generator):
-    """Walk one run; returns (terminated, final state index, steps)."""
-    steps = 0
-    buf = gen.random(32)
-    used, size = 0, 32
-    while stack:
-        if steps >= cap:
-            return False, state, steps
-        if used == size:
-            size = min(4096, size * 2)
-            buf = gen.random(size)
-            used = 0
-        r = buf[used]
-        used += 1
-        top = stack.pop()
-        for cum, nxt, push in rows[(state, top)]:
-            if r < cum:
-                state = nxt
-                stack.extend(push)
-                break
-        steps += 1
-    return True, state, steps
+def _width(symbols: int) -> int:
+    """The stack width for ``symbols`` symbols: a power of two, at least 8."""
+    return max(8, 1 << (symbols - 1).bit_length())
+
+
+def _restack(stacks: np.ndarray, pos: np.ndarray, depth: np.ndarray, rows: int,
+             width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` stacks of ``width`` symbols, the first holding the stacks whose
+    tops lie at flat index ``pos`` of ``stacks``, in order; their new tops."""
+    new = np.empty((rows, width), stacks.dtype)
+    source, kept = pos // stacks.shape[1], min(width, stacks.shape[1])
+    for lo in range(0, len(pos), 64):  # a few rows at a time
+        hi = min(lo + 64, len(pos))
+        new[lo:hi, :kept] = stacks[source[lo:hi], :kept]
+    return new, np.arange(len(pos)) * width + depth - 1
+
+
+def _walk(model: Pda, start: Configuration, samples: int, cap: int, seed: int,
+          batch: int, refill: bool = True):
+    """Seeded runs of ``model`` from ``start``, up to ``batch`` of them in lockstep.
+
+    Yields ``(g, ids, born, pair, ended, ended_born)`` after every step g of
+    the walk: the live runs, the step at which each joined (a run's own step
+    count is g - born), their (state, top) as state·|Γ| + top, and the
+    state·|Γ| and joining step of the runs that emptied their stack at step
+    g (None if none did).  A run that reaches ``cap`` is yielded live once
+    more and then dropped.  With ``refill`` samples join whenever a block of
+    uniforms starts and fewer than ``batch`` runs are live, so heavy tails
+    do not leave a few runs stepping alone; without it they join only when
+    no run is live, in cohorts of one age.  Runs join at the start of a
+    block, so every block starts each stream at a multiple of 4 draws.
+    """
+    problems = start_problems(model, start)
+    if problems:
+        raise ModelError("; ".join(problems))
+    table = _outcomes(model)
+    stack0 = [model.symbol_index[sym] for sym in reversed(start.stack)]
+    state0 = model.state_index[start.state] * table.symbols
+    if not stack0:  # every run ends at step 0
+        none = np.empty(0, np.intp)
+        yield 0, none, none, none, np.full(samples, state0), np.zeros(samples, np.intp)
+        return
+    k, longest, itemsize = table.k, len(table.push), table.push.itemsize
+    if not refill:  # a cohort is never split, so the deepest stacks the cap allows must fit
+        deepest = len(stack0) + cap * max(longest - 1, 0) + longest
+        batch = min(batch, STACK_BYTES // (2 * max(deepest, 8) * itemsize))
+    batch = max(1, batch)
+    streams = _Streams(seed)
+    fresh, shed = 0, []  # the first sample not yet walked; samples to walk again
+    # per live run: sample, step joined, state·|Γ|, depth, flat index of the top, block row
+    ids = born = state = depth = pos = row = pair = np.empty(0, np.intp)
+    stacks = np.empty((0, 8), table.push.dtype)
+    cols = np.arange(longest)[:, None]
+    deepest = width = 0  # deepest is an upper bound on depth.max()
+    g = block_start = block_end = 0
+    while True:
+        if g == block_end or not len(ids):
+            if refill or not len(ids):
+                deepest = max(int(depth.max(initial=0)), len(stack0))
+                wide = _width(deepest + longest - 1)
+                room = min(batch, max(1, STACK_BYTES // (wide * itemsize))) - len(ids)
+                if room > 0 and (shed or fresh < samples):
+                    again = shed[-room:]
+                    del shed[-room:]
+                    extra = min(room - len(again), samples - fresh)
+                    new = np.concatenate([np.array(again, np.intp),
+                                          np.arange(fresh, fresh + extra)])
+                    fresh += extra
+                    live, width = len(ids), wide
+                    stacks, pos = _restack(stacks, pos, depth, live + len(new), width)
+                    stacks[live:, : len(stack0)] = stack0
+                    flat = stacks.reshape(-1)
+                    pos = np.concatenate([pos, np.arange(live, live + len(new)) * width
+                                          + (len(stack0) - 1)])
+                    ids = np.concatenate([ids, new])
+                    born, state, depth = (np.concatenate([a, np.full(len(new), v)]) for a, v in
+                                          ((born, g), (state, state0), (depth, len(stack0))))
+                    pair = state + flat[pos]
+            if not len(ids):
+                return
+            age = g - int(born[-1])  # of the youngest run
+            room = max(WALK_BYTES - stacks.nbytes, 0) // (8 * len(ids))
+            size = max(4, min(room, max(FIRST_BLOCK, age), cap - age + 3) // 4 * 4)
+            if k > 1:  # one rule a pair needs no uniforms
+                block = streams.block(ids, g - born, size)
+            row = np.arange(len(ids))
+            block_start, block_end = g, g + size
+        if k == 1:
+            o = pair
+        else:
+            r = block[:, g - block_start][row]
+            o = pair * k
+            for column in table.cum:
+                o += column[pair] <= r
+        state = table.state[o]
+        if longest:
+            flat[pos + cols] = table.push.take(o, axis=1)
+        shift = table.shift[o]
+        depth += shift
+        pos += shift
+        g += 1
+        ended = ended_born = None
+        if not depth.all():
+            done = depth == 0
+            ended, ended_born = state[done], born[done]
+            keep = depth.nonzero()[0]
+            ids, born, state, depth, pos, row = (
+                a[keep] for a in (ids, born, state, depth, pos, row))
+        pair = state + flat[pos]
+        yield g, ids, born, pair, ended, ended_born
+        if len(ids) and born[0] == g - cap:  # the oldest runs reached the cap
+            n = int(np.searchsorted(born, g - cap, side="right"))
+            ids, born, state, depth, pos, row, pair = (
+                a[n:] for a in (ids, born, state, depth, pos, row, pair))
+        deepest += longest - 1
+        if deepest + longest - 1 > width:
+            deepest = int(depth.max(initial=0))
+            if deepest + longest - 1 > width:
+                width = _width(deepest + longest - 1)
+                fit = max(1, STACK_BYTES // (width * itemsize))
+                if refill and len(ids) > fit:  # set the youngest aside, to walk again
+                    shed.extend(ids[fit:].tolist())
+                    ids, born, state, depth, pos, row, pair = (
+                        a[:fit] for a in (ids, born, state, depth, pos, row, pair))
+                stacks, pos = _restack(stacks, pos, depth, len(ids), width)
+                flat = stacks.reshape(-1)
 
 
 def simulate(
@@ -284,24 +468,16 @@ def simulate(
     """Deterministic Monte Carlo estimate of the termination-time law."""
     if samples < 1 or step_cap < 1:
         raise ModelError("samples and step_cap must be positive")
-    rows = _compile_rules(model)
-    sidx, aidx = model.state_index, model.symbol_index
-    state0 = sidx[start.state]
-    stack0 = [aidx[sym] for sym in reversed(start.stack)]
-
+    n_sym = len(model.alphabet)
+    ends: Counter = Counter()  # (state index, steps) -> runs
+    for g, _, _, _, ended, born in _walk(model, start, samples, step_cap, seed, WALK_BATCH):
+        if ended is not None:
+            ends.update(zip((ended // n_sym).tolist(), (g - born).tolist()))
     outcomes: dict[str, Counter] = {}
-    censored = 0
-    for i in range(samples):
-        gen = _sample_stream(seed, i)
-        ok, state, steps = _run_one(rows, state0, list(stack0), step_cap, gen)
-        if not ok:
-            censored += 1
-            continue
-        name = model.states[state]
-        outcomes.setdefault(name, Counter())[steps] += 1
-    return SampleStats(
-        samples=samples, seed=seed, step_cap=step_cap, outcomes=outcomes, censored=censored
-    )
+    for (q, steps), count in sorted(ends.items()):
+        outcomes.setdefault(model.states[q], Counter())[steps] = count
+    return SampleStats(samples=samples, seed=seed, step_cap=step_cap, outcomes=outcomes,
+                       censored=samples - sum(ends.values()))
 
 
 def simulate_heads(
@@ -318,46 +494,33 @@ def simulate_heads(
     which conditions the counts on (approximate) divergence.  Returns the
     per-step counters (index k-1 holds step k) and the contributing runs.
     """
+    if samples < 1 or horizon < 1:
+        raise ModelError("samples and horizon must be positive")
     if divergence_cap is not None and divergence_cap < horizon:
         raise ModelError("divergence_cap must reach past the recorded horizon")
-    rows = _compile_rules(model)
-    sidx, aidx = model.state_index, model.symbol_index
-    state0 = sidx[start.state]
-    stack0 = [aidx[sym] for sym in reversed(start.stack)]
-    cap = divergence_cap if divergence_cap is not None else horizon
-
+    n_sym = len(model.alphabet)
+    cap = horizon if divergence_cap is None else divergence_cap
+    # a cohort's heads, two int arrays a step, wait for the cap to learn which runs count
+    batch = min(WALK_BATCH, WALK_BYTES // (16 * horizon))
     counts: list[Counter] = [Counter() for _ in range(horizon)]
-    kept = 0
-    for i in range(samples):
-        gen = _sample_stream(seed, i)
-        stack = list(stack0)
-        state = state0
-        heads: list[tuple[int, int] | None] = []
-        steps = 0
-        buf = gen.random(64)
-        used, size = 0, 64
-        while stack and steps < cap:
-            if used == size:
-                size = min(4096, size * 2)
-                buf = gen.random(size)
-                used = 0
-            r = buf[used]
-            used += 1
-            top = stack.pop()
-            for cum, nxt, push in rows[(state, top)]:
-                if r < cum:
-                    state = nxt
-                    stack.extend(push)
-                    break
-            steps += 1
-            if steps <= horizon:
-                heads.append((state, stack[-1]) if stack else None)
-        if divergence_cap is not None and not stack:
+    kept = samples if divergence_cap is None else 0
+    heads = []
+    for g, alive, born, pair, _, _ in _walk(model, start, samples, cap, seed, batch,
+                                            refill=False):
+        t = g - int(born[0]) if len(alive) else 0
+        if 1 <= t <= horizon:
+            heads.append((alive, pair))
+        if t and t < cap:
             continue
-        kept += 1
-        for k, head in enumerate(heads):
-            if head is not None:
-                counts[k][(model.states[head[0]], model.alphabet[head[1]])] += 1
+        # the cohort is over; the runs still live, if any, are those alive at the cap
+        if divergence_cap is not None:
+            kept += len(alive)
+            heads = [(ids, pair[np.isin(ids, alive)]) for ids, pair in heads]
+        for counter, (_, pair) in zip(counts, heads):
+            codes, seen = np.unique(pair, return_counts=True)
+            for code, count in zip(codes.tolist(), seen.tolist()):
+                counter[(model.states[code // n_sym], model.alphabet[code % n_sym])] += count
+        heads = []
     return counts, kept
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "parse_model",
     "serialize",
     "validate",
+    "start_problems",
     "step_distribution",
 ]
 
@@ -263,9 +264,13 @@ def validate(model: Pda, start: Configuration | None = None) -> list[str]:
     if model.start is not None:
         violations.extend(_check_configuration(model, model.start))
     if start is not None:
-        violations.extend(_check_configuration(model, start))
-        violations.extend(_missing_reachable_rows(model, start))
+        violations.extend(start_problems(model, start))
     return violations
+
+
+def start_problems(model: Pda, start: Configuration) -> list[str]:
+    """Unknown names in ``start``, and pairs reachable from it without rules."""
+    return _check_configuration(model, start) or _missing_reachable_rows(model, start)
 
 
 def _check_configuration(model: Pda, cfg: Configuration) -> list[str]:
@@ -279,8 +284,6 @@ def _check_configuration(model: Pda, cfg: Configuration) -> list[str]:
 
 
 def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
-    if _check_configuration(model, start):
-        return []
     # Pairs (q, Z) exposed by popping are over-approximated through the
     # boolean may-terminate relation on triples.
     can = model.terminating_triples

@@ -9,10 +9,11 @@ the SCC pass of ``ppda.graph``.
 
 import functools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import Generator, Philox
 from hypothesis import strategies as st
 
 from ppda import (
@@ -33,7 +34,8 @@ from ppda import (
     termination_probs,
 )
 from ppda.bounds import CASE3_LOWER_EXPONENT
-from ppda.model import BPA_STATE, Rule
+from ppda.distribution import SampleStats
+from ppda.model import BPA_STATE, ModelError, Rule
 from ppda.transform import OMIT_BELOW, TransformError
 
 
@@ -248,6 +250,11 @@ def acyclic_bpas(draw, max_symbols=4):
         for word, prob in seen.items():
             rules.append(Rule("_", lhs, "_", word, prob))
     return Pda(("_",), syms, tuple(rules), kind="bpa")
+
+
+# A valid declared start; from q X the pair (q, Y), which has no rules, is reached.
+ORPHAN_TEXT = ("pda\nstates: p q\nalphabet: X Y\nstart: p X\nrule: p X -> p : 1/2\n"
+               "rule: p X -> p X X : 1/2\nrule: q X -> q Y : 1\n")
 
 
 def symmetric_pair():
@@ -600,3 +607,141 @@ def to_bpa_loop(model: Pda, table) -> Pda:
         if abs(total - 1.0) > 1e-9:
             raise TransformError(f"row for {lhs} sums to {total!r}")
     return bpa
+
+
+# ---------------------------------------------------------------------------
+# scalar walkers: references for the lockstep simulator
+#
+# The walkers as they were before ``distribution._walk``: one sample at a
+# time, each from a new Philox generator keyed (seed << 64) | index.
+
+def _compile_rules(model: Pda):
+    """Per-(state, symbol) outcome rows as (cumulative, next state, reversed push)."""
+    rows: dict[tuple[int, int], list[tuple[float, int, tuple[int, ...]]]] = {}
+    sidx, aidx = model.state_index, model.symbol_index
+    for (p, X), rules in model.rules_by_pair.items():
+        acc = 0.0
+        row = []
+        for rule in rules:
+            acc += float(rule.prob)
+            push = tuple(aidx[sym] for sym in reversed(rule.rhs_word))
+            row.append((acc, sidx[rule.rhs_state], push))
+        row[-1] = (1.0 + 1e-12, row[-1][1], row[-1][2])
+        rows[(sidx[p], aidx[X])] = row
+    return rows
+
+
+def _sample_stream(seed: int, index: int) -> Generator:
+    key = ((seed & (2**64 - 1)) << 64) | index
+    return Generator(Philox(key=key))
+
+
+def _run_one(rows, state: int, stack: list[int], cap: int, gen: Generator):
+    """Walk one run; returns (terminated, final state index, steps)."""
+    steps = 0
+    buf = gen.random(32)
+    used, size = 0, 32
+    while stack:
+        if steps >= cap:
+            return False, state, steps
+        if used == size:
+            size = min(4096, size * 2)
+            buf = gen.random(size)
+            used = 0
+        r = buf[used]
+        used += 1
+        top = stack.pop()
+        for cum, nxt, push in rows[(state, top)]:
+            if r < cum:
+                state = nxt
+                stack.extend(push)
+                break
+        steps += 1
+    return True, state, steps
+
+
+def simulate_loop(
+    model: Pda,
+    start: Configuration,
+    samples: int,
+    step_cap: int = 10**6,
+    seed: int = 0,
+) -> SampleStats:
+    """``simulate`` one sample at a time: the scalar walker the lockstep one replaced."""
+    if samples < 1 or step_cap < 1:
+        raise ModelError("samples and step_cap must be positive")
+    rows = _compile_rules(model)
+    sidx, aidx = model.state_index, model.symbol_index
+    state0 = sidx[start.state]
+    stack0 = [aidx[sym] for sym in reversed(start.stack)]
+
+    outcomes: dict[str, Counter] = {}
+    censored = 0
+    for i in range(samples):
+        gen = _sample_stream(seed, i)
+        ok, state, steps = _run_one(rows, state0, list(stack0), step_cap, gen)
+        if not ok:
+            censored += 1
+            continue
+        name = model.states[state]
+        outcomes.setdefault(name, Counter())[steps] += 1
+    return SampleStats(
+        samples=samples, seed=seed, step_cap=step_cap, outcomes=outcomes, censored=censored
+    )
+
+
+def heads_loop(
+    model: Pda,
+    start: Configuration,
+    samples: int,
+    horizon: int,
+    seed: int = 0,
+    divergence_cap: int | None = None,
+) -> tuple[list[Counter], int]:
+    """``simulate_heads`` one sample at a time, as it was before the lockstep walker.
+
+    With ``divergence_cap`` set, only runs still alive at the cap contribute,
+    which conditions the counts on (approximate) divergence.  Returns the
+    per-step counters (index k-1 holds step k) and the contributing runs.
+    """
+    if divergence_cap is not None and divergence_cap < horizon:
+        raise ModelError("divergence_cap must reach past the recorded horizon")
+    rows = _compile_rules(model)
+    sidx, aidx = model.state_index, model.symbol_index
+    state0 = sidx[start.state]
+    stack0 = [aidx[sym] for sym in reversed(start.stack)]
+    cap = divergence_cap if divergence_cap is not None else horizon
+
+    counts: list[Counter] = [Counter() for _ in range(horizon)]
+    kept = 0
+    for i in range(samples):
+        gen = _sample_stream(seed, i)
+        stack = list(stack0)
+        state = state0
+        heads: list[tuple[int, int] | None] = []
+        steps = 0
+        buf = gen.random(64)
+        used, size = 0, 64
+        while stack and steps < cap:
+            if used == size:
+                size = min(4096, size * 2)
+                buf = gen.random(size)
+                used = 0
+            r = buf[used]
+            used += 1
+            top = stack.pop()
+            for cum, nxt, push in rows[(state, top)]:
+                if r < cum:
+                    state = nxt
+                    stack.extend(push)
+                    break
+            steps += 1
+            if steps <= horizon:
+                heads.append((state, stack[-1]) if stack else None)
+        if divergence_cap is not None and not stack:
+            continue
+        kept += 1
+        for k, head in enumerate(heads):
+            if head is not None:
+                counts[k][(model.states[head[0]], model.alphabet[head[1]])] += 1
+    return counts, kept

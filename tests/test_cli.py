@@ -18,7 +18,7 @@ import ppda.transform
 from ppda import Triple, parse_model, serialize, termination_probs
 from ppda.cli import main
 
-from helpers import random_pda, term_dp_masses
+from helpers import ORPHAN_TEXT, random_pda, term_dp_masses
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -352,10 +352,18 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     ["bounds", "delta1.bpa", "--eps", "0"],
     ["bounds", "delta1.bpa", "--eps", "2"],
     ["dist", "delta1.bpa", "--target", "nowhere"],
+    # the declared start is valid; from --start the rule-less pair (q, Y) is reached
+    ["simulate", "orphan.ppda", "--start", "q.X"],
+    ["analyze", "orphan.ppda", "--start", "q.X"],
+    ["dist", "orphan.ppda", "--start", "q.X"],
 ], ids=" ".join)
-def test_bad_flag_values_exit_2(models_dir, capsys, argv):
+def test_bad_flag_values_exit_2(models_dir, tmp_path, capsys, argv):
     command, name, *flags = argv
-    assert main([command, str(models_dir / name), *flags]) == 2
+    path = models_dir / name
+    if name == "orphan.ppda":
+        path = tmp_path / name
+        path.write_text(ORPHAN_TEXT)
+    assert main([command, str(path), *flags]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 

@@ -1,8 +1,11 @@
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppda import (
     Configuration,
@@ -12,23 +15,32 @@ from ppda import (
     exact_distribution_pda,
     exact_distribution_word,
     make_bpa,
+    parse_model,
     simulate,
+    simulate_heads,
     tail,
     termination_probs,
 )
 import ppda.distribution
 from ppda.distribution import dist_csv, dist_json, sample_csv, sample_json
 
+from conftest import MODELS, load_model
 from helpers import (
     CRITICAL_PDAS,
+    ORPHAN_TEXT,
     brute_mass,
     brute_total_mass,
+    heads_loop,
     random_pda,
+    relaxed_bpas,
+    simulate_loop,
     small_bpas,
     small_pdas,
     subcritical_unit,
     term_dp_masses,
 )
+
+BUNDLED = sorted(path.name for path in MODELS.iterdir())
 
 
 def test_single_step_mass():
@@ -256,3 +268,162 @@ def test_dist_csv_shape(delta1, tree):
     tt = exact_distribution_pda(tree, trip, 4, norm=solved.probs[trip])
     header = dist_csv(tt).splitlines()[0]
     assert header.endswith(",cond_tail")
+
+
+# ---------------------------------------------------------------------------
+# the lockstep walker against the scalar one
+
+SEEDS = st.sampled_from([0, 1, -7, 2**64 + 5])
+
+
+@contextmanager
+def walker_sizes(batch: int, budget: int):
+    """At most ``batch`` runs at once, ``budget`` bytes of uniforms and
+    stacks, and 64 times that for the stacks alone."""
+    with mock.patch.object(ppda.distribution, "WALK_BATCH", batch), \
+            mock.patch.object(ppda.distribution, "WALK_BYTES", budget), \
+            mock.patch.object(ppda.distribution, "STACK_BYTES", 64 * budget):
+        yield
+
+
+def start_of(model, state: int, word: list[int] | None) -> Configuration:
+    """The declared start for ``word`` None, else a start picked by indices."""
+    if word is None:
+        return model.start
+    return Configuration(model.states[state % len(model.states)],
+                         tuple(model.alphabet[i % len(model.alphabet)] for i in word))
+
+
+# A budget of 1 byte gives blocks of 4 uniforms and stacks of 64 bytes, so
+# runs are set aside and walked again once their stacks pass 8 symbols;
+# 300 bytes shrink the cohorts of simulate_heads as the cap grows; 2**20
+# leaves blocks to double.  Batches of 1 to 5 runs let samples join the
+# walk at many steps within a dozen samples.
+WALKS = dict(
+    seed=SEEDS, samples=st.integers(1, 12),
+    batch=st.integers(1, 5), budget=st.sampled_from([1, 300, 2**20]),
+    state=st.integers(0, 2), word=st.lists(st.integers(0, 3), max_size=4),
+)
+
+
+def on_bundled(**fixed):
+    """One ``@example`` per bundled model from its declared start, seeds cycling."""
+    seeds = [1, -3, 2**64 + 1, 0]
+
+    def apply(test):
+        for k, name in enumerate(BUNDLED):
+            test = example(model=load_model(name), seed=seeds[k % 4], state=0, word=None,
+                           **fixed)(test)
+        return test
+    return apply
+
+
+@given(model=st.one_of(small_pdas(max_symbols=3), relaxed_bpas(max_length=4)),
+       cap=st.integers(1, 80), **WALKS)
+@settings(max_examples=80, deadline=None)
+@on_bundled(cap=300, samples=30, batch=7, budget=300)
+@example(model=load_model("twostate.ppda"), seed=0, cap=1, samples=3, batch=2,
+         budget=2**20, state=0, word=[])
+def test_simulate_matches_scalar_walker(model, seed, cap, samples, batch, budget, state, word):
+    start = start_of(model, state, word)
+    with walker_sizes(batch, budget):
+        stats = simulate(model, start, samples=samples, step_cap=cap, seed=seed)
+    assert stats == simulate_loop(model, start, samples=samples, step_cap=cap, seed=seed)
+
+
+@given(model=st.one_of(small_pdas(max_symbols=3), relaxed_bpas(max_length=4)),
+       horizon=st.integers(1, 12), beyond=st.none() | st.integers(0, 40), **WALKS)
+@settings(max_examples=80, deadline=None)
+@on_bundled(horizon=6, beyond=60, samples=40, batch=9, budget=1)
+@on_bundled(horizon=8, beyond=None, samples=40, batch=9, budget=2**20)
+def test_simulate_heads_matches_scalar_walker(model, horizon, beyond, seed, samples,
+                                              batch, budget, state, word):
+    start = start_of(model, state, word)
+    divergence_cap = None if beyond is None else horizon + beyond
+    with walker_sizes(batch, budget):
+        got = simulate_heads(model, start, samples, horizon, seed, divergence_cap)
+    assert got == heads_loop(model, start, samples, horizon, seed, divergence_cap)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_sample_csv_matches_scalar_walker_on_bundled_models(name):
+    # 1,100 samples are more than one batch at the shipped sizes
+    model = load_model(name)
+    for seed in (3, 2**64 + 3):
+        stats = simulate(model, model.start, samples=1_100, step_cap=3_000, seed=seed)
+        oracle = simulate_loop(model, model.start, samples=1_100, step_cap=3_000, seed=seed)
+        assert sample_csv(stats) == sample_csv(oracle)
+        assert stats.censored == oracle.censored
+
+
+def test_walk_refills_its_batch_at_large_caps(delta1):
+    # samples join as runs end, whatever the cap: the first step walks a full
+    # batch, and later samples start long before the first runs reach the cap
+    batch = ppda.distribution.WALK_BATCH
+    walk = ppda.distribution._walk(delta1, Configuration("_", ("X1",)), samples=4 * batch,
+                                   cap=10**9, seed=1, batch=batch)
+    steps = [(len(ids), int(ids.max(initial=0))) for _, (_, ids, *_) in zip(range(300), walk)]
+    assert steps[0][0] > batch // 4
+    assert max(top for _, top in steps) >= 2 * batch
+
+
+def test_simulate_matches_scalar_walker_at_a_large_cap(delta1):
+    start = Configuration("_", ("X1",))
+    stats = simulate(delta1, start, samples=300, step_cap=10**5, seed=4)
+    assert stats == simulate_loop(delta1, start, samples=300, step_cap=10**5, seed=4)
+
+
+@contextmanager
+def stack_bound(limit: int):
+    """STACK_BYTES set to ``limit``; yields the sizes of the stacks allocated."""
+    real = ppda.distribution._restack
+    sizes = []
+
+    def restack(stacks, pos, depth, rows, width):
+        sizes.append(rows * width * stacks.itemsize)
+        return real(stacks, pos, depth, rows, width)
+
+    with mock.patch.object(ppda.distribution, "STACK_BYTES", limit), \
+            mock.patch.object(ppda.distribution, "_restack", restack):
+        yield sizes
+
+
+def test_simulate_sets_aside_deep_runs_and_walks_them_again(delta1):
+    # from 12 symbols, under a 512-byte bound, 32 runs fit in stacks of 16
+    # symbols; when a stack passes 16 only 16 runs fit and the youngest are
+    # set aside, to be walked again from step 0, and most of them still
+    # empty their stacks before the cap
+    start = Configuration("_", ("X1",) * 12)
+    with stack_bound(512) as sizes:
+        stats = simulate(delta1, start, samples=60, step_cap=5_000, seed=2)
+    assert max(sizes) <= 512
+    assert stats == simulate_loop(delta1, start, samples=60, step_cap=5_000, seed=2)
+
+
+def test_simulate_heads_cohorts_fit_the_deepest_stacks(delta1):
+    # simulate_heads never sets runs aside: its cohorts are small enough
+    # for the deepest stacks the cap allows, here one run at a time
+    start = Configuration("_", ("X1",) * 12)
+    with stack_bound(512) as sizes:
+        got = simulate_heads(delta1, start, 30, 5, seed=3, divergence_cap=200)
+    assert max(sizes) <= 512
+    assert got == heads_loop(delta1, start, 30, 5, seed=3, divergence_cap=200)
+
+
+def test_simulators_reject_reachable_pair_without_rules():
+    orphan = parse_model(ORPHAN_TEXT)
+    start = Configuration("q", ("X",))
+    with pytest.raises(ModelError, match=r"pair \(q, Y\) reachable"):
+        simulate(orphan, start, samples=5, step_cap=10)
+    with pytest.raises(ModelError, match=r"pair \(q, Y\) reachable"):
+        simulate_heads(orphan, start, samples=5, horizon=3)
+    with pytest.raises(ModelError, match="unknown symbol"):
+        simulate(orphan, Configuration("p", ("Z",)), samples=5, step_cap=10)
+    # (q, Y) lies out of reach from the declared start
+    assert simulate(orphan, orphan.start, samples=5, step_cap=10).samples == 5
+
+
+@pytest.mark.parametrize("samples,horizon", [(0, 3), (5, 0), (-1, 3)])
+def test_simulate_heads_rejects_empty_requests(delta1, samples, horizon):
+    with pytest.raises(ModelError):
+        simulate_heads(delta1, Configuration("_", ("X1",)), samples=samples, horizon=horizon)
