@@ -15,7 +15,8 @@ exponent is reported, with estimation left to callers holding exact tails.
 
 What a start's regime depends on is model-wide: the dependence SCCs and
 their heights, the moment matrix, the expectations and the symbols certified
-to terminate with certainty.  ``Analysis`` computes these once per model, and
+to terminate with certainty.  ``Analysis`` gathers these once per model
+(the dependence and the moment matrix from ``Pda.moments``), and
 ``classify`` reads them over the start's reach set.
 """
 
@@ -24,10 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import dependence
 from .model import ModelError, Pda
-from .moments import expectations, moment_matrix, rule_weight_change
-from .termination import _certain_symbols
+from .moments import certain_symbols, expectations, rule_weight_change
 
 __all__ = [
     "Analysis",
@@ -90,12 +89,9 @@ class Analysis:
 
     def __init__(self, model: Pda):
         self.model = model
-        self.deps = dependence(model)
-        self.moments = moment_matrix(model, self.deps)
-        self.expectations = expectations(model, self.moments)
-        can_empty = {t.symbol for t in model.terminating_triples}
-        # the symbols that terminate with certainty, by the structural certificate
-        self.certain = _certain_symbols(self.deps, self.moments.block_radii, can_empty)
+        self.deps = model.moments.deps
+        self.expectations = expectations(model)
+        self.certain = certain_symbols(model)
 
 
 def classify(analysis: Analysis, start: str) -> TailReport:

@@ -70,7 +70,7 @@ class CliError(Exception):
 def _load(path: str) -> Pda:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         model = parse_model(text)

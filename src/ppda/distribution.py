@@ -69,9 +69,6 @@ class DistTable:
             raise ModelError("table has no termination probability attached")
         return self.norm - float(np.sum(self.mass))
 
-    def cumulative(self, n: int) -> float:
-        return float(np.sum(self.mass[: n + 1]))
-
 
 def tail(table: DistTable, n: int) -> float:
     """P(T >= n), conditioned on the subject's event for triple subjects."""

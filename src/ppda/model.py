@@ -123,8 +123,9 @@ class Triple:
 class Pda:
     """A validated-on-construction probabilistic pushdown automaton.
 
-    Immutable after construction; rule lookup tables are cached lazily and
-    the value is safe to share across threads.
+    Immutable after construction.  Rule lookup tables, the may-terminate
+    triples and, for stateless models, the moment matrix with its dependence
+    are cached lazily, and the value is safe to share across threads.
     """
 
     states: tuple[str, ...]
@@ -163,6 +164,14 @@ class Pda:
         from .termination import may_terminate
 
         return may_terminate(self)
+
+    @cached_property
+    def moments(self):
+        """``moments.moment_matrix`` of this stateless model, computed once: the
+        certainty snap of the solve and the classification both read it."""
+        from .moments import moment_matrix
+
+        return moment_matrix(self)
 
     @property
     def stateless(self) -> bool:

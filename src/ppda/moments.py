@@ -1,9 +1,12 @@
-"""Moment matrix, spectral radii, and expected termination times.
+"""Moment matrix, spectral radii, certain termination, and expected times.
 
 The matrix A has A(X, Y) = expected number of Y symbols produced by one
 rewrite of X.  On an almost surely terminating model, expectations solve
 (I - A) E = 1 whenever every reachable SCC block of A is strictly
 subcritical; otherwise the affected symbols have infinite expectation.
+The same blocks certify which symbols terminate with probability one.
+``Pda.moments`` keeps one moment matrix, with its dependence, per model:
+the certainty snap, the classification and the cone vector all read it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .model import Pda, Rule, Triple
 if TYPE_CHECKING:  # pragma: no cover
     from .termination import TerminationTable
 
-__all__ = ["MomentMatrix", "ExpectationTable", "moment_matrix", "expectations",
-           "conditional_expectations", "rule_weight_change"]
+__all__ = ["MomentMatrix", "ExpectationTable", "moment_matrix", "certain_symbols",
+           "expectations", "conditional_expectations", "rule_weight_change"]
 
 POWER_TOL = 1e-12
 POWER_CAP = 100_000
@@ -80,11 +83,10 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray]:
     raise PowerIterationError(f"power iteration did not converge on a {k}x{k} block")
 
 
-def moment_matrix(model: Pda, deps: DependenceInfo | None = None) -> MomentMatrix:
+def moment_matrix(model: Pda) -> MomentMatrix:
     if not model.stateless:
         raise ValueError("moment matrix is defined on stateless models; transform first")
-    if deps is None:
-        deps = dependence(model)
+    deps = dependence(model)
     syms = model.alphabet
     index = model.symbol_index
     A = np.zeros((len(syms), len(syms)))
@@ -113,19 +115,38 @@ def moment_matrix(model: Pda, deps: DependenceInfo | None = None) -> MomentMatri
     )
 
 
+def certain_symbols(model: Pda) -> frozenset[str]:
+    """Symbols of a stateless model that terminate with probability one.
+
+    Newton in doubles cannot push critical fixed points past an error of
+    about sqrt(machine epsilon).  For stateless models certainty is
+    structural: every reachable symbol can reach the empty stack and no
+    reachable SCC block of the moment matrix is supercritical.
+    """
+    mm = model.moments
+    deps = mm.deps
+    can_empty = {t.symbol for t in model.terminating_triples}
+    certain: list[bool] = []
+    for i, comp in enumerate(deps.sccs):
+        good = all(sym in can_empty for sym in comp)
+        good = good and mm.block_radii[i] <= 1.0 + 1e-9
+        good = good and all(certain[j] for j in deps.scc_successors[i])
+        certain.append(good)
+    return frozenset(sym for sym in deps.scc_of if certain[deps.scc_of[sym]])
+
+
 def rule_weight_change(rule: Rule, weights: dict[str, float]) -> float:
     """weight(lhs) - total weight pushed by the rule."""
     return weights[rule.lhs_symbol] - sum(weights[sym] for sym in rule.rhs_word)
 
 
-def expectations(model: Pda, mm: MomentMatrix | None = None) -> ExpectationTable:
+def expectations(model: Pda) -> ExpectationTable:
     """Expected termination time per symbol of an a.s. terminating model.
 
     A symbol is infinite iff it reaches (in the dependence order) an SCC
     whose block spectral radius is within CRITICAL_EPS of 1 or beyond.
     """
-    if mm is None:
-        mm = moment_matrix(model)
+    mm = model.moments
     deps = mm.deps
     n_sccs = len(deps.sccs)
 

@@ -27,7 +27,8 @@ probabilities to doubles moves the fixed point by as much.  In stateful
 models, variable SCCs whose Jacobian block is near-singular are therefore
 solved again, with all they depend on, by Newton in decimal arithmetic from
 the exact rule probabilities; the variables above them are then solved in
-doubles again.  Stateless models are certified structurally instead.
+doubles again.  Stateless models are certified structurally instead, by
+``moments.certain_symbols`` on the moment matrix the model keeps.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import DependenceInfo, _tarjan, dependence
+from .graph import _tarjan
 from .model import Pda, Triple
-from .moments import moment_matrix
+from .moments import certain_symbols
 
 __all__ = [
     "TerminationTable",
@@ -171,10 +172,7 @@ def _may_terminate_table(model: Pda) -> np.ndarray:
 
 def qualitative_zero(model: Pda) -> frozenset[Triple]:
     """Triples pXq whose termination probability is exactly zero."""
-    return _zeros(model, model.terminating_triples)
-
-
-def _zeros(model: Pda, can: frozenset[Triple]) -> frozenset[Triple]:
+    can = model.terminating_triples
     return frozenset(
         Triple(p, X, q)
         for p in model.states
@@ -321,7 +319,7 @@ def termination_probs(
     if tol <= 0:
         raise ValueError("tol must be positive")
     system = CompiledSystem(model)
-    positive, idx, n = system.triples, system.index, system.n
+    idx, n = system.index, system.n
 
     def newton(v: np.ndarray, free: np.ndarray):
         """Newton steps on the indices ``free``, the other entries held fixed.
@@ -395,9 +393,7 @@ def termination_probs(
     if model.stateless and n:
         p = model.only_state
         uncertain = np.ones(n, dtype=bool)
-        deps = dependence(model)
-        radii = moment_matrix(model, deps).block_radii
-        for sym in _certain_symbols(deps, radii, {t.symbol for t in positive}):
+        for sym in certain_symbols(model):
             uncertain[idx[Triple(p, sym, p)]] = False
         v[~uncertain] = 1.0
         residual = float(np.max(np.abs(system.apply(v) - v)))
@@ -421,7 +417,7 @@ def termination_probs(
         probs=probs,
         residual=residual,
         iterations=iterations,
-        qualitative_zero=_zeros(model, model.terminating_triples),
+        qualitative_zero=qualitative_zero(model),
         tol=tol,
     )
     if strict and not table.converged:
@@ -622,25 +618,6 @@ def _solve_decimal(a: list[list[Decimal]], b: list[Decimal]) -> list[Decimal] | 
     for i in reversed(range(m)):
         x[i] = (rows[i][m] - sum(rows[i][j] * x[j] for j in range(i + 1, m))) / rows[i][i]
     return x
-
-
-def _certain_symbols(deps: DependenceInfo, block_radii, can_empty) -> frozenset[str]:
-    """Symbols of a stateless model that terminate with probability one.
-
-    Newton in doubles cannot push critical fixed points past an error of
-    about sqrt(machine epsilon).  For stateless models certainty is
-    structural: every reachable symbol can reach the empty stack and no
-    reachable SCC block of the moment matrix is supercritical.  ``deps`` is
-    the model's dependence, ``block_radii`` the spectral radii of its SCC
-    blocks, and ``can_empty`` the symbols that may terminate.
-    """
-    certain: list[bool] = []
-    for i, comp in enumerate(deps.sccs):
-        good = all(sym in can_empty for sym in comp)
-        good = good and block_radii[i] <= 1.0 + 1e-9
-        good = good and all(certain[j] for j in deps.scc_successors[i])
-        certain.append(good)
-    return frozenset(sym for sym in deps.scc_of if certain[deps.scc_of[sym]])
 
 
 def is_almost_surely_terminating(

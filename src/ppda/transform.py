@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import BPA_STATE, Configuration, Pda, Rule, Triple
-from .moments import moment_matrix, rule_weight_change
+from .moments import rule_weight_change
 from .termination import CompiledSystem, TerminationTable
 
 __all__ = [
@@ -152,7 +152,7 @@ def cone_vector(model: Pda) -> dict[str, float]:
     positive solution impossible.  The ratio min/max still dominates
     p_min^|alphabet| because each block obeys its own bound.
     """
-    mm = moment_matrix(model)
+    mm = model.moments
     for i, rho in enumerate(mm.block_radii):
         if rho > 1.0 + 1e-9:
             raise TransformError(

@@ -26,7 +26,6 @@ from ppda import (
     expectations,
     is_almost_surely_terminating,
     make_bpa,
-    moment_matrix,
     p_min,
     parse_model,
     restrict_to_reachable,
@@ -93,7 +92,7 @@ def restricted_analysis(model: Pda, start: str):
     restricted = restrict_to_reachable(model, start)
     deps = dependence(restricted)
     table = termination_probs(restricted)
-    exp = expectations(restricted, moment_matrix(restricted, deps))
+    exp = expectations(restricted)
     return restricted, deps, table, exp
 
 

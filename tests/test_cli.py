@@ -92,8 +92,12 @@ def test_analyze_rejects_state_named_up(tmp_path, capsys):
                    "p.X.q and p.X.up: no state may be 'up' or contain '.'"]
 
 
-def test_analyze_missing_file_exit_2(tmp_path):
-    assert main(["analyze", str(tmp_path / "nope.ppda"), "--start", "X"]) == 2
+def test_analyze_missing_file_exit_2(tmp_path, capsys):
+    (tmp_path / "latin1.bpa").write_bytes(b"bpa\nalphabet: X\xff\n")
+    for path in (tmp_path / "nope.ppda", tmp_path / "latin1.bpa"):
+        assert main(["analyze", str(path), "--start", "X"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {path}: ")
 
 
 def test_transform_round_trip(models_dir, tmp_path, capsys):
@@ -305,7 +309,7 @@ def test_numeric_failure_exits_3(models_dir, monkeypatch, capsys, error):
     if isinstance(error, ppda.transform.TransformError):
         monkeypatch.setattr(ppda.cli, "to_bpa", fail)
     else:
-        monkeypatch.setattr(ppda.bounds, "moment_matrix", fail)
+        monkeypatch.setattr(ppda.moments, "moment_matrix", fail)
     assert main(["analyze", str(models_dir / "ab.ppda")]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {error}"]
@@ -326,7 +330,8 @@ def count_calls(monkeypatch, *functions) -> Counter:
     return counts
 
 
-@pytest.mark.parametrize("source,start", [("tree.ppda", "q.A"), ("random", "p0.X0")])
+@pytest.mark.parametrize("source,start", [("tree.ppda", "q.A"), ("random", "p0.X0"),
+                                          ("delta4.bpa", "X4")])
 def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, source, start):
     path = models_dir / source
     if source == "random":
@@ -337,9 +342,12 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
                          ppda.bounds.classify)
     assert main(["analyze", str(path), "--start", start,
                  "--json", str(tmp_path / "out.json")]) == 0
-    assert counts["classify"] == 2  # one tail report per target state
+    # one tail report per target state
+    assert counts["classify"] == (1 if path.suffix == ".bpa" else 2)
     assert counts["termination_probs"] == 1  # the model; its terminating part is not solved
-    assert counts["dependence"] == 1  # the part, once for every start
+    # the stateless model or the part, once for every start; a stateless solve
+    # and its classification share them
+    assert counts["dependence"] == 1
     assert counts["moment_matrix"] == 1
 
 
@@ -352,6 +360,13 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     ["bounds", "delta1.bpa", "--eps", "0"],
     ["bounds", "delta1.bpa", "--eps", "2"],
     ["dist", "delta1.bpa", "--target", "nowhere"],
+    ["bounds", "delta1.bpa", "--grid", "x"],
+    ["bounds", "delta1.bpa", "--grid", "0,4"],
+    ["dist", "delta1.bpa", "--nmax", "0"],
+    ["simulate", "ab.ppda", "--start", "p"],
+    ["analyze", "ab.ppda", "--start", "p.Z"],
+    ["bounds", "ab.ppda"],
+    ["transform", "delta1.bpa"],
     # the declared start is valid; from --start the rule-less pair (q, Y) is reached
     ["simulate", "orphan.ppda", "--start", "q.X"],
     ["analyze", "orphan.ppda", "--start", "q.X"],

@@ -92,7 +92,7 @@ def test_infinite_only_above_critical_blocks():
 def test_expectation_residual_identity(tree):
     part = terminating_part(to_bpa(tree, termination_probs(tree)))
     mm = moment_matrix(part)
-    exp = expectations(part, mm)
+    exp = expectations(part)
     assert exp.finite
     evec = np.array([exp[s] for s in part.alphabet])
     residual = np.max(np.abs(evec - 1.0 - mm.A @ evec))
