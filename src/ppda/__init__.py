@@ -24,17 +24,15 @@ from .distribution import (
     DistTable,
     SampleStats,
     dist_csv,
-    dist_json,
     exact_distribution_bpa,
     exact_distribution_pda,
     exact_distribution_word,
     sample_csv,
-    sample_json,
     simulate,
     simulate_heads,
     tail,
 )
-from .graph import DependenceInfo, dependence, is_bounded_case, p_min, restrict_to_reachable
+from .graph import DependenceInfo, dependence
 from .model import (
     BPA_STATE,
     Configuration,
@@ -58,7 +56,6 @@ from .moments import (
 from .termination import (
     NewtonDivergedError,
     TerminationTable,
-    is_almost_surely_terminating,
     qualitative_zero,
     termination_probs,
 )

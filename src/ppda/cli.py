@@ -36,6 +36,7 @@ from .distribution import (
     dist_csv,
     exact_distribution_bpa,
     exact_distribution_pda,
+    exact_distribution_word,
     sample_csv,
     simulate,
     tail,
@@ -104,6 +105,14 @@ def _parse_start(model: Pda, flag: str | None) -> Configuration:
     return start
 
 
+def _start_symbol(start: Configuration) -> str:
+    """The one symbol of ``start``; only simulate and stateless dist take a word."""
+    if len(start.stack) != 1:
+        raise CliError(f"the start holds {len(start.stack)} symbols, not 1; only simulate "
+                       "and dist on a stateless model take a word")
+    return start.stack[0]
+
+
 def _round12(value):
     if isinstance(value, float):
         if math.isinf(value):
@@ -152,6 +161,7 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     model = _load(args.model)
     start = _parse_start(model, args.start)
+    symbol = _start_symbol(start)
     t_parse = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -176,12 +186,12 @@ def cmd_analyze(args) -> int:
                 if v > 0.0
             },
         },
-        "start": {"state": start.state, "symbol": start.stack[0]},
+        "start": {"state": start.state, "symbol": symbol},
     }
 
     t0 = time.perf_counter()
     if model.stateless:
-        analyzed, starts = model, [start.stack[0]]
+        analyzed, starts = model, [symbol]
         labels = {sym: sym for sym in sorted(model.alphabet)}
     else:
         result = to_bpa(model, table)
@@ -189,7 +199,7 @@ def cmd_analyze(args) -> int:
         triples = {name: result.symbols[name] for name in analyzed.alphabet}
         labels = {name: str(trip) for name, trip in triples.items()}
         starts = [name for name, trip in triples.items()
-                  if (trip.state, trip.symbol) == (start.state, start.stack[0])]
+                  if (trip.state, trip.symbol) == (start.state, symbol)]
         report["transform"] = {
             "terminating_symbols": list(analyzed.alphabet),
             "diverging_symbols": [
@@ -250,20 +260,19 @@ def cmd_dist(args) -> int:
     if model.stateless:
         if args.target is not None:
             raise CliError("--target applies to stateful models only")
-        table = exact_distribution_bpa(model, start.stack[0], args.nmax)
+        table = exact_distribution_word(model, start.stack, args.nmax)
     elif args.target in (None, "none"):
         # unconditioned: sum the start pair's rows of one all-targets pass;
         # diverging runs stay in the tail, so the table normalizes against 1
+        pair = (start.state, _start_symbol(start))
         tables = exact_distribution_pda(model, None, args.nmax)
-        pair = (start.state, start.stack[0])
         mass = sum((t.mass for trip, t in tables.items() if (trip.state, trip.symbol) == pair),
                    np.zeros(args.nmax + 1))
-        table = DistTable(subject=f"{start.state}.{start.stack[0]}",
-                          mass=mass, n_max=args.nmax, norm=1.0)
+        table = DistTable(subject=".".join(pair), mass=mass, n_max=args.nmax, norm=1.0)
     else:
         if args.target not in model.state_index:
             raise CliError(f"unknown target state {args.target!r}")
-        triple = Triple(start.state, start.stack[0], args.target)
+        triple = Triple(start.state, _start_symbol(start), args.target)
         solved = termination_probs(model)
         table = exact_distribution_pda(model, triple, args.nmax, norm=solved.probs[triple])
     text = dist_csv(table)
@@ -297,6 +306,7 @@ def cmd_bounds(args) -> int:
     start = _parse_start(model, args.start)
     if not model.stateless:
         raise CliError("bound curves are defined on stateless models; transform first")
+    symbol = _start_symbol(start)
     try:
         grid = sorted({int(tok) for tok in args.grid.split(",") if tok.strip()})
     except ValueError as exc:
@@ -304,7 +314,7 @@ def cmd_bounds(args) -> int:
     if not grid or grid[0] < 1:
         raise CliError("--grid needs positive integers")
     try:
-        report = classify(Analysis(model), start.stack[0])
+        report = classify(Analysis(model), symbol)
     except NotAlmostSurelyTerminating as exc:
         raise CliError(str(exc)) from exc
     try:
@@ -314,7 +324,7 @@ def cmd_bounds(args) -> int:
 
     exact = None
     if grid[-1] <= DP_CURVE_HORIZON:
-        exact = exact_distribution_bpa(model, start.stack[0], grid[-1])
+        exact = exact_distribution_bpa(model, symbol, grid[-1])
 
     lines = ["n,lower,upper,exact"]
     for n in grid:

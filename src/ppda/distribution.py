@@ -5,7 +5,10 @@ an epsilon rule contributes at step one, a unary rule shifts by one, and a
 binary rule convolves the two obligations it leaves on the stack (longer
 relaxed right-hand sides convolve iteratively).  All masses are kept
 unconditioned; conditioning on the terminal state divides by the triple's
-termination probability only at the reporting boundary.
+termination probability only at the reporting boundary.  A stateless start
+of several symbols empties its entries one after another, so
+``exact_distribution_word`` convolves their laws.  ``dist_csv`` and
+``sample_csv`` write the tables the CLI prints; CSV is its only format.
 
 The simulator walks the induced Markov chain.  Randomness comes from Philox
 streams keyed per sample as (seed << 64) | sample_index; step t of sample i
@@ -27,7 +30,6 @@ step 0.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from math import sqrt
@@ -48,9 +50,7 @@ __all__ = [
     "simulate",
     "simulate_heads",
     "dist_csv",
-    "dist_json",
     "sample_csv",
-    "sample_json",
 ]
 
 
@@ -541,32 +541,6 @@ def dist_csv(table: DistTable) -> str:
             cells.append(repr(gap / table.norm if table.norm else 0.0))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def dist_json(table: DistTable) -> str:
-    payload = {
-        "subject": str(table.subject),
-        "n_max": table.n_max,
-        "norm": table.norm,
-        "mass": [float(x) for x in table.mass],
-    }
-    if table.norm is not None:
-        payload["residual_mass"] = table.residual_mass
-    return json.dumps(payload) + "\n"
-
-
-def sample_json(stats: SampleStats) -> str:
-    payload = {
-        "samples": stats.samples,
-        "seed": stats.seed,
-        "step_cap": stats.step_cap,
-        "censored": stats.censored,
-        "outcomes": {
-            state: {str(n): c for n, c in sorted(counter.items())}
-            for state, counter in sorted(stats.outcomes.items())
-        },
-    }
-    return json.dumps(payload) + "\n"
 
 
 def sample_csv(stats: SampleStats) -> str:

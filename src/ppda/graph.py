@@ -6,16 +6,19 @@ reachability sets drive the tail-regime classification: an acyclic
 (reachable) dependence relation means no run can revisit a symbol on a
 derivation path, so termination time is bounded by the tree of size
 2^|alphabet| - 1.
+
+One ``DependenceInfo`` serves every start symbol of a model: a start's
+regime reads its reach set (``bounded``) and the height of its SCC, so
+nothing is restricted or recomputed per start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .model import Configuration, ModelError, Pda
+from .model import ModelError, Pda
 
-__all__ = ["DependenceInfo", "dependence", "restrict_to_reachable", "p_min", "is_bounded_case"]
+__all__ = ["DependenceInfo", "dependence"]
 
 
 @dataclass(frozen=True)
@@ -43,14 +46,10 @@ class DependenceInfo:
         return not any(self.on_cycle(sym) for sym in self.reachable_from[start])
 
 
-def _require_stateless(model: Pda):
-    if not model.stateless:
-        raise ModelError("dependence analysis is defined on stateless models; transform first")
-
-
 def dependence(model: Pda) -> DependenceInfo:
     """Compute the dependence relation, its SCC DAG, and the DAG height."""
-    _require_stateless(model)
+    if not model.stateless:
+        raise ModelError("dependence analysis is defined on stateless models; transform first")
     edges: dict[str, set[str]] = {sym: set() for sym in model.alphabet}
     for rule in model.rules:
         edges[rule.lhs_symbol].update(rule.rhs_word)
@@ -137,35 +136,3 @@ def _tarjan(nodes: tuple[str, ...], edges: dict[str, set[str]]) -> list[list[str
                 sccs.append(comp)
     return sccs
 
-
-def _dependence_at(model: Pda, start: str) -> DependenceInfo:
-    _require_stateless(model)
-    if start not in model.symbol_index:
-        raise ModelError(f"unknown start symbol {start!r}")
-    return dependence(model)
-
-
-def restrict_to_reachable(model: Pda, start: str) -> Pda:
-    """Sub-model over the start symbol and everything it depends on."""
-    keep = {start} | _dependence_at(model, start).reachable_from[start]
-    alphabet = tuple(sym for sym in model.alphabet if sym in keep)
-    rules = tuple(rule for rule in model.rules if rule.lhs_symbol in keep)
-    return Pda(model.states, alphabet, rules, kind=model.kind,
-               start=Configuration(model.only_state, (start,)))
-
-
-def p_min(model: Pda, start: str | None = None) -> float:
-    """Least rule probability, over the reachable restriction when start is given."""
-    if start is not None and model.stateless:
-        model = restrict_to_reachable(model, start)
-    return float(min((rule.prob for rule in model.rules), default=Fraction(1)))
-
-
-def is_bounded_case(model: Pda, start: str) -> bool:
-    """True iff no symbol reachable from start depends on itself.
-
-    For an almost surely terminating model this is exactly the regime where
-    all termination mass sits below 2^|alphabet| steps: a repeated symbol on
-    a derivation path could otherwise be pumped into arbitrarily long runs.
-    """
-    return _dependence_at(model, start).bounded(start)

@@ -312,7 +312,7 @@ def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
             for q in entry_states:
                 visit(q, sym)
             entry_states = {
-                q for s in entry_states for q in model.states if (s, sym, q) in can
+                q for s in entry_states for q in model.states if Triple(s, sym, q) in can
             }
     while frontier:
         state, symbol = frontier.pop()
@@ -323,7 +323,7 @@ def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
                 head = rule.rhs_word[0]
                 for below in rule.rhs_word[1:]:
                     for q in model.states:
-                        if (rule.rhs_state, head, q) in can:
+                        if Triple(rule.rhs_state, head, q) in can:
                             visit(q, below)
                     head = below
     return [

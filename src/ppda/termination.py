@@ -50,7 +50,6 @@ __all__ = [
     "termination_probs",
     "qualitative_zero",
     "may_terminate",
-    "is_almost_surely_terminating",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -619,9 +618,3 @@ def _solve_decimal(a: list[list[Decimal]], b: list[Decimal]) -> list[Decimal] | 
         x[i] = (rows[i][m] - sum(rows[i][j] * x[j] for j in range(i + 1, m))) / rows[i][i]
     return x
 
-
-def is_almost_surely_terminating(
-    model: Pda, table: TerminationTable, eps: float = 1e-9
-) -> bool:
-    """True iff every symbol of a stateless model terminates a.s."""
-    return all(table.symbol_prob(model, sym) >= 1.0 - eps for sym in model.alphabet)

@@ -4,7 +4,9 @@ The distribution oracle unfolds the induced Markov chain one step at a time
 with exact rational weights, merging identical configurations.  It shares no
 code with the convolution dynamic program it is used to check.  The
 reachability oracles walk the dependence graph once per symbol, apart from
-the SCC pass of ``ppda.graph``.
+the SCC pass of ``ppda.graph``.  The per-start path (``restrict_to_reachable``
+and the checks on the restriction) is the oracle for ``classify``, which reads
+one model-wide analysis.
 """
 
 import functools
@@ -24,11 +26,8 @@ from ppda import (
     Triple,
     dependence,
     expectations,
-    is_almost_surely_terminating,
     make_bpa,
-    p_min,
     parse_model,
-    restrict_to_reachable,
     step_distribution,
     termination_probs,
 )
@@ -80,6 +79,44 @@ def scc_restriction(model: Pda, members) -> Pda:
         if r.lhs_symbol in keep
     )
     return Pda(model.states, alphabet, rules, kind=model.kind)
+
+
+def _dependence_at(model: Pda, start: str):
+    info = dependence(model)
+    if start not in model.symbol_index:
+        raise ModelError(f"unknown start symbol {start!r}")
+    return info
+
+
+def restrict_to_reachable(model: Pda, start: str) -> Pda:
+    """Sub-model over the start symbol and everything it depends on."""
+    keep = {start} | _dependence_at(model, start).reachable_from[start]
+    alphabet = tuple(sym for sym in model.alphabet if sym in keep)
+    rules = tuple(rule for rule in model.rules if rule.lhs_symbol in keep)
+    return Pda(model.states, alphabet, rules, kind=model.kind,
+               start=Configuration(model.only_state, (start,)))
+
+
+def p_min(model: Pda, start: str | None = None) -> float:
+    """Least rule probability, over the reachable restriction when start is given."""
+    if start is not None and model.stateless:
+        model = restrict_to_reachable(model, start)
+    return float(min((rule.prob for rule in model.rules), default=Fraction(1)))
+
+
+def is_bounded_case(model: Pda, start: str) -> bool:
+    """True iff no symbol reachable from start depends on itself.
+
+    For an almost surely terminating model this is exactly the regime where
+    all termination mass sits below 2^|alphabet| steps: a repeated symbol on
+    a derivation path could otherwise be pumped into arbitrarily long runs.
+    """
+    return _dependence_at(model, start).bounded(start)
+
+
+def is_almost_surely_terminating(model: Pda, table, eps: float = 1e-9) -> bool:
+    """True iff every symbol of a stateless model terminates a.s."""
+    return all(table.symbol_prob(model, sym) >= 1.0 - eps for sym in model.alphabet)
 
 
 def restricted_analysis(model: Pda, start: str):
@@ -254,6 +291,14 @@ def acyclic_bpas(draw, max_symbols=4):
 # A valid declared start; from q X the pair (q, Y), which has no rules, is reached.
 ORPHAN_TEXT = ("pda\nstates: p q\nalphabet: X Y\nstart: p X\nrule: p X -> p : 1/2\n"
                "rule: p X -> p X X : 1/2\nrule: q X -> q Y : 1\n")
+
+# (q, Y) has no rules and only surfaces once the symbol above Y empties into q
+POP_ORPHAN_TEXTS = {
+    "orphan_push.ppda": ("pda\nstates: p q\nalphabet: X Y Z\nstart: p X\n"
+                         "rule: p X -> p Z Y : 1\nrule: p Z -> q : 1\nrule: p Y -> p : 1\n"),
+    "orphan_word.ppda": ("pda\nstates: p q\nalphabet: Y Z\nstart: p Z Y\n"
+                         "rule: p Z -> q : 1\nrule: p Y -> p : 1\n"),
+}
 
 
 def symmetric_pair():

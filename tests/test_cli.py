@@ -18,7 +18,7 @@ import ppda.transform
 from ppda import Triple, parse_model, serialize, termination_probs
 from ppda.cli import main
 
-from helpers import ORPHAN_TEXT, random_pda, term_dp_masses
+from helpers import ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass, random_pda, term_dp_masses
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -351,6 +351,20 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     assert counts["moment_matrix"] == 1
 
 
+WORD_START_BPA = "bpa\nalphabet: X\nstart: X X\nrule: X -> X X : 1/4\nrule: X -> : 3/4\n"
+
+# models that the exit-2 inputs below write out before running
+INLINE_MODELS = {
+    "orphan.ppda": ORPHAN_TEXT,
+    **POP_ORPHAN_TEXTS,
+    "empty.bpa": "bpa\nalphabet: X\nstart:\nrule: X -> : 1\n",
+    "empty.ppda": "pda\nstates: p\nalphabet: X\nstart: p\nrule: p X -> p : 1\n",
+    "word.bpa": WORD_START_BPA,
+    "word.ppda": ("pda\nstates: p\nalphabet: X\nstart: p X X\n"
+                  "rule: p X -> p X X : 1/4\nrule: p X -> p : 3/4\n"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "ab.ppda", "--tol", "0"],
     ["analyze", "ab.ppda", "--tol", "-1"],
@@ -371,16 +385,43 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     ["simulate", "orphan.ppda", "--start", "q.X"],
     ["analyze", "orphan.ppda", "--start", "q.X"],
     ["dist", "orphan.ppda", "--start", "q.X"],
+    # the declared start reaches (q, Y) only after a pop; a run that reaches it
+    # has no step to take, so simulate gets a small budget
+    *([command, name] for name in POP_ORPHAN_TEXTS
+      for command in ("analyze", "transform", "dist", "bounds")),
+    *(["simulate", name, "--samples", "5", "--cap", "100"] for name in POP_ORPHAN_TEXTS),
+    # starts that do not hold exactly one symbol
+    ["analyze", "empty.bpa"],
+    ["analyze", "empty.ppda"],
+    ["dist", "empty.bpa"],
+    ["dist", "empty.ppda"],
+    ["bounds", "empty.bpa"],
+    ["analyze", "word.bpa"],
+    ["analyze", "word.ppda"],
+    ["bounds", "word.bpa"],
+    ["dist", "word.ppda"],
+    ["dist", "word.ppda", "--target", "p"],
 ], ids=" ".join)
 def test_bad_flag_values_exit_2(models_dir, tmp_path, capsys, argv):
     command, name, *flags = argv
     path = models_dir / name
-    if name == "orphan.ppda":
+    if name in INLINE_MODELS:
         path = tmp_path / name
-        path.write_text(ORPHAN_TEXT)
+        path.write_text(INLINE_MODELS[name])
     assert main([command, str(path), *flags]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    if name.startswith("orphan"):
+        assert "pair (q, Y) reachable from start but has no rules" in err[0]
+
+
+def test_dist_of_a_word_start(tmp_path):
+    path, out = tmp_path / "word.bpa", tmp_path / "word.csv"
+    path.write_text(WORD_START_BPA)
+    assert main(["dist", str(path), "--nmax", "12", "--csv", str(out)]) == 0
+    model = parse_model(WORD_START_BPA)
+    exact = brute_total_mass(model, model.start, 12)
+    np.testing.assert_allclose(csv_column(out, 1), [float(m) for m in exact], rtol=0, atol=1e-15)
 
 
 def csv_column(path, k: int) -> list[float]:

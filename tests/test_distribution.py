@@ -22,7 +22,7 @@ from ppda import (
     termination_probs,
 )
 import ppda.distribution
-from ppda.distribution import dist_csv, dist_json, sample_csv, sample_json
+from ppda.distribution import dist_csv, sample_csv
 
 from conftest import MODELS, load_model
 from helpers import (
@@ -240,20 +240,6 @@ def test_simulation_tail_matches_dp(tree, ab, delta1):
         for n in (1, 2, 4, 8, 16, 32):
             est, se = stats.empirical_tail(n)
             assert abs(est - true_tail(n)) <= 4 * max(se, 1e-5), (model.kind, n)
-
-
-def test_json_exports(delta1):
-    import json
-
-    t = exact_distribution_bpa(delta1, "X1", 4)
-    payload = json.loads(dist_json(t))
-    assert payload["mass"][1] == 0.5
-    assert payload["norm"] == 1.0
-
-    stats = simulate(delta1, Configuration("_", ("X1",)), samples=100, step_cap=50, seed=5)
-    blob = json.loads(sample_json(stats))
-    assert blob["samples"] == 100
-    assert blob["censored"] == stats.censored
 
 
 def test_dist_csv_shape(delta1, tree):

@@ -7,14 +7,10 @@ from ppda import (
     Configuration,
     dependence,
     exact_distribution_bpa,
-    is_bounded_case,
     make_bpa,
-    p_min,
-    restrict_to_reachable,
     terminating_part,
     termination_probs,
     to_bpa,
-    is_almost_surely_terminating,
 )
 
 from conftest import load_model
@@ -23,8 +19,11 @@ from helpers import (
     brute_total_mass,
     closure,
     critical_chain,
+    is_bounded_case,
     longest_scc_chain,
+    p_min,
     random_pda,
+    restrict_to_reachable,
     small_bpas,
     suffix_tail,
 )
@@ -85,8 +84,8 @@ def test_restrict_drops_disjoint_component():
 
 
 def test_p_min_values(delta1):
-    assert p_min(delta1) == 0.5
-    assert p_min(make_bpa([(("X",), Fraction(1))])) == 1.0
+    assert delta1.p_min() == Fraction(1, 2)
+    assert make_bpa([(("X",), Fraction(1))]).p_min() == 1
 
 
 def test_p_min_ab_grid_value():
@@ -99,7 +98,7 @@ def test_p_min_ab_grid_value():
         Rule("q", "X", "p", (), 1 - b),
     )
     m = Pda(("p", "q"), ("X",), rules, kind="pda")
-    assert p_min(m) == pytest.approx(0.4)
+    assert m.p_min() == Fraction(2, 5)
 
 
 def test_p_min_honors_restriction(delta3):
@@ -113,17 +112,17 @@ def test_p_min_honors_restriction(delta3):
 
 
 def test_bounded_case_examples(delta1):
-    assert is_bounded_case(make_bpa([(("X",), Fraction(1))]), "X")
-    assert not is_bounded_case(delta1, "X1")
+    assert dependence(make_bpa([(("X",), Fraction(1))])).bounded("X")
+    assert not dependence(delta1).bounded("X1")
     two_step = make_bpa([(("X", "Y"), Fraction(1, 2)), (("X",), Fraction(1, 2)),
                          (("Y",), Fraction(1))])
-    assert is_bounded_case(two_step, "X")
+    assert dependence(two_step).bounded("X")
 
 
 @given(acyclic_bpas())
 @settings(max_examples=40, deadline=None)
 def test_acyclic_models_have_no_mass_beyond_horizon(model):
-    assert is_bounded_case(model, model.alphabet[0])
+    assert dependence(model).bounded(model.alphabet[0])
     horizon = 2 ** len(model.alphabet)
     mass = brute_total_mass(model, Configuration("_", (model.alphabet[0],)), horizon + 4)
     assert sum(mass) == 1  # exact rationals: everything terminated
@@ -132,9 +131,8 @@ def test_acyclic_models_have_no_mass_beyond_horizon(model):
 
 def test_cyclic_terminating_model_has_unbounded_support(delta1):
     # pumping: some mass sits beyond any horizon, at least p_min^n of it
-    table = termination_probs(delta1)
-    assert is_almost_surely_terminating(delta1, table)
-    assert not is_bounded_case(delta1, "X1")
+    assert termination_probs(delta1).symbol_prob(delta1, "X1") == 1.0
+    assert not dependence(delta1).bounded("X1")
     n = 2 ** len(delta1.alphabet)
     dist = exact_distribution_bpa(delta1, "X1", 64)
     assert suffix_tail(dist, n) >= 0.5 ** n

@@ -14,7 +14,7 @@ from ppda import (
 )
 from ppda.model import Rule, Pda
 
-from helpers import small_bpas, small_pdas
+from helpers import POP_ORPHAN_TEXTS, small_bpas, small_pdas
 
 TWOSTATE = """
 pda                      # comments allowed everywhere
@@ -117,6 +117,12 @@ def test_validate_ruleless_pair_needs_unreachability():
     assert validate(m) == []
     problems = validate(m, start=Configuration("p", ("X",)))
     assert any("(p, Y)" in v for v in problems)
+
+
+@pytest.mark.parametrize("text", POP_ORPHAN_TEXTS.values(), ids=POP_ORPHAN_TEXTS)
+def test_validate_follows_pops_to_ruleless_pair(text):
+    model = parse_model(text)
+    assert any("(q, Y)" in v for v in validate(model, model.start))
 
 
 def test_validate_clean_on_example_models(tree, ab, twostate):

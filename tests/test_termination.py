@@ -12,7 +12,6 @@ from ppda import (
     Triple,
     exact_distribution_bpa,
     exact_distribution_pda,
-    is_almost_surely_terminating,
     make_bpa,
     parse_model,
     qualitative_zero,
@@ -27,6 +26,7 @@ from helpers import (
     CRITICAL_PDAS,
     chain_monomials,
     dense_newton,
+    is_almost_surely_terminating,
     may_terminate_loop,
     random_pda,
     relaxed_bpas,

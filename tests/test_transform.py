@@ -14,7 +14,6 @@ from ppda import (
     exact_distribution_bpa,
     exact_distribution_pda,
     exact_distribution_word,
-    is_almost_surely_terminating,
     make_bpa,
     make_u_progressive,
     moment_matrix,
@@ -33,6 +32,7 @@ from conftest import load_model
 from helpers import (
     CRITICAL_PDAS,
     chained_critical,
+    is_almost_surely_terminating,
     small_bpas,
     small_pdas,
     symmetric_pair,
