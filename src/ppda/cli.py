@@ -49,7 +49,6 @@ from .model import (
     parse_model,
     serialize,
     start_problems,
-    validate,
 )
 from .moments import PowerIterationError
 from .termination import NewtonDivergedError, termination_probs
@@ -77,7 +76,7 @@ def _load(path: str) -> Pda:
         model = parse_model(text)
     except ModelError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    problems = validate(model, start=model.start)
+    problems = start_problems(model, model.start) if model.start is not None else []
     if problems:
         raise CliError(f"{path}: " + "; ".join(problems))
     return model
@@ -242,9 +241,9 @@ def cmd_transform(args) -> int:
     model = _load(args.model)
     if model.stateless:
         raise CliError("model is already stateless")
-    table = termination_probs(model)
-    result = to_bpa(model, table)
-    text = serialize(result.bpa)
+    bpa = to_bpa(model, termination_probs(model)).bpa
+    del model  # with its compiled system, before the text is built
+    text = serialize(bpa)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

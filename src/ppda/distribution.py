@@ -157,7 +157,7 @@ def exact_distribution_pda(
     for rule in model.rules:
         if len(rule.rhs_word) > 2:
             raise ModelError("stateful DP expects right-hand sides of length <= 2")
-    system = CompiledSystem(model)
+    system = model.compiled
     mass = _pda_masses(system, n_max)
     if triple is None:
         return {t: DistTable(subject=t, mass=row, n_max=n_max, norm=None)

@@ -124,8 +124,9 @@ class Pda:
     """A validated-on-construction probabilistic pushdown automaton.
 
     Immutable after construction.  Rule lookup tables, the may-terminate
-    triples and, for stateless models, the moment matrix with its dependence
-    are cached lazily, and the value is safe to share across threads.
+    array, the compiled termination system and, for stateless models, the
+    moment matrix with its dependence are each built once, lazily, and the
+    value is safe to share across threads.
     """
 
     states: tuple[str, ...]
@@ -158,12 +159,20 @@ class Pda:
         return {s: i for i, s in enumerate(self.alphabet)}
 
     @cached_property
-    def terminating_triples(self) -> frozenset[Triple]:
-        """``termination.may_terminate`` of this model, computed once:
-        validation, the solve and the analysis each need it."""
+    def terminating_triples(self):
+        """``termination.may_terminate`` of this model, a boolean array computed
+        once: validation, the solve and the analysis each need it."""
         from .termination import may_terminate
 
         return may_terminate(self)
+
+    @cached_property
+    def compiled(self):
+        """``termination.CompiledSystem`` of this model, built once for the solve,
+        ``to_bpa`` and the stateful DP; it holds no reference to the model."""
+        from .termination import CompiledSystem
+
+        return CompiledSystem(self)
 
     @cached_property
     def moments(self):
@@ -295,7 +304,11 @@ def _check_configuration(model: Pda, cfg: Configuration) -> list[str]:
 def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
     # Pairs (q, Z) exposed by popping are over-approximated through the
     # boolean may-terminate relation on triples.
-    can = model.terminating_triples
+    can, sidx, aidx = model.terminating_triples, model.state_index, model.symbol_index
+
+    def targets(state: str, symbol: str) -> list[str]:
+        return [model.states[q] for q in can[sidx[state], aidx[symbol]].nonzero()[0]]
+
     reach: set[tuple[str, str]] = set()
     frontier: list[tuple[str, str]] = []
 
@@ -311,9 +324,7 @@ def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
         for sym in start.stack:
             for q in entry_states:
                 visit(q, sym)
-            entry_states = {
-                q for s in entry_states for q in model.states if Triple(s, sym, q) in can
-            }
+            entry_states = {q for s in entry_states for q in targets(s, sym)}
     while frontier:
         state, symbol = frontier.pop()
         for rule in model.rules_for(state, symbol):
@@ -322,9 +333,8 @@ def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
             if len(rule.rhs_word) >= 2:
                 head = rule.rhs_word[0]
                 for below in rule.rhs_word[1:]:
-                    for q in model.states:
-                        if Triple(rule.rhs_state, head, q) in can:
-                            visit(q, below)
+                    for q in targets(rule.rhs_state, head):
+                        visit(q, below)
                     head = below
     return [
         f"pair ({state}, {symbol}) reachable from start but has no rules"

@@ -125,10 +125,10 @@ def certain_symbols(model: Pda) -> frozenset[str]:
     """
     mm = model.moments
     deps = mm.deps
-    can_empty = {t.symbol for t in model.terminating_triples}
+    can_empty = model.terminating_triples.any(axis=(0, 2))
     certain: list[bool] = []
     for i, comp in enumerate(deps.sccs):
-        good = all(sym in can_empty for sym in comp)
+        good = all(can_empty[model.symbol_index[sym]] for sym in comp)
         good = good and mm.block_radii[i] <= 1.0 + 1e-9
         good = good and all(certain[j] for j in deps.scc_successors[i])
         certain.append(good)

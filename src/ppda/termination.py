@@ -8,7 +8,9 @@ For every triple pXq the value [pXq] is the least nonnegative solution of
 
 solved here with undamped Newton iteration from the zero vector after a
 boolean preprocessing pass pins the structurally-zero variables.  The
-divergence mass [pX^] is reported as the clamped complement.
+divergence mass [pX^] is reported as the clamped complement.  The model
+keeps that pass's array (``may_terminate``) and the ``CompiledSystem`` over
+it (``Pda.compiled``), which the solve, ``to_bpa`` and the DP all read.
 
 Each Newton step solves (I - F'(v)) delta = F(v) - v.  Systems of at most
 DENSE_MAX (512) variables build the matrix and take one LAPACK solve: on a
@@ -112,18 +114,6 @@ class TerminationTable:
         return self.prob(p, symbol, p)
 
 
-def may_terminate(model: Pda) -> frozenset[Triple]:
-    """Triples pXq with a positive-probability path from pX to q-empty.
-
-    Boolean least fixed point of the same first-step system over {0, 1};
-    the complement of this set is exactly the set of zero variables.
-    ``Pda.terminating_triples`` keeps it for the model.
-    """
-    states, alphabet = model.states, model.alphabet
-    return frozenset(Triple(states[p], alphabet[x], states[q])
-                     for p, x, q in np.argwhere(_may_terminate_table(model)).tolist())
-
-
 def _rule_arrays(model: Pda):
     """Per rule: lhs state, lhs symbol, rhs state, word length, and the word
     as symbol indices, padded with |alphabet| to at least two columns."""
@@ -139,12 +129,14 @@ def _rule_arrays(model: Pda):
     return table[:, 0], table[:, 1], table[:, 2], table[:, 3], table[:, 4:]
 
 
-def _may_terminate_table(model: Pda) -> np.ndarray:
-    """``may_terminate`` as a boolean [state, symbol, target] array.
+def may_terminate(model: Pda) -> np.ndarray:
+    """can[p, X, q]: whether a positive-probability path leads from pX to q-empty.
 
-    Each round recomputes, for the rules whose word holds a symbol that
-    gained a target in the round before, the states their word can empty
-    into, one word position at a time.
+    Boolean least fixed point of the same first-step system over {0, 1}; the
+    false entries are exactly the zero variables.  ``Pda.terminating_triples``
+    keeps it for the model.  Each round recomputes, for the rules whose word
+    holds a symbol that gained a target in the round before, the states their
+    word can empty into, one word position at a time.
     """
     nq, ng = len(model.states), len(model.alphabet)
     lhs_state, lhs_symbol, rhs_state, _, words = _rule_arrays(model)
@@ -171,14 +163,9 @@ def _may_terminate_table(model: Pda) -> np.ndarray:
 
 def qualitative_zero(model: Pda) -> frozenset[Triple]:
     """Triples pXq whose termination probability is exactly zero."""
-    can = model.terminating_triples
-    return frozenset(
-        Triple(p, X, q)
-        for p in model.states
-        for X in model.alphabet
-        for q in model.states
-        if Triple(p, X, q) not in can
-    )
+    states, alphabet = model.states, model.alphabet
+    return frozenset(Triple(states[p], alphabet[x], states[q])
+                     for p, x, q in np.argwhere(~model.terminating_triples).tolist())
 
 
 class CompiledSystem:
@@ -190,21 +177,18 @@ class CompiledSystem:
     monomial k adds ``coef[k]`` times the product of ``v[factors[k]]`` to
     equation ``lhs[k]``.  Factor rows are padded with n, the index of a
     constant 1 appended to v; ``degree[k]`` counts the real factors.
-    ``rule[k]`` indexes ``model.rules``, whose exact probability serves the
-    decimal refinement.  Within each equation, monomials keep the order the
-    rules list them, and F and F' add them in that order, so the sums are
-    those of a plain loop over the rules.
+    ``rule[k]`` indexes ``rules``, the model's rules, whose exact probability
+    serves the decimal refinement; the model caches the system, which keeps
+    no reference back to it.  Within each equation, monomials keep the order
+    the rules list them, and F and F' add them in that order, so the sums
+    are those of a plain loop over the rules.
     """
 
     def __init__(self, model: Pda):
-        self.model = model
+        self.rules = model.rules
         states, alphabet = model.states, model.alphabet
-        nq, ng = len(states), len(alphabet)
-        sidx, aidx = model.state_index, model.symbol_index
-        known = np.zeros((nq, ng, nq), dtype=bool)
-        for t in model.terminating_triples:
-            if not t.diverging:
-                known[sidx[t.state], aidx[t.symbol], sidx[t.target]] = True
+        nq = len(states)
+        known = model.terminating_triples
         n = self.n = int(np.count_nonzero(known))
         # table[p, X, q]: the number of triple pXq, or -1 if it cannot terminate
         table = np.full(known.shape, -1, dtype=np.intp)
@@ -317,7 +301,7 @@ def termination_probs(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    system = CompiledSystem(model)
+    system = model.compiled
     idx, n = system.index, system.n
 
     def newton(v: np.ndarray, free: np.ndarray):
@@ -337,7 +321,7 @@ def termination_probs(
             size = np.max(np.abs(residual))
             if size == 0.0:
                 break
-            delta = _newton_step(system, v, free, residual)
+            delta, _ = _solve(system, v, free, residual)
             new = np.clip(v[free] + delta, 0.0, 1.0)
             step = float(np.max(np.abs(new - v[free])))
             gain = max(gain, step / size)
@@ -401,7 +385,10 @@ def termination_probs(
             iterations += steps
             residual = float(np.max(np.abs(system.apply(v) - v)))
 
+    # Targets of a pair adding up to more than 1 + tol are unsolved, however
+    # small the residual: a step past a critical fixed point leaves it tiny.
     probs: dict[Triple, float] = {}
+    excess = 0.0
     for p in model.states:
         for X in model.alphabet:
             total = 0.0
@@ -411,6 +398,9 @@ def termination_probs(
                 probs[t] = float(val)
                 total += float(val)
             probs[Triple(p, X, None)] = min(1.0, max(0.0, 1.0 - total))
+            excess = max(excess, total - 1.0)
+    if excess > tol:
+        residual = max(residual, excess)
 
     table = TerminationTable(
         probs=probs,
@@ -424,24 +414,24 @@ def termination_probs(
     return table
 
 
-def _newton_step(system: CompiledSystem, v: np.ndarray, free: np.ndarray,
-                 residual: np.ndarray) -> np.ndarray:
-    """The step delta with (I - F'(v)) delta = residual on the variables ``free``.
+def _solve(system: CompiledSystem, v: np.ndarray, free: np.ndarray, b: np.ndarray):
+    """x with (I - F'(v)) x = b on the variables ``free``, and whether it was solved.
 
     Small systems are solved densely.  Larger ones by GMRES on the
     matrix-free operator; if it misses KRYLOV_RTOL, the dense solve stands
-    in while its matrix is small enough, else the GMRES iterate is taken.
-    A singular matrix gives the fixed-point step, the residual itself.
+    in while its matrix is small enough, else the GMRES iterate comes back
+    unsolved.  A singular matrix gives b itself, unsolved: for a Newton
+    step, the fixed-point step.
     """
     m = len(free)
     if m > DENSE_MAX:
-        delta, solved = _gmres(system.newton_operator(v, free), residual)
+        x, solved = _gmres(system.newton_operator(v, free), b)
         if solved or m > DENSE_FALLBACK_MAX:
-            return delta
+            return x, solved
     try:
-        return np.linalg.solve(system.newton_matrix(v, free), residual)
+        return np.linalg.solve(system.newton_matrix(v, free), b), True
     except np.linalg.LinAlgError:
-        return residual
+        return b, False
 
 
 def _gmres(matvec, b: np.ndarray):
@@ -508,14 +498,7 @@ def _near_critical(system: CompiledSystem, v: np.ndarray, skip) -> list[list[int
         cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
         if not cyclic or comp[0] in skip:
             continue
-        free, ones = np.array(comp), np.ones(len(comp))
-        if len(comp) > DENSE_MAX:
-            x, solved = _gmres(system.newton_operator(v, free), ones)
-        else:
-            try:
-                x, solved = np.linalg.solve(system.newton_matrix(v, free), ones), True
-            except np.linalg.LinAlgError:
-                solved = False
+        x, solved = _solve(system, v, np.array(comp), np.ones(len(comp)))
         gain = float(np.max(np.abs(x))) if solved else math.inf
         if not gain <= NEAR_CRITICAL:
             found.update(comp)
@@ -541,7 +524,7 @@ def _extended_newton(system: CompiledSystem, members: list[int], start: np.ndarr
     """
     local = {g: k for k, g in enumerate(members)}
     m = len(members)
-    rules = system.model.rules
+    rules = system.rules
     iterates: list[list[float]] = []
     with localcontext() as ctx:
         ctx.prec = EXTENDED_DIGITS

@@ -15,6 +15,7 @@ terminating symbols terminates almost surely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .model import BPA_STATE, Configuration, Pda, Rule, Triple
 from .moments import rule_weight_change
-from .termination import CompiledSystem, TerminationTable
+from .termination import TerminationTable
 
 __all__ = [
     "TransformResult",
@@ -54,7 +55,7 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
     first-step identity when the table residual is small.
     """
     probs = table.probs
-    system = CompiledSystem(model)
+    system = model.compiled
     term_syms = [t for t in system.triples if probs[t] > OMIT_BELOW]
     # A pair without rules is stuck, not running forever; it neither gets a
     # diverging symbol nor appears in one.
@@ -119,7 +120,8 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
     bpa = Pda((BPA_STATE,), alphabet, tuple(rules), kind="bpa", start=start)
 
     for (_, sym), row in bpa.rules_by_pair.items():
-        total = float(sum((r.prob for r in row), Fraction(0)))
+        # each probability is a float held exactly: fsum rounds their exact sum
+        total = math.fsum(float(r.prob) for r in row)
         if abs(total - 1.0) > 1e-9:
             raise TransformError(f"row for {sym} sums to {total!r}; table residual too large")
 

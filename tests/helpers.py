@@ -346,6 +346,15 @@ CRITICAL_PDAS = {
 }
 
 
+def critical_pda_chain(k: int) -> Pda:
+    """One-state pda chain of k critical links: u Xi -> u Xi Xi and
+    u Xi -> u X(i-1), each 1/2, above u X0 -> u : 1; every [u Xi u] is 1."""
+    rules = "".join(f"rule: u X{i} -> u X{i} X{i} : 1/2\nrule: u X{i} -> u X{i - 1} : 1/2\n"
+                    for i in range(1, k + 1))
+    return parse_model(f"pda\nstates: u\nalphabet: {' '.join(f'X{i}' for i in range(k + 1))}\n"
+                       f"start: u X{k}\nrule: u X0 -> u : 1\n{rules}")
+
+
 def subcritical_unit():
     return make_bpa([(("X",), Fraction(3, 4)), (("X", "X", "X"), Fraction(1, 4))],
                     start="X")

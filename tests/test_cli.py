@@ -12,13 +12,15 @@ import ppda.bounds
 import ppda.cli
 import ppda.distribution
 import ppda.graph
+import ppda.model
 import ppda.moments
 import ppda.termination
 import ppda.transform
 from ppda import Triple, parse_model, serialize, termination_probs
 from ppda.cli import main
 
-from helpers import ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass, random_pda, term_dp_masses
+from helpers import (ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass, critical_pda_chain,
+                     random_pda, term_dp_masses)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -316,7 +318,8 @@ def test_numeric_failure_exits_3(models_dir, monkeypatch, capsys, error):
 
 
 def count_calls(monkeypatch, *functions) -> Counter:
-    """Count calls of each function under every ppda name bound to it."""
+    """Count calls of each function under every ppda name bound to it, and
+    the systems compiled, under "CompiledSystem"."""
     counts: Counter = Counter()
     modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "ppda"]
     for fn in functions:
@@ -327,19 +330,31 @@ def count_calls(monkeypatch, *functions) -> Counter:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
+    compile_ = ppda.termination.CompiledSystem.__init__
+
+    def counted_compile(self, model):
+        counts["CompiledSystem"] += 1
+        compile_(self, model)
+    monkeypatch.setattr(ppda.termination.CompiledSystem, "__init__", counted_compile)
     return counts
+
+
+def model_path(models_dir, tmp_path, source: str) -> Path:
+    """A bundled model, or "random": random_pda(2, 6, seed=2) written out."""
+    if source != "random":
+        return models_dir / source
+    path = tmp_path / "random.ppda"
+    path.write_text(serialize(random_pda(2, 6, seed=2)))
+    return path
 
 
 @pytest.mark.parametrize("source,start", [("tree.ppda", "q.A"), ("random", "p0.X0"),
                                           ("delta4.bpa", "X4")])
 def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, source, start):
-    path = models_dir / source
-    if source == "random":
-        path = tmp_path / "random.ppda"
-        path.write_text(serialize(random_pda(2, 6, seed=2)))
+    path = model_path(models_dir, tmp_path, source)
     counts = count_calls(monkeypatch, ppda.termination.termination_probs,
                          ppda.graph.dependence, ppda.moments.moment_matrix,
-                         ppda.bounds.classify)
+                         ppda.bounds.classify, ppda.model.validate)
     assert main(["analyze", str(path), "--start", start,
                  "--json", str(tmp_path / "out.json")]) == 0
     # one tail report per target state
@@ -349,6 +364,41 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     # and its classification share them
     assert counts["dependence"] == 1
     assert counts["moment_matrix"] == 1
+    # the model is compiled and validated once; the stateless transform
+    # output is neither
+    assert counts["CompiledSystem"] == 1
+    assert counts["validate"] == 1
+
+
+@pytest.mark.parametrize("source,start,target", [("ab.ppda", "p.X", "q"),
+                                                 ("random", "p0.X0", "p0")])
+@pytest.mark.parametrize("command", ["transform", "dist"])
+def test_solve_and_transform_share_one_compile(models_dir, tmp_path, monkeypatch,
+                                               source, start, target, command):
+    path = model_path(models_dir, tmp_path, source)
+    counts = count_calls(monkeypatch, ppda.termination.termination_probs, ppda.model.validate)
+    argv = {"transform": ["transform", str(path), "--out", str(tmp_path / "out.bpa")],
+            "dist": ["dist", str(path), "--start", start, "--target", target, "--nmax", "8",
+                     "--csv", str(tmp_path / "out.csv")]}[command]
+    assert main(argv) == 0
+    assert counts["termination_probs"] == 1
+    assert counts["CompiledSystem"] == 1
+    assert counts["validate"] == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_critical_pda_chain_exit_codes(tmp_path, capsys, k):
+    # four links end about 1.3e-11 above 1 with a residual of 7e-21: the
+    # excess over 1 counts as residual, so the solve fails instead of passing
+    path = tmp_path / "chain.ppda"
+    path.write_text(serialize(critical_pda_chain(k)))
+    code = main(["analyze", str(path), "--json", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    if k < 4:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: termination solver")
 
 
 WORD_START_BPA = "bpa\nalphabet: X\nstart: X X\nrule: X -> X X : 1/4\nrule: X -> : 3/4\n"

@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from ppda.termination import CompiledSystem, _gmres, may_terminate
 from helpers import (
     CRITICAL_PDAS,
     chain_monomials,
+    critical_pda_chain,
     dense_newton,
     is_almost_surely_terminating,
     may_terminate_loop,
@@ -133,6 +135,14 @@ def test_snap_resolves_symbols_above_a_critical_one():
     assert t.residual <= t.tol
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_critical_pda_chains_solve_exactly(k):
+    # each link is critical once the one below is exact; the decimal solve
+    # with its doubled final step must get every value to exactly 1
+    table = termination_probs(critical_pda_chain(k))
+    assert [table.prob("u", f"X{i}", "u") for i in range(k + 1)] == [1.0] * (k + 1)
+
+
 def check_compiled_system(model: Pda, seed: int):
     """F and I - F' of the compiled system equal the term-list ones exactly."""
     system = CompiledSystem(model)
@@ -167,6 +177,17 @@ def test_compiled_system_relaxed_words():
     )
     assert {len(r.rhs_word) for r in m.rules} == {0, 1, 2, 3, 4}
     check_compiled_system(m, 5)
+
+
+def test_compiled_system_lets_its_model_go():
+    # the model caches its system; a reference back would keep both alive
+    # in a cycle after the last outside reference to the model is gone
+    model = critical_pda_chain(2)
+    system, gone = model.compiled, weakref.ref(model)
+    termination_probs(model)
+    del model
+    assert gone() is None
+    assert system.n == 3
 
 
 def test_newton_iterates_monotone_bounded(tree, ab):
@@ -282,11 +303,18 @@ def test_gmres_solves_nonsymmetric_systems_across_restarts(monkeypatch):
     assert not solved
 
 
+def may_terminate_triples(model: Pda) -> frozenset[Triple]:
+    """The true entries of ``may_terminate(model)`` as triples."""
+    states, alphabet = model.states, model.alphabet
+    return frozenset(Triple(states[p], alphabet[x], states[q])
+                     for p, x, q in np.argwhere(may_terminate(model)).tolist())
+
+
 @given(small_pdas())
 @settings(max_examples=60, deadline=None)
 @example(CRITICAL_PDAS["with_bystander"])
 def test_may_terminate_matches_rule_sweeps(model):
-    assert may_terminate(model) == may_terminate_loop(model)
+    assert may_terminate_triples(model) == may_terminate_loop(model)
 
 
 def check_chain_monomials(model: Pda):
@@ -310,7 +338,7 @@ def test_compiled_monomials_match_chain_loop(model):
 @given(relaxed_bpas())
 @settings(max_examples=60, deadline=None)
 def test_compiled_monomials_match_chain_loop_relaxed(model):
-    assert may_terminate(model) == may_terminate_loop(model)
+    assert may_terminate_triples(model) == may_terminate_loop(model)
     check_chain_monomials(model)
 
 
