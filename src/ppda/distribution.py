@@ -67,7 +67,7 @@ class DistTable:
     def residual_mass(self) -> float:
         if self.norm is None:
             raise ModelError("table has no termination probability attached")
-        return self.norm - float(np.sum(self.mass))
+        return self.norm - float(np.cumsum(self.mass)[-1])  # as ``tail`` sums
 
 
 def tail(table: DistTable, n: int) -> float:
@@ -76,7 +76,8 @@ def tail(table: DistTable, n: int) -> float:
         raise ModelError(f"tail at {n} beyond horizon {table.n_max}")
     if table.norm is None:
         raise ModelError("table has no termination probability attached")
-    gap = table.norm - float(np.sum(table.mass[:n]))
+    # the sequential prefix sum, the cumulative column ``dist_csv`` prints
+    gap = table.norm - (float(np.cumsum(table.mass[:n])[-1]) if n else 0.0)
     gap = min(max(gap, 0.0), table.norm if table.norm > 0 else 0.0)
     if isinstance(table.subject, Triple):
         return gap / table.norm if table.norm > 0 else 0.0
@@ -297,18 +298,18 @@ def _outcomes(model: Pda) -> _Outcomes:
 class _Streams:
     """Blocks of uniforms from the per-sample Philox streams.
 
-    Sample i reads the stream keyed (seed << 64) | i.  Philox turns one
-    counter into four words, one double each, so after t draws, t a multiple
-    of 4, a stream stands at counter t/4 with an empty buffer.  Setting one
-    generator to that key and counter continues any stream at step t, bit
-    for bit, at a tenth of the cost of a new generator.
+    Sample i reads the stream keyed (seed << 64) | i, for 0 <= seed < 2**64.
+    Philox turns one counter into four words, one double each, so after t
+    draws, t a multiple of 4, a stream stands at counter t/4 with an empty
+    buffer.  Setting one generator to that key and counter continues any
+    stream at step t, bit for bit, at a tenth of the cost of a new generator.
     """
 
     def __init__(self, seed: int):
         self.bits = Philox(0)
         self.gen = Generator(self.bits)
         self.counter = [0, 0, 0, 0]
-        self.key = [0, seed & (2**64 - 1)]
+        self.key = [0, seed]
         self.state = {"bit_generator": "Philox",
                       "state": {"counter": self.counter, "key": self.key},
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -362,6 +363,8 @@ def _walk(model: Pda, start: Configuration, samples: int, cap: int, seed: int,
     problems = start_problems(model, start)
     if problems:
         raise ModelError("; ".join(problems))
+    if not 0 <= seed < 2**64:  # the high word of every stream's key
+        raise ModelError(f"seed {seed} is outside 0 .. 2**64 - 1")
     table = _outcomes(model)
     stack0 = [model.symbol_index[sym] for sym in reversed(start.stack)]
     state0 = model.state_index[start.state] * table.symbols

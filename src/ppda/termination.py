@@ -27,9 +27,11 @@ At a critical fixed point, where I - F' is singular, Newton in doubles
 stalls about sqrt(machine epsilon) short, and rounding the rule
 probabilities to doubles moves the fixed point by as much.  In stateful
 models, variable SCCs whose Jacobian block is near-singular are therefore
-solved again, with all they depend on, by Newton in decimal arithmetic from
-the exact rule probabilities; the variables above them are then solved in
-doubles again.  Stateless models are certified structurally instead, by
+solved again, with all they depend on, by Newton in decimal arithmetic over
+the same compiled monomials, with the exact rule probabilities as their
+coefficients; the variables above them are then solved in doubles again.
+The SCCs and their reach sets come from ``graph._condense`` on the graph of
+F'.  Stateless models are certified structurally instead, by
 ``moments.certain_symbols`` on the moment matrix the model keeps.
 """
 
@@ -38,11 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 
-from .graph import _tarjan
+from .graph import _condense, _tarjan
 from .model import Pda, Triple
 from .moments import certain_symbols
 
@@ -487,84 +488,63 @@ def _gmres(matvec, b: np.ndarray):
 def _near_critical(system: CompiledSystem, v: np.ndarray, skip) -> list[list[int]]:
     """SCCs whose block of I - F'(v) is nearly singular, and all they depend on.
 
-    SCCs in ``skip`` are passed over.  The SCCs come callees first.
+    The dependence graph of F' is condensed by ``graph._condense``; a cyclic
+    SCC whose gain ||(I - F')^-1 1|| on its block passes NEAR_CRITICAL is
+    taken with its reach set.  SCCs in ``skip`` are passed over and left out.
+    ``skip`` holds the SCCs of earlier rounds, each taken with all it depends
+    on, so it is closed under dependence: a reach set minus ``skip`` is what
+    the SCC depends on outside it.  The SCCs come callees first.
     """
     edges: dict[int, set[int]] = {i: set() for i in range(system.n)}
     for i, a in zip(system._rows.tolist(), system._cols.tolist()):
         edges[i].add(a)
-    comps = _tarjan(tuple(edges), edges)
+    info = _condense(edges, _tarjan(tuple(edges), edges))
     found: set[int] = set()
-    for comp in comps:
-        cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
-        if not cyclic or comp[0] in skip:
+    for comp in info.sccs:
+        if comp[0] in skip or not info.on_cycle(comp[0]):
             continue
         x, solved = _solve(system, v, np.array(comp), np.ones(len(comp)))
         gain = float(np.max(np.abs(x))) if solved else math.inf
         if not gain <= NEAR_CRITICAL:
-            found.update(comp)
-    stack = list(found)
-    while stack:
-        for a in edges[stack.pop()] - found:
-            if a not in skip:
-                found.add(a)
-                stack.append(a)
-    return [sorted(comp) for comp in comps if comp[0] in found]
+            found.update(info.reachable_from[comp[0]])
+    return [sorted(comp) for comp in info.sccs if comp[0] in found and comp[0] not in skip]
 
 
 def _extended_newton(system: CompiledSystem, members: list[int], start: np.ndarray,
                      exact: dict[int, Decimal]):
     """Newton in decimal arithmetic on the variables ``members`` from ``start``.
 
-    Coefficients are the exact rule probabilities.  Variables outside
-    ``members`` are read from ``exact``, which receives the solution.
-    Returns every iterate rounded to doubles and an estimate of the error
-    left.  Iterates are not clamped: exact Newton from below stays below the
-    fixed point, and a value pinned at a critical 1 would make the matrix
-    exactly singular.
+    F and F' are read from the members' compiled monomials, with the exact
+    rule probabilities as coefficients.  Variables outside ``members`` are
+    read from ``exact``, which receives the solution.  Returns every iterate
+    rounded to doubles and an estimate of the error left.  Iterates are not
+    clamped: exact Newton from below stays below the fixed point, and a
+    value pinned at a critical 1 would make the matrix exactly singular.
     """
     local = {g: k for k, g in enumerate(members)}
     m = len(members)
-    rules = system.rules
     iterates: list[list[float]] = []
     with localcontext() as ctx:
         ctx.prec = EXTENDED_DIGITS
         zero, one = Decimal(0), Decimal(1)
-
-        def dec(c: Fraction) -> Decimal:
-            return Decimal(c.numerator) / Decimal(c.denominator)
-
-        # per member: the constant, then each monomial as its coefficient
-        # times its fixed factors, with the local indices of the others
-        base, rows = [], []
-        for g in members:
-            const, row, fixed = Fraction(0), [], []
-            for k in np.flatnonzero(system.lhs == g):
-                factors = system.factors[k, : system.degree[k]].tolist()
-                if factors:
-                    fixed.append((rules[system.rule[k]].prob, factors))
-                else:
-                    const += rules[system.rule[k]].prob
-            total = dec(const)
-            for c, factors in fixed:
-                coef = dec(c) * math.prod(exact[a] for a in factors if a not in local)
-                mine = [local[a] for a in factors if a in local]
-                if mine:
-                    row.append((coef, mine))
-                else:
-                    total += coef
-            base.append(total)
-            rows.append(row)
+        # per monomial of a member: its row, its coefficient and its factors
+        monomials = []
+        for k in np.flatnonzero(np.isin(system.lhs, members)).tolist():
+            prob = system.rules[system.rule[k]].prob
+            monomials.append((local[int(system.lhs[k])],
+                              Decimal(prob.numerator) / prob.denominator,
+                              system.factors[k, : system.degree[k]].tolist()))
         x = [Decimal(float(value)) for value in start]
         error = previous = one
         while error > EXTENDED_TOL and len(iterates) < EXTENDED_ITERATIONS:
-            residual = [b - xi for b, xi in zip(base, x)]
+            residual = [-xi for xi in x]
             matrix = [[one if i == j else zero for j in range(m)] for i in range(m)]
-            for i, row in enumerate(rows):
-                for c, factors in row:
-                    residual[i] += c * math.prod(x[k] for k in factors)
-                    for pos, k in enumerate(factors):
-                        others = (x[l] for j, l in enumerate(factors) if j != pos)
-                        matrix[i][k] -= c * math.prod(others)
+            for i, coef, factors in monomials:
+                at = [x[local[a]] if a in local else exact[a] for a in factors]
+                residual[i] += coef * math.prod(at)
+                for pos, a in enumerate(factors):
+                    if a in local:
+                        matrix[i][local[a]] -= coef * math.prod(at[:pos] + at[pos + 1:])
             delta = _solve_decimal(matrix, residual) or residual
             # Near a critical fixed point each step is half the error left, so
             # twice the step lands within about its square.  Newton from there

@@ -10,8 +10,10 @@ one model-wide analysis.
 """
 
 import functools
+import math
 import random
 from collections import Counter, defaultdict
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +36,8 @@ from ppda import (
 from ppda.bounds import CASE3_LOWER_EXPONENT
 from ppda.distribution import SampleStats
 from ppda.model import BPA_STATE, ModelError, Rule
+from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
+                              EXTENDED_TOL, _solve_decimal)
 from ppda.transform import OMIT_BELOW, TransformError
 
 
@@ -576,6 +580,70 @@ def dense_newton(model: Pda, tol: float = 1e-12, max_steps: int = 200) -> dict:
     return dict(zip(triples, v.tolist()))
 
 
+def extended_newton_rows(system, members: list[int], start: np.ndarray, exact: dict):
+    """``termination._extended_newton`` from a per-member encoding of F.
+
+    Each member's constant is folded in exact ``Fraction``s and each of its
+    monomials is pre-multiplied by its factors outside ``members``, read
+    from ``exact``; the rest of the iteration is the library's.  Returns the
+    iterates in doubles and the error estimate, and fills ``exact``.
+    """
+    local = {g: k for k, g in enumerate(members)}
+    m = len(members)
+    rules = system.rules
+    iterates: list[list[float]] = []
+    with localcontext() as ctx:
+        ctx.prec = EXTENDED_DIGITS
+        zero, one = Decimal(0), Decimal(1)
+
+        def dec(c: Fraction) -> Decimal:
+            return Decimal(c.numerator) / Decimal(c.denominator)
+
+        # per member: the constant, then each monomial as its coefficient
+        # times its fixed factors, with the local indices of the others
+        base, rows = [], []
+        for g in members:
+            const, row, fixed = Fraction(0), [], []
+            for k in np.flatnonzero(system.lhs == g):
+                factors = system.factors[k, : system.degree[k]].tolist()
+                if factors:
+                    fixed.append((rules[system.rule[k]].prob, factors))
+                else:
+                    const += rules[system.rule[k]].prob
+            total = dec(const)
+            for c, factors in fixed:
+                coef = dec(c) * math.prod(exact[a] for a in factors if a not in local)
+                mine = [local[a] for a in factors if a in local]
+                if mine:
+                    row.append((coef, mine))
+                else:
+                    total += coef
+            base.append(total)
+            rows.append(row)
+        x = [Decimal(float(value)) for value in start]
+        error = previous = one
+        while error > EXTENDED_TOL and len(iterates) < EXTENDED_ITERATIONS:
+            residual = [b - xi for b, xi in zip(base, x)]
+            matrix = [[one if i == j else zero for j in range(m)] for i in range(m)]
+            for i, row in enumerate(rows):
+                for c, factors in row:
+                    residual[i] += c * math.prod(x[k] for k in factors)
+                    for pos, k in enumerate(factors):
+                        others = (x[l] for j, l in enumerate(factors) if j != pos)
+                        matrix[i][k] -= c * math.prod(others)
+            delta = _solve_decimal(matrix, residual) or residual
+            error = max(abs(d) for d in delta)
+            final = error <= DOUBLING_BELOW and abs(2 * error - previous) <= previous / 8
+            previous = error
+            x = [xi + (2 * d if final else d) for xi, d in zip(x, delta)]
+            iterates.append([float(xi) for xi in x])
+            if final:
+                error *= error
+                break
+    exact.update(zip(members, x))
+    return iterates, float(error)
+
+
 def to_bpa_loop(model: Pda, table) -> Pda:
     """``to_bpa(model, table).bpa`` by a loop over the triples, their rules
     and the split states of each rule."""
@@ -685,7 +753,7 @@ def _compile_rules(model: Pda):
 
 
 def _sample_stream(seed: int, index: int) -> Generator:
-    key = ((seed & (2**64 - 1)) << 64) | index
+    key = (seed << 64) | index
     return Generator(Philox(key=key))
 
 

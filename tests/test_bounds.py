@@ -188,6 +188,7 @@ def test_bound_values():
     assert upper_bound_azuma(rep, 4) == 1.0
     assert upper_bound_azuma(rep, 3) == 1.0
     assert upper_bound_azuma_loose(rep, 36) == pytest.approx(math.exp(1 - 36 / 32), rel=1e-12)
+    assert rep.azuma_threshold == 4.0 and upper_bound_azuma_loose(rep, 3) == 1.0
 
 
 def test_poly_bound_values(delta1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -184,6 +185,29 @@ def test_simulate_byte_identical_output(models_dir, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# sha256 of the simulate CSV of each bundled model at seed 2024, 3,000
+# samples, cap 2,000.  The walker decides every step by comparing floats
+# built by sequential adds, so the bytes depend on neither BLAS nor the CPU;
+# a digest that moves means the output of a given seed moved.
+SIMULATE_SHA256 = {
+    "ab.ppda": "3071c203b94b678cf6feb056039e51050753675ee6370bd31e914562d3f11fdb",
+    "delta1.bpa": "91e84db9ffef98b9491aef8f4d1e84527ec23ceed309f8bdc82f00c3e96cea71",
+    "delta2.bpa": "bd07eff0cfc12b17706386fd26c38b502fb806d81634aca1e7409e7c6cbda661",
+    "delta3.bpa": "97ecb91d91a01d5c13928726716684c8050dc557dfcdca25b733060e8f2c6934",
+    "delta4.bpa": "4b10025f19412dbbe9ed46165e8a9fbfe63775fb55daf39a4fc730e89dda746a",
+    "tree.ppda": "89f695003a9483d25cb0b73a9e3b5cf3e0f0dcc7754253aa1f1662f45961930f",
+    "twostate.ppda": "263b74e9535a5ad123e6e615d62ce210d5f8bde06afa1adc16a4eac9ccee64df",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
+def test_simulate_output_is_pinned(models_dir, tmp_path, name):
+    out = tmp_path / "sample.csv"
+    assert main(["simulate", str(models_dir / name), "--samples", "3000", "--seed", "2024",
+                 "--cap", "2000", "--csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[name]
+
+
 def test_simulate_censoring_reported(tmp_path, capsys):
     src = tmp_path / "grow.bpa"
     src.write_text("bpa\nalphabet: X\nstart: X\nrule: X -> X X : 1\n")
@@ -227,6 +251,17 @@ def test_analyze_diverging_bpa_rejected(tmp_path, capsys):
     assert main(["analyze", str(src)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: symbols reachable from X may diverge; transform or condition first"]
+
+
+def test_analyze_reports_the_bounded_horizon(tmp_path):
+    # X and Y lie on no cycle, so every run from X ends within the horizon
+    src, out = tmp_path / "acyclic.bpa", tmp_path / "acyclic.json"
+    src.write_text("bpa\nalphabet: X Y\nstart: X\nrule: X -> Y Y : 1/2\nrule: X -> : 1/2\n"
+                   "rule: Y -> : 1\n")
+    assert main(["analyze", str(src), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["tails"] == [
+        {"start": "X", "case": 1, "gamma_size": 2, "p_min": 0.5, "height": 2,
+         "bounded_horizon": 4}]
 
 
 def test_analyze_model_that_never_terminates(tmp_path):
@@ -412,6 +447,7 @@ INLINE_MODELS = {
     "word.bpa": WORD_START_BPA,
     "word.ppda": ("pda\nstates: p\nalphabet: X\nstart: p X X\n"
                   "rule: p X -> p X X : 1/4\nrule: p X -> p : 3/4\n"),
+    "diverging.bpa": "bpa\nalphabet: X\nstart: X\nrule: X -> X X : 3/4\nrule: X -> : 1/4\n",
 }
 
 
@@ -421,6 +457,10 @@ INLINE_MODELS = {
     ["analyze", "ab.ppda", "--tol", "nan"],
     ["simulate", "ab.ppda", "--samples", "0"],
     ["simulate", "ab.ppda", "--cap", "0"],
+    # a seed is the high word of a 128-bit key; an empty start walks no step
+    ["simulate", "ab.ppda", "--seed", "-1"],
+    ["simulate", "ab.ppda", "--seed", str(2**64)],
+    ["simulate", "empty.bpa", "--seed", str(2**64)],
     ["bounds", "delta1.bpa", "--eps", "0"],
     ["bounds", "delta1.bpa", "--eps", "2"],
     ["dist", "delta1.bpa", "--target", "nowhere"],
@@ -430,6 +470,7 @@ INLINE_MODELS = {
     ["simulate", "ab.ppda", "--start", "p"],
     ["analyze", "ab.ppda", "--start", "p.Z"],
     ["bounds", "ab.ppda"],
+    ["bounds", "diverging.bpa"],
     ["transform", "delta1.bpa"],
     # the declared start is valid; from --start the rule-less pair (q, Y) is reached
     ["simulate", "orphan.ppda", "--start", "q.X"],

@@ -1,5 +1,6 @@
 import math
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from helpers import (
     chain_monomials,
     critical_pda_chain,
     dense_newton,
+    extended_newton_rows,
     is_almost_surely_terminating,
     may_terminate_loop,
     random_pda,
@@ -141,6 +143,33 @@ def test_critical_pda_chains_solve_exactly(k):
     # with its doubled final step must get every value to exactly 1
     table = termination_probs(critical_pda_chain(k))
     assert [table.prob("u", f"X{i}", "u") for i in range(k + 1)] == [1.0] * (k + 1)
+
+
+def test_extended_newton_matches_per_member_rows(monkeypatch, models_dir):
+    # every decimal refinement on the models that reach it, against the
+    # per-member encoding of F it replaced
+    models = [parse_model(path.read_text(encoding="utf-8"))
+              for path in sorted(models_dir.iterdir())]
+    models += [*BLOCKING.values(), *CRITICAL_PDAS.values(),
+               *(critical_pda_chain(k) for k in range(1, 5))]
+    real, calls = ppda.termination._extended_newton, []
+
+    def recorded(system, members, start, exact):
+        before = dict(exact)
+        iterates, error = real(system, members, start, exact)
+        calls.append((system, members, start.copy(), before, iterates, dict(exact)))
+        return iterates, error
+
+    monkeypatch.setattr(ppda.termination, "_extended_newton", recorded)
+    for model in models:
+        termination_probs(model, strict=False)
+    assert len(calls) == 22
+    for system, members, start, before, iterates, after in calls:
+        exact = dict(before)
+        expected, _ = extended_newton_rows(system, members, start, exact)
+        assert len(iterates) == len(expected)
+        assert iterates[-1] == expected[-1]
+        assert max(abs(after[g] - exact[g]) for g in members) <= Decimal("1e-35")
 
 
 def check_compiled_system(model: Pda, seed: int):

@@ -332,6 +332,35 @@ def test_progressive_contracts_weight_neutral_symbol():
     assert rules_as_set(prog) != rules_as_set(model)
 
 
+def test_progressive_merges_a_contracted_rule_into_its_twin():
+    # Y owns no margin rule; contracting Y -> X with X's rules yields a second
+    # Y -> Y, which joins the first: 1/3 + 2/3 * 4/9 = 17/27
+    model = make_bpa([(("X", "Y"), Fraction(4, 9)), (("X", "X"), Fraction(1, 3)),
+                      (("X",), Fraction(2, 9)), (("Y", "X"), Fraction(2, 3)),
+                      (("Y", "Y"), Fraction(1, 3))], start="X")
+    prog = make_u_progressive(model, cone_vector(model))
+    assert [(r.lhs_symbol, r.rhs_word, r.prob) for r in prog.rules] == [
+        ("X", ("Y",), Fraction(4, 9)), ("X", ("X",), Fraction(1, 3)), ("X", (), Fraction(2, 9)),
+        ("Y", ("Y",), Fraction(17, 27)), ("Y", ("X",), Fraction(2, 9)),
+        ("Y", (), Fraction(4, 27))]
+
+
+def test_progressive_stops_short_of_a_neutral_erasing_rule():
+    # u is all ones: X -> Z -> Y Y -> Y keeps X's weight, so the chain drops
+    # its erasing rule and X -> Z is contracted into Z's two rules
+    model = make_bpa([(("X", "Z"), Fraction(1)), (("Y",), Fraction(1)),
+                      (("Z", "Z", "X"), Fraction(1, 2)), (("Z", "Y", "Y"), Fraction(1, 2))],
+                     start="X")
+    u = cone_vector(model)
+    assert u == {"X": 1.0, "Y": 1.0, "Z": 1.0}
+    prog = make_u_progressive(model, u)
+    assert [(r.lhs_symbol, r.rhs_word, r.prob) for r in prog.rules] == [
+        ("X", ("Z", "X"), Fraction(1, 2)), ("X", ("Y", "Y"), Fraction(1, 2)),
+        ("Z", ("Z", "X"), Fraction(1, 2)), ("Z", ("Y", "Y"), Fraction(1, 2)),
+        ("Y", (), Fraction(1))]
+    progressive_posts(model, prog, u)
+
+
 def test_progressive_speed_sandwich():
     # tails at a <= 40 are far above float noise, so forward tails are exact
     for model in (chained_critical(), symmetric_pair()):
