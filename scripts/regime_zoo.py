@@ -2,7 +2,8 @@
 """Classify every bundled model and print its tail regime and constants.
 
 Stateful models are reduced first; each terminating triple symbol of the
-start pair gets its own row.  One Analysis per model serves every row.
+start pair gets its own row.  The moment record each model keeps
+(``Pda.moments``) serves every row.
 """
 
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from ppda import Analysis, classify, parse_model, terminating_part, termination_probs, to_bpa
+from ppda import classify, parse_model, terminating_part, termination_probs, to_bpa
 
 BUNDLED = [
     ("tree.ppda", "q", "A"),
@@ -39,14 +40,14 @@ def main():
         model = parse_model((models / name).read_text(encoding="utf-8"))
         print(f"== {name}")
         if model.stateless:
-            print(f"  {symbol:<10} {describe(classify(Analysis(model), symbol))}")
+            print(f"  {symbol:<10} {describe(classify(model, symbol))}")
             continue
         result = to_bpa(model, termination_probs(model))
-        analysis = Analysis(terminating_part(result))
-        for sym in analysis.model.alphabet:
+        part = terminating_part(result)
+        for sym in part.alphabet:
             trip = result.symbols[sym]
             if (trip.state, trip.symbol) == (state, symbol):
-                print(f"  {sym:<10} {describe(classify(analysis, sym))}")
+                print(f"  {sym:<10} {describe(classify(part, sym))}")
 
 if __name__ == "__main__":
     main()

@@ -15,22 +15,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from ppda import (
-    Analysis,
     Configuration,
     classify,
     exact_distribution_bpa,
-    lower_bound_pmin,
     parse_model,
     simulate,
     tail,
-    upper_bound_azuma,
-    upper_bound_poly,
+    tail_bounds,
 )
 
 
 def run(path: str, start: str, n_max: int, samples: int, seed: int, out: str | None):
     model = parse_model(Path(path).read_text(encoding="utf-8"))
-    report = classify(Analysis(model), start)
+    report = classify(model, start)
     dist = exact_distribution_bpa(model, start, n_max)
     stats = simulate(model, Configuration(model.only_state, (start,)),
                      samples=samples, step_cap=n_max, seed=seed)
@@ -38,12 +35,7 @@ def run(path: str, start: str, n_max: int, samples: int, seed: int, out: str | N
     grid = sorted({2**k for k in range(2, int(math.log2(n_max)) + 1)} | {n_max})
     lines = ["n,lower,upper,exact,empirical,empirical_se"]
     for n in grid:
-        if report.case == 1:
-            low, up = 0.0, (1.0 if n < report.bounded_horizon else 0.0)
-        elif report.case == 2:
-            low, up = lower_bound_pmin(report, n), upper_bound_azuma(report, n)
-        else:
-            low, up = lower_bound_pmin(report, n), upper_bound_poly(report, n)
+        low, up = tail_bounds(report, n)
         est, se = stats.empirical_tail(n)
         lines.append(f"{n},{low!r},{up!r},{tail(dist, n)!r},{est!r},{se!r}")
     text = "\n".join(lines) + "\n"

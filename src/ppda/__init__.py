@@ -8,13 +8,13 @@ everything against an exact distribution oracle and a seeded simulator.
 __version__ = "0.1.0"
 
 from .bounds import (
-    Analysis,
     NotAlmostSurelyTerminating,
     TailReport,
     ThresholdResult,
     classify,
     g_function,
     lower_bound_pmin,
+    tail_bounds,
     threshold_for_epsilon,
     upper_bound_azuma,
     upper_bound_azuma_loose,
@@ -50,7 +50,6 @@ from .moments import (
     ExpectationTable,
     MomentMatrix,
     conditional_expectations,
-    expectations,
     moment_matrix,
 )
 from .termination import (

@@ -15,9 +15,8 @@ exponent is reported, with estimation left to callers holding exact tails.
 
 What a start's regime depends on is model-wide: the dependence SCCs and
 their heights, the moment matrix, the expectations and the symbols certified
-to terminate with certainty.  ``Analysis`` gathers these once per model
-(the dependence and the moment matrix from ``Pda.moments``), and
-``classify`` reads them over the start's reach set.
+to terminate with certainty.  ``Pda.moments`` holds all of these once per
+model, and ``classify`` reads them over the start's reach set.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .model import ModelError, Pda
-from .moments import certain_symbols, expectations, rule_weight_change
+from .moments import rule_weight_change
 
 __all__ = [
-    "Analysis",
     "TailReport",
     "ThresholdResult",
     "NotAlmostSurelyTerminating",
@@ -38,6 +36,7 @@ __all__ = [
     "upper_bound_azuma",
     "upper_bound_azuma_loose",
     "upper_bound_poly",
+    "tail_bounds",
     "threshold_for_epsilon",
     "estimate_lower_constant",
     "g_function",
@@ -84,26 +83,17 @@ class ThresholdResult:
     n0_caveat: bool
 
 
-class Analysis:
-    """What classification reads of one stateless model, each part computed once."""
-
-    def __init__(self, model: Pda):
-        self.model = model
-        self.deps = model.moments.deps
-        self.expectations = expectations(model)
-        self.certain = certain_symbols(model)
-
-
-def classify(analysis: Analysis, start: str) -> TailReport:
-    """Assign the tail regime for runs from ``start``.
+def classify(model: Pda, start: str) -> TailReport:
+    """Assign the tail regime for runs from ``start`` of a stateless model.
 
     Only the symbols the start depends on count; raises
     NotAlmostSurelyTerminating unless they terminate with certainty.
     """
-    model, deps = analysis.model, analysis.deps
     if start not in model.symbol_index:
         raise ModelError(f"unknown start symbol {start!r}")
-    if start not in analysis.certain:
+    moments = model.moments
+    deps = moments.deps
+    if start not in moments.certain:
         raise NotAlmostSurelyTerminating(
             f"symbols reachable from {start} may diverge; transform or condition first"
         )
@@ -116,7 +106,7 @@ def classify(analysis: Analysis, start: str) -> TailReport:
     if deps.bounded(start):
         return TailReport(start=start, case=1, gamma_size=gamma, p_min=pmin, height=h)
 
-    exp = analysis.expectations
+    exp = moments.expectations
     if math.isfinite(exp[start]):  # then so is every symbol the start reaches
         return TailReport(
             start=start, case=2, gamma_size=gamma, p_min=pmin, height=h,
@@ -165,6 +155,14 @@ def upper_bound_poly(report: TailReport, n: int) -> float:
     if n < 1:
         raise ValueError("n must be positive")
     return min(1.0, report.d1 / n ** report.d2)
+
+
+def tail_bounds(report: TailReport, n: int) -> tuple[float, float]:
+    """The (lower, upper) bounds on P(T >= n) of the report's regime."""
+    if report.case == 1:
+        return 0.0, (1.0 if n < report.bounded_horizon else 0.0)
+    upper = upper_bound_azuma if report.case == 2 else upper_bound_poly
+    return lower_bound_pmin(report, n), upper(report, n)
 
 
 def _ceil_with_slack(x: float) -> int:

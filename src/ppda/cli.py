@@ -1,7 +1,8 @@
 """Command-line front end: analyze, transform, dist, simulate, bounds.
 
-``analyze`` solves the model once, then classifies through one ``Analysis``
-of the model, or of its terminating part when it is stateful.
+``analyze`` solves the model once, then classifies every start through the
+moment record (``Pda.moments``) of the model, or of its terminating part when
+it is stateful.
 
 Exit codes: 0 success, 2 file/parse/validation problems and bad flag
 values, 3 numeric failures (non-convergence, a transform row that misses
@@ -22,14 +23,11 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    Analysis,
     NotAlmostSurelyTerminating,
     TailReport,
     classify,
-    lower_bound_pmin,
+    tail_bounds,
     threshold_for_epsilon,
-    upper_bound_azuma,
-    upper_bound_poly,
 )
 from .distribution import (
     DistTable,
@@ -206,12 +204,12 @@ def cmd_analyze(args) -> int:
             ],
             "rules": len(result.bpa.rules),
         }
-    analysis = Analysis(analyzed)
     try:
-        report["tails"] = [_tail_report_dict(classify(analysis, name)) for name in starts]
+        report["tails"] = [_tail_report_dict(classify(analyzed, name)) for name in starts]
     except NotAlmostSurelyTerminating as exc:
         raise CliError(str(exc)) from exc
-    exp = analysis.expectations
+    moments = analyzed.moments
+    exp = moments.expectations
     report["expectations"] = {
         "values": {label: exp[name] for name, label in labels.items()},
         "e_max": exp.e_max,
@@ -219,7 +217,7 @@ def cmd_analyze(args) -> int:
         "finite": exp.finite,
     }
     if analyzed.alphabet:
-        deps = analysis.deps
+        deps = moments.deps
         report["dependence"] = {
             "sccs": [list(comp) for comp in deps.sccs],
             "height": deps.height,
@@ -313,7 +311,7 @@ def cmd_bounds(args) -> int:
     if not grid or grid[0] < 1:
         raise CliError("--grid needs positive integers")
     try:
-        report = classify(Analysis(model), symbol)
+        report = classify(model, symbol)
     except NotAlmostSurelyTerminating as exc:
         raise CliError(str(exc)) from exc
     try:
@@ -327,13 +325,7 @@ def cmd_bounds(args) -> int:
 
     lines = ["n,lower,upper,exact"]
     for n in grid:
-        if report.case == 1:
-            low = 0.0
-            up = 1.0 if n < report.bounded_horizon else 0.0
-        elif report.case == 2:
-            low, up = lower_bound_pmin(report, n), upper_bound_azuma(report, n)
-        else:
-            low, up = lower_bound_pmin(report, n), upper_bound_poly(report, n)
+        low, up = tail_bounds(report, n)
         cells = [str(n), repr(low), repr(up)]
         cells.append(repr(tail(exact, n)) if exact is not None else "")
         lines.append(",".join(cells))

@@ -89,9 +89,9 @@ def tail(table: DistTable, n: int) -> float:
 
 def exact_distribution_bpa(model: Pda, start: str, n_max: int) -> DistTable:
     """Exact P(T = n) for a single stack symbol of a stateless model."""
-    masses = _bpa_masses(model, n_max)
-    if start not in masses:
+    if start not in model.symbol_index:
         raise ModelError(f"unknown start symbol {start!r}")
+    masses = _bpa_masses(model, n_max)
     return DistTable(subject=start, mass=masses[start].copy(), n_max=n_max, norm=1.0)
 
 
@@ -99,6 +99,9 @@ def exact_distribution_word(model: Pda, word: tuple[str, ...], n_max: int) -> Di
     """Exact P(T = n) for a stack word; times of the entries add up."""
     if not word:
         raise ModelError("empty start word")
+    for sym in word:
+        if sym not in model.symbol_index:
+            raise ModelError(f"unknown start symbol {sym!r}")
     masses = _bpa_masses(model, n_max)
     acc = masses[word[0]]
     for sym in word[1:]:

@@ -177,7 +177,9 @@ class Pda:
     @cached_property
     def moments(self):
         """``moments.moment_matrix`` of this stateless model, computed once: the
-        certainty snap of the solve and the classification both read it."""
+        certainty snap of the solve, the classification and the report all
+        read its dependence, certain symbols and expectations.  It holds no
+        reference to the model."""
         from .moments import moment_matrix
 
         return moment_matrix(self)

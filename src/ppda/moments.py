@@ -5,8 +5,9 @@ rewrite of X.  On an almost surely terminating model, expectations solve
 (I - A) E = 1 whenever every reachable SCC block of A is strictly
 subcritical; otherwise the affected symbols have infinite expectation.
 The same blocks certify which symbols terminate with probability one.
-``Pda.moments`` keeps one moment matrix, with its dependence, per model:
-the certainty snap, the classification and the cone vector all read it.
+``moment_matrix`` decides both in one walk of the SCCs, and ``Pda.moments``
+keeps the result, with its dependence, once per model: the certainty snap,
+the classification and the cone vector all read it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .model import Pda, Rule, Triple
 if TYPE_CHECKING:  # pragma: no cover
     from .termination import TerminationTable
 
-__all__ = ["MomentMatrix", "ExpectationTable", "moment_matrix", "certain_symbols",
-           "expectations", "conditional_expectations", "rule_weight_change"]
+__all__ = ["MomentMatrix", "ExpectationTable", "moment_matrix", "conditional_expectations",
+           "rule_weight_change"]
 
 POWER_TOL = 1e-12
 POWER_CAP = 100_000
@@ -37,7 +38,8 @@ class PowerIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Dense production-moment matrix with per-SCC spectral data."""
+    """Dense production-moment matrix with per-SCC spectral data, the symbols
+    certain to terminate and the expected termination times."""
 
     symbols: tuple[str, ...]
     A: np.ndarray
@@ -45,6 +47,8 @@ class MomentMatrix:
     dominant_vector: dict[str, float]
     deps: DependenceInfo
     block_radii: tuple[float, ...]
+    certain: frozenset[str]
+    expectations: ExpectationTable
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,17 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def moment_matrix(model: Pda) -> MomentMatrix:
+    """The moment matrix of a stateless model and what its SCC blocks decide.
+
+    One walk of the dependence SCCs, callees first, takes each block's
+    spectral radius and dominant vector.  A block is certain when every
+    member can empty the stack, its radius is at most 1 + 1e-9 and every
+    successor is certain: Newton in doubles stalls about sqrt(machine
+    epsilon) short of a critical fixed point, and this certificate pins it
+    to 1.  A block is infinite when its radius is within CRITICAL_EPS of 1
+    or beyond, or a successor is infinite; the other symbols solve
+    (I - A) E = 1.
+    """
     if not model.stateless:
         raise ValueError("moment matrix is defined on stateless models; transform first")
     deps = dependence(model)
@@ -95,94 +110,53 @@ def moment_matrix(model: Pda) -> MomentMatrix:
         for sym in rule.rhs_word:
             A[i, index[sym]] += float(rule.prob)
 
-    radii = []
+    can_empty = model.terminating_triples.any(axis=(0, 2))
+    radii: list[float] = []
     dominant: dict[str, float] = {}
-    for comp in deps.sccs:
+    certain: list[bool] = []
+    infinite: list[bool] = []
+    for comp, succ in zip(deps.sccs, deps.scc_successors):
         rows = [index[s] for s in comp]
         rho, vec = _power_iteration(A[np.ix_(rows, rows)])
         radii.append(rho)
-        top = float(np.max(vec))
-        for sym, val in zip(comp, vec):
-            dominant[sym] = float(val) / top
-    spectral = max(radii, default=0.0)
+        dominant.update(zip(comp, (vec / np.max(vec)).tolist()))
+        certain.append(bool(can_empty[rows].all()) and rho <= 1.0 + 1e-9
+                       and all(certain[j] for j in succ))
+        infinite.append(rho >= 1.0 - CRITICAL_EPS or any(infinite[j] for j in succ))
     return MomentMatrix(
         symbols=syms,
         A=A,
-        spectral_radius=spectral,
+        spectral_radius=max(radii, default=0.0),
         dominant_vector=dominant,
         deps=deps,
         block_radii=tuple(radii),
+        certain=frozenset(sym for sym in syms if certain[deps.scc_of[sym]]),
+        expectations=_expectations(model, A, [infinite[deps.scc_of[sym]] for sym in syms]),
     )
 
 
-def certain_symbols(model: Pda) -> frozenset[str]:
-    """Symbols of a stateless model that terminate with probability one.
+def _expectations(model: Pda, A: np.ndarray, infinite: list[bool]) -> ExpectationTable:
+    """Solve (I - A) E = 1 over the symbols not flagged infinite, in alphabet order."""
+    rows = [i for i, inf in enumerate(infinite) if not inf]
+    try:
+        solved = np.linalg.solve(np.eye(len(rows)) - A[np.ix_(rows, rows)], np.ones(len(rows)))
+    except np.linalg.LinAlgError:
+        # Numerically singular despite the radius gate: treat as infinite.
+        rows, solved = [], np.zeros(0)
+    values = dict.fromkeys(model.alphabet, math.inf)
+    values.update(zip((model.alphabet[i] for i in rows), solved.tolist()))
 
-    Newton in doubles cannot push critical fixed points past an error of
-    about sqrt(machine epsilon).  For stateless models certainty is
-    structural: every reachable symbol can reach the empty stack and no
-    reachable SCC block of the moment matrix is supercritical.
-    """
-    mm = model.moments
-    deps = mm.deps
-    can_empty = model.terminating_triples.any(axis=(0, 2))
-    certain: list[bool] = []
-    for i, comp in enumerate(deps.sccs):
-        good = all(can_empty[model.symbol_index[sym]] for sym in comp)
-        good = good and mm.block_radii[i] <= 1.0 + 1e-9
-        good = good and all(certain[j] for j in deps.scc_successors[i])
-        certain.append(good)
-    return frozenset(sym for sym in deps.scc_of if certain[deps.scc_of[sym]])
+    finite = all(math.isfinite(v) for v in values.values())
+    # a model without rules, such as an empty terminating part, has no B
+    b_constant = max((abs(1.0 - rule_weight_change(rule, values)) for rule in model.rules),
+                     default=None) if finite else None
+    return ExpectationTable(values=values, e_max=max(values.values(), default=0.0),
+                            b_constant=b_constant, finite=finite)
 
 
 def rule_weight_change(rule: Rule, weights: dict[str, float]) -> float:
     """weight(lhs) - total weight pushed by the rule."""
     return weights[rule.lhs_symbol] - sum(weights[sym] for sym in rule.rhs_word)
-
-
-def expectations(model: Pda) -> ExpectationTable:
-    """Expected termination time per symbol of an a.s. terminating model.
-
-    A symbol is infinite iff it reaches (in the dependence order) an SCC
-    whose block spectral radius is within CRITICAL_EPS of 1 or beyond.
-    """
-    mm = model.moments
-    deps = mm.deps
-    n_sccs = len(deps.sccs)
-
-    bad = [mm.block_radii[i] >= 1.0 - CRITICAL_EPS for i in range(n_sccs)]
-    # Propagate badness upward; SCCs are listed callees-first.
-    infected = list(bad)
-    for i in range(n_sccs):
-        if not infected[i]:
-            infected[i] = any(infected[j] for j in deps.scc_successors[i])
-
-    infinite = {sym for sym in model.alphabet if infected[deps.scc_of[sym]]}
-    finite_syms = [sym for sym in model.alphabet if sym not in infinite]
-    values: dict[str, float] = {sym: math.inf for sym in infinite}
-
-    if finite_syms:
-        rows = [model.symbol_index[s] for s in finite_syms]
-        sub = mm.A[np.ix_(rows, rows)]
-        try:
-            solved = np.linalg.solve(np.eye(len(rows)) - sub, np.ones(len(rows)))
-        except np.linalg.LinAlgError:
-            # Numerically singular despite the radius gate: treat as infinite.
-            for sym in finite_syms:
-                values[sym] = math.inf
-            finite_syms = []
-            solved = np.zeros(0)
-        for sym, val in zip(finite_syms, solved):
-            values[sym] = float(val)
-
-    finite = all(math.isfinite(v) for v in values.values())
-    e_max = max(values.values(), default=0.0)
-    b_constant = None
-    if finite:  # a model without rules, such as an empty terminating part, has none
-        b_constant = max(
-            (abs(1.0 - rule_weight_change(rule, values)) for rule in model.rules), default=None
-        )
-    return ExpectationTable(values=values, e_max=e_max, b_constant=b_constant, finite=finite)
 
 
 def conditional_expectations(model: Pda, table: TerminationTable) -> dict[Triple, float]:
@@ -196,7 +170,7 @@ def conditional_expectations(model: Pda, table: TerminationTable) -> dict[Triple
 
     result = to_bpa(model, table)
     part = terminating_part(result)
-    exp = expectations(part)
+    exp = part.moments.expectations
     return {
         result.symbols[name]: exp[name]
         for name in part.alphabet

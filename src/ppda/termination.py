@@ -31,8 +31,8 @@ solved again, with all they depend on, by Newton in decimal arithmetic over
 the same compiled monomials, with the exact rule probabilities as their
 coefficients; the variables above them are then solved in doubles again.
 The SCCs and their reach sets come from ``graph._condense`` on the graph of
-F'.  Stateless models are certified structurally instead, by
-``moments.certain_symbols`` on the moment matrix the model keeps.
+F'.  Stateless models are certified structurally instead, by the certain
+symbols of the moment matrix the model keeps (``Pda.moments``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import numpy as np
 
 from .graph import _condense, _tarjan
 from .model import Pda, Triple
-from .moments import certain_symbols
 
 __all__ = [
     "TerminationTable",
@@ -377,7 +376,7 @@ def termination_probs(
     if model.stateless and n:
         p = model.only_state
         uncertain = np.ones(n, dtype=bool)
-        for sym in certain_symbols(model):
+        for sym in model.moments.certain:
             uncertain[idx[Triple(p, sym, p)]] = False
         v[~uncertain] = 1.0
         residual = float(np.max(np.abs(system.apply(v) - v)))

@@ -6,7 +6,7 @@ code with the convolution dynamic program it is used to check.  The
 reachability oracles walk the dependence graph once per symbol, apart from
 the SCC pass of ``ppda.graph``.  The per-start path (``restrict_to_reachable``
 and the checks on the restriction) is the oracle for ``classify``, which reads
-one model-wide analysis.
+the moment record the model keeps.
 """
 
 import functools
@@ -27,7 +27,6 @@ from ppda import (
     TailReport,
     Triple,
     dependence,
-    expectations,
     make_bpa,
     parse_model,
     step_distribution,
@@ -125,15 +124,15 @@ def is_almost_surely_terminating(model: Pda, table, eps: float = 1e-9) -> bool:
 
 def restricted_analysis(model: Pda, start: str):
     """The per-start path: restrict ``model`` to the reach set of ``start``,
-    then run ``dependence``, ``termination_probs``, ``moment_matrix`` and
-    ``expectations`` on the restriction.
+    then run ``dependence``, ``termination_probs`` and ``moment_matrix`` on
+    the restriction.
 
     Starts with one reach set (the members of one cyclic SCC) share it.
     """
     restricted = restrict_to_reachable(model, start)
     deps = dependence(restricted)
     table = termination_probs(restricted)
-    exp = expectations(restricted)
+    exp = restricted.moments.expectations
     return restricted, deps, table, exp
 
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 
 from ppda import (
-    Analysis,
     Configuration,
     classify,
     cone_vector,
@@ -164,7 +163,7 @@ def test_criterion_5_case2_sandwich(tree):
     part = terminating_part(to_bpa(tree, termination_probs(tree)))
     cases.append((part, "q.A.r0"))
     for model, start in cases:
-        report = classify(Analysis(model), start)
+        report = classify(model, start)
         assert report.case == 2
         dist = exact_distribution_bpa(model, start, 440)
         resid = table_residual(dist)
@@ -179,7 +178,7 @@ def test_criterion_5_case2_sandwich(tree):
 
 def test_criterion_6_case3_tail_behavior(delta1, delta2, delta3):
     budget = Budget(60.0)
-    report = classify(Analysis(delta1), "X1")
+    report = classify(delta1, "X1")
     dist = exact_distribution_bpa(delta1, "X1", 4096)
     for n in (16, 64, 256, 1024, 4096):
         t = tail(dist, n)
@@ -205,7 +204,7 @@ def test_criterion_7_case_classification(tree):
     acyclic = make_bpa([(("X", "Y", "Y"), Fraction(1, 2)), (("X",), Fraction(1, 2)),
                         (("Y", "Z"), Fraction(1, 3)), (("Y",), Fraction(2, 3)),
                         (("Z",), Fraction(1))])
-    rep = classify(Analysis(acyclic), "X")
+    rep = classify(acyclic, "X")
     assert rep.case == 1
     horizon = 2 ** len(acyclic.alphabet)
     mass = brute_total_mass(acyclic, Configuration("_", ("X",)), horizon)
@@ -213,11 +212,11 @@ def test_criterion_7_case_classification(tree):
 
     part = terminating_part(to_bpa(tree, termination_probs(tree)))
     for model, start in ((subcritical_unit(), "X"), (part, "q.A.r0")):
-        assert classify(Analysis(model), start).case == 2
+        assert classify(model, start).case == 2
 
     for h in (1, 2, 3, 4):
         model = load_model(f"delta{h}.bpa")
-        assert classify(Analysis(model), f"X{h}").case == 3
+        assert classify(model, f"X{h}").case == 3
         assert abs(moment_matrix(model).spectral_radius - 1.0) <= 1e-9
     elapsed = budget.check("criterion 7")
     announce(7, "case 1/2/3 classification across the model zoo", elapsed)

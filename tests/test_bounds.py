@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import example, given, settings
 
 import ppda.moments
 from ppda import (
-    Analysis,
     NotAlmostSurelyTerminating,
     classify,
     cone_vector,
@@ -43,7 +43,7 @@ from helpers import (
 def test_classify_case1():
     m = make_bpa([(("X", "Y"), Fraction(1, 2)), (("X",), Fraction(1, 2)),
                   (("Y",), Fraction(1))])
-    rep = classify(Analysis(m), "X")
+    rep = classify(m, "X")
     assert rep.case == 1
     assert rep.bounded_horizon == 4
     assert threshold_for_epsilon(rep, 0.5).n == 4
@@ -51,7 +51,7 @@ def test_classify_case1():
 
 
 def test_classify_case2():
-    rep = classify(Analysis(subcritical_unit()), "X")
+    rep = classify(subcritical_unit(), "X")
     assert rep.case == 2
     assert rep.e_start == pytest.approx(2.0)
     assert rep.e_max == pytest.approx(2.0)
@@ -60,7 +60,7 @@ def test_classify_case2():
 
 
 def test_classify_case3_delta1(delta1):
-    rep = classify(Analysis(delta1), "X1")
+    rep = classify(delta1, "X1")
     assert rep.case == 3
     assert rep.height == 1
     assert rep.gamma_size == 1
@@ -72,7 +72,7 @@ def test_classify_case3_delta1(delta1):
 
 
 def test_classify_case3_delta2(delta2):
-    rep = classify(Analysis(delta2), "X2")
+    rep = classify(delta2, "X2")
     assert rep.d1 == pytest.approx(4608.0)
     assert rep.d2 == pytest.approx(1 / 6)
 
@@ -80,18 +80,18 @@ def test_classify_case3_delta2(delta2):
 def test_classify_requires_certain_termination():
     biased = make_bpa([(("X", "X", "X"), Fraction(7, 10)), (("X",), Fraction(3, 10))])
     with pytest.raises(NotAlmostSurelyTerminating):
-        classify(Analysis(biased), "X")
+        classify(biased, "X")
 
 
 def test_classify_restricts_before_judging(delta3):
     # from the bottom symbol the chain above is invisible: h = 1 again
-    rep = classify(Analysis(delta3), "X1")
+    rep = classify(delta3, "X1")
     assert rep.gamma_size == 1
     assert rep.d1 == pytest.approx(144.0)
 
 
 def test_classify_invariant_under_renaming_and_reordering(delta2):
-    rep = classify(Analysis(delta2), "X2")
+    rep = classify(delta2, "X2")
     renamed_rules = tuple(
         type(r)(r.lhs_state, r.lhs_symbol.replace("X", "B"), r.rhs_state,
                 tuple(w.replace("X", "B") for w in r.rhs_word), r.prob)
@@ -99,8 +99,19 @@ def test_classify_invariant_under_renaming_and_reordering(delta2):
     )
     renamed = Pda(delta2.states, tuple(s.replace("X", "B") for s in delta2.alphabet),
                   renamed_rules, kind="bpa")
-    rep2 = classify(Analysis(renamed), "B2")
+    rep2 = classify(renamed, "B2")
     assert (rep2.case, rep2.d1, rep2.d2, rep2.height) == (rep.case, rep.d1, rep.d2, rep.height)
+
+
+def test_moment_record_lets_its_model_go():
+    # the model caches its moment record; a reference back would keep both
+    # alive in a cycle after the last outside reference to the model is gone
+    model = load_model("delta2.bpa")
+    report, gone = classify(model, "X2"), weakref.ref(model)
+    moments = model.moments
+    del model
+    assert gone() is None
+    assert report.case == 3 and moments.certain == {"X1", "X2"}
 
 
 EXACT_FIELDS = ("start", "case", "gamma_size", "p_min", "height", "d1", "d2",
@@ -109,8 +120,8 @@ SOLVED_FIELDS = ("e_start", "e_max", "b_constant")
 
 
 def assert_matches_per_start(model):
-    """classify on one model-wide Analysis agrees with the per-start path, every symbol."""
-    analysis, deps, solved = Analysis(model), dependence(model), {}
+    """classify on the model-wide moment record agrees with the per-start path, every symbol."""
+    deps, solved = dependence(model), {}
     for sym in model.alphabet:
         keep = deps.reachable_from[sym] | {sym}
         if keep not in solved:
@@ -119,9 +130,9 @@ def assert_matches_per_start(model):
             want = classify_restricted(*solved[keep], sym)
         except NotAlmostSurelyTerminating:
             with pytest.raises(NotAlmostSurelyTerminating):
-                classify(analysis, sym)
+                classify(model, sym)
             continue
-        got = classify(analysis, sym)
+        got = classify(model, sym)
         for field in EXACT_FIELDS:
             assert getattr(got, field) == getattr(want, field), (sym, field)
         for field in SOLVED_FIELDS:
@@ -175,13 +186,13 @@ def test_classify_matches_per_start_oracle_small(model):
 
 def test_lower_bound_on_transformed_ab(ab):
     part = terminating_part(to_bpa(ab, termination_probs(ab)))
-    rep = classify(Analysis(part), "p.X.q")
+    rep = classify(part, "p.X.q")
     assert rep.p_min == pytest.approx(0.4, abs=1e-9)
     assert lower_bound_pmin(rep, 2) == pytest.approx(0.16, abs=1e-9)
 
 
 def test_bound_values():
-    rep = classify(Analysis(subcritical_unit()), "X")
+    rep = classify(subcritical_unit(), "X")
     assert lower_bound_pmin(rep, 0) == 1.0
     assert lower_bound_pmin(rep, 4) == pytest.approx(0.25 ** 4)
     assert upper_bound_azuma(rep, 36) == pytest.approx(math.exp(-16 / 9), rel=1e-12)
@@ -192,17 +203,17 @@ def test_bound_values():
 
 
 def test_poly_bound_values(delta1):
-    rep = classify(Analysis(delta1), "X1")
+    rep = classify(delta1, "X1")
     assert upper_bound_poly(rep, 10**6) == pytest.approx(0.144, rel=1e-12)
     assert upper_bound_poly(rep, 1) == 1.0
 
 
 def test_threshold_values(delta1):
-    rep2 = classify(Analysis(subcritical_unit()), "X")
+    rep2 = classify(subcritical_unit(), "X")
     got = threshold_for_epsilon(rep2, math.exp(-16 / 9))
     assert got.n == 36 and not got.n0_caveat
 
-    rep3 = classify(Analysis(delta1), "X1")
+    rep3 = classify(delta1, "X1")
     got3 = threshold_for_epsilon(rep3, 0.144)
     assert got3.n == 10**6 and got3.n0_caveat
 
@@ -213,7 +224,7 @@ def test_threshold_values(delta1):
 
 def test_case2_sandwich_subcritical_unit():
     m = subcritical_unit()
-    rep = classify(Analysis(m), "X")
+    rep = classify(m, "X")
     dist = exact_distribution_bpa(m, "X", 430)
     resid = table_residual(dist)
     for n in range(4, 401):
@@ -224,7 +235,7 @@ def test_case2_sandwich_subcritical_unit():
 
 
 def test_case3_empirical_band(delta1):
-    rep = classify(Analysis(delta1), "X1")
+    rep = classify(delta1, "X1")
     dist = exact_distribution_bpa(delta1, "X1", 4096)
     for n in (16, 64, 256, 1024, 4096):
         t = tail(dist, n)

@@ -448,6 +448,7 @@ INLINE_MODELS = {
     "word.ppda": ("pda\nstates: p\nalphabet: X\nstart: p X X\n"
                   "rule: p X -> p X X : 1/4\nrule: p X -> p : 3/4\n"),
     "diverging.bpa": "bpa\nalphabet: X\nstart: X\nrule: X -> X X : 3/4\nrule: X -> : 1/4\n",
+    "nostart.bpa": "bpa\nalphabet: X\nrule: X -> : 1\n",
 }
 
 
@@ -494,6 +495,26 @@ INLINE_MODELS = {
     ["dist", "word.ppda", "--target", "p"],
 ], ids=" ".join)
 def test_bad_flag_values_exit_2(models_dir, tmp_path, capsys, argv):
+    err = run_exit_2(models_dir, tmp_path, capsys, argv)
+    if argv[1].startswith("orphan"):
+        assert "pair (q, Y) reachable from start but has no rules" in err
+
+
+CLI_ERRORS = [
+    (["dist", "ab.ppda", "--target", "zz"], "unknown target state 'zz'"),
+    (["analyze", "delta1.bpa", "--start", "Q"], "unknown start symbol 'Q'"),
+    (["analyze", "nostart.bpa"], "model declares no start; pass --start"),
+]
+
+
+@pytest.mark.parametrize("argv,message", CLI_ERRORS, ids=[" ".join(a) for a, _ in CLI_ERRORS])
+def test_errors_exit_2_with_their_message(models_dir, tmp_path, capsys, argv, message):
+    assert run_exit_2(models_dir, tmp_path, capsys, argv) == f"error: {message}"
+
+
+def run_exit_2(models_dir, tmp_path, capsys, argv) -> str:
+    """Run ``argv`` on a bundled or an inline model; expect exit 2 and one
+    line on stderr, and return that line."""
     command, name, *flags = argv
     path = models_dir / name
     if name in INLINE_MODELS:
@@ -502,8 +523,7 @@ def test_bad_flag_values_exit_2(models_dir, tmp_path, capsys, argv):
     assert main([command, str(path), *flags]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    if name.startswith("orphan"):
-        assert "pair (q, Y) reachable from start but has no rules" in err[0]
+    return err[0]
 
 
 def test_dist_of_a_word_start(tmp_path):

@@ -154,6 +154,14 @@ def test_word_distribution_is_convolution():
         assert pair.mass[n] == pytest.approx(float(truth[n]), abs=1e-12)
 
 
+@pytest.mark.parametrize("dp,start", [(exact_distribution_bpa, "Q"),
+                                      (exact_distribution_word, ("Q",)),
+                                      (exact_distribution_word, ("X1", "Q"))])
+def test_dp_rejects_an_unknown_start_symbol(delta1, dp, start):
+    with pytest.raises(ModelError, match="^unknown start symbol 'Q'$"):
+        dp(delta1, start, 5)
+
+
 def test_relaxed_rhs_dp_matches_enumeration():
     m = make_bpa(
         [(("X", "Y", "Y", "Y"), Fraction(1, 2)), (("X",), Fraction(1, 2)),

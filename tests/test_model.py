@@ -90,6 +90,57 @@ def test_parse_error_carries_line_number():
     assert "line 3" in str(err.value)
 
 
+def _pda(states, alphabet, rules=(), kind="pda"):
+    return lambda: Pda(states, alphabet, rules, kind=kind)
+
+
+# (model text, or a thunk building a Pda, and the message it is rejected with)
+MODEL_ERRORS = [
+    ("bpa\nalphabet: X\nfoo: bar\n", "line 3: unknown directive 'foo'"),
+    ("# only a comment\n", "empty model: missing kind line"),
+    ("pda\nalphabet: X\n", "pda model missing 'states:' line"),
+    ("bpa\n", "missing 'alphabet:' line"),
+    ("bpa\nalphabet: X\nrule: X -> X\n", "line 3: rule missing ': probability'"),
+    ("pda\nstates: p\nalphabet: X\nrule: X -> p : 1\n",
+     "line 4: expected 'state symbol' before '->', got 'X'"),
+    ("pda\nstates: p\nalphabet: X\nrule: p X -> : 1\n",
+     "line 4: pda rule needs a control state after '->'"),
+    ("bpa\nalphabet: X\nrule: X X -> : 1\n",
+     "line 3: expected one symbol before '->', got 'X X'"),
+    ("bpa\nalphabet: X\nrule: X -> : half\n", "line 3: bad probability 'half'"),
+    ("bpa\nalphabet: X\nrule: X -> : 1/0\n", "line 3: bad probability '1/0'"),
+    ("bpa\nalphabet: X->Y\n", "line 2: symbol token 'X->Y' contains reserved '->'"),
+    ("pda\nstates: p:q\nalphabet: X\n", "line 2: state token 'p:q' contains reserved ':'"),
+    (_pda(("p", "p"), ("X",)), "duplicate control state"),
+    (_pda(("p",), ("X", "X")), "duplicate stack symbol"),
+    (_pda(("p",), ("X",), kind="npda"), "unknown model kind 'npda'"),
+    # the parser splits on whitespace, so only a built model holds such tokens
+    (_pda(("p",), ("X Y",)), "invalid symbol token 'X Y'"),
+    (_pda(("p",), ("X",), (Rule("q", "X", "p", (), Fraction(1)),)),
+     "rule 'q X -> p : 1': unknown state 'q'"),
+    (_pda(("p",), ("X",), (Rule("p", "X", "q", (), Fraction(1)),)),
+     "rule 'p X -> q : 1': unknown state 'q'"),
+    (_pda(("_", "r"), ("X",), (Rule("_", "X", "_", (), Fraction(1)),), kind="bpa"),
+     "kind bpa requires exactly one control state"),
+]
+
+
+@pytest.mark.parametrize("source,message", MODEL_ERRORS, ids=[m for _, m in MODEL_ERRORS])
+def test_model_errors_and_their_messages(source, message):
+    """Text fails to parse with ``message``; a built model has it as its one
+    ``validate`` problem, or fails to build with it."""
+    if isinstance(source, str):
+        with pytest.raises(ModelError) as err:
+            parse_model(source)
+        assert str(err.value) == message
+    else:
+        try:
+            problems = validate(source())
+        except ModelError as exc:
+            problems = [str(exc)]
+        assert problems == [message]
+
+
 def test_validate_flags_bad_row_by_pair():
     m = Pda(("p",), ("X",), (Rule("p", "X", "p", (), Fraction(3, 4)),), kind="pda")
     problems = validate(m)

@@ -8,7 +8,6 @@ from ppda import (
     Configuration,
     Triple,
     conditional_expectations,
-    expectations,
     make_bpa,
     moment_matrix,
     simulate,
@@ -60,7 +59,7 @@ def test_critical_family_radius_is_one(h):
 
 def test_expectation_subcritical_unit():
     m = subcritical_unit()
-    exp = expectations(m)
+    exp = m.moments.expectations
     assert exp.finite
     assert exp["X"] == pytest.approx(2.0, abs=1e-12)
     assert exp.e_max == pytest.approx(2.0)
@@ -69,7 +68,7 @@ def test_expectation_subcritical_unit():
 
 def test_expectation_infinite_on_critical(delta1, delta2):
     for m in (delta1, delta2):
-        exp = expectations(m)
+        exp = m.moments.expectations
         assert not exp.finite
         assert all(math.isinf(v) for v in exp.values.values())
         assert math.isinf(exp.e_max)
@@ -83,7 +82,7 @@ def test_infinite_only_above_critical_blocks():
         (("Y", "Y", "Y"), Fraction(1, 2)), (("Y",), Fraction(1, 2)),
         (("Z",), Fraction(1)),
     ])
-    exp = expectations(m)
+    exp = m.moments.expectations
     assert math.isinf(exp["X"])
     assert math.isinf(exp["Y"])
     assert exp["Z"] == pytest.approx(1.0)
@@ -92,7 +91,7 @@ def test_infinite_only_above_critical_blocks():
 def test_expectation_residual_identity(tree):
     part = terminating_part(to_bpa(tree, termination_probs(tree)))
     mm = moment_matrix(part)
-    exp = expectations(part)
+    exp = mm.expectations
     assert exp.finite
     evec = np.array([exp[s] for s in part.alphabet])
     residual = np.max(np.abs(evec - 1.0 - mm.A @ evec))
@@ -152,7 +151,7 @@ def _drift_samples(model, exp, start, count, seed):
 def test_martingale_drift_is_zero(tree):
     part = terminating_part(to_bpa(tree, termination_probs(tree)))
     for model, start in ((subcritical_unit(), "X"), (part, part.alphabet[0])):
-        exp = expectations(model)
+        exp = model.moments.expectations
         drifts = _drift_samples(model, exp.values, start, 100_000, seed=9)
         se = float(np.std(drifts)) / math.sqrt(len(drifts))
         assert abs(float(np.mean(drifts))) <= 4 * se
@@ -166,7 +165,7 @@ def test_monte_carlo_mean_matches_expectation(tree):
         (part, "q.A.r0"),
     ]
     for model, start in cases:
-        exp = expectations(model)
+        exp = model.moments.expectations
         stats = simulate(model, Configuration("_", (start,)), samples=100_000,
                          step_cap=100_000, seed=13)
         assert stats.censored == 0

@@ -1,5 +1,8 @@
-"""Smoke runs of the scripts in ``scripts/``, each in its own interpreter."""
+"""Smoke runs of the scripts in ``scripts/`` and of the README's Python
+examples, each in its own interpreter."""
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +24,15 @@ def test_script_runs(args, line):
                           cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert any(out.startswith(line) for out in proc.stdout.splitlines()), proc.stdout
+
+
+def test_readme_python_blocks_run():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    for code in blocks:
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

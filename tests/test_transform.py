@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ppda import (
     Configuration,
+    Triple,
     cone_vector,
     dependence,
     exact_distribution_bpa,
@@ -112,6 +113,14 @@ def test_transform_row_sums(tree, twostate):
         result = to_bpa(model, termination_probs(model))
         for (_, sym), row in result.bpa.rules_by_pair.items():
             assert float(sum(r.prob for r in row)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_to_bpa_rejects_a_row_that_misses_one(ab):
+    table = termination_probs(ab)
+    raised = Triple("p", "X", "q")
+    probs = {**table.probs, raised: table.probs[raised] + 1e-6}
+    with pytest.raises(TransformError, match="row for .* sums to"):
+        to_bpa(ab, dataclasses.replace(table, probs=probs))
 
 
 def test_terminating_part_is_clean_and_certain(tree, ab, twostate):
