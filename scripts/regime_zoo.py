@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from ppda import classify, parse_model, terminating_part, termination_probs, to_bpa
+from ppda import classify, parse_model, termination_probs, to_bpa
 
 BUNDLED = [
     ("tree.ppda", "q", "A"),
@@ -43,7 +43,7 @@ def main():
             print(f"  {symbol:<10} {describe(classify(model, symbol))}")
             continue
         result = to_bpa(model, termination_probs(model))
-        part = terminating_part(result)
+        part = result.part
         for sym in part.alphabet:
             trip = result.symbols[sym]
             if (trip.state, trip.symbol) == (state, symbol):

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 from ppda import (
     Configuration,
     classify,
-    exact_distribution_bpa,
+    exact_distribution_word,
     parse_model,
     simulate,
     tail,
@@ -28,7 +28,7 @@ from ppda import (
 def run(path: str, start: str, n_max: int, samples: int, seed: int, out: str | None):
     model = parse_model(Path(path).read_text(encoding="utf-8"))
     report = classify(model, start)
-    dist = exact_distribution_bpa(model, start, n_max)
+    dist = exact_distribution_word(model, (start,), n_max)
     stats = simulate(model, Configuration(model.only_state, (start,)),
                      samples=samples, step_cap=n_max, seed=seed)
 

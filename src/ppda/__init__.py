@@ -24,7 +24,6 @@ from .distribution import (
     DistTable,
     SampleStats,
     dist_csv,
-    exact_distribution_bpa,
     exact_distribution_pda,
     exact_distribution_word,
     sample_csv,
@@ -63,7 +62,6 @@ from .transform import (
     TransformResult,
     cone_vector,
     make_u_progressive,
-    terminating_part,
     to_bpa,
 )
 

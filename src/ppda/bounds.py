@@ -198,9 +198,9 @@ def estimate_lower_constant(model: Pda, start: str, grid=(64, 256, 1024, 4096)) 
     exact tail on a grid and returns min over n of tail(n) * sqrt(n).  An
     estimate only: the asymptotic constant may sit below it.
     """
-    from .distribution import exact_distribution_bpa, tail as dist_tail
+    from .distribution import exact_distribution_word, tail as dist_tail
 
-    table = exact_distribution_bpa(model, start, max(grid))
+    table = exact_distribution_word(model, (start,), max(grid))
     return min(dist_tail(table, n) * math.sqrt(n) for n in grid)
 
 

@@ -1,13 +1,14 @@
 """Command-line front end: analyze, transform, dist, simulate, bounds.
 
-``analyze`` solves the model once, then classifies every start through the
-moment record (``Pda.moments``) of the model, or of its terminating part when
-it is stateful.
+``analyze`` classifies every start through the moment record of the model,
+or of the terminating part ``to_bpa`` returns.  ``_emit`` writes all output.
 
-Exit codes: 0 success, 2 file/parse/validation problems and bad flag
-values, 3 numeric failures (non-convergence, a transform row that misses
-1).  All commands are deterministic given their flags; JSON reports round
-floats to 12 significant digits and spell infinity "inf".
+Exit codes, set in ``main`` alone, each failure on one line: 0 success, 2
+file/parse/validation problems, bad flag values and unwritable outputs, 3
+numeric failures (non-convergence, a transform row that misses 1, a
+threshold beyond a double).  All commands are deterministic given their
+flags; JSON reports round floats to 12 significant digits and spell
+infinity "inf".
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .bounds import (
 from .distribution import (
     DistTable,
     dist_csv,
-    exact_distribution_bpa,
     exact_distribution_pda,
     exact_distribution_word,
     sample_csv,
@@ -50,7 +50,7 @@ from .model import (
 )
 from .moments import PowerIterationError
 from .termination import NewtonDivergedError, termination_probs
-from .transform import TransformError, terminating_part, to_bpa
+from .transform import TransformError, to_bpa
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -128,25 +128,28 @@ def _report_json(report: dict) -> str:
     return json.dumps(_round12(report), indent=2, sort_keys=False) + "\n"
 
 
+# the fields a tail report adds, by case, to those every case reports
+CASE_FIELDS = {
+    1: ("bounded_horizon",),
+    2: ("e_start", "e_max", "b_constant", "azuma_threshold"),
+    3: ("d1", "d2", "lower_exponent", "n0_caveat"),
+}
+
+
 def _tail_report_dict(rep: TailReport) -> dict:
-    out = {
-        "start": rep.start,
-        "case": rep.case,
-        "gamma_size": rep.gamma_size,
-        "p_min": rep.p_min,
-        "height": rep.height,
-    }
-    if rep.case == 1:
-        out["bounded_horizon"] = rep.bounded_horizon
-    if rep.case == 2:
-        out.update(
-            e_start=rep.e_start, e_max=rep.e_max, b_constant=rep.b_constant,
-            azuma_threshold=rep.azuma_threshold,
-        )
-    if rep.case == 3:
-        out.update(d1=rep.d1, d2=rep.d2, lower_exponent=rep.lower_exponent,
-                   n0_caveat=rep.n0_caveat)
-    return out
+    fields = ("start", "case", "gamma_size", "p_min", "height", *CASE_FIELDS[rep.case])
+    return {name: getattr(rep, name) for name in fields}
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write a command's output to ``path``, or to stdout when none is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +191,13 @@ def cmd_analyze(args) -> int:
 
     t0 = time.perf_counter()
     if model.stateless:
-        analyzed, starts = model, [symbol]
-        labels = {sym: sym for sym in sorted(model.alphabet)}
+        analyzed, starts, names = model, [symbol], sorted(model.alphabet)
     else:
         result = to_bpa(model, table)
-        analyzed = terminating_part(result)
-        triples = {name: result.symbols[name] for name in analyzed.alphabet}
-        labels = {name: str(trip) for name, trip in triples.items()}
-        starts = [name for name, trip in triples.items()
-                  if (trip.state, trip.symbol) == (start.state, symbol)]
+        analyzed = result.part
+        names = analyzed.alphabet  # each the string of its triple
+        starts = [name for name in names if result.symbols[name].state == start.state
+                  and result.symbols[name].symbol == symbol]
         report["transform"] = {
             "terminating_symbols": list(analyzed.alphabet),
             "diverging_symbols": [
@@ -204,14 +205,11 @@ def cmd_analyze(args) -> int:
             ],
             "rules": len(result.bpa.rules),
         }
-    try:
-        report["tails"] = [_tail_report_dict(classify(analyzed, name)) for name in starts]
-    except NotAlmostSurelyTerminating as exc:
-        raise CliError(str(exc)) from exc
+    report["tails"] = [_tail_report_dict(classify(analyzed, name)) for name in starts]
     moments = analyzed.moments
     exp = moments.expectations
     report["expectations"] = {
-        "values": {label: exp[name] for name, label in labels.items()},
+        "values": {name: exp[name] for name in names},
         "e_max": exp.e_max,
         "b_constant": exp.b_constant,
         "finite": exp.finite,
@@ -227,11 +225,7 @@ def cmd_analyze(args) -> int:
 
     report["timings"] = {"parse_s": t_parse, "solve_s": t_solve, "bounds_s": t_bounds}
 
-    text = _report_json(report)
-    if args.json:
-        Path(args.json).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(_report_json(report), args.json)
     return EXIT_OK
 
 
@@ -241,11 +235,7 @@ def cmd_transform(args) -> int:
         raise CliError("model is already stateless")
     bpa = to_bpa(model, termination_probs(model)).bpa
     del model  # with its compiled system, before the text is built
-    text = serialize(bpa)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(serialize(bpa), args.out)
     return EXIT_OK
 
 
@@ -272,11 +262,7 @@ def cmd_dist(args) -> int:
         triple = Triple(start.state, _start_symbol(start), args.target)
         solved = termination_probs(model)
         table = exact_distribution_pda(model, triple, args.nmax, norm=solved.probs[triple])
-    text = dist_csv(table)
-    if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(dist_csv(table), args.csv)
     return EXIT_OK
 
 
@@ -284,11 +270,7 @@ def cmd_simulate(args) -> int:
     model = _load(args.model)
     start = _parse_start(model, args.start)
     stats = simulate(model, start, samples=args.samples, step_cap=args.cap, seed=args.seed)
-    text = sample_csv(stats)
-    if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(sample_csv(stats), args.csv)
     per_state = {q: sum(c.values()) for q, c in sorted(stats.outcomes.items())}
     print(
         f"samples={stats.samples} terminated={stats.terminated} censored={stats.censored} "
@@ -310,18 +292,20 @@ def cmd_bounds(args) -> int:
         raise CliError(f"bad --grid: {exc}") from exc
     if not grid or grid[0] < 1:
         raise CliError("--grid needs positive integers")
-    try:
-        report = classify(model, symbol)
-    except NotAlmostSurelyTerminating as exc:
-        raise CliError(str(exc)) from exc
+    if grid[-1] > sys.float_info.max:
+        raise CliError("--grid values must not exceed the largest double")
+    report = classify(model, symbol)
     try:
         threshold = threshold_for_epsilon(report, args.eps)
     except ValueError as exc:
         raise CliError(f"bad --eps: {exc}") from exc
+    except OverflowError as exc:
+        raise CliError(f"the threshold for --eps {args.eps} exceeds a double",
+                       EXIT_NUMERIC) from exc
 
     exact = None
     if grid[-1] <= DP_CURVE_HORIZON:
-        exact = exact_distribution_bpa(model, symbol, grid[-1])
+        exact = exact_distribution_word(model, (symbol,), grid[-1])
 
     lines = ["n,lower,upper,exact"]
     for n in grid:
@@ -329,11 +313,7 @@ def cmd_bounds(args) -> int:
         cells = [str(n), repr(low), repr(up)]
         cells.append(repr(tail(exact, n)) if exact is not None else "")
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.csv)
 
     caveat = " (valid beyond an unknown n0)" if threshold.n0_caveat else ""
     print(f"case={report.case} threshold(eps={args.eps})={threshold.n}{caveat}",
@@ -396,14 +376,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        error, code = exc, exc.code
+    except (ModelError, NotAlmostSurelyTerminating) as exc:
+        error, code = exc, EXIT_VALIDATION
     except (NewtonDivergedError, PowerIterationError, TransformError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        error, code = exc, EXIT_NUMERIC
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

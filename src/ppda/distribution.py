@@ -7,7 +7,8 @@ relaxed right-hand sides convolve iteratively).  All masses are kept
 unconditioned; conditioning on the terminal state divides by the triple's
 termination probability only at the reporting boundary.  A stateless start
 of several symbols empties its entries one after another, so
-``exact_distribution_word`` convolves their laws.  ``dist_csv`` and
+``exact_distribution_word`` convolves their laws; it is the one stateless
+entry, and a single symbol is a one-symbol word.  ``dist_csv`` and
 ``sample_csv`` write the tables the CLI prints; CSV is its only format.
 
 The simulator walks the induced Markov chain.  Randomness comes from Philox
@@ -43,7 +44,6 @@ from .termination import CompiledSystem
 __all__ = [
     "DistTable",
     "SampleStats",
-    "exact_distribution_bpa",
     "exact_distribution_word",
     "exact_distribution_pda",
     "tail",
@@ -71,13 +71,13 @@ class DistTable:
 
 
 def tail(table: DistTable, n: int) -> float:
-    """P(T >= n), conditioned on the subject's event for triple subjects."""
+    """P(T >= n), conditioned on the subject's event for triple subjects; P(T >= 0) for n < 0."""
     if n > table.n_max + 1:
         raise ModelError(f"tail at {n} beyond horizon {table.n_max}")
     if table.norm is None:
         raise ModelError("table has no termination probability attached")
     # the sequential prefix sum, the cumulative column ``dist_csv`` prints
-    gap = table.norm - (float(np.cumsum(table.mass[:n])[-1]) if n else 0.0)
+    gap = table.norm - (float(np.cumsum(table.mass[:n])[-1]) if n > 0 else 0.0)
     gap = min(max(gap, 0.0), table.norm if table.norm > 0 else 0.0)
     if isinstance(table.subject, Triple):
         return gap / table.norm if table.norm > 0 else 0.0
@@ -87,16 +87,11 @@ def tail(table: DistTable, n: int) -> float:
 # ---------------------------------------------------------------------------
 # exact dynamic programming
 
-def exact_distribution_bpa(model: Pda, start: str, n_max: int) -> DistTable:
-    """Exact P(T = n) for a single stack symbol of a stateless model."""
-    if start not in model.symbol_index:
-        raise ModelError(f"unknown start symbol {start!r}")
-    masses = _bpa_masses(model, n_max)
-    return DistTable(subject=start, mass=masses[start].copy(), n_max=n_max, norm=1.0)
-
-
 def exact_distribution_word(model: Pda, word: tuple[str, ...], n_max: int) -> DistTable:
-    """Exact P(T = n) for a stack word; times of the entries add up."""
+    """Exact P(T = n) for a stack word, or one symbol, of a stateless model.
+
+    The times of the entries add up.
+    """
     if not word:
         raise ModelError("empty start word")
     for sym in word:

@@ -121,9 +121,11 @@ class Triple:
 
 @dataclass(frozen=True)
 class Pda:
-    """A validated-on-construction probabilistic pushdown automaton.
+    """A probabilistic pushdown automaton.
 
-    Immutable after construction.  Rule lookup tables, the may-terminate
+    Construction checks only the kind and that no name repeats;
+    ``validate``, which ``parse_model`` runs, checks the rest.  Immutable
+    after construction.  Rule lookup tables, the may-terminate
     array, the compiled termination system and, for stateless models, the
     moment matrix with its dependence are each built once, lazily, and the
     value is safe to share across threads.

@@ -77,9 +77,7 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray]:
     v = np.ones(k)
     for _ in range(POWER_CAP):
         w = shifted @ v
-        norm = float(np.max(w))
-        if norm == 0.0:
-            return 0.0, np.ones(k)
+        norm = float(np.max(w))  # at least 1: shifted has a unit diagonal and v > 0
         w /= norm
         if float(np.max(np.abs(w - v))) <= POWER_TOL:
             return norm - 1.0, w
@@ -166,12 +164,8 @@ def conditional_expectations(model: Pda, table: TerminationTable) -> dict[Triple
     transformed stateless model, which carries exactly the conditional
     distribution of the original triple.
     """
-    from .transform import terminating_part, to_bpa
+    from .transform import to_bpa
 
     result = to_bpa(model, table)
-    part = terminating_part(result)
-    exp = part.moments.expectations
-    return {
-        result.symbols[name]: exp[name]
-        for name in part.alphabet
-    }
+    exp = result.part.moments.expectations
+    return {result.symbols[name]: exp[name] for name in result.part.alphabet}

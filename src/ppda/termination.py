@@ -283,12 +283,8 @@ class CompiledSystem:
         return lambda x: x + np.bincount(rows, weights * x[cols], minlength=m)
 
 
-def termination_probs(
-    model: Pda,
-    tol: float = DEFAULT_TOL,
-    strict: bool = True,
-    trace: list | None = None,
-) -> TerminationTable:
+def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
+                      trace: list | None = None) -> TerminationTable:
     """Solve for all [pXq] and [pX^] values.
 
     Newton steps from the zero vector are componentwise nondecreasing for
@@ -297,7 +293,8 @@ def termination_probs(
     A caller-supplied ``trace`` list receives a copy of every iterate; when
     near-critical SCCs are refined, the iterates in doubles past the restart
     point are replaced by the decimal ones, rounded to doubles.  The error
-    estimate of the decimal solves counts towards the residual.
+    estimate of the decimal solves counts towards the residual.  A solve
+    that misses ``tol`` raises NewtonDivergedError, which carries its table.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -409,7 +406,7 @@ def termination_probs(
         qualitative_zero=qualitative_zero(model),
         tol=tol,
     )
-    if strict and not table.converged:
+    if not table.converged:
         raise NewtonDivergedError(table)
     return table
 

@@ -10,7 +10,9 @@ floats.  The terminating rules are the monomials of the compiled
 termination system divided by the value of their left-hand side:
 pX -> rYZ gives [pXq] -> [rYs][sZq] with probability x [rYs] [sZq] / [pXq].
 Terminating symbols never depend on diverging ones, and the restriction to
-terminating symbols terminates almost surely.
+terminating symbols terminates almost surely.  ``to_bpa`` emits the
+terminating symbols and their rules first, so that restriction, the
+terminating part, is a prefix of the stateless model and comes back with it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "TransformResult",
     "TransformError",
     "to_bpa",
-    "terminating_part",
     "cone_vector",
     "make_u_progressive",
 ]
@@ -43,8 +44,11 @@ class TransformError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransformResult:
+    """The stateless model, its triple of each symbol, and its terminating part."""
+
     bpa: Pda
     symbols: dict[str, Triple]
+    part: Pda
 
 
 def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
@@ -52,7 +56,8 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
 
     Triples whose probability falls below OMIT_BELOW are omitted entirely;
     every emitted rule row sums to one within 1e-9, which follows from the
-    first-step identity when the table residual is small.
+    first-step identity when the table residual is small.  The terminating
+    part keeps the model's start only when that start is terminating.
     """
     probs = table.probs
     system = model.compiled
@@ -89,6 +94,7 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
     for i, row, degree, prob in zip(lhs.tolist(), factors.tolist(),
                                     system.degree[order].tolist(), (weight / v[lhs]).tolist()):
         emit(names[i], tuple(names[f] for f in row[:degree]), prob)
+    term_rules = len(rules)
 
     for t in div_syms:
         denom = probs[t]
@@ -125,21 +131,13 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
         if abs(total - 1.0) > 1e-9:
             raise TransformError(f"row for {sym} sums to {total!r}; table residual too large")
 
-    return TransformResult(bpa=bpa, symbols={str(t): t for t in (*term_syms, *div_syms)})
-
-
-def terminating_part(result: TransformResult) -> Pda:
-    """Restriction to terminating triple symbols; again a stateless model."""
-    keep = {name for name, t in result.symbols.items() if not t.diverging}
-    alphabet = tuple(s for s in result.bpa.alphabet if s in keep)
-    rules = tuple(r for r in result.bpa.rules if r.lhs_symbol in keep)
-    for rule in rules:
-        if any(s not in keep for s in rule.rhs_word):
-            raise TransformError("terminating symbol depends on a diverging one")
-    start = result.bpa.start
-    if start is not None and start.stack[0] not in keep:
+    # the monomial rules come first and name terminating symbols only
+    terminating = alphabet[:len(term_syms)]
+    if start is not None and start.stack[0] not in terminating:
         start = None
-    return Pda((BPA_STATE,), alphabet, rules, kind="bpa", start=start)
+    part = Pda((BPA_STATE,), terminating, bpa.rules[:term_rules], kind="bpa", start=start)
+    return TransformResult(bpa=bpa, symbols={str(t): t for t in (*term_syms, *div_syms)},
+                           part=part)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,16 @@ from ppda.bounds import CASE3_LOWER_EXPONENT
 from ppda.distribution import SampleStats
 from ppda.model import BPA_STATE, ModelError, Rule
 from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
-                              EXTENDED_TOL, _solve_decimal)
+                              EXTENDED_TOL, NewtonDivergedError, _solve_decimal)
 from ppda.transform import OMIT_BELOW, TransformError
+
+
+def solve_unchecked(model: Pda):
+    """The termination table of ``model``, also when Newton did not converge."""
+    try:
+        return termination_probs(model)
+    except NewtonDivergedError as exc:
+        return exc.table
 
 
 def brute_mass(model: Pda, cfg: Configuration, n_max: int):

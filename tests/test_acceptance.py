@@ -16,7 +16,6 @@ from ppda import (
     Configuration,
     classify,
     cone_vector,
-    exact_distribution_bpa,
     exact_distribution_pda,
     exact_distribution_word,
     g_function,
@@ -26,7 +25,6 @@ from ppda import (
     moment_matrix,
     simulate_heads,
     tail,
-    terminating_part,
     termination_probs,
     to_bpa,
     upper_bound_azuma,
@@ -109,12 +107,12 @@ def test_criterion_3_transformation_preserves_distributions(tree, ab, twostate):
     for model in (tree, ab, twostate):
         table = termination_probs(model)
         result = to_bpa(model, table)
-        part = terminating_part(result)
+        part = result.part
         for name in part.alphabet:
             trip = result.symbols[name]
             norm = table.probs[trip]
             conditional = exact_distribution_pda(model, trip, 30, norm=norm).mass / norm
-            stateless = exact_distribution_bpa(part, name, 30).mass
+            stateless = exact_distribution_word(part, (name,), 30).mass
             assert float(np.max(np.abs(conditional - stateless))) <= 1e-9, name
             checked += 1
     assert checked >= 16
@@ -160,12 +158,12 @@ def test_criterion_4_projection_head_pairs(ab):
 def test_criterion_5_case2_sandwich(tree):
     budget = Budget(5.0)
     cases = [(subcritical_unit(), "X")]
-    part = terminating_part(to_bpa(tree, termination_probs(tree)))
+    part = to_bpa(tree, termination_probs(tree)).part
     cases.append((part, "q.A.r0"))
     for model, start in cases:
         report = classify(model, start)
         assert report.case == 2
-        dist = exact_distribution_bpa(model, start, 440)
+        dist = exact_distribution_word(model, (start,), 440)
         resid = table_residual(dist)
         lo = math.ceil(2 * report.e_start)
         for n in range(lo, 401):
@@ -179,7 +177,7 @@ def test_criterion_5_case2_sandwich(tree):
 def test_criterion_6_case3_tail_behavior(delta1, delta2, delta3):
     budget = Budget(60.0)
     report = classify(delta1, "X1")
-    dist = exact_distribution_bpa(delta1, "X1", 4096)
+    dist = exact_distribution_word(delta1, ("X1",), 4096)
     for n in (16, 64, 256, 1024, 4096):
         t = tail(dist, n)
         assert 0.3 <= t * math.sqrt(n) <= 1.0, n
@@ -187,7 +185,7 @@ def test_criterion_6_case3_tail_behavior(delta1, delta2, delta3):
         assert tail(dist, n) <= 144.0 / math.sqrt(n) + 1e-12
 
     for model, h, start in ((delta2, 2, "X2"), (delta3, 3, "X3")):
-        dp = exact_distribution_bpa(model, start, 4096)
+        dp = exact_distribution_word(model, (start,), 4096)
         grid = [2**k for k in range(6, 13)]
         xs = np.log([float(n) for n in grid])
         ys = np.log([tail(dp, n) for n in grid])
@@ -210,7 +208,7 @@ def test_criterion_7_case_classification(tree):
     mass = brute_total_mass(acyclic, Configuration("_", ("X",)), horizon)
     assert sum(mass) == 1 and all(m == 0 for m in mass[horizon:])
 
-    part = terminating_part(to_bpa(tree, termination_probs(tree)))
+    part = to_bpa(tree, termination_probs(tree)).part
     for model, start in ((subcritical_unit(), "X"), (part, "q.A.r0")):
         assert classify(model, start).case == 2
 
@@ -225,7 +223,7 @@ def test_criterion_7_case_classification(tree):
 def _bundled_certain_models(tree, ab, twostate):
     out = [(f"delta{h}", load_model(f"delta{h}.bpa")) for h in (1, 2, 3, 4)]
     for name, model in (("tree", tree), ("ab", ab), ("twostate", twostate)):
-        part = terminating_part(to_bpa(model, termination_probs(model)))
+        part = to_bpa(model, termination_probs(model)).part
         out.append((f"{name}-terminating", part))
     return out
 

@@ -11,13 +11,12 @@ from ppda import (
     classify,
     cone_vector,
     dependence,
-    exact_distribution_bpa,
+    exact_distribution_word,
     g_function,
     lower_bound_pmin,
     make_bpa,
     make_u_progressive,
     tail,
-    terminating_part,
     termination_probs,
     threshold_for_epsilon,
     to_bpa,
@@ -165,7 +164,7 @@ def memo_power_iteration(monkeypatch):
 @pytest.mark.parametrize("source", ["tree.ppda", "ab.ppda", "twostate.ppda", "random"])
 def test_classify_matches_per_start_oracle(source, memo_power_iteration):
     model = random_pda(4, 20, seed=1) if source == "random" else load_model(source)
-    part = terminating_part(to_bpa(model, termination_probs(model)))
+    part = to_bpa(model, termination_probs(model)).part
     assert_matches_per_start(part)
 
 
@@ -185,7 +184,7 @@ def test_classify_matches_per_start_oracle_small(model):
 
 
 def test_lower_bound_on_transformed_ab(ab):
-    part = terminating_part(to_bpa(ab, termination_probs(ab)))
+    part = to_bpa(ab, termination_probs(ab)).part
     rep = classify(part, "p.X.q")
     assert rep.p_min == pytest.approx(0.4, abs=1e-9)
     assert lower_bound_pmin(rep, 2) == pytest.approx(0.16, abs=1e-9)
@@ -225,7 +224,7 @@ def test_threshold_values(delta1):
 def test_case2_sandwich_subcritical_unit():
     m = subcritical_unit()
     rep = classify(m, "X")
-    dist = exact_distribution_bpa(m, "X", 430)
+    dist = exact_distribution_word(m, ("X",), 430)
     resid = table_residual(dist)
     for n in range(4, 401):
         t_lower = suffix_tail(dist, n)                # truncated: never overshoots
@@ -236,7 +235,7 @@ def test_case2_sandwich_subcritical_unit():
 
 def test_case3_empirical_band(delta1):
     rep = classify(delta1, "X1")
-    dist = exact_distribution_bpa(delta1, "X1", 4096)
+    dist = exact_distribution_word(delta1, ("X1",), 4096)
     for n in (16, 64, 256, 1024, 4096):
         t = tail(dist, n)
         assert 0.3 <= t * math.sqrt(n) <= 1.0
@@ -290,7 +289,7 @@ def test_g_function_properties_on_progressive_models(tree, ab, delta2, delta3):
 
     models = [delta2, delta3]
     for pda_model in (tree, ab):
-        models.append(terminating_part(to_bpa(pda_model, termination_probs(pda_model))))
+        models.append(to_bpa(pda_model, termination_probs(pda_model)).part)
     for model in models:
         u = cone_vector(model)
         for comp in dependence(model).sccs:

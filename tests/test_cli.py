@@ -526,6 +526,53 @@ def run_exit_2(models_dir, tmp_path, capsys, argv) -> str:
     return err[0]
 
 
+# each command with the flag that names its output file, on a model it accepts
+OUTPUT_FLAGS = {
+    "analyze": ["tree.ppda", "--json"],
+    "transform": ["ab.ppda", "--out"],
+    "dist": ["delta1.bpa", "--csv"],
+    "simulate": ["tree.ppda", "--samples", "50", "--seed", "3", "--csv"],
+    "bounds": ["delta1.bpa", "--csv"],
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "transform", "dist", "simulate"])
+def test_stdout_equals_the_output_file(models_dir, tmp_path, capsys, command):
+    name, *flags = OUTPUT_FLAGS[command]
+    argv = [command, str(models_dir / name), *flags[:-1]]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main([*argv, flags[-1], str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    written = out.read_text(encoding="utf-8")
+    if command == "analyze":  # the timings differ from run to run
+        shown, written = (json.dumps({**json.loads(text), "timings": None})
+                          for text in (shown, written))
+    assert shown == written
+
+
+# outputs that cannot be written, a threshold and a grid value beyond a double
+ONE_LINE_FAILURES = [
+    *(([command, *OUTPUT_FLAGS[command], "{tmp}/missing/out"], 2) for command in OUTPUT_FLAGS),
+    (["analyze", "tree.ppda", "--json", "{tmp}"], 2),
+    (["bounds", "delta1.bpa", "--eps", "1e-300"], 3),
+    (["bounds", "delta1.bpa", "--grid", "1," + "9" * 400], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", ONE_LINE_FAILURES,
+                         ids=[" ".join(argv)[:60] for argv, _ in ONE_LINE_FAILURES])
+def test_output_and_range_failures_exit_with_one_line(models_dir, tmp_path, argv, code):
+    command, name, *flags = argv
+    flags = [flag.replace("{tmp}", str(tmp_path)) for flag in flags]
+    proc = subprocess.run([sys.executable, "-m", "ppda", command, str(models_dir / name), *flags],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_dist_of_a_word_start(tmp_path):
     path, out = tmp_path / "word.bpa", tmp_path / "word.csv"
     path.write_text(WORD_START_BPA)

@@ -11,7 +11,6 @@ from ppda import (
     Configuration,
     ModelError,
     Triple,
-    exact_distribution_bpa,
     exact_distribution_pda,
     exact_distribution_word,
     make_bpa,
@@ -45,7 +44,7 @@ BUNDLED = sorted(path.name for path in MODELS.iterdir())
 
 def test_single_step_mass():
     m = make_bpa([(("X",), Fraction(1))])
-    t = exact_distribution_bpa(m, "X", 4)
+    t = exact_distribution_word(m, ("X",), 4)
     assert t.mass[1] == 1.0
     assert float(np.sum(t.mass)) == 1.0
     assert tail(t, 1) == 1.0
@@ -54,7 +53,7 @@ def test_single_step_mass():
 
 def test_delta1_catalan_prefix(delta1):
     # P(T = 2k+1) = Catalan(k) / 2^(2k+1), frozen from the closed form
-    t = exact_distribution_bpa(delta1, "X1", 16)
+    t = exact_distribution_word(delta1, ("X1",), 16)
     assert t.mass[1] == pytest.approx(1 / 2, abs=1e-15)
     assert t.mass[2] == 0.0
     assert t.mass[3] == pytest.approx(1 / 8, abs=1e-15)
@@ -64,7 +63,7 @@ def test_delta1_catalan_prefix(delta1):
 
 
 def test_subcritical_single_tree_shape():
-    t = exact_distribution_bpa(subcritical_unit(), "X", 8)
+    t = exact_distribution_word(subcritical_unit(), ("X",), 8)
     assert t.mass[1] == pytest.approx(3 / 4, abs=1e-15)
     assert t.mass[3] == pytest.approx((1 / 4) * (3 / 4) ** 2, abs=1e-15)
 
@@ -99,7 +98,7 @@ def test_tree_truncated_conditional_mean_approaches_expectation(tree):
 @settings(max_examples=40, deadline=None)
 def test_bpa_dp_matches_exact_enumeration(model):
     start = model.alphabet[0]
-    table = exact_distribution_bpa(model, start, 9)
+    table = exact_distribution_word(model, (start,), 9)
     truth = brute_total_mass(model, Configuration("_", (start,)), 9)
     for n in range(10):
         assert table.mass[n] == pytest.approx(float(truth[n]), abs=1e-12)
@@ -146,7 +145,7 @@ def test_pda_dp_pair_blocks_match_per_term_dp(monkeypatch, tree, block):
 def test_word_distribution_is_convolution():
     m = subcritical_unit()
     pair = exact_distribution_word(m, ("X", "X"), 12)
-    single = exact_distribution_bpa(m, "X", 12)
+    single = exact_distribution_word(m, ("X",), 12)
     manual = np.convolve(single.mass, single.mass)[:13]
     assert np.allclose(pair.mass, manual, atol=1e-15)
     truth = brute_total_mass(m, Configuration("_", ("X", "X")), 8)
@@ -154,9 +153,9 @@ def test_word_distribution_is_convolution():
         assert pair.mass[n] == pytest.approx(float(truth[n]), abs=1e-12)
 
 
-@pytest.mark.parametrize("dp,start", [(exact_distribution_bpa, "Q"),
-                                      (exact_distribution_word, ("Q",)),
-                                      (exact_distribution_word, ("X1", "Q"))])
+@pytest.mark.parametrize("dp,start", [(exact_distribution_word, ("Q",)),
+                                      (exact_distribution_word, ("X1", "Q"))],
+                         ids=["exact_distribution_word-start1", "exact_distribution_word-start2"])
 def test_dp_rejects_an_unknown_start_symbol(delta1, dp, start):
     with pytest.raises(ModelError, match="^unknown start symbol 'Q'$"):
         dp(delta1, start, 5)
@@ -168,14 +167,14 @@ def test_relaxed_rhs_dp_matches_enumeration():
          (("Y",), Fraction(2, 3)), (("Y", "Y", "Y"), Fraction(1, 3))],
         relaxed=True,
     )
-    table = exact_distribution_bpa(m, "X", 10)
+    table = exact_distribution_word(m, ("X",), 10)
     truth = brute_total_mass(m, Configuration("_", ("X",)), 10)
     for n in range(11):
         assert table.mass[n] == pytest.approx(float(truth[n]), abs=1e-12)
 
 
 def test_mass_conservation(tree, delta1):
-    d = exact_distribution_bpa(delta1, "X1", 256)
+    d = exact_distribution_word(delta1, ("X1",), 256)
     assert d.mass.min() >= 0.0
     assert float(np.sum(d.mass)) <= 1 + 1e-12
     assert np.sum(d.mass) + d.residual_mass == pytest.approx(1.0, abs=1e-12)
@@ -190,9 +189,18 @@ def test_mass_conservation(tree, delta1):
 
 
 def test_tail_beyond_horizon_raises(delta1):
-    t = exact_distribution_bpa(delta1, "X1", 8)
+    t = exact_distribution_word(delta1, ("X1",), 8)
     with pytest.raises(ModelError):
         tail(t, 12)
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+def test_tail_below_one_is_the_whole_mass(delta1, ab, n):
+    """P(T >= n) = 1 for every n <= 0, as ``SampleStats.empirical_tail`` has it."""
+    assert tail(exact_distribution_word(delta1, ("X1",), 8), n) == 1.0
+    trip = Triple("p", "X", "q")
+    norm = termination_probs(ab).probs[trip]
+    assert tail(exact_distribution_pda(ab, trip, 8, norm=norm), n) == 1.0
 
 
 def test_tail_needs_attached_norm(ab):
@@ -235,7 +243,7 @@ def test_simulation_tail_matches_dp(tree, ab, delta1):
     for model, start, cap in cases:
         stats = simulate(model, start, samples=100_000, step_cap=cap, seed=77)
         if model.stateless:
-            exact = exact_distribution_bpa(model, start.stack[0], 64)
+            exact = exact_distribution_word(model, (start.stack[0],), 64)
             true_tail = lambda n: tail(exact, n)
         else:
             solved = termination_probs(model)
@@ -251,7 +259,7 @@ def test_simulation_tail_matches_dp(tree, ab, delta1):
 
 
 def test_dist_csv_shape(delta1, tree):
-    t = exact_distribution_bpa(delta1, "X1", 4)
+    t = exact_distribution_word(delta1, ("X1",), 4)
     lines = dist_csv(t).splitlines()
     assert lines[0] == "n,mass,cumulative,tail"
     assert len(lines) == 6
@@ -267,7 +275,7 @@ def test_dist_csv_shape(delta1, tree):
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
 def test_tail_is_the_tail_column_of_dist_csv(h):
     # both read one sequential prefix sum, so they agree to the last digit
-    table = exact_distribution_bpa(load_model(f"delta{h}.bpa"), f"X{h}", 1024)
+    table = exact_distribution_word(load_model(f"delta{h}.bpa"), (f"X{h}",), 1024)
     column = [float(row.split(",")[3]) for row in dist_csv(table).splitlines()[1:]]
     assert [tail(table, n) for n in range(table.n_max + 1)] == column
     assert tail(table, table.n_max + 1) == table.residual_mass

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from ppda import (
     Configuration,
     dependence,
-    exact_distribution_bpa,
+    exact_distribution_word,
     make_bpa,
-    terminating_part,
     termination_probs,
     to_bpa,
 )
@@ -134,15 +133,15 @@ def test_cyclic_terminating_model_has_unbounded_support(delta1):
     assert termination_probs(delta1).symbol_prob(delta1, "X1") == 1.0
     assert not dependence(delta1).bounded("X1")
     n = 2 ** len(delta1.alphabet)
-    dist = exact_distribution_bpa(delta1, "X1", 64)
+    dist = exact_distribution_word(delta1, ("X1",), 64)
     assert suffix_tail(dist, n) >= 0.5 ** n
 
 
 def test_every_symbol_in_exactly_one_scc(tree, ab, delta3):
-    from ppda import termination_probs, to_bpa, terminating_part
+    from ppda import termination_probs, to_bpa
 
     for pda_model in (tree, ab):
-        part = terminating_part(to_bpa(pda_model, termination_probs(pda_model)))
+        part = to_bpa(pda_model, termination_probs(pda_model)).part
         info = dependence(part)
         seen = [s for comp in info.sccs for s in comp]
         assert sorted(seen) == sorted(part.alphabet)
@@ -170,7 +169,7 @@ def test_reach_sets_and_height_match_oracles(model):
 
 def transformed_random_part():
     pda = random_pda(2, 6, seed=2)
-    return terminating_part(to_bpa(pda, termination_probs(pda)))
+    return to_bpa(pda, termination_probs(pda)).part
 
 
 def test_reach_sets_and_height_on_transformed_random_model():

@@ -11,7 +11,6 @@ from ppda import (
     make_bpa,
     moment_matrix,
     simulate,
-    terminating_part,
     termination_probs,
     to_bpa,
 )
@@ -89,7 +88,7 @@ def test_infinite_only_above_critical_blocks():
 
 
 def test_expectation_residual_identity(tree):
-    part = terminating_part(to_bpa(tree, termination_probs(tree)))
+    part = to_bpa(tree, termination_probs(tree)).part
     mm = moment_matrix(part)
     exp = mm.expectations
     assert exp.finite
@@ -149,7 +148,7 @@ def _drift_samples(model, exp, start, count, seed):
 
 @pytest.mark.slow
 def test_martingale_drift_is_zero(tree):
-    part = terminating_part(to_bpa(tree, termination_probs(tree)))
+    part = to_bpa(tree, termination_probs(tree)).part
     for model, start in ((subcritical_unit(), "X"), (part, part.alphabet[0])):
         exp = model.moments.expectations
         drifts = _drift_samples(model, exp.values, start, 100_000, seed=9)
@@ -159,7 +158,7 @@ def test_martingale_drift_is_zero(tree):
 
 @pytest.mark.slow
 def test_monte_carlo_mean_matches_expectation(tree):
-    part = terminating_part(to_bpa(tree, termination_probs(tree)))
+    part = to_bpa(tree, termination_probs(tree)).part
     cases = [
         (subcritical_unit(), "X"),
         (part, "q.A.r0"),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ppda import (
     Configuration,
     Triple,
-    exact_distribution_bpa,
+    exact_distribution_word,
     exact_distribution_pda,
     make_bpa,
     parse_model,
@@ -36,6 +36,7 @@ from helpers import (
     relaxed_bpas,
     small_bpas,
     small_pdas,
+    solve_unchecked,
     term_system,
 )
 
@@ -162,7 +163,7 @@ def test_extended_newton_matches_per_member_rows(monkeypatch, models_dir):
 
     monkeypatch.setattr(ppda.termination, "_extended_newton", recorded)
     for model in models:
-        termination_probs(model, strict=False)
+        solve_unchecked(model)
     assert len(calls) == 22
     for system, members, start, before, iterates, after in calls:
         exact = dict(before)
@@ -408,7 +409,7 @@ def test_monte_carlo_consistency_with_probabilities(tree, ab, twostate, delta1):
             triple = Triple(start.state, start.stack[0], q)
             truth = table.probs[triple]
             if model.stateless:
-                dist = exact_distribution_bpa(model, start.stack[0], cap)
+                dist = exact_distribution_word(model, (start.stack[0],), cap)
             else:
                 dist = exact_distribution_pda(model, triple, cap, norm=truth)
             if model.stateless:

@@ -12,7 +12,6 @@ from ppda import (
     Triple,
     cone_vector,
     dependence,
-    exact_distribution_bpa,
     exact_distribution_pda,
     exact_distribution_word,
     make_bpa,
@@ -20,7 +19,6 @@ from ppda import (
     moment_matrix,
     parse_model,
     simulate_heads,
-    terminating_part,
     termination_probs,
     to_bpa,
     validate,
@@ -36,6 +34,7 @@ from helpers import (
     is_almost_surely_terminating,
     small_bpas,
     small_pdas,
+    solve_unchecked,
     symmetric_pair,
     to_bpa_loop,
 )
@@ -88,7 +87,7 @@ def test_to_bpa_matches_rule_loop(model):
     """The rules read off the compiled monomials are the loop's, in its order."""
     model = dataclasses.replace(model, start=Configuration(model.states[-1],
                                                            (model.alphabet[-1],)))
-    table = termination_probs(model, strict=False)
+    table = solve_unchecked(model)
     try:
         expected = to_bpa_loop(model, table)
     except TransformError:
@@ -126,7 +125,7 @@ def test_to_bpa_rejects_a_row_that_misses_one(ab):
 def test_terminating_part_is_clean_and_certain(tree, ab, twostate):
     for model in (tree, ab, twostate):
         result = to_bpa(model, termination_probs(model))
-        part = terminating_part(result)
+        part = result.part
         assert all(not result.symbols[s].diverging for s in part.alphabet)
         for rule in part.rules:
             for sym in rule.rhs_word:
@@ -136,9 +135,9 @@ def test_terminating_part_is_clean_and_certain(tree, ab, twostate):
 
 
 def test_terminating_part_sizes(tree, ab):
-    tree_part = terminating_part(to_bpa(tree, termination_probs(tree)))
+    tree_part = to_bpa(tree, termination_probs(tree)).part
     assert len(tree_part.alphabet) == 10
-    ab_part = terminating_part(to_bpa(ab, termination_probs(ab)))
+    ab_part = to_bpa(ab, termination_probs(ab)).part
     assert sorted(ab_part.alphabet) == ["p.X.q", "q.X.p"]
     assert len(ab_part.rules) == 4
 
@@ -147,7 +146,7 @@ def test_transform_omits_all_zero_triples():
     grow = make_bpa([(("X", "X", "X"), Fraction(1))])
     result = to_bpa(grow, termination_probs(grow))
     assert result.bpa.alphabet == ("_.X.up",)
-    assert terminating_part(result).alphabet == ()
+    assert result.part.alphabet == ()
 
 
 def test_distribution_equality_all_positive_triples(tree, ab, twostate):
@@ -155,12 +154,12 @@ def test_distribution_equality_all_positive_triples(tree, ab, twostate):
     for model in (tree, ab, twostate):
         table = termination_probs(model)
         result = to_bpa(model, table)
-        part = terminating_part(result)
+        part = result.part
         for name in part.alphabet:
             trip = result.symbols[name]
             norm = table.probs[trip]
             pda_mass = exact_distribution_pda(model, trip, 30, norm=norm).mass / norm
-            bpa_mass = exact_distribution_bpa(part, name, 30).mass
+            bpa_mass = exact_distribution_word(part, (name,), 30).mass
             assert np.max(np.abs(pda_mass - bpa_mass)) <= 1e-9
 
 
@@ -199,17 +198,17 @@ def test_projection_head_pairs_small(ab):
 @example(CRITICAL_PDAS["with_bystander"])
 def test_distribution_equality_random_models(model):
     """Transform preserves conditional laws on arbitrary small models."""
-    table = termination_probs(model, strict=False)
+    table = solve_unchecked(model)
     assume(table.converged and table.residual <= 1e-11)
     result = to_bpa(model, table)
-    part = terminating_part(result)
+    part = result.part
     for name in part.alphabet:
         trip = result.symbols[name]
         norm = table.probs[trip]
         if norm < 1e-2:  # conditioning amplifies solver noise below this
             continue
         conditional = exact_distribution_pda(model, trip, 12, norm=norm).mass / norm
-        stateless = exact_distribution_bpa(part, name, 12).mass
+        stateless = exact_distribution_word(part, (name,), 12).mass
         assert np.max(np.abs(conditional - stateless)) <= 1e-9
 
 
@@ -280,8 +279,8 @@ def test_cone_vector_examples(delta1, delta2):
 
 def test_cone_vector_ratio_bound(tree, ab, delta3):
     for model in (
-        terminating_part(to_bpa(tree, termination_probs(tree))),
-        terminating_part(to_bpa(ab, termination_probs(ab))),
+        to_bpa(tree, termination_probs(tree)).part,
+        to_bpa(ab, termination_probs(ab)).part,
         delta3,
     ):
         u = cone_vector(model)
@@ -390,9 +389,7 @@ def test_progressive_speed_sandwich():
 @given(small_bpas(max_symbols=3))
 @settings(max_examples=30, deadline=None)
 def test_progressive_posts_random_models(model):
-    from ppda import termination_probs as solve
-
-    table = solve(model, strict=False)
+    table = solve_unchecked(model)
     assume(table.converged)
     assume(is_almost_surely_terminating(model, table))
     try:
