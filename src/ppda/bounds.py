@@ -16,7 +16,9 @@ exponent is reported, with estimation left to callers holding exact tails.
 What a start's regime depends on is model-wide: the dependence SCCs and
 their heights, the moment matrix, the expectations and the symbols certified
 to terminate with certainty.  ``Pda.moments`` holds all of these once per
-model, and ``classify`` reads them over the start's reach set.
+model, with p_min, e_max and B reduced per SCC over all that SCC depends
+on, so ``classify`` reads a start's constants from its SCC and never visits
+a rule.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from .model import ModelError, Pda
-from .moments import rule_weight_change
 
 __all__ = [
     "TailReport",
@@ -97,11 +98,10 @@ def classify(model: Pda, start: str) -> TailReport:
         raise NotAlmostSurelyTerminating(
             f"symbols reachable from {start} may diverge; transform or condition first"
         )
-    keep = deps.reachable_from[start] | {start}
-    rules = [rule for sym in keep for rule in model.rules_for(model.only_state, sym)]
-    gamma = len(keep)
-    pmin = min((float(rule.prob) for rule in rules), default=1.0)
-    h = deps.scc_height[deps.scc_of[start]]
+    i = deps.scc_of[start]
+    reach = deps.reachable_from[start]
+    gamma = len(reach) + (start not in reach)
+    pmin, h = moments.reach_p_min[i], deps.scc_height[i]
 
     if deps.bounded(start):
         return TailReport(start=start, case=1, gamma_size=gamma, p_min=pmin, height=h)
@@ -110,9 +110,7 @@ def classify(model: Pda, start: str) -> TailReport:
     if math.isfinite(exp[start]):  # then so is every symbol the start reaches
         return TailReport(
             start=start, case=2, gamma_size=gamma, p_min=pmin, height=h,
-            e_start=exp[start],
-            e_max=max(exp[sym] for sym in keep),
-            b_constant=max(abs(1.0 - rule_weight_change(rule, exp.values)) for rule in rules),
+            e_start=exp[start], e_max=moments.reach_e_max[i], b_constant=moments.reach_b[i],
         )
     return TailReport(
         start=start, case=3, gamma_size=gamma, p_min=pmin, height=h,

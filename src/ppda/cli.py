@@ -4,7 +4,8 @@
 or of the terminating part ``to_bpa`` returns.  ``_emit`` writes all output.
 
 Exit codes, set in ``main`` alone, each failure on one line: 0 success, 2
-file/parse/validation problems, bad flag values and unwritable outputs, 3
+file/parse/validation problems, bad flag values (an ``--nmax`` past the
+DP's byte budget too) and unwritable outputs, 3
 numeric failures (non-convergence, a transform row that misses 1, a
 threshold beyond a double).  All commands are deterministic given their
 flags; JSON reports round floats to 12 significant digits and spell

@@ -54,6 +54,13 @@ __all__ = [
 ]
 
 
+# The exact DP holds every mass row to the horizon at once: a symbol's or
+# triple's law, and for a stateless word longer than one a prefix
+# convolution.  A horizon whose rows would pass this many bytes is refused
+# before any is allocated.
+DP_BYTES = 1 << 30
+
+
 @dataclass(frozen=True)
 class DistTable:
     """Unconditioned mass table: mass[i] = P(T = i and the subject's event)."""
@@ -106,22 +113,35 @@ def exact_distribution_word(model: Pda, word: tuple[str, ...], n_max: int) -> Di
     return DistTable(subject=" ".join(word), mass=out, n_max=n_max, norm=1.0)
 
 
+def _check_size(rows: int, n_max: int) -> None:
+    """Refuse a DP of ``rows`` mass rows to horizon ``n_max`` above DP_BYTES."""
+    size = 8 * rows * (n_max + 1)
+    if size > DP_BYTES:
+        raise ModelError(f"the exact DP to horizon {n_max} needs {rows} rows of "
+                         f"{n_max + 1} doubles, {size / 2**30:.3g} GiB; "
+                         f"the budget is {DP_BYTES / 2**30:g} GiB")
+
+
 def _bpa_masses(model: Pda, n_max: int) -> dict[str, np.ndarray]:
     if not model.stateless:
         raise ModelError("use exact_distribution_pda for stateful models")
     if n_max < 1:
         raise ModelError("n_max must be at least 1")
-    D = {sym: np.zeros(n_max + 1) for sym in model.alphabet}
+    rules = model.rule_arrays
+    # a row per symbol, and one per prefix convolution below
+    _check_size(len(model.alphabet) + int(np.maximum(rules.length - 1, 0).sum()), n_max)
+    D = [np.zeros(n_max + 1) for _ in model.alphabet]
 
     # Running prefix convolutions per rule; prefix[k][j] is final once the
     # step loop passes j, so each entry is filled exactly once.
     plans = []
-    for rule in model.rules:
-        word = rule.rhs_word
+    for prob, lhs, length, word in zip(rules.prob.tolist(), rules.lhs_symbol.tolist(),
+                                       rules.length.tolist(), rules.words.tolist()):
+        word = word[:length]
         prefixes = [D[sym] for sym in word[:1]]
-        for k in range(1, len(word)):
+        for k in range(1, length):
             prefixes.append(np.zeros(n_max + 1))
-        plans.append((float(rule.prob), D[rule.lhs_symbol], word, prefixes))
+        plans.append((prob, D[lhs], word, prefixes))
 
     for n in range(1, n_max + 1):
         for prob, target, word, prefixes in plans:
@@ -137,7 +157,7 @@ def _bpa_masses(model: Pda, n_max: int) -> dict[str, np.ndarray]:
                         np.dot(left[1 : n - 1], D[sym][n - 2 : 0 : -1])
                     )
             target[n] += prob * prefixes[m - 1][n - 1]
-    return D
+    return dict(zip(model.alphabet, D))
 
 
 def exact_distribution_pda(
@@ -153,10 +173,10 @@ def exact_distribution_pda(
         raise ModelError("distributions are defined for terminating triples only")
     if n_max < 1:
         raise ModelError("n_max must be at least 1")
-    for rule in model.rules:
-        if len(rule.rhs_word) > 2:
-            raise ModelError("stateful DP expects right-hand sides of length <= 2")
+    if (model.rule_arrays.length > 2).any():
+        raise ModelError("stateful DP expects right-hand sides of length <= 2")
     system = model.compiled
+    _check_size(system.n, n_max)
     mass = _pda_masses(system, n_max)
     if triple is None:
         return {t: DistTable(subject=t, mass=row, n_max=n_max, norm=None)
@@ -271,25 +291,30 @@ class _Outcomes:
 
 
 def _outcomes(model: Pda) -> _Outcomes:
-    n_sym = len(model.alphabet)
-    sidx, aidx = model.state_index, model.symbol_index
-    k = max(map(len, model.rules_by_pair.values()), default=1)
-    longest = max((len(rule.rhs_word) for rule in model.rules), default=0)
-    cum = np.full((len(model.states) * n_sym, k), np.inf)
+    n_sym, rules = len(model.alphabet), model.rule_arrays
+    pair = rules.lhs_state * n_sym + rules.lhs_symbol
+    count = np.bincount(pair, minlength=len(model.states) * n_sym)
+    k = int(count.max(initial=1))
+    # j: the place of each rule among its pair's rules, in rule order
+    order = np.argsort(pair, kind="stable")
+    j = np.empty_like(pair)
+    j[order] = np.arange(len(pair)) - (np.cumsum(count) - count)[pair[order]]
+    o = pair * k + j
+    cum = np.zeros((len(count), k))
+    cum[pair, j] = rules.prob
+    cum = np.cumsum(cum, axis=1)  # sequential adds, as a running sum over the rules
+    cum[np.arange(k) >= count[:, None]] = np.inf
+    used = np.flatnonzero(count)
+    cum[used, count[used] - 1] = 1.0 + 1e-12
     state = np.zeros(cum.size, np.intp)
+    state[o] = rules.rhs_state * n_sym
     shift = np.zeros(cum.size, np.intp)
+    shift[o] = rules.length - 1
+    longest = int(rules.length.max(initial=0))
     push = np.zeros((longest, cum.size), np.min_scalar_type(max(n_sym - 1, 0)))
-    for (p, X), rules in model.rules_by_pair.items():
-        pair = sidx[p] * n_sym + aidx[X]
-        acc = 0.0
-        for j, rule in enumerate(rules):
-            acc += float(rule.prob)
-            cum[pair, j] = acc
-            o = pair * k + j
-            state[o] = sidx[rule.rhs_state] * n_sym
-            shift[o] = len(rule.rhs_word) - 1
-            push[: len(rule.rhs_word), o] = [aidx[sym] for sym in reversed(rule.rhs_word)]
-        cum[pair, len(rules) - 1] = 1.0 + 1e-12
+    at = rules.length[:, None] - 1 - np.arange(longest)  # word position of each push row
+    r, row = np.nonzero(at >= 0)
+    push[row, o[r]] = rules.words[r, at[r, row]]
     return _Outcomes(n_sym, k, np.ascontiguousarray(cum[:, :-1].T), state, shift, push)
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import ModelError, Pda
 
 __all__ = ["DependenceInfo", "dependence"]
@@ -50,10 +52,13 @@ def dependence(model: Pda) -> DependenceInfo:
     """Compute the dependence relation, its SCC DAG, and the DAG height."""
     if not model.stateless:
         raise ModelError("dependence analysis is defined on stateless models; transform first")
-    edges: dict[str, set[str]] = {sym: set() for sym in model.alphabet}
-    for rule in model.rules:
-        edges[rule.lhs_symbol].update(rule.rhs_word)
-    return _condense(edges, _tarjan(model.alphabet, edges))
+    syms, rules = model.alphabet, model.rule_arrays
+    real = rules.words < len(syms)
+    lhs = np.broadcast_to(rules.lhs_symbol[:, None], real.shape)[real]
+    edges: dict[str, set[str]] = {sym: set() for sym in syms}
+    for x, y in zip(lhs.tolist(), rules.words[real].tolist()):
+        edges[syms[x]].add(syms[y])
+    return _condense(edges, _tarjan(syms, edges))
 
 
 def _condense(edges, sccs) -> DependenceInfo:

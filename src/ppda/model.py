@@ -4,8 +4,8 @@ A model is a finite set of control states, a finite stack alphabet, and
 probabilistic rewrite rules ``p X -> q alpha`` with exact rational
 probabilities.  Stateless models ("bpa") carry a single synthetic control
 state; "relaxed-bpa" additionally permits right-hand sides longer than two
-symbols.  Probabilities stay exact rationals here; numeric modules convert
-to floats at their boundary.
+symbols.  Probabilities stay exact rationals here; the numeric modules read
+the rules as index and double arrays (``Pda.rule_arrays``), built once.
 """
 
 from __future__ import annotations
@@ -15,11 +15,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "Rule",
     "Configuration",
     "Triple",
     "Pda",
+    "RuleArrays",
     "ModelError",
     "BPA_STATE",
     "ROW_SUM_TOL",
@@ -125,10 +128,11 @@ class Pda:
 
     Construction checks only the kind and that no name repeats;
     ``validate``, which ``parse_model`` runs, checks the rest.  Immutable
-    after construction.  Rule lookup tables, the may-terminate
-    array, the compiled termination system and, for stateless models, the
-    moment matrix with its dependence are each built once, lazily, and the
-    value is safe to share across threads.
+    after construction.  Rule lookup tables, the rules as arrays
+    (``rule_arrays``), the may-terminate array, the compiled termination
+    system and, for stateless models, the moment matrix with its dependence
+    and per-SCC reductions are each built once, lazily, and the value is
+    safe to share across threads.
     """
 
     states: tuple[str, ...]
@@ -159,6 +163,12 @@ class Pda:
     @cached_property
     def symbol_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.alphabet)}
+
+    @cached_property
+    def rule_arrays(self) -> RuleArrays:
+        """``RuleArrays`` of this model, built once: every numeric module reads
+        the rules through it."""
+        return RuleArrays(self)
 
     @cached_property
     def terminating_triples(self):
@@ -199,8 +209,31 @@ class Pda:
     def rules_for(self, state: str, symbol: str) -> tuple[Rule, ...]:
         return self.rules_by_pair.get((state, symbol), ())
 
-    def p_min(self) -> Fraction:
-        return min(rule.prob for rule in self.rules)
+
+class RuleArrays:
+    """The rules of a model as arrays, in rule order.
+
+    Per rule: ``lhs_state``, ``lhs_symbol`` and ``rhs_state`` as indices,
+    the word ``length``, the word in ``words`` as symbol indices padded with
+    |alphabet| to at least two columns, and ``prob``, the probability
+    rounded to a double.  It holds no reference to the model.
+    """
+
+    def __init__(self, model: Pda):
+        sidx, aidx = model.state_index, model.symbol_index
+        rules, pad = model.rules, len(model.alphabet)
+        width = max([2] + [len(rule.rhs_word) for rule in rules])
+        table = np.array(
+            [(sidx[rule.lhs_state], aidx[rule.lhs_symbol], sidx[rule.rhs_state],
+              len(rule.rhs_word), *(aidx[sym] for sym in rule.rhs_word),
+              *(pad,) * (width - len(rule.rhs_word))) for rule in rules],
+            dtype=np.intp,
+        ).reshape(len(rules), 4 + width)
+        table.flags.writeable = False  # shared by every reader of the model
+        self.lhs_state, self.lhs_symbol, self.rhs_state, self.length = table[:, :4].T
+        self.words = table[:, 4:]
+        self.prob = np.array([float(rule.prob) for rule in rules], dtype=float)
+        self.prob.flags.writeable = False
 
 
 def make_bpa(rules: Iterable[tuple[Sequence[str], Fraction | float | int | str]],

@@ -7,7 +7,11 @@ subcritical; otherwise the affected symbols have infinite expectation.
 The same blocks certify which symbols terminate with probability one.
 ``moment_matrix`` decides both in one walk of the SCCs, and ``Pda.moments``
 keeps the result, with its dependence, once per model: the certainty snap,
-the classification and the cone vector all read it.
+the classification and the cone vector all read it.  A fills from the
+model's ``Pda.rule_arrays``, which also give, per SCC and over everything
+it depends on, the least rule probability, the largest expectation and the
+largest |1 - weight change| (B): ``classify`` reads a start's bound
+constants from its SCC.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graph import DependenceInfo, dependence
-from .model import Pda, Rule, Triple
+from .model import Pda, Rule, RuleArrays, Triple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .termination import TerminationTable
@@ -49,6 +53,12 @@ class MomentMatrix:
     block_radii: tuple[float, ...]
     certain: frozenset[str]
     expectations: ExpectationTable
+    # per SCC of ``deps``, over its members and all they depend on: the least
+    # rule probability, the largest expectation, and B, the largest
+    # |1 - weight change| over the rules whose symbols have a finite E
+    reach_p_min: tuple[float, ...]
+    reach_e_max: tuple[float, ...]
+    reach_b: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -95,18 +105,22 @@ def moment_matrix(model: Pda) -> MomentMatrix:
     epsilon) short of a critical fixed point, and this certificate pins it
     to 1.  A block is infinite when its radius is within CRITICAL_EPS of 1
     or beyond, or a successor is infinite; the other symbols solve
-    (I - A) E = 1.
+    (I - A) E = 1.  Each SCC's p_min, e_max and B are then reduced over its
+    own rules or symbols and those of its successors.
     """
     if not model.stateless:
         raise ValueError("moment matrix is defined on stateless models; transform first")
     deps = dependence(model)
     syms = model.alphabet
     index = model.symbol_index
-    A = np.zeros((len(syms), len(syms)))
-    for rule in model.rules:
-        i = index[rule.lhs_symbol]
-        for sym in rule.rhs_word:
-            A[i, index[sym]] += float(rule.prob)
+    n = len(syms)
+    rules = model.rule_arrays
+    real = rules.words < n
+    # bincount adds in input order, rule by rule and along each word: the
+    # sums of a loop over the rules
+    A = np.bincount((rules.lhs_symbol[:, None] * n + rules.words)[real],
+                    np.broadcast_to(rules.prob[:, None], real.shape)[real],
+                    minlength=n * n).astype(float, copy=False).reshape(n, n)
 
     can_empty = model.terminating_triples.any(axis=(0, 2))
     radii: list[float] = []
@@ -121,6 +135,13 @@ def moment_matrix(model: Pda) -> MomentMatrix:
         certain.append(bool(can_empty[rows].all()) and rho <= 1.0 + 1e-9
                        and all(certain[j] for j in succ))
         infinite.append(rho >= 1.0 - CRITICAL_EPS or any(infinite[j] for j in succ))
+
+    scc = np.array([deps.scc_of[sym] for sym in syms], dtype=np.intp)
+    E = _expectations(A, np.array(infinite, dtype=bool)[scc])
+    change = _weight_changes(rules, E)
+    values = dict(zip(syms, E.tolist()))
+    finite = bool(np.isfinite(E).all())
+    rule_scc = scc[rules.lhs_symbol]
     return MomentMatrix(
         symbols=syms,
         A=A,
@@ -129,27 +150,54 @@ def moment_matrix(model: Pda) -> MomentMatrix:
         deps=deps,
         block_radii=tuple(radii),
         certain=frozenset(sym for sym in syms if certain[deps.scc_of[sym]]),
-        expectations=_expectations(model, A, [infinite[deps.scc_of[sym]] for sym in syms]),
+        expectations=ExpectationTable(
+            values=values, e_max=max(values.values(), default=0.0),
+            # a model without rules, such as an empty terminating part, has no B
+            b_constant=float(change.max()) if finite and len(change) else None,
+            finite=finite),
+        reach_p_min=_reduce_down(deps, np.minimum, 1.0, rule_scc, rules.prob),
+        reach_e_max=_reduce_down(deps, np.maximum, -math.inf, scc, E),
+        reach_b=_reduce_down(deps, np.maximum, -math.inf, rule_scc, change),
     )
 
 
-def _expectations(model: Pda, A: np.ndarray, infinite: list[bool]) -> ExpectationTable:
-    """Solve (I - A) E = 1 over the symbols not flagged infinite, in alphabet order."""
-    rows = [i for i, inf in enumerate(infinite) if not inf]
+def _expectations(A: np.ndarray, infinite: np.ndarray) -> np.ndarray:
+    """Solve (I - A) E = 1 over the symbols not flagged infinite; inf elsewhere."""
+    rows = np.flatnonzero(~infinite)
+    E = np.full(len(infinite), math.inf)
     try:
-        solved = np.linalg.solve(np.eye(len(rows)) - A[np.ix_(rows, rows)], np.ones(len(rows)))
+        E[rows] = np.linalg.solve(np.eye(len(rows)) - A[np.ix_(rows, rows)], np.ones(len(rows)))
     except np.linalg.LinAlgError:
-        # Numerically singular despite the radius gate: treat as infinite.
-        rows, solved = [], np.zeros(0)
-    values = dict.fromkeys(model.alphabet, math.inf)
-    values.update(zip((model.alphabet[i] for i in rows), solved.tolist()))
+        pass  # numerically singular despite the radius gate: treat as infinite
+    return E
 
-    finite = all(math.isfinite(v) for v in values.values())
-    # a model without rules, such as an empty terminating part, has no B
-    b_constant = max((abs(1.0 - rule_weight_change(rule, values)) for rule in model.rules),
-                     default=None) if finite else None
-    return ExpectationTable(values=values, e_max=max(values.values(), default=0.0),
-                            b_constant=b_constant, finite=finite)
+
+def _weight_changes(rules: RuleArrays, E: np.ndarray) -> np.ndarray:
+    """|1 - weight change| of every rule under the weights E, as
+    ``rule_weight_change`` sums them; -inf for a rule that touches an
+    infinite E, where the change is undefined."""
+    finite = np.isfinite(E)
+    weights = np.append(np.where(finite, E, 0.0), 0.0)  # the padding weighs 0
+    pushed = weights[rules.words[:, 0]]
+    for column in rules.words.T[1:]:
+        pushed = pushed + weights[column]
+    change = np.abs(1.0 - (weights[rules.lhs_symbol] - pushed))
+    unknown = ~np.append(finite, True)
+    change[unknown[rules.lhs_symbol] | unknown[rules.words].any(axis=1)] = -math.inf
+    return change
+
+
+def _reduce_down(deps: DependenceInfo, ufunc: np.ufunc, initial: float, groups: np.ndarray,
+                 values: np.ndarray) -> tuple[float, ...]:
+    """Per SCC, ``ufunc`` (minimum or maximum) of ``initial`` and the ``values``
+    grouped to it by ``groups``, and of the results of its successors."""
+    own = np.full(len(deps.sccs), initial)
+    ufunc.at(own, groups, values)
+    pick = min if ufunc is np.minimum else max
+    out: list[float] = []
+    for value, succ in zip(own.tolist(), deps.scc_successors):
+        out.append(pick([value, *(out[j] for j in succ)]))
+    return tuple(out)
 
 
 def rule_weight_change(rule: Rule, weights: dict[str, float]) -> float:

@@ -8,9 +8,11 @@ For every triple pXq the value [pXq] is the least nonnegative solution of
 
 solved here with undamped Newton iteration from the zero vector after a
 boolean preprocessing pass pins the structurally-zero variables.  The
-divergence mass [pX^] is reported as the clamped complement.  The model
-keeps that pass's array (``may_terminate``) and the ``CompiledSystem`` over
-it (``Pda.compiled``), which the solve, ``to_bpa`` and the DP all read.
+divergence mass [pX^] is reported as the clamped complement.  Both that
+pass (``may_terminate``) and the ``CompiledSystem`` over its array read the
+rules through the model's ``Pda.rule_arrays``; the model keeps the array
+and the system (``Pda.compiled``), which the solve, ``to_bpa`` and the DP
+all read.
 
 Each Newton step solves (I - F'(v)) delta = F(v) - v.  Systems of at most
 DENSE_MAX (512) variables build the matrix and take one LAPACK solve: on a
@@ -114,21 +116,6 @@ class TerminationTable:
         return self.prob(p, symbol, p)
 
 
-def _rule_arrays(model: Pda):
-    """Per rule: lhs state, lhs symbol, rhs state, word length, and the word
-    as symbol indices, padded with |alphabet| to at least two columns."""
-    sidx, aidx = model.state_index, model.symbol_index
-    rules, pad = model.rules, len(model.alphabet)
-    width = max([2] + [len(rule.rhs_word) for rule in rules])
-    table = np.array(
-        [(sidx[rule.lhs_state], aidx[rule.lhs_symbol], sidx[rule.rhs_state],
-          len(rule.rhs_word), *(aidx[sym] for sym in rule.rhs_word),
-          *(pad,) * (width - len(rule.rhs_word))) for rule in rules],
-        dtype=np.intp,
-    ).reshape(len(rules), 4 + width)
-    return table[:, 0], table[:, 1], table[:, 2], table[:, 3], table[:, 4:]
-
-
 def may_terminate(model: Pda) -> np.ndarray:
     """can[p, X, q]: whether a positive-probability path leads from pX to q-empty.
 
@@ -139,8 +126,9 @@ def may_terminate(model: Pda) -> np.ndarray:
     word can empty into, one word position at a time.
     """
     nq, ng = len(model.states), len(model.alphabet)
-    lhs_state, lhs_symbol, rhs_state, _, words = _rule_arrays(model)
-    lhs = (lhs_symbol * nq + lhs_state) * nq
+    rules = model.rule_arrays
+    rhs_state, words = rules.rhs_state, rules.words
+    lhs = (rules.lhs_symbol * nq + rules.lhs_state) * nq
     # can[X, s, q]; the padding symbol ng takes every state to itself
     can = np.zeros((ng + 1, nq, nq), dtype=bool)
     can[ng] = np.eye(nq, dtype=bool)
@@ -196,12 +184,13 @@ class CompiledSystem:
         self.triples = [Triple(states[p], alphabet[x], states[q])
                         for p, x, q in np.argwhere(known).tolist()]
         self.index = {t: i for i, t in enumerate(self.triples)}
-        lhs_state, lhs_symbol, rhs_state, length, words = _rule_arrays(model)
+        rules = model.rule_arrays
+        length, words = rules.length, rules.words
         width = words.shape[1]
         # Chains r = s0, s1, .., sm of every rule, extended one word position
         # at a time by every next state in order, so they stay sorted by rule
         # and then by state sequence: the order of a loop over rules and states.
-        rule, state = np.arange(len(words)), rhs_state
+        rule, state = np.arange(len(words)), rules.rhs_state
         factors = np.full((len(words), width), n, dtype=np.intp)
         for j in range(width):
             grows = length[rule] > j
@@ -215,7 +204,7 @@ class CompiledSystem:
             keep = np.ones(len(rule), dtype=bool)
             keep[grows] = factor >= 0
             rule, state, factors = rule[keep], state[keep], factors[keep]
-        lhs = table[lhs_state[rule], lhs_symbol[rule], state]
+        lhs = table[rules.lhs_state[rule], rules.lhs_symbol[rule], state]
         keep = lhs >= 0
         lhs, rule, factors = lhs[keep], rule[keep], factors[keep]
         degree = length[rule]
@@ -223,7 +212,7 @@ class CompiledSystem:
         order = np.lexsort((lhs, degree > 0))
         self.lhs, self.factors, self.degree = lhs[order], factors[order], degree[order]
         self.rule = rule[order]
-        self.coef = np.array([float(r.prob) for r in model.rules])[self.rule]
+        self.coef = rules.prob[self.rule]
         first = len(self.lhs) - np.count_nonzero(self.degree)
         self.const = np.bincount(self.lhs[:first], self.coef[:first], minlength=n)
         # views of the monomials with factors, and the row and column in F'

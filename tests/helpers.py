@@ -35,6 +35,7 @@ from ppda import (
 from ppda.bounds import CASE3_LOWER_EXPONENT
 from ppda.distribution import SampleStats
 from ppda.model import BPA_STATE, ModelError, Rule
+from ppda.moments import rule_weight_change
 from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
                               EXTENDED_TOL, NewtonDivergedError, _solve_decimal)
 from ppda.transform import OMIT_BELOW, TransformError
@@ -148,8 +149,9 @@ def classify_restricted(restricted: Pda, deps, table, exp, start: str,
                         eps: float = 1e-9) -> TailReport:
     """The tail regime of ``start`` from its restriction's own analysis.
 
-    Judges certainty from the solved probabilities; the oracle for
-    ``classify``, which reads one model-wide analysis instead.
+    Judges certainty from the solved probabilities and takes B rule by rule;
+    the oracle for ``classify``, which reads per-SCC reductions of one
+    model-wide analysis instead.
     """
     if not is_almost_surely_terminating(restricted, table, eps=eps):
         raise NotAlmostSurelyTerminating(f"symbols reachable from {start} may diverge")
@@ -161,7 +163,9 @@ def classify_restricted(restricted: Pda, deps, table, exp, start: str,
     if exp.finite:
         return TailReport(
             start=start, case=2, gamma_size=gamma, p_min=pmin, height=h,
-            e_start=exp[start], e_max=exp.e_max, b_constant=exp.b_constant,
+            e_start=exp[start], e_max=exp.e_max,
+            b_constant=max(abs(1.0 - rule_weight_change(rule, exp.values))
+                           for rule in restricted.rules),
         )
     return TailReport(
         start=start, case=3, gamma_size=gamma, p_min=pmin, height=h,

@@ -33,7 +33,8 @@ from ppda.cli import main
 from ppda.moments import rule_weight_change
 
 from conftest import load_model
-from helpers import brute_total_mass, scc_restriction, subcritical_unit, suffix_tail, table_residual
+from helpers import (brute_total_mass, p_min, scc_restriction, subcritical_unit, suffix_tail,
+                     table_residual)
 
 TREE_EXPECTATIONS = {
     "q.A.r0": 7.155113,
@@ -234,7 +235,7 @@ def test_criterion_8_appendix_properties(tree, ab, twostate):
         u = cone_vector(model)
         mm = moment_matrix(model)
         deps = mm.deps
-        pmin = float(model.p_min())
+        pmin = p_min(model)
         gamma = len(model.alphabet)
 
         # cone vector: blockwise contraction and the global ratio bound
@@ -250,7 +251,7 @@ def test_criterion_8_appendix_properties(tree, ab, twostate):
         for sym in prog.alphabet:
             margins = [abs(rule_weight_change(r, u)) for r in prog.rules_for("_", sym)]
             assert max(margins) >= u_min / 2 - 1e-12, (name, sym)
-        assert float(prog.p_min()) >= pmin**gamma - 1e-12, name
+        assert p_min(prog) >= pmin**gamma - 1e-12, name
         A_prog = moment_matrix(prog).A
         for comp in deps.sccs:
             rows = [model.symbol_index[s] for s in comp]
@@ -279,7 +280,7 @@ def test_criterion_8_appendix_properties(tree, ab, twostate):
             top = max(u[s] for s in comp)
             sub_u = {s: u[s] / top for s in comp}
             sprog = make_u_progressive(sub, sub_u)
-            spmin = float(sub.p_min())
+            spmin = p_min(sub)
             smin = min(sub_u.values())
             h = 1e-4
             for sym in sprog.alphabet:

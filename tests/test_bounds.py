@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ppda.moments
 from ppda import (
@@ -29,7 +30,9 @@ from ppda.model import Pda
 from conftest import load_model
 from helpers import (
     classify_restricted,
+    p_min,
     random_pda,
+    relaxed_bpas,
     restricted_analysis,
     scc_restriction,
     small_bpas,
@@ -177,7 +180,9 @@ def test_classify_matches_per_start_oracle(source, memo_power_iteration):
                    (("Z", "Y"), Fraction(1, 4)), (("Y", "Y", "Y"), Fraction(1, 2)),
                    (("Y",), Fraction(1, 2)), (("W", "W", "W"), Fraction(1, 4)),
                    (("W",), Fraction(3, 4))]))
-@given(small_bpas())
+@example(make_bpa([(("X", "X", "Y", "Y"), Fraction(1, 5)), (("X",), Fraction(4, 5)),
+                   (("Y", "Y", "Y"), Fraction(1, 4)), (("Y",), Fraction(3, 4))]))
+@given(st.one_of(small_bpas(), relaxed_bpas()))
 @settings(max_examples=80, deadline=None)
 def test_classify_matches_per_start_oracle_small(model):
     assert_matches_per_start(model)
@@ -253,7 +258,7 @@ def test_lower_constant_estimate(delta1):
 
 
 def g_suite(model, u, theta_grid=(0.01, 0.1, 0.5, 1.0), h=1e-4):
-    pmin = float(model.p_min())
+    pmin = p_min(model)
     u_min = min(u.values())
     for sym in model.alphabet:
         g0, g1_0, g2_0 = g_function(model, u, sym, 0.0)

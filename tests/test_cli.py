@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -208,6 +209,40 @@ def test_simulate_output_is_pinned(models_dir, tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[name]
 
 
+def benchmark_model(tmp_path, name: str) -> Path:
+    """A Blocking model of the benchmark, or "random_q<Q>g<G>_s<seed>" written
+    by the benchmark's seeded generator, ``perfbench/gen.py``."""
+    bench = Path(__file__).parent.parent / "perfbench"
+    if name.startswith("blocking"):
+        return bench / "models" / name
+    spec = importlib.util.spec_from_file_location("perfbench_gen", bench / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    shape, seed = name.split("_s")
+    n_states, n_symbols = map(int, shape.removeprefix("random_q").split("g"))
+    path = tmp_path / f"{name}.ppda"
+    path.write_text(gen.random_pda(n_states, n_symbols, int(seed)))
+    return path
+
+
+# sha256 of `analyze --json` without its timings and path, on the stateful
+# models of the benchmark's analyze workload; reports round to 12 digits.
+ANALYZE_SHA256 = {
+    "blocking_one_state.ppda": "13905ba0db0249e49665d26171c8c26a84f0067b9e488c117cb4e779dbfeb9a2",
+    "blocking_two_state.ppda": "ce4880434371f025ab87ae4f2e17b92501d48a2a145312f3694a7b0ef91c8327",
+    "random_q4g20_s1": "1dedb88e33a52cde8166ab6e0305b468b7dc65f944c02b8035d5884287a592e4",
+    "random_q4g20_s1001": "504d3c1f59fcf15f94646ba824f6eb95b40ac0a88b20829b82cdaa7bf24d0d93",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_analyze_output_is_pinned(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(benchmark_model(tmp_path, name)), "--json", str(out)]) == 0
+    text = json.dumps(canonical(json.loads(out.read_text())), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
 def test_simulate_censoring_reported(tmp_path, capsys):
     src = tmp_path / "grow.bpa"
     src.write_text("bpa\nalphabet: X\nstart: X\nrule: X -> X X : 1\n")
@@ -354,7 +389,8 @@ def test_numeric_failure_exits_3(models_dir, monkeypatch, capsys, error):
 
 def count_calls(monkeypatch, *functions) -> Counter:
     """Count calls of each function under every ppda name bound to it, and
-    the systems compiled, under "CompiledSystem"."""
+    the systems compiled and rule arrays built, under "CompiledSystem" and
+    "RuleArrays"."""
     counts: Counter = Counter()
     modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "ppda"]
     for fn in functions:
@@ -365,12 +401,11 @@ def count_calls(monkeypatch, *functions) -> Counter:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
-    compile_ = ppda.termination.CompiledSystem.__init__
-
-    def counted_compile(self, model):
-        counts["CompiledSystem"] += 1
-        compile_(self, model)
-    monkeypatch.setattr(ppda.termination.CompiledSystem, "__init__", counted_compile)
+    for cls in (ppda.termination.CompiledSystem, ppda.model.RuleArrays):
+        def counted_init(self, model, _init=cls.__init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, model)
+        monkeypatch.setattr(cls, "__init__", counted_init)
     return counts
 
 
@@ -389,7 +424,8 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     path = model_path(models_dir, tmp_path, source)
     counts = count_calls(monkeypatch, ppda.termination.termination_probs,
                          ppda.graph.dependence, ppda.moments.moment_matrix,
-                         ppda.bounds.classify, ppda.model.validate)
+                         ppda.bounds.classify, ppda.model.validate,
+                         ppda.moments.rule_weight_change)
     assert main(["analyze", str(path), "--start", start,
                  "--json", str(tmp_path / "out.json")]) == 0
     # one tail report per target state
@@ -403,6 +439,10 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     # output is neither
     assert counts["CompiledSystem"] == 1
     assert counts["validate"] == 1
+    # the rules become arrays once per analyzed model: the model, and the
+    # part of a stateful one; B comes from those arrays, not rule by rule
+    assert counts["RuleArrays"] == (1 if path.suffix == ".bpa" else 2)
+    assert counts["rule_weight_change"] == 0
 
 
 @pytest.mark.parametrize("source,start,target", [("ab.ppda", "p.X", "q"),
@@ -552,12 +592,16 @@ def test_stdout_equals_the_output_file(models_dir, tmp_path, capsys, command):
     assert shown == written
 
 
-# outputs that cannot be written, a threshold and a grid value beyond a double
+# outputs that cannot be written, a threshold and a grid value beyond a
+# double, and DP horizons whose rows would pass the byte budget
 ONE_LINE_FAILURES = [
     *(([command, *OUTPUT_FLAGS[command], "{tmp}/missing/out"], 2) for command in OUTPUT_FLAGS),
     (["analyze", "tree.ppda", "--json", "{tmp}"], 2),
     (["bounds", "delta1.bpa", "--eps", "1e-300"], 3),
     (["bounds", "delta1.bpa", "--grid", "1," + "9" * 400], 2),
+    (["dist", "delta1.bpa", "--start", "X1", "--nmax", "1" + "0" * 23], 2),
+    (["dist", "delta1.bpa", "--start", "X1", "--nmax", "10000000000"], 2),
+    (["dist", "tree.ppda", "--nmax", "10000000000"], 2),
 ]
 
 

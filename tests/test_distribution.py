@@ -161,6 +161,14 @@ def test_dp_rejects_an_unknown_start_symbol(delta1, dp, start):
         dp(delta1, start, 5)
 
 
+def test_dp_beyond_the_byte_budget_is_refused(delta1, tree):
+    # refused before any row is allocated: the rows alone would take 149 and 745 GiB
+    with pytest.raises(ModelError, match=r"needs 2 rows of 10000000001 doubles, 149 GiB"):
+        exact_distribution_word(delta1, ("X1",), 10**10)
+    with pytest.raises(ModelError, match=r"needs 10 rows of 10000000001 doubles, 745 GiB"):
+        exact_distribution_pda(tree, None, 10**10)
+
+
 def test_relaxed_rhs_dp_matches_enumeration():
     m = make_bpa(
         [(("X", "Y", "Y", "Y"), Fraction(1, 2)), (("X",), Fraction(1, 2)),

@@ -83,8 +83,8 @@ def test_restrict_drops_disjoint_component():
 
 
 def test_p_min_values(delta1):
-    assert delta1.p_min() == Fraction(1, 2)
-    assert make_bpa([(("X",), Fraction(1))]).p_min() == 1
+    assert p_min(delta1) == 0.5
+    assert p_min(make_bpa([(("X",), Fraction(1))])) == 1.0
 
 
 def test_p_min_ab_grid_value():
@@ -97,7 +97,7 @@ def test_p_min_ab_grid_value():
         Rule("q", "X", "p", (), 1 - b),
     )
     m = Pda(("p", "q"), ("X",), rules, kind="pda")
-    assert m.p_min() == Fraction(2, 5)
+    assert p_min(m) == 0.4
 
 
 def test_p_min_honors_restriction(delta3):

@@ -32,6 +32,7 @@ from helpers import (
     CRITICAL_PDAS,
     chained_critical,
     is_almost_surely_terminating,
+    p_min,
     small_bpas,
     small_pdas,
     solve_unchecked,
@@ -286,7 +287,7 @@ def test_cone_vector_ratio_bound(tree, ab, delta3):
         u = cone_vector(model)
         assert all(v > 0 for v in u.values())
         assert max(u.values()) == pytest.approx(1.0)
-        pmin = float(model.p_min())
+        pmin = p_min(model)
         ratio = min(u.values()) / max(u.values())
         assert ratio >= pmin ** len(model.alphabet) - 1e-9
 
@@ -302,7 +303,7 @@ def progressive_posts(model, prog, u):
     for sym in prog.alphabet:
         rules = prog.rules_for(prog.only_state, sym)
         assert any(abs(rule_weight_change(r, u)) >= u_min / 2 - 1e-12 for r in rules), sym
-    assert float(prog.p_min()) >= float(model.p_min()) ** len(model.alphabet) - 1e-12
+    assert p_min(prog) >= p_min(model) ** len(model.alphabet) - 1e-12
     assert validate(prog) == []
 
     deps = dependence(prog)
