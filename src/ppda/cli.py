@@ -261,8 +261,10 @@ def cmd_dist(args) -> int:
         if args.target not in model.state_index:
             raise CliError(f"unknown target state {args.target!r}")
         triple = Triple(start.state, _start_symbol(start), args.target)
-        solved = termination_probs(model)
-        table = exact_distribution_pda(model, triple, args.nmax, norm=solved.probs[triple])
+        # the DP first: a horizon over its byte budget is refused before the solve
+        mass = exact_distribution_pda(model, triple, args.nmax).mass
+        table = DistTable(subject=triple, mass=mass, n_max=args.nmax,
+                          norm=termination_probs(model).probs[triple])
     _emit(dist_csv(table), args.csv)
     return EXIT_OK
 

@@ -3,7 +3,12 @@
 The dynamic program decomposes the time-to-empty mass by the first rewrite:
 an epsilon rule contributes at step one, a unary rule shifts by one, and a
 binary rule convolves the two obligations it leaves on the stack (longer
-relaxed right-hand sides convolve iteratively).  All masses are kept
+relaxed right-hand sides convolve iteratively).  The stateless DP keeps
+each symbol's law twice, forward and mirrored (mirror[s, n_max - j] =
+D[s, j]), so that every convolution term is one BLAS dot of two forward
+slices; a reversed slice would make NumPy copy it before each dot.  The dot
+sums the same products in the same order either way, so the mirror changes
+no bit of the masses.  All masses are kept
 unconditioned; conditioning on the terminal state divides by the triple's
 termination probability only at the reporting boundary.  A stateless start
 of several symbols empties its entries one after another, so
@@ -54,10 +59,10 @@ __all__ = [
 ]
 
 
-# The exact DP holds every mass row to the horizon at once: a symbol's or
-# triple's law, and for a stateless word longer than one a prefix
-# convolution.  A horizon whose rows would pass this many bytes is refused
-# before any is allocated.
+# The exact DP holds every mass row to the horizon at once: a symbol's law
+# and its mirror, or a triple's law, and for a stateless word longer than
+# two a row per inner prefix convolution.  A horizon whose rows would pass
+# this many bytes is refused before any is allocated.
 DP_BYTES = 1 << 30
 
 
@@ -128,35 +133,42 @@ def _bpa_masses(model: Pda, n_max: int) -> dict[str, np.ndarray]:
     if n_max < 1:
         raise ModelError("n_max must be at least 1")
     rules = model.rule_arrays
-    # a row per symbol, and one per prefix convolution below
-    _check_size(len(model.alphabet) + int(np.maximum(rules.length - 1, 0).sum()), n_max)
-    D = [np.zeros(n_max + 1) for _ in model.alphabet]
+    # a law and its mirror per symbol, and a row per inner prefix convolution
+    _check_size(2 * len(model.alphabet) + int(np.maximum(rules.length - 2, 0).sum()), n_max)
+    D = np.zeros((len(model.alphabet), n_max + 1))
+    mirror = np.zeros_like(D)  # mirror[s, n_max - j] = D[s, j]
 
-    # Running prefix convolutions per rule; prefix[k][j] is final once the
-    # step loop passes j, so each entry is filled exactly once.
+    # Running prefix convolutions per rule: a word of m symbols keeps a row
+    # for each prefix of 2 .. m-1 symbols, whose entry j is final once the
+    # step loop passes j, so each entry is filled exactly once.  The whole
+    # word's term is added to its target as soon as it is dotted, and needs
+    # no row.
     plans = []
     for prob, lhs, length, word in zip(rules.prob.tolist(), rules.lhs_symbol.tolist(),
                                        rules.length.tolist(), rules.words.tolist()):
-        word = word[:length]
-        prefixes = [D[sym] for sym in word[:1]]
-        for k in range(1, length):
-            prefixes.append(np.zeros(n_max + 1))
-        plans.append((prob, D[lhs], word, prefixes))
+        if length == 0:
+            D[lhs, 1] += prob  # the only mass an epsilon rule adds, in rule order
+            continue
+        inner = [(mirror[sym], np.zeros(n_max + 1)) for sym in word[1 : length - 1]]
+        last = mirror[word[length - 1]] if length > 1 else None
+        plans.append((prob, D[lhs], D[word[0]], inner, last))
+    mirror[:, n_max - 1] = D[:, 1]
 
-    for n in range(1, n_max + 1):
-        for prob, target, word, prefixes in plans:
-            m = len(word)
-            if m == 0:
-                if n == 1:
-                    target[1] += prob
-                continue
-            if n >= 3:
-                for k in range(1, m):
-                    left, sym = prefixes[k - 1], word[k]
-                    prefixes[k][n - 1] = float(
-                        np.dot(left[1 : n - 1], D[sym][n - 2 : 0 : -1])
-                    )
-            target[n] += prob * prefixes[m - 1][n - 1]
+    # At step n the dots read laws and prefixes at 1 .. n-2 only: left[1 : n-1]
+    # against mirror[n_max-n+2 : n_max], which holds D[n-2], ..., D[1] in
+    # that order.  A column copy mirrors each step's laws once they are final.
+    for n in range(2, n_max + 1):
+        lo = n_max - n + 2
+        for prob, target, first, inner, last in plans:
+            left = first
+            for right, row in inner:
+                row[n - 1] = np.dot(left[1 : n - 1], right[lo:n_max])
+                left = row
+            if last is None:
+                target[n] += prob * left[n - 1]
+            else:
+                target[n] += prob * np.dot(left[1 : n - 1], last[lo:n_max])
+        mirror[:, n_max - n] = D[:, n]
     return dict(zip(model.alphabet, D))
 
 

@@ -33,7 +33,7 @@ from ppda import (
     termination_probs,
 )
 from ppda.bounds import CASE3_LOWER_EXPONENT
-from ppda.distribution import SampleStats
+from ppda.distribution import SampleStats, _check_size
 from ppda.model import BPA_STATE, ModelError, Rule
 from ppda.moments import rule_weight_change
 from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
@@ -438,6 +438,46 @@ def term_dp_masses(model: Pda, n_max: int) -> dict:
         for target, x, a, b in pair_terms:
             target[n] += x * float(np.dot(a[1 : n - 1], b[n - 2 : 0 : -1]))
     return D
+
+
+def bpa_masses_loop(model: Pda, n_max: int) -> dict[str, np.ndarray]:
+    """The stateless DP as it was before its mirror rows: each convolution
+    dots a forward prefix slice with a reversed slice of a law."""
+    if not model.stateless:
+        raise ModelError("use exact_distribution_pda for stateful models")
+    if n_max < 1:
+        raise ModelError("n_max must be at least 1")
+    rules = model.rule_arrays
+    # a row per symbol, and one per prefix convolution below
+    _check_size(len(model.alphabet) + int(np.maximum(rules.length - 1, 0).sum()), n_max)
+    D = [np.zeros(n_max + 1) for _ in model.alphabet]
+
+    # Running prefix convolutions per rule; prefix[k][j] is final once the
+    # step loop passes j, so each entry is filled exactly once.
+    plans = []
+    for prob, lhs, length, word in zip(rules.prob.tolist(), rules.lhs_symbol.tolist(),
+                                       rules.length.tolist(), rules.words.tolist()):
+        word = word[:length]
+        prefixes = [D[sym] for sym in word[:1]]
+        for k in range(1, length):
+            prefixes.append(np.zeros(n_max + 1))
+        plans.append((prob, D[lhs], word, prefixes))
+
+    for n in range(1, n_max + 1):
+        for prob, target, word, prefixes in plans:
+            m = len(word)
+            if m == 0:
+                if n == 1:
+                    target[1] += prob
+                continue
+            if n >= 3:
+                for k in range(1, m):
+                    left, sym = prefixes[k - 1], word[k]
+                    prefixes[k][n - 1] = float(
+                        np.dot(left[1 : n - 1], D[sym][n - 2 : 0 : -1])
+                    )
+            target[n] += prob * prefixes[m - 1][n - 1]
+    return dict(zip(model.alphabet, D))
 
 
 def term_system(model: Pda):

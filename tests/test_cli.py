@@ -209,6 +209,42 @@ def test_simulate_output_is_pinned(models_dir, tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[name]
 
 
+# sha256 of the dist CSV of delta1-4 at horizon 4,096 and of a relaxed model
+# with a start word; recorded with numpy's bundled OpenBLAS on x86-64.  The
+# stateless DP's sums are BLAS dot products, so another BLAS may round them
+# differently; on one BLAS a digest that moves means the DP's sums moved.
+RELAXED_WORD_BPA = """relaxed-bpa
+alphabet: X Y Z
+start: X Z Y
+rule: X -> X Y Y Z : 1/5
+rule: X -> Z : 1/5
+rule: X -> : 3/5
+rule: Y -> Y Y Y : 1/4
+rule: Y -> : 3/4
+rule: Z -> Y X : 1/4
+rule: Z -> Z : 1/4
+rule: Z -> : 1/2
+"""
+DIST_SHA256 = {
+    "delta1.bpa": "663376012fa18d7ecf4e8cb1c7546f2125e9f4ff6315e832c3e77c3fc3342b74",
+    "delta2.bpa": "366bc2e77c072aa9160bb06d6fbb3c7d8c5409516fb320cb855166443998755f",
+    "delta3.bpa": "cf223c0030b224dd8ad68dd983ab6c2b0e7a47bf44723228ff55315478cfacb8",
+    "delta4.bpa": "b31c68fc13034e25c0d8993333e27e3da091f7888567ca6c6721d5deb6557ad1",
+    "relaxed": "a65c67621ed73dab0dd681cefb8fabe2c9aec58d471a1a740d2e2fa50ccd9454",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIST_SHA256))
+def test_dist_output_is_pinned(models_dir, tmp_path, name):
+    out = tmp_path / "dist.csv"
+    path, horizon = models_dir / name, "4096"
+    if name == "relaxed":
+        path, horizon = tmp_path / "relaxed.bpa", "2000"
+        path.write_text(RELAXED_WORD_BPA)
+    assert main(["dist", str(path), "--nmax", horizon, "--csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIST_SHA256[name]
+
+
 def benchmark_model(tmp_path, name: str) -> Path:
     """A Blocking model of the benchmark, or "random_q<Q>g<G>_s<seed>" written
     by the benchmark's seeded generator, ``perfbench/gen.py``."""
@@ -615,6 +651,15 @@ def test_output_and_range_failures_exit_with_one_line(models_dir, tmp_path, argv
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_refused_target_horizon_skips_the_solve(models_dir, tmp_path, monkeypatch, capsys):
+    counts = count_calls(monkeypatch, ppda.termination.termination_probs)
+    assert main(["dist", str(models_dir / "tree.ppda"), "--start", "q.A", "--target", "q",
+                 "--nmax", "10000000000", "--csv", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "needs 10 rows of 10000000001 doubles" in err
+    assert counts["termination_probs"] == 0
 
 
 def test_dist_of_a_word_start(tmp_path):

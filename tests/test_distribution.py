@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -27,6 +28,7 @@ from conftest import MODELS, load_model
 from helpers import (
     CRITICAL_PDAS,
     ORPHAN_TEXT,
+    bpa_masses_loop,
     brute_mass,
     brute_total_mass,
     heads_loop,
@@ -104,6 +106,20 @@ def test_bpa_dp_matches_exact_enumeration(model):
         assert table.mass[n] == pytest.approx(float(truth[n]), abs=1e-12)
 
 
+@given(model=st.one_of(small_bpas(), relaxed_bpas(max_length=4)),
+       n_max=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 300)))
+@settings(max_examples=80, deadline=None)
+@example(model=load_model("delta1.bpa"), n_max=4096)
+@example(model=load_model("delta2.bpa"), n_max=4096)
+@example(model=load_model("delta3.bpa"), n_max=4096)
+@example(model=load_model("delta4.bpa"), n_max=4096)
+def test_bpa_dp_is_bit_identical_to_the_loop(model, n_max):
+    # the mirror rows feed BLAS the products of the reversed-slice dots, in order
+    new, old = ppda.distribution._bpa_masses(model, n_max), bpa_masses_loop(model, n_max)
+    for sym in model.alphabet:
+        assert np.array_equal(new[sym], old[sym])
+
+
 @given(small_pdas())
 @settings(max_examples=40, deadline=None)
 def test_pda_dp_matches_exact_enumeration(model):
@@ -167,6 +183,31 @@ def test_dp_beyond_the_byte_budget_is_refused(delta1, tree):
         exact_distribution_word(delta1, ("X1",), 10**10)
     with pytest.raises(ModelError, match=r"needs 10 rows of 10000000001 doubles, 745 GiB"):
         exact_distribution_pda(tree, None, 10**10)
+    # a law and a mirror row per symbol, and a row per inner prefix of a word:
+    # 2 * 2 + (2 + 1) rows, where a row per symbol and per word position past
+    # the first made 2 + (3 + 1 + 1 + 2) = 9
+    relaxed = make_bpa(
+        [(("X", "X", "Y", "Y", "Y"), Fraction(1, 4)), (("X", "Y", "Y"), Fraction(1, 4)),
+         (("X",), Fraction(1, 2)), (("Y", "Y", "Y"), Fraction(1, 4)),
+         (("Y", "Y", "Y", "Y"), Fraction(1, 4)), (("Y",), Fraction(1, 2))],
+        relaxed=True,
+    )
+    with pytest.raises(ModelError, match=r"needs 7 rows of 10000000001 doubles, 522 GiB"):
+        exact_distribution_word(relaxed, ("X",), 10**10)
+
+
+def test_bpa_dp_allocates_only_its_counted_rows():
+    delta4 = load_model("delta4.bpa")
+    n_max, rows = 4096, 2 * len(delta4.alphabet)  # delta4's words hold at most 2 symbols
+    delta4.rule_arrays  # cached before the count starts
+    tracemalloc.start()
+    try:
+        ppda.distribution._bpa_masses(delta4, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no dot copies a reversed operand (32 KiB each at this horizon)
+    assert peak <= 8 * rows * (n_max + 1) + 8 * 1024
 
 
 def test_relaxed_rhs_dp_matches_enumeration():
