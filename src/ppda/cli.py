@@ -201,10 +201,8 @@ def cmd_analyze(args) -> int:
                   and result.symbols[name].symbol == symbol]
         report["transform"] = {
             "terminating_symbols": list(analyzed.alphabet),
-            "diverging_symbols": [
-                s for s in result.bpa.alphabet if result.symbols[s].diverging
-            ],
-            "rules": len(result.bpa.rules),
+            "diverging_symbols": list(result.alphabet[result.terminating:]),
+            "rules": len(result.prob),
         }
     report["tails"] = [_tail_report_dict(classify(analyzed, name)) for name in starts]
     moments = analyzed.moments
@@ -234,9 +232,9 @@ def cmd_transform(args) -> int:
     model = _load(args.model)
     if model.stateless:
         raise CliError("model is already stateless")
-    bpa = to_bpa(model, termination_probs(model)).bpa
+    result = to_bpa(model, termination_probs(model))
     del model  # with its compiled system, before the text is built
-    _emit(serialize(bpa), args.out)
+    _emit(serialize(result), args.out)
     return EXIT_OK
 
 

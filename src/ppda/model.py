@@ -508,22 +508,35 @@ def _parse_rule(body: str, kind: str, lineno: int) -> Rule:
     return Rule(lhs_state, lhs_symbol, rhs_state, tuple(rhs_word), prob)
 
 
-def serialize(model: Pda) -> str:
-    """Render a model in the text format; parse_model(serialize(m)) == m."""
-    lines = [model.kind]
-    if model.kind == "pda":
+def serialize(model) -> str:
+    """Render a model in the text format; parse_model(serialize(m)) == m.
+
+    ``model`` is a ``Pda``, or the ``TransformResult`` of ``to_bpa``, which
+    is written straight from its arrays as the stateless model ``.bpa`` it
+    stands for, in the same bytes.  Each probability p is written as the
+    fraction it equals, n/d from p.as_integer_ratio(), or n when d is 1:
+    str(Fraction(p)) for a double p.
+    """
+    if not isinstance(model, Pda):
+        kind, rows = "bpa", model.rule_texts()
+    elif model.kind == "pda":
+        kind = model.kind
+        rows = ((f"{r.lhs_state} {r.lhs_symbol}", " ".join((r.rhs_state, *r.rhs_word)), r.prob)
+                for r in model.rules)
+    else:
+        kind = model.kind
+        rows = ((r.lhs_symbol, " ".join(r.rhs_word), r.prob) for r in model.rules)
+    lines = [kind]
+    if kind == "pda":
         lines.append("states: " + " ".join(model.states))
     lines.append("alphabet: " + " ".join(model.alphabet))
     if model.start is not None:
-        if model.kind == "pda":
+        if kind == "pda":
             lines.append("start: " + " ".join((model.start.state, *model.start.stack)))
         else:
             lines.append("start: " + " ".join(model.start.stack))
-    for rule in model.rules:
-        if model.kind == "pda":
-            rhs = " ".join((rule.rhs_state, *rule.rhs_word))
-            lines.append(f"rule: {rule.lhs_state} {rule.lhs_symbol} -> {rhs} : {rule.prob}")
-        else:
-            rhs = " ".join(rule.rhs_word)
-            lines.append(f"rule: {rule.lhs_symbol} -> {rhs} : {rule.prob}")
+    for lhs, rhs, prob in rows:
+        num, den = prob.as_integer_ratio()
+        lines.append(f"rule: {lhs} -> {rhs} : {num}/{den}" if den != 1 else
+                     f"rule: {lhs} -> {rhs} : {num}")
     return "\n".join(lines) + "\n"

@@ -15,15 +15,18 @@ and the system (``Pda.compiled``), which the solve, ``to_bpa`` and the DP
 all read.
 
 Each Newton step solves (I - F'(v)) delta = F(v) - v.  Systems of at most
-DENSE_MAX (512) variables build the matrix and take one LAPACK solve: on a
-few hundred variables that costs less than a Python GMRES loop.  Larger
-systems never form the matrix.  Restarted GMRES works on the product
-(I - F'(v)) x, one gather and one bincount over the compiled monomials, down
-to a relative residual of KRYLOV_RTOL (1e-12).  The steps are then close
-enough to exact that the iterates climb monotonically, as exact Newton's do
-on monotone systems.  If GMRES misses that tolerance within its cap, the
-step is solved densely as on small systems, up to DENSE_FALLBACK_MAX
-variables; above that the GMRES iterate is taken as it stands.
+DENSE_MAX (512) variables build the matrix and take one LAPACK solve; every
+golden and pinned output comes from that path.  Larger systems never form
+the matrix.  Restarted GMRES works on the product (I - F'(v)) x, one gather
+and one bincount over the compiled monomials, down to a relative residual of
+KRYLOV_RTOL (1e-12); each Arnoldi step orthogonalises by classical
+Gram-Schmidt applied twice, in two block passes over the basis, which is as
+stable as modified Gram-Schmidt (Giraud, Langou and Rozloznik 2005).  The
+steps are then close enough to exact that the iterates climb monotonically,
+as exact Newton's do on monotone systems.  If GMRES misses that tolerance
+within its cap, the step is solved densely as on small systems, up to
+DENSE_FALLBACK_MAX variables; above that the GMRES iterate is taken as it
+stands.
 
 At a critical fixed point, where I - F' is singular, Newton in doubles
 stalls about sqrt(machine epsilon) short, and rounding the rule
@@ -423,11 +426,14 @@ def _solve(system: CompiledSystem, v: np.ndarray, free: np.ndarray, b: np.ndarra
 def _gmres(matvec, b: np.ndarray):
     """Restarted GMRES for A x = b from x = 0, with A given by ``matvec``.
 
-    The Arnoldi basis is built by modified Gram-Schmidt; Givens rotations
-    keep the Hessenberg matrix triangular, so the residual of the
-    least-squares problem is known at every step without solving it.
-    Returns x and whether ||b - A x|| <= KRYLOV_RTOL ||b|| held within
-    KRYLOV_MAX_STEPS Arnoldi steps, restarting every KRYLOV_RESTART.
+    Each Arnoldi step orthogonalises against the basis by classical
+    Gram-Schmidt applied twice (CGS2): two block passes c = V w, w -= c V of
+    two matrix-vector products each, as stable as modified Gram-Schmidt.
+    Givens rotations, applied to Python floats, keep the Hessenberg matrix
+    triangular, so the residual of the least-squares problem is known at
+    every step without solving it.  Returns x and whether
+    ||b - A x|| <= KRYLOV_RTOL ||b|| held within KRYLOV_MAX_STEPS Arnoldi
+    steps, restarting every KRYLOV_RESTART.
     """
     m = len(b)
     x = np.zeros(m)
@@ -437,26 +443,32 @@ def _gmres(matvec, b: np.ndarray):
         size = min(KRYLOV_RESTART, m, KRYLOV_MAX_STEPS - steps)
         basis = np.empty((size + 1, m))
         h = np.zeros((size + 1, size))
-        cos, sin = np.zeros(size), np.zeros(size)
-        g = np.zeros(size + 1)
-        g[0] = beta
+        cos: list[float] = []
+        sin: list[float] = []
+        g = [float(beta)]
         basis[0] = r / beta
         k = 0
         while k < size:
             w = matvec(basis[k])
-            for i in range(k + 1):
-                h[i, k] = basis[i] @ w
-                w -= h[i, k] * basis[i]
-            below = np.linalg.norm(w)
+            done = basis[: k + 1]
+            first = done @ w
+            w -= first @ done
+            second = done @ w
+            w -= second @ done
+            column = (first + second).tolist()
+            below = float(np.linalg.norm(w))
             for i in range(k):
-                h[i, k], h[i + 1, k] = (cos[i] * h[i, k] + sin[i] * h[i + 1, k],
-                                        cos[i] * h[i + 1, k] - sin[i] * h[i, k])
-            diag = math.hypot(h[k, k], below)
+                column[i], column[i + 1] = (cos[i] * column[i] + sin[i] * column[i + 1],
+                                            cos[i] * column[i + 1] - sin[i] * column[i])
+            diag = math.hypot(column[k], below)
             if diag == 0.0:  # the projected matrix is singular: stop this cycle
                 break
-            cos[k], sin[k] = h[k, k] / diag, below / diag
-            h[k, k] = diag
-            g[k + 1], g[k] = -sin[k] * g[k], cos[k] * g[k]
+            cos.append(column[k] / diag)
+            sin.append(below / diag)
+            column[k] = diag
+            h[: k + 1, k] = column
+            g.append(-sin[k] * g[k])
+            g[k] = cos[k] * g[k]
             k += 1
             if abs(g[k]) <= target or below == 0.0:
                 break

@@ -13,6 +13,13 @@ Terminating symbols never depend on diverging ones, and the restriction to
 terminating symbols terminates almost surely.  ``to_bpa`` emits the
 terminating symbols and their rules first, so that restriction, the
 terminating part, is a prefix of the stateless model and comes back with it.
+
+The stateless model comes back as arrays, in the form of the model's
+``RuleArrays``: the terminating rules are read off the compiled monomials in
+one pass of array operations, the diverging ones by a loop over the pairs.
+No ``Rule`` and no ``Fraction`` per rule is made until the model is read as a
+``Pda`` (``TransformResult.bpa`` and ``.part``); ``ppda transform`` writes
+its text from the arrays (``model.serialize``).
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -42,13 +50,62 @@ class TransformError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformResult:
-    """The stateless model, its triple of each symbol, and its terminating part."""
+    """The stateless model as arrays, its triple of each symbol, and its terminating part.
 
-    bpa: Pda
+    The model's symbols are ``alphabet``; the first ``terminating`` of them
+    are the terminating part's.  Its rules are arrays in rule order, in the
+    form of ``RuleArrays``: per rule the index ``lhs`` of its symbol, its
+    word in ``words`` as symbol indices padded with |alphabet| to at least
+    two columns, the word ``length``, and ``prob``, a double.  The first
+    ``terminating_rules`` rules are the part's.  ``bpa`` and ``part`` are
+    built as ``Pda``s on first read; ``model.serialize`` writes the model
+    straight from the arrays.
+    """
+
+    alphabet: tuple[str, ...]
     symbols: dict[str, Triple]
-    part: Pda
+    start: Configuration | None
+    lhs: np.ndarray
+    words: np.ndarray
+    length: np.ndarray
+    prob: np.ndarray
+    terminating: int
+    terminating_rules: int
+
+    def rule_texts(self):
+        """Left side, right side and probability of each rule, as ``serialize``
+        writes them."""
+        names = np.array(self.alphabet + ("",), dtype=object)  # padding is no symbol
+        rhs = names[self.words[:, 0]]
+        for j in range(1, self.words.shape[1]):
+            more = self.length > j
+            rhs[more] = rhs[more] + " " + names[self.words[more, j]]
+        return zip(names[self.lhs].tolist(), rhs.tolist(), self.prob.tolist())
+
+    def _pda(self, alphabet: tuple[str, ...], count: int, start: Configuration | None) -> Pda:
+        names = self.alphabet
+        rules = tuple(
+            Rule(BPA_STATE, names[lhs], BPA_STATE, tuple([names[s] for s in word[:length]]),
+                 Fraction(prob))
+            for lhs, word, length, prob in zip(self.lhs[:count].tolist(),
+                                               self.words[:count].tolist(),
+                                               self.length[:count].tolist(),
+                                               self.prob[:count].tolist()))
+        return Pda((BPA_STATE,), alphabet, rules, kind="bpa", start=start)
+
+    @cached_property
+    def bpa(self) -> Pda:
+        return self._pda(self.alphabet, len(self.prob), self.start)
+
+    @cached_property
+    def part(self) -> Pda:
+        terminating = self.alphabet[:self.terminating]
+        start = self.start
+        if start is not None and start.stack[0] not in terminating:
+            start = None
+        return self._pda(terminating, self.terminating_rules, start)
 
 
 def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
@@ -61,7 +118,10 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
     """
     probs = table.probs
     system = model.compiled
-    term_syms = [t for t in system.triples if probs[t] > OMIT_BELOW]
+    n = system.n
+    v = np.array([probs[t] for t in system.triples] + [1.0])
+    kept_triples = np.flatnonzero(v[:n] > OMIT_BELOW)
+    term_syms = [system.triples[i] for i in kept_triples.tolist()]
     # A pair without rules is stuck, not running forever; it neither gets a
     # diverging symbol nor appears in one.
     div_syms = [
@@ -70,19 +130,17 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
         for X in model.alphabet
         if probs[Triple(p, X, None)] > OMIT_BELOW and model.rules_for(p, X)
     ]
-    div_set = set(div_syms)
-
-    rules: list[Rule] = []
-
-    def emit(lhs: str, rhs: tuple[str, ...], prob: float):
-        if prob > 0.0:
-            # a lone rule's reweighted probability can overshoot 1 by an ulp
-            rules.append(Rule(BPA_STATE, lhs, BPA_STATE, rhs, Fraction(min(prob, 1.0))))
+    syms = (*term_syms, *div_syms)
+    alphabet = tuple(str(t) for t in syms)
+    index = {t: i for i, t in enumerate(syms)}
+    pad = len(alphabet)
+    # the symbol of each kept triple; the padding factor n becomes the padding symbol
+    symbol = np.full(n + 1, pad, dtype=np.intp)
+    symbol[kept_triples] = np.arange(len(term_syms))
 
     # The monomials whose left-hand side and factors all stay, by left-hand
     # side and then by rule; the sort is stable, so the chains of a rule keep
     # their split-state order.
-    v = np.array([probs[t] for t in system.triples] + [1.0])
     kept = np.flatnonzero((v[system.lhs] > OMIT_BELOW)
                           & (v[system.factors] > OMIT_BELOW).all(axis=1))
     order = kept[np.lexsort((system.rule[kept], system.lhs[kept]))]
@@ -90,14 +148,13 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
     weight = system.coef[order]
     for column in v[factors].T:
         weight = weight * column
-    names = [str(t) for t in system.triples]
-    for i, row, degree, prob in zip(lhs.tolist(), factors.tolist(),
-                                    system.degree[order].tolist(), (weight / v[lhs]).tolist()):
-        emit(names[i], tuple(names[f] for f in row[:degree]), prob)
-    term_rules = len(rules)
+    width = factors.shape[1]
+    parts = [(symbol[lhs], symbol[factors], system.degree[order], weight / v[lhs])]
 
+    # the diverging rules as (lhs, first, second, length, probability)
+    rows: list[tuple[int, int, int, int, float]] = []
     for t in div_syms:
-        denom = probs[t]
+        denom, at = probs[t], index[t]
         heads: dict[Triple, Fraction] = {}
         for rule in model.rules_for(t.state, t.symbol):
             if len(rule.rhs_word) == 2:
@@ -105,39 +162,49 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
                 Y, Z = rule.rhs_word
                 for s in model.states:
                     a, b = Triple(r, Y, s), Triple(s, Z, None)
-                    if probs[a] > OMIT_BELOW and b in div_set:
-                        emit(str(t), (str(a), str(b)), x * probs[a] * probs[b] / denom)
+                    if probs[a] > OMIT_BELOW and b in index:
+                        rows.append((at, index[a], index[b], 2,
+                                     x * probs[a] * probs[b] / denom))
             if rule.rhs_word:
                 head = Triple(rule.rhs_state, rule.rhs_word[0], None)
                 heads[head] = heads.get(head, Fraction(0)) + rule.prob
         # Heads that keep running forever aggregate over all rules pushing
         # the same (state, symbol) on top.
-        for head in sorted(heads.keys() & div_set, key=lambda h: (
+        for head in sorted(heads.keys() & index.keys(), key=lambda h: (
                 model.state_index[h.state], model.symbol_index[h.symbol])):
-            emit(str(t), (str(head),), probs[head] * float(heads[head]) / denom)
+            rows.append((at, index[head], pad, 1, probs[head] * float(heads[head]) / denom))
+    if rows:
+        columns = [np.array(column) for column in zip(*rows)]
+        words = np.full((len(rows), width), pad, dtype=np.intp)
+        words[:, 0], words[:, 1] = columns[1], columns[2]
+        parts.append((columns[0], words, columns[3], columns[4]))
+    lhs, words, length, prob = (np.concatenate(column) for column in zip(*parts))
+    # a lone rule's reweighted probability can overshoot 1 by an ulp
+    keep = prob > 0.0
+    lhs, words, length = lhs[keep], words[keep], length[keep]
+    prob = np.minimum(prob[keep], 1.0)
 
-    alphabet = tuple(str(t) for t in (*term_syms, *div_syms))
+    # Each symbol's rules are consecutive.  Each probability is a double held
+    # exactly: fsum rounds their exact sum.
+    heads_at = np.flatnonzero(np.diff(lhs, prepend=-1)).tolist()
+    values = prob.tolist()
+    for begin, end in zip(heads_at, heads_at[1:] + [len(values)]):
+        total = math.fsum(values[begin:end])
+        if abs(total - 1.0) > 1e-9:
+            raise TransformError(f"row for {alphabet[lhs[begin]]} sums to {total!r}; "
+                                 "table residual too large")
+
     start = None
     if model.start is not None and len(model.start.stack) == 1:
-        for cand in (*term_syms, *div_syms):
+        for cand in syms:
             if (cand.state, cand.symbol) == (model.start.state, model.start.stack[0]):
                 start = Configuration(BPA_STATE, (str(cand),))
                 break
-    bpa = Pda((BPA_STATE,), alphabet, tuple(rules), kind="bpa", start=start)
-
-    for (_, sym), row in bpa.rules_by_pair.items():
-        # each probability is a float held exactly: fsum rounds their exact sum
-        total = math.fsum(float(r.prob) for r in row)
-        if abs(total - 1.0) > 1e-9:
-            raise TransformError(f"row for {sym} sums to {total!r}; table residual too large")
-
     # the monomial rules come first and name terminating symbols only
-    terminating = alphabet[:len(term_syms)]
-    if start is not None and start.stack[0] not in terminating:
-        start = None
-    part = Pda((BPA_STATE,), terminating, bpa.rules[:term_rules], kind="bpa", start=start)
-    return TransformResult(bpa=bpa, symbols={str(t): t for t in (*term_syms, *div_syms)},
-                           part=part)
+    return TransformResult(alphabet=alphabet, symbols=dict(zip(alphabet, syms)), start=start,
+                           lhs=lhs, words=words, length=length, prob=prob,
+                           terminating=len(term_syms),
+                           terminating_rules=int(np.count_nonzero(keep[:len(order)])))
 
 
 # ---------------------------------------------------------------------------

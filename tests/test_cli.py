@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import ppda.model
 import ppda.moments
 import ppda.termination
 import ppda.transform
-from ppda import Triple, parse_model, serialize, termination_probs
+from ppda import Triple, parse_model, serialize, termination_probs, to_bpa
 from ppda.cli import main
 
 from helpers import (ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass, critical_pda_chain,
@@ -277,6 +278,114 @@ def test_analyze_output_is_pinned(tmp_path, name):
     assert main(["analyze", str(benchmark_model(tmp_path, name)), "--json", str(out)]) == 0
     text = json.dumps(canonical(json.loads(out.read_text())), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
+# sha256 of the `ppda transform` output of the stateful bundled models and of
+# the benchmark's random (4, 20) seed 1; all four are solved densely, with
+# one LAPACK call per Newton step.  Recorded before the transform wrote its
+# text from arrays: each probability prints as the fraction the double equals.
+TRANSFORM_SHA256 = {
+    "ab.ppda": "713a7bf76dfdc65064cca6d66a9124da214413c7b888ca3daef48c8673dc197e",
+    "random_q4g20_s1": "2139489240034b1ee7b1c290edab388e6765e80a8c25ec78abd60b7024ff7c78",
+    "tree.ppda": "2b7888cce9563b4a72a0cb1e014c99eb33f54c742d4088b53ceb2be4f8814338",
+    "twostate.ppda": "2dec6c6e4be7a16e57e2baad965884c6704be3240ff1cb3b50f41873764a438b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_SHA256))
+def test_transform_output_is_pinned(models_dir, tmp_path, name):
+    path = models_dir / name if name.endswith(".ppda") else benchmark_model(tmp_path, name)
+    out = tmp_path / "out.bpa"
+    assert main(["transform", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRANSFORM_SHA256[name]
+
+
+def rule_lines(text: str) -> tuple[list[str], list[float]]:
+    """The rule lines of a model text without their probabilities, and those."""
+    heads, probs = [], []
+    for line in text.splitlines():
+        if line.startswith("rule: "):
+            head, _, prob = line.rpartition(" : ")
+            heads.append(head)
+            probs.append(float(Fraction(prob)))
+    return heads, probs
+
+
+def test_transform_by_gmres_matches_the_dense_solve(tmp_path, monkeypatch):
+    model = random_pda(6, 20, seed=1)
+    assert model.compiled.n > ppda.termination.DENSE_MAX  # Newton steps by GMRES
+    path = tmp_path / "random.ppda"
+    path.write_text(serialize(model))
+    texts = []
+    for dense_max in (ppda.termination.DENSE_MAX, math.inf):
+        monkeypatch.setattr(ppda.termination, "DENSE_MAX", dense_max)
+        out = tmp_path / "out.bpa"
+        assert main(["transform", str(path), "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    (krylov_heads, krylov), (dense_heads, dense) = map(rule_lines, texts)
+    assert krylov_heads == dense_heads
+    np.testing.assert_allclose(krylov, dense, rtol=1e-12, atol=0)
+
+
+def test_transform_builds_no_rule(tmp_path, monkeypatch):
+    model = random_pda(6, 20, seed=1)
+    path = tmp_path / "random.ppda"
+    path.write_text(serialize(model))
+    made = Counter()
+    post_init = ppda.model.Rule.__post_init__
+
+    def counted(self):
+        made["Rule"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ppda.model.Rule, "__post_init__", counted)
+    out = tmp_path / "out.bpa"
+    assert main(["transform", str(path), "--out", str(out)]) == 0
+    assert out.read_text().count("\nrule: ") > len(model.rules)
+    # the parse makes one Rule per rule line of the model; the transform none
+    assert made["Rule"] == len(model.rules)
+
+
+@pytest.mark.parametrize("name,start", [("ab.ppda", "p.X"), ("twostate.ppda", "p.X")])
+def test_analyze_counts_the_transform_without_building_it(models_dir, tmp_path, monkeypatch,
+                                                          name, start):
+    model = parse_model((models_dir / name).read_text())
+    bpa = to_bpa(model, termination_probs(model)).bpa
+    diverging = [sym for sym in bpa.alphabet if sym.endswith(".up")]
+    assert diverging
+
+    def refuse(result):
+        raise AssertionError("analyze built the full stateless model")
+
+    monkeypatch.setattr(ppda.transform.TransformResult, "bpa", property(refuse))
+    report = run_analyze(models_dir, tmp_path, name, start)
+    assert report["transform"]["rules"] == len(bpa.rules)
+    assert report["transform"]["diverging_symbols"] == diverging
+
+
+def load_tracer():
+    """``perfbench/tracing.py``, the benchmark's tracer, imported by path."""
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+@pytest.mark.parametrize("name", ["ab.ppda", "twostate.ppda", "random_q4g20_s1"])
+def test_tracer_counts_the_rules_transform_writes(models_dir, tmp_path, name):
+    path = models_dir / name if name.endswith(".ppda") else benchmark_model(tmp_path, name)
+    tracer = load_tracer().Tracer()
+    out = tmp_path / "out.bpa"
+    tracer.install()
+    try:
+        assert main(["transform", str(path), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    written = sum(line.startswith("rule: ") for line in out.read_text().splitlines())
+    assert tracer.counts["transform.rules_emitted"] == written > 0
+    # the text was written through the function the tracer times as output
+    assert ("output", "serialize") in tracer.self_times()
 
 
 def test_simulate_censoring_reported(tmp_path, capsys):

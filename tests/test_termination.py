@@ -328,6 +328,17 @@ def test_gmres_solves_nonsymmetric_systems_across_restarts(monkeypatch):
         assert solved
         assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
         np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-11)
+    # near-singular, as I - F' is near a critical fixed point: I - 0.999 S with
+    # S column-stochastic has condition number about 1e3
+    stochastic = rng.random((40, 40))
+    stochastic /= stochastic.sum(axis=0)
+    near = np.eye(40) - 0.999 * stochastic
+    for restart in (3, 10, 40):
+        monkeypatch.setattr(ppda.termination, "KRYLOV_RESTART", restart)
+        x, solved = _gmres(lambda y: near @ y, b)
+        assert solved
+        assert np.linalg.norm(b - near @ x) <= 1e-12 * np.linalg.norm(b)
+        np.testing.assert_allclose(x, np.linalg.solve(near, b), rtol=1e-8)
     monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 2)
     x, solved = _gmres(lambda y: a @ y, b)
     assert not solved

@@ -18,6 +18,7 @@ from ppda import (
     make_u_progressive,
     moment_matrix,
     parse_model,
+    serialize,
     simulate_heads,
     termination_probs,
     to_bpa,
@@ -33,6 +34,7 @@ from helpers import (
     chained_critical,
     is_almost_surely_terminating,
     p_min,
+    random_pda,
     small_bpas,
     small_pdas,
     solve_unchecked,
@@ -148,6 +150,41 @@ def test_transform_omits_all_zero_triples():
     result = to_bpa(grow, termination_probs(grow))
     assert result.bpa.alphabet == ("_.X.up",)
     assert result.part.alphabet == ()
+
+
+@pytest.mark.parametrize("name", ["ab", "tree", "twostate", "random_4_20", "random_6_20"])
+def test_serialize_writes_the_result_as_its_bpa(name):
+    """One writer: the arrays of a result print as the bytes of its Pda, on
+    dense solves and, past 512 variables (random (6, 20)), GMRES ones."""
+    if name.startswith("random"):
+        n_states, n_symbols = map(int, name.split("_")[1:])
+        model = random_pda(n_states, n_symbols, seed=1)
+    else:
+        model = load_model(f"{name}.ppda")
+    result = to_bpa(model, termination_probs(model))
+    text = serialize(result)
+    assert text == serialize(result.bpa)
+    assert text.count("\nrule: ") == len(result.prob) == len(result.bpa.rules)
+
+
+@given(st.one_of(small_pdas(), small_pdas(max_states=3, max_symbols=3)))
+@settings(max_examples=60, deadline=None)
+@example(load_model("ab.ppda"))
+@example(TWO_HEADS)
+@example(CRITICAL_PDAS["with_bystander"])
+def test_serialized_result_parses_back_to_its_bpa(model):
+    model = dataclasses.replace(model, start=Configuration(model.states[0],
+                                                           (model.alphabet[0],)))
+    try:
+        result = to_bpa(model, solve_unchecked(model))
+    except TransformError:
+        return
+    text = serialize(result)
+    assert text == serialize(result.bpa)
+    parsed = parse_model(text)
+    assert parsed == result.bpa
+    # the probabilities are the doubles themselves, not roundings of them
+    assert [float(rule.prob) for rule in parsed.rules] == result.prob.tolist()
 
 
 def test_distribution_equality_all_positive_triples(tree, ab, twostate):
