@@ -200,9 +200,9 @@ def cmd_analyze(args) -> int:
         starts = [name for name in names if result.symbols[name].state == start.state
                   and result.symbols[name].symbol == symbol]
         report["transform"] = {
-            "terminating_symbols": list(analyzed.alphabet),
-            "diverging_symbols": list(result.alphabet[result.terminating:]),
-            "rules": len(result.prob),
+            "terminating_symbols": list(names),
+            "diverging_symbols": list(result.bpa.alphabet[len(names):]),
+            "rules": len(result.bpa.rule_arrays.prob),
         }
     report["tails"] = [_tail_report_dict(classify(analyzed, name)) for name in starts]
     moments = analyzed.moments
@@ -234,7 +234,7 @@ def cmd_transform(args) -> int:
         raise CliError("model is already stateless")
     result = to_bpa(model, termination_probs(model))
     del model  # with its compiled system, before the text is built
-    _emit(serialize(result), args.out)
+    _emit(serialize(result.bpa), args.out)
     return EXIT_OK
 
 

@@ -582,14 +582,15 @@ def dist_csv(table: DistTable) -> str:
 
 
 def sample_csv(stats: SampleStats) -> str:
-    """Empirical mass/tail rows up to the largest observed termination time."""
+    """Empirical mass/tail rows from step 1, or 0 when a run ends there (an
+    empty start), up to the largest observed termination time."""
     merged = Counter()
     for counter in stats.outcomes.values():
         merged.update(counter)
     top = max(merged, default=1)
     lines = ["n,count,mass,cumulative,tail,stderr"]
     running = 0
-    for n in range(1, top + 1):
+    for n in range(min(1, min(merged, default=1)), top + 1):
         still = stats.samples - running
         count = merged.get(n, 0)
         running += count

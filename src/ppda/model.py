@@ -4,8 +4,9 @@ A model is a finite set of control states, a finite stack alphabet, and
 probabilistic rewrite rules ``p X -> q alpha`` with exact rational
 probabilities.  Stateless models ("bpa") carry a single synthetic control
 state; "relaxed-bpa" additionally permits right-hand sides longer than two
-symbols.  Probabilities stay exact rationals here; the numeric modules read
-the rules as index and double arrays (``Pda.rule_arrays``), built once.
+symbols.  Probabilities are exact rationals, or doubles in a stateless model
+built over arrays (``Pda.from_arrays``); the numeric modules and the writer
+read the rules as index and double arrays (``Pda.rule_arrays``), built once.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ class Pda:
     (``rule_arrays``), the may-terminate array, the compiled termination
     system and, for stateless models, the moment matrix with its dependence
     and per-SCC reductions are each built once, lazily, and the value is
-    safe to share across threads.
+    safe to share across threads.  A model built by ``from_arrays`` starts
+    from its ``rule_arrays`` instead and decodes ``rules`` on first read.
     """
 
     states: tuple[str, ...]
@@ -148,6 +150,28 @@ class Pda:
             raise ModelError("duplicate control state")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ModelError("duplicate stack symbol")
+
+    @classmethod
+    def from_arrays(cls, alphabet: tuple[str, ...], arrays: RuleArrays,
+                    start: Configuration | None) -> Pda:
+        """The stateless model over ``alphabet`` whose ``rule_arrays`` are ``arrays``."""
+        model = cls.__new__(cls)
+        model.__dict__.update(states=(BPA_STATE,), alphabet=alphabet, kind="bpa",
+                              start=start, rule_arrays=arrays)
+        model.__post_init__()
+        return model
+
+    def __getattr__(self, name: str):
+        # only a model built by from_arrays lacks its rules, until they are read
+        if name != "rules":
+            raise AttributeError(f"'Pda' object has no attribute {name!r}")
+        arrays, names = self.rule_arrays, self.alphabet
+        self.__dict__["rules"] = tuple(
+            Rule(BPA_STATE, names[lhs], BPA_STATE, tuple([names[s] for s in word[:length]]),
+                 Fraction(prob))
+            for lhs, word, length, prob in zip(arrays.lhs_symbol.tolist(), arrays.words.tolist(),
+                                               arrays.length.tolist(), arrays.prob.tolist()))
+        return self.rules
 
     @cached_property
     def rules_by_pair(self) -> dict[tuple[str, str], tuple[Rule, ...]]:
@@ -168,7 +192,7 @@ class Pda:
     def rule_arrays(self) -> RuleArrays:
         """``RuleArrays`` of this model, built once: every numeric module reads
         the rules through it."""
-        return RuleArrays(self)
+        return RuleArrays.of(self)
 
     @cached_property
     def terminating_triples(self):
@@ -210,16 +234,34 @@ class Pda:
         return self.rules_by_pair.get((state, symbol), ())
 
 
+@dataclass(frozen=True, eq=False)
 class RuleArrays:
     """The rules of a model as arrays, in rule order.
 
     Per rule: ``lhs_state``, ``lhs_symbol`` and ``rhs_state`` as indices,
     the word ``length``, the word in ``words`` as symbol indices padded with
-    |alphabet| to at least two columns, and ``prob``, the probability
-    rounded to a double.  It holds no reference to the model.
+    |alphabet| to at least two columns, ``prob``, the probability rounded
+    to a double, and ``exact``, the probability itself: a ``Fraction``, or
+    ``prob`` for a model built from arrays.  Read-only, with no reference to
+    the model.
     """
 
-    def __init__(self, model: Pda):
+    lhs_state: np.ndarray
+    lhs_symbol: np.ndarray
+    rhs_state: np.ndarray
+    length: np.ndarray
+    words: np.ndarray
+    prob: np.ndarray
+    exact: Sequence
+
+    def __post_init__(self):
+        for array in (self.lhs_state, self.lhs_symbol, self.rhs_state, self.length,
+                      self.words, self.prob):
+            array.flags.writeable = False  # shared by every reader of the model
+
+    @classmethod
+    def of(cls, model: Pda) -> RuleArrays:
+        """The arrays of the ``Rule``s of ``model``."""
         sidx, aidx = model.state_index, model.symbol_index
         rules, pad = model.rules, len(model.alphabet)
         width = max([2] + [len(rule.rhs_word) for rule in rules])
@@ -229,11 +271,9 @@ class RuleArrays:
               *(pad,) * (width - len(rule.rhs_word))) for rule in rules],
             dtype=np.intp,
         ).reshape(len(rules), 4 + width)
-        table.flags.writeable = False  # shared by every reader of the model
-        self.lhs_state, self.lhs_symbol, self.rhs_state, self.length = table[:, :4].T
-        self.words = table[:, 4:]
-        self.prob = np.array([float(rule.prob) for rule in rules], dtype=float)
-        self.prob.flags.writeable = False
+        exact = tuple(rule.prob for rule in rules)
+        return cls(*table[:, :4].T, words=table[:, 4:],
+                   prob=np.array([float(p) for p in exact], dtype=float), exact=exact)
 
 
 def make_bpa(rules: Iterable[tuple[Sequence[str], Fraction | float | int | str]],
@@ -508,35 +548,32 @@ def _parse_rule(body: str, kind: str, lineno: int) -> Rule:
     return Rule(lhs_state, lhs_symbol, rhs_state, tuple(rhs_word), prob)
 
 
-def serialize(model) -> str:
+def serialize(model: Pda) -> str:
     """Render a model in the text format; parse_model(serialize(m)) == m.
 
-    ``model`` is a ``Pda``, or the ``TransformResult`` of ``to_bpa``, which
-    is written straight from its arrays as the stateless model ``.bpa`` it
-    stands for, in the same bytes.  Each probability p is written as the
+    The rule lines are written from ``model.rule_arrays``, so a model built
+    from arrays makes no ``Rule``.  Each probability p is written as the
     fraction it equals, n/d from p.as_integer_ratio(), or n when d is 1:
-    str(Fraction(p)) for a double p.
+    str(p) for a ``Fraction``, str(Fraction(p)) for a double.
     """
-    if not isinstance(model, Pda):
-        kind, rows = "bpa", model.rule_texts()
-    elif model.kind == "pda":
-        kind = model.kind
-        rows = ((f"{r.lhs_state} {r.lhs_symbol}", " ".join((r.rhs_state, *r.rhs_word)), r.prob)
-                for r in model.rules)
-    else:
-        kind = model.kind
-        rows = ((r.lhs_symbol, " ".join(r.rhs_word), r.prob) for r in model.rules)
-    lines = [kind]
-    if kind == "pda":
+    arrays = model.rule_arrays
+    names = np.array(model.alphabet + ("",), dtype=object)  # padding is no symbol
+    lhs, rhs, first = names[arrays.lhs_symbol], names[arrays.words[:, 0]], 1
+    lines = [model.kind]
+    if model.kind == "pda":
+        states = np.array(model.states, dtype=object)
+        lhs, rhs, first = states[arrays.lhs_state] + " " + lhs, states[arrays.rhs_state], 0
         lines.append("states: " + " ".join(model.states))
+    for j in range(first, arrays.words.shape[1]):
+        more = arrays.length > j
+        rhs[more] = rhs[more] + " " + names[arrays.words[more, j]]
     lines.append("alphabet: " + " ".join(model.alphabet))
     if model.start is not None:
-        if kind == "pda":
-            lines.append("start: " + " ".join((model.start.state, *model.start.stack)))
-        else:
-            lines.append("start: " + " ".join(model.start.stack))
-    for lhs, rhs, prob in rows:
+        stack = model.start.stack
+        lines.append("start: " + " ".join((model.start.state, *stack) if model.kind == "pda"
+                                          else stack))
+    for lhs_text, rhs_text, prob in zip(lhs.tolist(), rhs.tolist(), arrays.exact):
         num, den = prob.as_integer_ratio()
-        lines.append(f"rule: {lhs} -> {rhs} : {num}/{den}" if den != 1 else
-                     f"rule: {lhs} -> {rhs} : {num}")
+        lines.append(f"rule: {lhs_text} -> {rhs_text} : {num}/{den}" if den != 1 else
+                     f"rule: {lhs_text} -> {rhs_text} : {num}")
     return "\n".join(lines) + "\n"

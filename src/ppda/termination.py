@@ -168,15 +168,15 @@ class CompiledSystem:
     monomial k adds ``coef[k]`` times the product of ``v[factors[k]]`` to
     equation ``lhs[k]``.  Factor rows are padded with n, the index of a
     constant 1 appended to v; ``degree[k]`` counts the real factors.
-    ``rule[k]`` indexes ``rules``, the model's rules, whose exact probability
-    serves the decimal refinement; the model caches the system, which keeps
-    no reference back to it.  Within each equation, monomials keep the order
-    the rules list them, and F and F' add them in that order, so the sums
-    are those of a plain loop over the rules.
+    ``rule[k]`` is the monomial's rule, whose exact probability in
+    ``exact`` (``RuleArrays.exact``) serves the decimal refinement; the
+    model caches the system, which keeps no reference back to it.  Within
+    each equation, monomials keep the order the rules list them, and F and
+    F' add them in that order, so the sums are those of a plain loop over
+    the rules.
     """
 
     def __init__(self, model: Pda):
-        self.rules = model.rules
         states, alphabet = model.states, model.alphabet
         nq = len(states)
         known = model.terminating_triples
@@ -215,7 +215,7 @@ class CompiledSystem:
         order = np.lexsort((lhs, degree > 0))
         self.lhs, self.factors, self.degree = lhs[order], factors[order], degree[order]
         self.rule = rule[order]
-        self.coef = rules.prob[self.rule]
+        self.coef, self.exact = rules.prob[self.rule], rules.exact
         first = len(self.lhs) - np.count_nonzero(self.degree)
         self.const = np.bincount(self.lhs[:first], self.coef[:first], minlength=n)
         # views of the monomials with factors, and the row and column in F'
@@ -527,9 +527,8 @@ def _extended_newton(system: CompiledSystem, members: list[int], start: np.ndarr
         # per monomial of a member: its row, its coefficient and its factors
         monomials = []
         for k in np.flatnonzero(np.isin(system.lhs, members)).tolist():
-            prob = system.rules[system.rule[k]].prob
-            monomials.append((local[int(system.lhs[k])],
-                              Decimal(prob.numerator) / prob.denominator,
+            num, den = system.exact[system.rule[k]].as_integer_ratio()
+            monomials.append((local[int(system.lhs[k])], Decimal(num) / den,
                               system.factors[k, : system.degree[k]].tolist()))
         x = [Decimal(float(value)) for value in start]
         error = previous = one

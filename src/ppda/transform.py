@@ -14,12 +14,11 @@ terminating symbols terminates almost surely.  ``to_bpa`` emits the
 terminating symbols and their rules first, so that restriction, the
 terminating part, is a prefix of the stateless model and comes back with it.
 
-The stateless model comes back as arrays, in the form of the model's
-``RuleArrays``: the terminating rules are read off the compiled monomials in
-one pass of array operations, the diverging ones by a loop over the pairs.
-No ``Rule`` and no ``Fraction`` per rule is made until the model is read as a
-``Pda`` (``TransformResult.bpa`` and ``.part``); ``ppda transform`` writes
-its text from the arrays (``model.serialize``).
+The stateless model is built directly over its ``RuleArrays``
+(``Pda.from_arrays``): the terminating rules are read off the compiled
+monomials in one pass of array operations, the diverging ones by a loop over
+the pairs.  Its ``Rule``s are decoded only when a caller reads them;
+``ppda transform`` writes the text from the arrays (``model.serialize``).
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
-from .model import BPA_STATE, Configuration, Pda, Rule, Triple
+from .model import BPA_STATE, Configuration, Pda, Rule, RuleArrays, Triple
 from .moments import rule_weight_change
 from .termination import TerminationTable
 
@@ -52,60 +50,15 @@ class TransformError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TransformResult:
-    """The stateless model as arrays, its triple of each symbol, and its terminating part.
+    """The stateless model, its terminating part, and the triple of each symbol.
 
-    The model's symbols are ``alphabet``; the first ``terminating`` of them
-    are the terminating part's.  Its rules are arrays in rule order, in the
-    form of ``RuleArrays``: per rule the index ``lhs`` of its symbol, its
-    word in ``words`` as symbol indices padded with |alphabet| to at least
-    two columns, the word ``length``, and ``prob``, a double.  The first
-    ``terminating_rules`` rules are the part's.  ``bpa`` and ``part`` are
-    built as ``Pda``s on first read; ``model.serialize`` writes the model
-    straight from the arrays.
+    The part's symbols and rules come first in ``bpa``: its arrays are the
+    first rows of the model's, with the padding index of its own alphabet.
     """
 
-    alphabet: tuple[str, ...]
+    bpa: Pda
+    part: Pda
     symbols: dict[str, Triple]
-    start: Configuration | None
-    lhs: np.ndarray
-    words: np.ndarray
-    length: np.ndarray
-    prob: np.ndarray
-    terminating: int
-    terminating_rules: int
-
-    def rule_texts(self):
-        """Left side, right side and probability of each rule, as ``serialize``
-        writes them."""
-        names = np.array(self.alphabet + ("",), dtype=object)  # padding is no symbol
-        rhs = names[self.words[:, 0]]
-        for j in range(1, self.words.shape[1]):
-            more = self.length > j
-            rhs[more] = rhs[more] + " " + names[self.words[more, j]]
-        return zip(names[self.lhs].tolist(), rhs.tolist(), self.prob.tolist())
-
-    def _pda(self, alphabet: tuple[str, ...], count: int, start: Configuration | None) -> Pda:
-        names = self.alphabet
-        rules = tuple(
-            Rule(BPA_STATE, names[lhs], BPA_STATE, tuple([names[s] for s in word[:length]]),
-                 Fraction(prob))
-            for lhs, word, length, prob in zip(self.lhs[:count].tolist(),
-                                               self.words[:count].tolist(),
-                                               self.length[:count].tolist(),
-                                               self.prob[:count].tolist()))
-        return Pda((BPA_STATE,), alphabet, rules, kind="bpa", start=start)
-
-    @cached_property
-    def bpa(self) -> Pda:
-        return self._pda(self.alphabet, len(self.prob), self.start)
-
-    @cached_property
-    def part(self) -> Pda:
-        terminating = self.alphabet[:self.terminating]
-        start = self.start
-        if start is not None and start.stack[0] not in terminating:
-            start = None
-        return self._pda(terminating, self.terminating_rules, start)
 
 
 def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
@@ -200,11 +153,18 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
             if (cand.state, cand.symbol) == (model.start.state, model.start.stack[0]):
                 start = Configuration(BPA_STATE, (str(cand),))
                 break
-    # the monomial rules come first and name terminating symbols only
-    return TransformResult(alphabet=alphabet, symbols=dict(zip(alphabet, syms)), start=start,
-                           lhs=lhs, words=words, length=length, prob=prob,
-                           terminating=len(term_syms),
-                           terminating_rules=int(np.count_nonzero(keep[:len(order)])))
+    zeros = np.zeros_like(lhs)  # the one state
+    bpa = Pda.from_arrays(alphabet, RuleArrays(zeros, lhs, zeros, length, words, prob, prob),
+                          start)
+    # the monomial rules come first and name terminating symbols only, so the
+    # padding is the only index past the part's alphabet
+    count, terminating = int(np.count_nonzero(keep[:len(order)])), alphabet[:len(term_syms)]
+    if start is not None and start.stack[0] not in terminating:
+        start = None
+    part = Pda.from_arrays(terminating, RuleArrays(
+        zeros[:count], lhs[:count], zeros[:count], length[:count],
+        np.minimum(words[:count], len(terminating)), prob[:count], prob[:count]), start)
+    return TransformResult(bpa=bpa, part=part, symbols=dict(zip(alphabet, syms)))
 
 
 # ---------------------------------------------------------------------------

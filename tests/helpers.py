@@ -560,6 +560,26 @@ def relaxed_bpas(draw, max_symbols=3, max_alts=3, max_length=4):
     return Pda(("_",), syms, tuple(rules), kind="relaxed-bpa")
 
 
+def serialize_loop(model: Pda) -> str:
+    """``model.serialize`` by a loop over the ``Rule``s of ``model``."""
+    lines = [model.kind]
+    if model.kind == "pda":
+        lines.append("states: " + " ".join(model.states))
+        rows = ((f"{r.lhs_state} {r.lhs_symbol}", " ".join((r.rhs_state, *r.rhs_word)), r.prob)
+                for r in model.rules)
+    else:
+        rows = ((r.lhs_symbol, " ".join(r.rhs_word), r.prob) for r in model.rules)
+    lines.append("alphabet: " + " ".join(model.alphabet))
+    if model.start is not None:
+        if model.kind == "pda":
+            lines.append("start: " + " ".join((model.start.state, *model.start.stack)))
+        else:
+            lines.append("start: " + " ".join(model.start.stack))
+    for lhs, rhs, prob in rows:
+        lines.append(f"rule: {lhs} -> {rhs} : {prob}")
+    return "\n".join(lines) + "\n"
+
+
 def may_terminate_loop(model: Pda) -> frozenset[Triple]:
     """``may_terminate`` by sweeps over the rules until nothing changes."""
     can: set[tuple[str, str, str]] = set()
@@ -641,7 +661,7 @@ def extended_newton_rows(system, members: list[int], start: np.ndarray, exact: d
     """
     local = {g: k for k, g in enumerate(members)}
     m = len(members)
-    rules = system.rules
+    probs = system.exact
     iterates: list[list[float]] = []
     with localcontext() as ctx:
         ctx.prec = EXTENDED_DIGITS
@@ -658,9 +678,9 @@ def extended_newton_rows(system, members: list[int], start: np.ndarray, exact: d
             for k in np.flatnonzero(system.lhs == g):
                 factors = system.factors[k, : system.degree[k]].tolist()
                 if factors:
-                    fixed.append((rules[system.rule[k]].prob, factors))
+                    fixed.append((Fraction(probs[system.rule[k]]), factors))
                 else:
-                    const += rules[system.rule[k]].prob
+                    const += Fraction(probs[system.rule[k]])
             total = dec(const)
             for c, factors in fixed:
                 coef = dec(c) * math.prod(exact[a] for a in factors if a not in local)

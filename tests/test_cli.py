@@ -327,10 +327,8 @@ def test_transform_by_gmres_matches_the_dense_solve(tmp_path, monkeypatch):
     np.testing.assert_allclose(krylov, dense, rtol=1e-12, atol=0)
 
 
-def test_transform_builds_no_rule(tmp_path, monkeypatch):
-    model = random_pda(6, 20, seed=1)
-    path = tmp_path / "random.ppda"
-    path.write_text(serialize(model))
+def count_rules(monkeypatch) -> Counter:
+    """Count the ``Rule``s made, under "Rule"."""
     made = Counter()
     post_init = ppda.model.Rule.__post_init__
 
@@ -339,6 +337,14 @@ def test_transform_builds_no_rule(tmp_path, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ppda.model.Rule, "__post_init__", counted)
+    return made
+
+
+def test_transform_builds_no_rule(tmp_path, monkeypatch):
+    model = random_pda(6, 20, seed=1)
+    path = tmp_path / "random.ppda"
+    path.write_text(serialize(model))
+    made = count_rules(monkeypatch)
     out = tmp_path / "out.bpa"
     assert main(["transform", str(path), "--out", str(out)]) == 0
     assert out.read_text().count("\nrule: ") > len(model.rules)
@@ -353,12 +359,11 @@ def test_analyze_counts_the_transform_without_building_it(models_dir, tmp_path, 
     bpa = to_bpa(model, termination_probs(model)).bpa
     diverging = [sym for sym in bpa.alphabet if sym.endswith(".up")]
     assert diverging
-
-    def refuse(result):
-        raise AssertionError("analyze built the full stateless model")
-
-    monkeypatch.setattr(ppda.transform.TransformResult, "bpa", property(refuse))
+    made = count_rules(monkeypatch)
     report = run_analyze(models_dir, tmp_path, name, start)
+    # the parse makes one Rule per rule line of the model; the transform and
+    # the analysis of its part none
+    assert made["Rule"] == len(model.rules)
     assert report["transform"]["rules"] == len(bpa.rules)
     assert report["transform"]["diverging_symbols"] == diverging
 
@@ -395,6 +400,18 @@ def test_simulate_censoring_reported(tmp_path, capsys):
     assert main(["simulate", str(src), "--samples", "100", "--seed", "1",
                  "--cap", "50", "--csv", str(out)]) == 0
     assert "censored=100" in capsys.readouterr().err
+
+
+def test_simulate_csv_counts_runs_that_end_at_step_0(tmp_path):
+    # an empty start stack: every run ends before its first step
+    src = tmp_path / "empty.ppda"
+    src.write_text(INLINE_MODELS["empty.ppda"])
+    proc = subprocess.run([sys.executable, "-m", "ppda", "simulate", str(src), "--samples", "3"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "terminated=3" in proc.stderr
+    assert proc.stdout.splitlines() == ["n,count,mass,cumulative,tail,stderr",
+                                        "0,3,1.0,1.0,1.0,0.0"]
 
 
 def test_bounds_csv_and_threshold(models_dir, tmp_path, capsys):
@@ -534,8 +551,8 @@ def test_numeric_failure_exits_3(models_dir, monkeypatch, capsys, error):
 
 def count_calls(monkeypatch, *functions) -> Counter:
     """Count calls of each function under every ppda name bound to it, and
-    the systems compiled and rule arrays built, under "CompiledSystem" and
-    "RuleArrays"."""
+    the systems compiled and rule arrays built from ``Rule``s, under
+    "CompiledSystem" and "RuleArrays"."""
     counts: Counter = Counter()
     modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "ppda"]
     for fn in functions:
@@ -546,11 +563,18 @@ def count_calls(monkeypatch, *functions) -> Counter:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
-    for cls in (ppda.termination.CompiledSystem, ppda.model.RuleArrays):
-        def counted_init(self, model, _init=cls.__init__, _name=cls.__name__):
-            counts[_name] += 1
-            _init(self, model)
-        monkeypatch.setattr(cls, "__init__", counted_init)
+    system_init, arrays_of = ppda.termination.CompiledSystem.__init__, ppda.model.RuleArrays.of
+
+    def counted_init(self, model):
+        counts["CompiledSystem"] += 1
+        system_init(self, model)
+
+    def counted_of(model):
+        counts["RuleArrays"] += 1
+        return arrays_of(model)
+
+    monkeypatch.setattr(ppda.termination.CompiledSystem, "__init__", counted_init)
+    monkeypatch.setattr(ppda.model.RuleArrays, "of", counted_of)
     return counts
 
 
@@ -571,8 +595,11 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
                          ppda.graph.dependence, ppda.moments.moment_matrix,
                          ppda.bounds.classify, ppda.model.validate,
                          ppda.moments.rule_weight_change)
+    made = count_rules(monkeypatch)
     assert main(["analyze", str(path), "--start", start,
                  "--json", str(tmp_path / "out.json")]) == 0
+    # Rules are made by the parse alone, one per rule line of the model
+    assert made["Rule"] == path.read_text().count("\nrule: ")
     # one tail report per target state
     assert counts["classify"] == (1 if path.suffix == ".bpa" else 2)
     assert counts["termination_probs"] == 1  # the model; its terminating part is not solved
@@ -584,9 +611,9 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     # output is neither
     assert counts["CompiledSystem"] == 1
     assert counts["validate"] == 1
-    # the rules become arrays once per analyzed model: the model, and the
-    # part of a stateful one; B comes from those arrays, not rule by rule
-    assert counts["RuleArrays"] == (1 if path.suffix == ".bpa" else 2)
+    # the model's rules become arrays once; the part of a stateful one is
+    # built over the transform's arrays, and B comes from arrays, not rule by rule
+    assert counts["RuleArrays"] == 1
     assert counts["rule_weight_change"] == 0
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppda import (
     Configuration,
@@ -14,7 +15,7 @@ from ppda import (
 )
 from ppda.model import Rule, Pda
 
-from helpers import POP_ORPHAN_TEXTS, small_bpas, small_pdas
+from helpers import POP_ORPHAN_TEXTS, relaxed_bpas, serialize_loop, small_bpas, small_pdas
 
 TWOSTATE = """
 pda                      # comments allowed everywhere
@@ -227,6 +228,13 @@ def test_serialize_round_trip_pda(model):
 @settings(max_examples=60, deadline=None)
 def test_serialize_round_trip_bpa(model):
     assert parse_model(serialize(model)) == model
+
+
+@given(st.one_of(small_pdas(), small_bpas(), relaxed_bpas()))
+@settings(max_examples=100, deadline=None)
+def test_serialize_writes_the_bytes_of_the_rule_loop(model):
+    """The writer reads the rule arrays; a loop over the Rules is its oracle."""
+    assert serialize(model) == serialize_loop(model)
 
 
 def test_serialize_round_trip_examples(tree, ab, twostate, delta3):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from ppda import (
     to_bpa,
     validate,
 )
-from ppda.model import Pda, Rule
+from ppda.model import BPA_STATE, Pda, Rule
 from ppda.moments import rule_weight_change
 from ppda.transform import TransformError
 
@@ -35,6 +37,7 @@ from helpers import (
     is_almost_surely_terminating,
     p_min,
     random_pda,
+    serialize_loop,
     small_bpas,
     small_pdas,
     solve_unchecked,
@@ -146,25 +149,34 @@ def test_terminating_part_sizes(tree, ab):
 
 
 def test_transform_omits_all_zero_triples():
-    grow = make_bpa([(("X", "X", "X"), Fraction(1))])
+    grow = make_bpa([(("X", "X", "X"), Fraction(1))], start="X")
     result = to_bpa(grow, termination_probs(grow))
     assert result.bpa.alphabet == ("_.X.up",)
-    assert result.part.alphabet == ()
+    # every pair diverges: the part is the empty model, and behaves as a parsed one
+    part = result.part
+    assert part == Pda((BPA_STATE,), (), (), kind="bpa")
+    assert hash(part) == hash(Pda((BPA_STATE,), (), (), kind="bpa"))
+    assert validate(part) == []
+    assert serialize(part) == serialize_loop(part) == "bpa\nalphabet: \n"
+    assert pickle.loads(pickle.dumps(part)) == part
 
 
 @pytest.mark.parametrize("name", ["ab", "tree", "twostate", "random_4_20", "random_6_20"])
 def test_serialize_writes_the_result_as_its_bpa(name):
-    """One writer: the arrays of a result print as the bytes of its Pda, on
-    dense solves and, past 512 variables (random (6, 20)), GMRES ones."""
+    """The stateless model and its part, written from their arrays, are the
+    bytes of a loop over their decoded Rules, on dense solves and, past 512
+    variables (random (6, 20)), GMRES ones."""
     if name.startswith("random"):
         n_states, n_symbols = map(int, name.split("_")[1:])
         model = random_pda(n_states, n_symbols, seed=1)
     else:
         model = load_model(f"{name}.ppda")
     result = to_bpa(model, termination_probs(model))
-    text = serialize(result)
-    assert text == serialize(result.bpa)
-    assert text.count("\nrule: ") == len(result.prob) == len(result.bpa.rules)
+    for stateless in (result.bpa, result.part):
+        text = serialize(stateless)
+        assert "rules" not in vars(stateless)  # written without decoding a Rule
+        assert text == serialize_loop(stateless)
+        assert text.count("\nrule: ") == len(stateless.rule_arrays.prob) == len(stateless.rules)
 
 
 @given(st.one_of(small_pdas(), small_pdas(max_states=3, max_symbols=3)))
@@ -179,12 +191,40 @@ def test_serialized_result_parses_back_to_its_bpa(model):
         result = to_bpa(model, solve_unchecked(model))
     except TransformError:
         return
-    text = serialize(result)
-    assert text == serialize(result.bpa)
-    parsed = parse_model(text)
-    assert parsed == result.bpa
-    # the probabilities are the doubles themselves, not roundings of them
-    assert [float(rule.prob) for rule in parsed.rules] == result.prob.tolist()
+    for stateless in (result.bpa, result.part):
+        text = serialize(stateless)
+        assert text == serialize_loop(stateless)
+        if not stateless.alphabet:
+            continue  # the empty model has no text form: its alphabet line is empty
+        parsed = parse_model(text)
+        assert parsed == stateless and hash(parsed) == hash(stateless)
+        assert repr(parsed) == repr(stateless)
+        # the probabilities are the doubles themselves, not roundings of them
+        assert parsed.rule_arrays.prob.tolist() == stateless.rule_arrays.prob.tolist()
+
+
+@pytest.mark.parametrize("name", ["ab", "twostate"])
+def test_models_built_from_arrays_behave_as_parsed_ones(name):
+    """Copies of a model built over the transform's arrays, made before and
+    after its Rules are decoded, equal it; replacing a field gives a model
+    with Rules, and the same arrays."""
+    model = load_model(f"{name}.ppda")
+    result = to_bpa(model, termination_probs(model))
+    for stateless in (result.bpa, result.part):
+        copies = [pickle.loads(pickle.dumps(stateless)), copy.deepcopy(stateless)]
+        assert "rules" not in vars(stateless) and "rules" not in vars(copies[0])
+        assert len(stateless.rules) == len(stateless.rule_arrays.prob)
+        copies += [pickle.loads(pickle.dumps(stateless)), copy.deepcopy(stateless)]
+        for clone in copies:
+            assert clone == stateless and hash(clone) == hash(stateless)
+            assert repr(clone) == repr(stateless)
+        assert validate(stateless) == []
+        moved = dataclasses.replace(stateless, start=None)
+        assert moved == Pda(stateless.states, stateless.alphabet, stateless.rules, kind="bpa")
+        # the arrays of its Rules are the ones it was built over, padding included
+        for field in ("lhs_state", "lhs_symbol", "rhs_state", "length", "words", "prob"):
+            assert np.array_equal(getattr(moved.rule_arrays, field),
+                                  getattr(stateless.rule_arrays, field))
 
 
 def test_distribution_equality_all_positive_triples(tree, ab, twostate):
