@@ -5,6 +5,8 @@ stateless one, classify the tail regime of its termination time, and check
 everything against an exact distribution oracle and a seeded simulator.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .bounds import (
@@ -12,12 +14,10 @@ from .bounds import (
     TailReport,
     ThresholdResult,
     classify,
-    g_function,
     lower_bound_pmin,
     tail_bounds,
     threshold_for_epsilon,
     upper_bound_azuma,
-    upper_bound_azuma_loose,
     upper_bound_poly,
 )
 from .distribution import (
@@ -42,7 +42,6 @@ from .model import (
     make_bpa,
     parse_model,
     serialize,
-    step_distribution,
     validate,
 )
 from .moments import (
@@ -60,9 +59,10 @@ from .termination import (
 from .transform import (
     TransformError,
     TransformResult,
-    cone_vector,
-    make_u_progressive,
     to_bpa,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported classes, functions and constants, not the submodules that
+# importing them binds here
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -11,7 +11,9 @@ An almost surely terminating stateless model falls in exactly one regime:
 The constants come straight from the structure: d1 = 18 h |alphabet| /
 p_min^(3 |alphabet|), d2 = 1 / (2^(h+1) - 2) with h the dependence-DAG
 height.  The case-3 lower constant has no closed form here; only the 1/2
-exponent is reported, with estimation left to callers holding exact tails.
+exponent is reported.  The appendix constructions behind case 3 (the cone
+vector, the u-progressive form and the one-step transform g) are not needed
+to report these constants and are not part of the library.
 
 What a start's regime depends on is model-wide: the dependence SCCs and
 their heights, the moment matrix, the expectations and the symbols certified
@@ -35,12 +37,9 @@ __all__ = [
     "classify",
     "lower_bound_pmin",
     "upper_bound_azuma",
-    "upper_bound_azuma_loose",
     "upper_bound_poly",
     "tail_bounds",
     "threshold_for_epsilon",
-    "estimate_lower_constant",
-    "g_function",
 ]
 
 CASE3_LOWER_EXPONENT = 0.5
@@ -137,15 +136,6 @@ def upper_bound_azuma(report: TailReport, n: int) -> float:
     return min(1.0, math.exp((2.0 * report.e_start - n) / (2.0 * report.b_constant ** 2)))
 
 
-def upper_bound_azuma_loose(report: TailReport, n: int) -> float:
-    """The weaker exp(1 - n / (8 E_max^2)) form of the same bound."""
-    if report.case != 2:
-        raise ValueError("exponential upper bound needs finite expectations")
-    if n < report.azuma_threshold:
-        return 1.0
-    return min(1.0, math.exp(1.0 - n / (8.0 * report.e_max ** 2)))
-
-
 def upper_bound_poly(report: TailReport, n: int) -> float:
     """d1 / n^d2, valid only beyond an unknown n0 (see report.n0_caveat)."""
     if report.case != 3:
@@ -188,35 +178,3 @@ def threshold_for_epsilon(report: TailReport, eps: float) -> ThresholdResult:
         return ThresholdResult(max(n, _ceil_with_slack(2.0 * report.e_start)), False)
     return ThresholdResult(_ceil_with_slack((report.d1 / eps) ** (1.0 / report.d2)), True)
 
-
-def estimate_lower_constant(model: Pda, start: str, grid=(64, 256, 1024, 4096)) -> float:
-    """Empirical estimate of the case-3 lower-bound constant.
-
-    The true constant in c / sqrt(n) has no closed form; this samples the
-    exact tail on a grid and returns min over n of tail(n) * sqrt(n).  An
-    estimate only: the asymptotic constant may sit below it.
-    """
-    from .distribution import exact_distribution_word, tail as dist_tail
-
-    table = exact_distribution_word(model, (start,), max(grid))
-    return min(dist_tail(table, n) * math.sqrt(n) for n in grid)
-
-
-def g_function(
-    model: Pda, u: dict[str, float], symbol: str, theta: float
-) -> tuple[float, float, float]:
-    """One-step weight-change transform g, g', g'' at theta for one symbol.
-
-    g(theta) = sum_rules p * exp(-theta * (pushed weight - weight(symbol)));
-    its curvature at zero is what forces polynomial tails on progressive
-    critical models.
-    """
-    g = g1 = g2 = 0.0
-    for rule in model.rules_for(model.only_state, symbol):
-        p = float(rule.prob)
-        drop = u[symbol] - sum(u[sym] for sym in rule.rhs_word)
-        weight = math.exp(theta * drop)
-        g += p * weight
-        g1 += p * drop * weight
-        g2 += p * drop * drop * weight
-    return g, g1, g2

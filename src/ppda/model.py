@@ -32,7 +32,6 @@ __all__ = [
     "serialize",
     "validate",
     "start_problems",
-    "step_distribution",
 ]
 
 # Synthetic control state used by stateless models.
@@ -421,27 +420,6 @@ def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# one-step semantics
-
-def step_distribution(model: Pda, cfg: Configuration) -> list[tuple[Configuration, Fraction]]:
-    """Distribution over successor configurations of ``cfg``.
-
-    The empty stack is absorbing; otherwise the top symbol is expanded by
-    every applicable rule and the stack below the top is untouched.
-    """
-    if cfg.empty:
-        return [(cfg, Fraction(1))]
-    top, rest = cfg.stack[0], cfg.stack[1:]
-    rules = model.rules_for(cfg.state, top)
-    if not rules:
-        raise ModelError(f"no rule for pair ({cfg.state}, {top})")
-    return [
-        (Configuration(rule.rhs_state, rule.rhs_word + rest), rule.prob)
-        for rule in rules
-    ]
-
-
-# ---------------------------------------------------------------------------
 # text format
 
 def parse_model(text: str) -> Pda:
@@ -456,7 +434,7 @@ def parse_model(text: str) -> Pda:
     rules: list[Rule] = []
     start_tokens: list[str] | None = None
     start_line = 0
-    states_given = False
+    states_given = alphabet_given = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -475,6 +453,7 @@ def parse_model(text: str) -> Pda:
             states_given = True
             states = [_parse_token(tok, "state", lineno) for tok in body.split()]
         elif directive == "alphabet":
+            alphabet_given = True
             alphabet = [_parse_token(tok, "symbol", lineno) for tok in body.split()]
         elif directive == "start":
             start_tokens = body.split()
@@ -490,7 +469,7 @@ def parse_model(text: str) -> Pda:
         states = [BPA_STATE]
     elif not states_given:
         raise ModelError("pda model missing 'states:' line")
-    if not alphabet:
+    if not alphabet_given:
         raise ModelError("missing 'alphabet:' line")
 
     start = None

@@ -6,12 +6,12 @@ rewrite of X.  On an almost surely terminating model, expectations solve
 subcritical; otherwise the affected symbols have infinite expectation.
 The same blocks certify which symbols terminate with probability one.
 ``moment_matrix`` decides both in one walk of the SCCs, and ``Pda.moments``
-keeps the result, with its dependence, once per model: the certainty snap,
-the classification and the cone vector all read it.  A fills from the
-model's ``Pda.rule_arrays``, which also give, per SCC and over everything
-it depends on, the least rule probability, the largest expectation and the
-largest |1 - weight change| (B): ``classify`` reads a start's bound
-constants from its SCC.
+keeps the result, with its dependence, once per model: the certainty snap
+and the classification read it.  A fills from the model's
+``Pda.rule_arrays``, which also give, per SCC and over everything it depends
+on, the least rule probability, the largest expectation and the largest
+|1 - weight change| (B): ``classify`` reads a start's bound constants from
+its SCC.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graph import DependenceInfo, dependence
-from .model import Pda, Rule, RuleArrays, Triple
+from .model import Pda, RuleArrays, Triple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .termination import TerminationTable
 
-__all__ = ["MomentMatrix", "ExpectationTable", "moment_matrix", "conditional_expectations",
-           "rule_weight_change"]
+__all__ = ["MomentMatrix", "ExpectationTable", "moment_matrix", "conditional_expectations"]
 
 POWER_TOL = 1e-12
 POWER_CAP = 100_000
@@ -42,15 +41,12 @@ class PowerIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Dense production-moment matrix with per-SCC spectral data, the symbols
-    certain to terminate and the expected termination times."""
+    """Dense production-moment matrix with its largest block radius, the
+    symbols certain to terminate and the expected termination times."""
 
-    symbols: tuple[str, ...]
     A: np.ndarray
     spectral_radius: float
-    dominant_vector: dict[str, float]
     deps: DependenceInfo
-    block_radii: tuple[float, ...]
     certain: frozenset[str]
     expectations: ExpectationTable
     # per SCC of ``deps``, over its members and all they depend on: the least
@@ -99,14 +95,14 @@ def moment_matrix(model: Pda) -> MomentMatrix:
     """The moment matrix of a stateless model and what its SCC blocks decide.
 
     One walk of the dependence SCCs, callees first, takes each block's
-    spectral radius and dominant vector.  A block is certain when every
-    member can empty the stack, its radius is at most 1 + 1e-9 and every
-    successor is certain: Newton in doubles stalls about sqrt(machine
-    epsilon) short of a critical fixed point, and this certificate pins it
-    to 1.  A block is infinite when its radius is within CRITICAL_EPS of 1
-    or beyond, or a successor is infinite; the other symbols solve
-    (I - A) E = 1.  Each SCC's p_min, e_max and B are then reduced over its
-    own rules or symbols and those of its successors.
+    spectral radius.  A block is certain when every member can empty the
+    stack, its radius is at most 1 + 1e-9 and every successor is certain:
+    Newton in doubles stalls about sqrt(machine epsilon) short of a critical
+    fixed point, and this certificate pins it to 1.  A block is infinite when
+    its radius is within CRITICAL_EPS of 1 or beyond, or a successor is
+    infinite; the other symbols solve (I - A) E = 1.  Each SCC's p_min, e_max
+    and B are then reduced over its own rules or symbols and those of its
+    successors.
     """
     if not model.stateless:
         raise ValueError("moment matrix is defined on stateless models; transform first")
@@ -123,15 +119,13 @@ def moment_matrix(model: Pda) -> MomentMatrix:
                     minlength=n * n).astype(float, copy=False).reshape(n, n)
 
     can_empty = model.terminating_triples.any(axis=(0, 2))
-    radii: list[float] = []
-    dominant: dict[str, float] = {}
+    radius = 0.0
     certain: list[bool] = []
     infinite: list[bool] = []
     for comp, succ in zip(deps.sccs, deps.scc_successors):
         rows = [index[s] for s in comp]
-        rho, vec = _power_iteration(A[np.ix_(rows, rows)])
-        radii.append(rho)
-        dominant.update(zip(comp, (vec / np.max(vec)).tolist()))
+        rho, _ = _power_iteration(A[np.ix_(rows, rows)])
+        radius = max(radius, rho)
         certain.append(bool(can_empty[rows].all()) and rho <= 1.0 + 1e-9
                        and all(certain[j] for j in succ))
         infinite.append(rho >= 1.0 - CRITICAL_EPS or any(infinite[j] for j in succ))
@@ -143,12 +137,9 @@ def moment_matrix(model: Pda) -> MomentMatrix:
     finite = bool(np.isfinite(E).all())
     rule_scc = scc[rules.lhs_symbol]
     return MomentMatrix(
-        symbols=syms,
         A=A,
-        spectral_radius=max(radii, default=0.0),
-        dominant_vector=dominant,
+        spectral_radius=radius,
         deps=deps,
-        block_radii=tuple(radii),
         certain=frozenset(sym for sym in syms if certain[deps.scc_of[sym]]),
         expectations=ExpectationTable(
             values=values, e_max=max(values.values(), default=0.0),
@@ -173,9 +164,9 @@ def _expectations(A: np.ndarray, infinite: np.ndarray) -> np.ndarray:
 
 
 def _weight_changes(rules: RuleArrays, E: np.ndarray) -> np.ndarray:
-    """|1 - weight change| of every rule under the weights E, as
-    ``rule_weight_change`` sums them; -inf for a rule that touches an
-    infinite E, where the change is undefined."""
+    """|1 - weight change| of every rule under the weights E: 1 - (E of the
+    left-hand side - the sum of E over the word, in word order); -inf for a
+    rule that touches an infinite E, where the change is undefined."""
     finite = np.isfinite(E)
     weights = np.append(np.where(finite, E, 0.0), 0.0)  # the padding weighs 0
     pushed = weights[rules.words[:, 0]]
@@ -198,11 +189,6 @@ def _reduce_down(deps: DependenceInfo, ufunc: np.ufunc, initial: float, groups: 
     for value, succ in zip(own.tolist(), deps.scc_successors):
         out.append(pick([value, *(out[j] for j in succ)]))
     return tuple(out)
-
-
-def rule_weight_change(rule: Rule, weights: dict[str, float]) -> float:
-    """weight(lhs) - total weight pushed by the rule."""
-    return weights[rule.lhs_symbol] - sum(weights[sym] for sym in rule.rhs_word)
 
 
 def conditional_expectations(model: Pda, table: TerminationTable) -> dict[Triple, float]:

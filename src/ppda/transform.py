@@ -1,5 +1,4 @@
-"""Reduction of stateful models to stateless ones, and the progressivity
-normal form used by the polynomial tail analysis.
+"""Reduction of stateful models to stateless ones.
 
 Each stack symbol of the constructed stateless model is a triple symbol:
 ``p.X.q`` carries the obligation to empty X starting in state p and end in
@@ -29,17 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import BPA_STATE, Configuration, Pda, Rule, RuleArrays, Triple
-from .moments import rule_weight_change
+from .model import BPA_STATE, Configuration, Pda, RuleArrays, Triple
 from .termination import TerminationTable
 
-__all__ = [
-    "TransformResult",
-    "TransformError",
-    "to_bpa",
-    "cone_vector",
-    "make_u_progressive",
-]
+__all__ = ["TransformResult", "TransformError", "to_bpa"]
 
 OMIT_BELOW = 1e-12
 
@@ -166,152 +158,3 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
         np.minimum(words[:count], len(terminating)), prob[:count], prob[:count]), start)
     return TransformResult(bpa=bpa, part=part, symbols=dict(zip(alphabet, syms)))
 
-
-# ---------------------------------------------------------------------------
-# cone vector and progressivity
-
-def cone_vector(model: Pda) -> dict[str, float]:
-    """Positive weights with A u <= u on every SCC block, scaled to max 1.
-
-    Computed per irreducible block from the dominant eigenvector, then
-    assembled.  The blockwise inequality is the strongest available for
-    reducible critical models: a cross-block critical row can make a global
-    positive solution impossible.  The ratio min/max still dominates
-    p_min^|alphabet| because each block obeys its own bound.
-    """
-    mm = model.moments
-    for i, rho in enumerate(mm.block_radii):
-        if rho > 1.0 + 1e-9:
-            raise TransformError(
-                f"supercritical block {mm.deps.sccs[i]}: not almost surely terminating"
-            )
-    return dict(mm.dominant_vector)
-
-
-def _derivation_chains(model: Pda) -> dict[str, list[tuple[Rule, int | None]]]:
-    """Shortest rule chain from each symbol to the empty word.
-
-    Entry k of a chain is (rule, position of the next chain symbol in its
-    right-hand side); the final rule carries position None.  Level-by-level
-    search keeps ties resolved by declaration order; chain length is at most
-    the alphabet size for a.s. terminating models, and symbols along a
-    shortest chain are pairwise distinct.
-    """
-    chains: dict[str, list[tuple[Rule, int | None]]] = {}
-    for sym in model.alphabet:
-        for rule in model.rules_for(model.only_state, sym):
-            if not rule.rhs_word:
-                chains[sym] = [(rule, None)]
-                break
-    for _ in range(len(model.alphabet)):
-        added = {}
-        for sym in model.alphabet:
-            if sym in chains or sym in added:
-                continue
-            best = None
-            for ri, rule in enumerate(model.rules_for(model.only_state, sym)):
-                for k, y in enumerate(rule.rhs_word):
-                    if y in chains:
-                        cand = (len(chains[y]), ri, k, rule)
-                        if best is None or cand[:3] < best[:3]:
-                            best = cand
-            if best is not None:
-                _, _, k, rule = best
-                added[sym] = [(rule, k)] + chains[rule.rhs_word[k]]
-        if not added:
-            break
-        chains.update(added)
-    return chains
-
-
-def _induced_word(chain: list[tuple[Rule, int | None]]) -> tuple[str, ...]:
-    word: tuple[str, ...] = (chain[0][0].lhs_symbol,)
-    pos = 0
-    for rule, nxt in chain:
-        word = word[:pos] + rule.rhs_word + word[pos + 1 :]
-        if nxt is not None:
-            pos += nxt
-    return word
-
-
-def _contract(model: Pda, chain: list[tuple[Rule, int | None]]) -> list[Rule]:
-    """Inline a derivation chain into its first rule.
-
-    Recursively substitutes the chain's tail for the marked occurrence,
-    keeping all alternative rules of the substituted symbol; probabilities
-    multiply along the chain, so each stays at least p_min^len(chain).
-    """
-    rule, pos = chain[0]
-    if len(chain) == 1:
-        return [rule]
-    inner = _contract(model, chain[1:])
-    follow = chain[1][0]
-    sub = [
-        r for r in model.rules_for(model.only_state, follow.lhs_symbol) if r != follow
-    ] + inner
-    out = []
-    for alt in sub:
-        word = rule.rhs_word[:pos] + alt.rhs_word + rule.rhs_word[pos + 1 :]
-        out.append(Rule(BPA_STATE, rule.lhs_symbol, BPA_STATE, word,
-                        rule.prob * alt.prob))
-    return out
-
-
-def make_u_progressive(model: Pda, u: dict[str, float]) -> Pda:
-    """Rebuild rules so every symbol has one changing total weight by u_min/2.
-
-    Symbols already owning such a rule keep their rows; for the rest, the
-    first rule of a shortest derivation chain to the empty word is replaced
-    by its contraction, choosing between the full chain and the chain
-    without its final erasing rule, whichever clears the margin (the full
-    chain is preferred when both do).
-    """
-    if not model.stateless:
-        raise TransformError("progressivity applies to stateless models")
-    u_min = min(u.values())
-    margin = u_min / 2.0
-    chains = _derivation_chains(model)
-
-    new_rules: dict[str, list[Rule]] = {
-        sym: list(model.rules_for(model.only_state, sym)) for sym in model.alphabet
-    }
-    for sym in model.alphabet:
-        rules = new_rules[sym]
-        if any(abs(rule_weight_change(r, u)) >= margin for r in rules):
-            continue
-        if sym not in chains:
-            raise TransformError(
-                f"symbol {sym} has no derivation to the empty word; "
-                "model is not almost surely terminating"
-            )
-        chain = chains[sym]
-        full = _induced_word(chain)
-        weight = lambda w: u[sym] - sum(u[y] for y in w)
-        if abs(weight(full)) >= margin or len(chain) == 1:
-            chosen = chain
-        else:
-            chosen = chain[:-1]
-        replaced = _contract(model, chosen)
-        head = chain[0][0]
-        at = rules.index(head)
-        rules[at : at + 1] = replaced
-        new_rules[sym] = _merge_duplicates(rules)
-
-    flattened = tuple(r for sym in model.alphabet for r in new_rules[sym])
-    return Pda(model.states, model.alphabet, flattened, kind="relaxed-bpa",
-               start=model.start)
-
-
-def _merge_duplicates(rules: list[Rule]) -> list[Rule]:
-    merged: dict[tuple, Rule] = {}
-    order: list[tuple] = []
-    for r in rules:
-        key = (r.rhs_state, r.rhs_word)
-        if key in merged:
-            old = merged[key]
-            merged[key] = Rule(r.lhs_state, r.lhs_symbol, r.rhs_state, r.rhs_word,
-                               old.prob + r.prob)
-        else:
-            merged[key] = r
-            order.append(key)
-    return [merged[k] for k in order]

@@ -1,12 +1,14 @@
 """Shared test utilities: independent oracles and model strategies.
 
 The distribution oracle unfolds the induced Markov chain one step at a time
-with exact rational weights, merging identical configurations.  It shares no
-code with the convolution dynamic program it is used to check.  The
-reachability oracles walk the dependence graph once per symbol, apart from
-the SCC pass of ``ppda.graph``.  The per-start path (``restrict_to_reachable``
-and the checks on the restriction) is the oracle for ``classify``, which reads
-the moment record the model keeps.
+(``step_distribution``) with exact rational weights, merging identical
+configurations.  It shares no code with the convolution dynamic program it
+is used to check.  The reachability oracles walk the dependence graph once
+per symbol, apart from the SCC pass of ``ppda.graph``.  The per-start path
+(``restrict_to_reachable`` and the checks on the restriction) is the oracle
+for ``classify``, which reads the moment record the model keeps; it takes B
+rule by rule with ``appendix.rule_weight_change``.  The paper's appendix
+constructions live in ``appendix``, not here.
 """
 
 import functools
@@ -29,16 +31,16 @@ from ppda import (
     dependence,
     make_bpa,
     parse_model,
-    step_distribution,
     termination_probs,
 )
 from ppda.bounds import CASE3_LOWER_EXPONENT
 from ppda.distribution import SampleStats, _check_size
 from ppda.model import BPA_STATE, ModelError, Rule
-from ppda.moments import rule_weight_change
 from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
                               EXTENDED_TOL, NewtonDivergedError, _solve_decimal)
 from ppda.transform import OMIT_BELOW, TransformError
+
+from appendix import rule_weight_change
 
 
 def solve_unchecked(model: Pda):
@@ -47,6 +49,24 @@ def solve_unchecked(model: Pda):
         return termination_probs(model)
     except NewtonDivergedError as exc:
         return exc.table
+
+
+def step_distribution(model: Pda, cfg: Configuration) -> list[tuple[Configuration, Fraction]]:
+    """Distribution over successor configurations of ``cfg``.
+
+    The empty stack is absorbing; otherwise the top symbol is expanded by
+    every applicable rule and the stack below the top is untouched.
+    """
+    if cfg.empty:
+        return [(cfg, Fraction(1))]
+    top, rest = cfg.stack[0], cfg.stack[1:]
+    rules = model.rules_for(cfg.state, top)
+    if not rules:
+        raise ModelError(f"no rule for pair ({cfg.state}, {top})")
+    return [
+        (Configuration(rule.rhs_state, rule.rhs_word + rest), rule.prob)
+        for rule in rules
+    ]
 
 
 def brute_mass(model: Pda, cfg: Configuration, n_max: int):

@@ -15,13 +15,10 @@ import numpy as np
 from ppda import (
     Configuration,
     classify,
-    cone_vector,
     exact_distribution_pda,
     exact_distribution_word,
-    g_function,
     lower_bound_pmin,
     make_bpa,
-    make_u_progressive,
     moment_matrix,
     simulate_heads,
     tail,
@@ -30,8 +27,8 @@ from ppda import (
     upper_bound_azuma,
 )
 from ppda.cli import main
-from ppda.moments import rule_weight_change
 
+from appendix import cone_vector, g_function, make_u_progressive, rule_weight_change
 from conftest import load_model
 from helpers import (brute_total_mass, p_min, scc_restriction, subcritical_unit, suffix_tail,
                      table_residual)
@@ -297,6 +294,29 @@ def test_criterion_8_appendix_properties(tree, ab, twostate):
                     assert abs((gp - 2 * g + gm) / (h * h) - g2) <= 1e-6 * abs(g2)
     elapsed = budget.check("criterion 8")
     announce(8, "cone vector, progressivity, sandwich, transform analytics", elapsed)
+
+
+_ONE, _TREE_A, _TREE_B, _TREE_C = ("0x1.0000000000000p+0", "0x1.eac8a038a1018p-1",
+                                   "0x1.b03a8433d7649p-1", "0x1.9e515ea359170p-1")
+CONE_VECTORS = {
+    "delta1": {"X1": _ONE},
+    "delta2": {"X1": _ONE, "X2": _ONE},
+    "delta3": {"X1": _ONE, "X2": _ONE, "X3": _ONE},
+    "delta4": {"X1": _ONE, "X2": _ONE, "X3": _ONE, "X4": _ONE},
+    "tree-terminating": {
+        "r1.O.r1": _ONE, "r0.A.r0": _ONE, "r1.A.r0": _ONE, "r0.O.r1": _ONE,
+        "r1.A.r1": _TREE_A, "q.A.r1": _TREE_B, "q.O.r1": _TREE_C, "r0.O.r0": _TREE_A,
+        "q.O.r0": _TREE_B, "q.A.r0": _TREE_C},
+    "ab-terminating": {"q.X.p": _ONE, "p.X.q": _ONE},
+    "twostate-terminating": {"p.X.p": _ONE, "q.Y.q": "0x1.6a09e667f409dp-1", "q.X.q": _ONE,
+                             "p.X.q": _ONE},
+}
+
+
+def test_criterion_8_cone_vectors_are_pinned(tree, ab, twostate):
+    # the weights of the power iteration, bit for bit, as float.hex
+    for name, model in _bundled_certain_models(tree, ab, twostate):
+        assert {s: w.hex() for s, w in cone_vector(model).items()} == CONE_VECTORS[name], name
 
 
 def test_criterion_9_simulation_determinism(models_dir, tmp_path):

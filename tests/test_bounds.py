@@ -10,23 +10,20 @@ import ppda.moments
 from ppda import (
     NotAlmostSurelyTerminating,
     classify,
-    cone_vector,
     dependence,
     exact_distribution_word,
-    g_function,
     lower_bound_pmin,
     make_bpa,
-    make_u_progressive,
     tail,
     termination_probs,
     threshold_for_epsilon,
     to_bpa,
     upper_bound_azuma,
-    upper_bound_azuma_loose,
     upper_bound_poly,
 )
 from ppda.model import Pda
 
+from appendix import cone_vector, g_function, make_u_progressive, upper_bound_azuma_loose
 from conftest import load_model
 from helpers import (
     classify_restricted,
@@ -249,7 +246,7 @@ def test_case3_empirical_band(delta1):
 
 
 def test_lower_constant_estimate(delta1):
-    from ppda.bounds import estimate_lower_constant
+    from appendix import estimate_lower_constant
 
     c = estimate_lower_constant(delta1, "X1")
     # the depth-1 walk's true asymptotic constant is sqrt(2/pi)

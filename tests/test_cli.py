@@ -593,8 +593,7 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     path = model_path(models_dir, tmp_path, source)
     counts = count_calls(monkeypatch, ppda.termination.termination_probs,
                          ppda.graph.dependence, ppda.moments.moment_matrix,
-                         ppda.bounds.classify, ppda.model.validate,
-                         ppda.moments.rule_weight_change)
+                         ppda.bounds.classify, ppda.model.validate)
     made = count_rules(monkeypatch)
     assert main(["analyze", str(path), "--start", start,
                  "--json", str(tmp_path / "out.json")]) == 0
@@ -612,9 +611,8 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     assert counts["CompiledSystem"] == 1
     assert counts["validate"] == 1
     # the model's rules become arrays once; the part of a stateful one is
-    # built over the transform's arrays, and B comes from arrays, not rule by rule
+    # built over the transform's arrays
     assert counts["RuleArrays"] == 1
-    assert counts["rule_weight_change"] == 0
 
 
 @pytest.mark.parametrize("source,start,target", [("ab.ppda", "p.X", "q"),

@@ -1,21 +1,23 @@
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppda
 from ppda import (
     Configuration,
     ModelError,
     make_bpa,
     parse_model,
     serialize,
-    step_distribution,
     validate,
 )
 from ppda.model import Rule, Pda
 
-from helpers import POP_ORPHAN_TEXTS, relaxed_bpas, serialize_loop, small_bpas, small_pdas
+from helpers import (POP_ORPHAN_TEXTS, relaxed_bpas, serialize_loop, small_bpas, small_pdas,
+                     step_distribution)
 
 TWOSTATE = """
 pda                      # comments allowed everywhere
@@ -175,6 +177,17 @@ def test_validate_ruleless_pair_needs_unreachability():
 def test_validate_follows_pops_to_ruleless_pair(text):
     model = parse_model(text)
     assert any("(q, Y)" in v for v in validate(model, model.start))
+
+
+def test_package_exports_names_not_submodules():
+    for name in ppda.__all__:
+        assert not isinstance(getattr(ppda, name), types.ModuleType), name
+    # the paper's appendix constructions are test code (tests/appendix.py)
+    moved = {"cone_vector", "make_u_progressive", "g_function", "estimate_lower_constant",
+             "upper_bound_azuma_loose", "step_distribution", "rule_weight_change"}
+    assert not moved & set(ppda.__all__)
+    for module in (ppda.bounds, ppda.model, ppda.moments, ppda.transform):
+        assert not moved & set(vars(module)), module.__name__
 
 
 def test_validate_clean_on_example_models(tree, ab, twostate):

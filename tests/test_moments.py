@@ -14,8 +14,7 @@ from ppda import (
     termination_probs,
     to_bpa,
 )
-from ppda.moments import rule_weight_change
-
+from appendix import rule_weight_change
 from conftest import load_model
 from helpers import subcritical_unit
 
