@@ -15,6 +15,7 @@ infinity "inf".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -324,7 +325,9 @@ def cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process (about 1 ms)."""
     parser = argparse.ArgumentParser(
         prog="ppda", description="termination-time analysis for probabilistic pushdown automata"
     )

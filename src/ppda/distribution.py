@@ -64,6 +64,12 @@ __all__ = [
 # two a row per inner prefix convolution.  A horizon whose rows would pass
 # this many bytes is refused before any is allocated.
 DP_BYTES = 1 << 30
+# Step n of the DP takes one dot product of about n terms per word position
+# past the first (stateless) or per pair monomial (stateful), so a horizon
+# costs about dots * n_max^2 / 2 products.  One that would pass this many is
+# refused as well: on a 2.1 GHz Xeon the stateless DP ran 2-3e9 products/s
+# and the stateful one 5-6e8, so the limit is about a minute and three.
+DP_PRODUCTS = 10**11
 
 
 @dataclass(frozen=True)
@@ -118,13 +124,18 @@ def exact_distribution_word(model: Pda, word: tuple[str, ...], n_max: int) -> Di
     return DistTable(subject=" ".join(word), mass=out, n_max=n_max, norm=1.0)
 
 
-def _check_size(rows: int, n_max: int) -> None:
-    """Refuse a DP of ``rows`` mass rows to horizon ``n_max`` above DP_BYTES."""
+def _check_budget(rows: int, dots: int, n_max: int) -> None:
+    """Refuse a DP to horizon ``n_max`` of ``rows`` mass rows above DP_BYTES,
+    or of ``dots`` dot products a step above DP_PRODUCTS."""
     size = 8 * rows * (n_max + 1)
     if size > DP_BYTES:
         raise ModelError(f"the exact DP to horizon {n_max} needs {rows} rows of "
                          f"{n_max + 1} doubles, {size / 2**30:.3g} GiB; "
                          f"the budget is {DP_BYTES / 2**30:g} GiB")
+    work = dots * n_max * n_max // 2
+    if work > DP_PRODUCTS:
+        raise ModelError(f"the exact DP to horizon {n_max} makes {dots} dot product(s) a step, "
+                         f"about {work:.3g} products in all; the budget is {DP_PRODUCTS:.3g}")
 
 
 def _bpa_masses(model: Pda, n_max: int) -> dict[str, np.ndarray]:
@@ -134,7 +145,8 @@ def _bpa_masses(model: Pda, n_max: int) -> dict[str, np.ndarray]:
         raise ModelError("n_max must be at least 1")
     rules = model.rule_arrays
     # a law and its mirror per symbol, and a row per inner prefix convolution
-    _check_size(2 * len(model.alphabet) + int(np.maximum(rules.length - 2, 0).sum()), n_max)
+    _check_budget(2 * len(model.alphabet) + int(np.maximum(rules.length - 2, 0).sum()),
+                  int(np.maximum(rules.length - 1, 0).sum()), n_max)
     D = np.zeros((len(model.alphabet), n_max + 1))
     mirror = np.zeros_like(D)  # mirror[s, n_max - j] = D[s, j]
 
@@ -188,7 +200,7 @@ def exact_distribution_pda(
     if (model.rule_arrays.length > 2).any():
         raise ModelError("stateful DP expects right-hand sides of length <= 2")
     system = model.compiled
-    _check_size(system.n, n_max)
+    _check_budget(system.n, int(np.count_nonzero(system.degree == 2)), n_max)
     mass = _pda_masses(system, n_max)
     if triple is None:
         return {t: DistTable(subject=t, mass=row, n_max=n_max, norm=None)

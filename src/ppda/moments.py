@@ -5,7 +5,12 @@ rewrite of X.  On an almost surely terminating model, expectations solve
 (I - A) E = 1 whenever every reachable SCC block of A is strictly
 subcritical; otherwise the affected symbols have infinite expectation.
 The same blocks certify which symbols terminate with probability one.
-``moment_matrix`` decides both in one walk of the SCCs, and ``Pda.moments``
+``moment_matrix`` decides both in one walk of the SCCs.  It solves
+(I - A) E = 1 over every symbol first; a block on which that E is positive
+is proved subcritical by its Collatz-Wielandt bound when the bound lies
+clearly below 1, and only the other blocks are power-iterated.  For 1-exit
+recursive Markov chains the block radii decide the same question
+(Etessami and Yannakakis, J. ACM 56(1), 2009).  ``Pda.moments``
 keeps the result, with its dependence, once per model: the certainty snap
 and the classification read it.  A fills from the model's
 ``Pda.rule_arrays``, which also give, per SCC and over everything it depends
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,11 +47,11 @@ class PowerIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Dense production-moment matrix with its largest block radius, the
-    symbols certain to terminate and the expected termination times."""
+    """Dense production-moment matrix over ``alphabet``, the symbols certain
+    to terminate and the expected termination times."""
 
     A: np.ndarray
-    spectral_radius: float
+    alphabet: tuple[str, ...]  # the symbol of each row and column of A
     deps: DependenceInfo
     certain: frozenset[str]
     expectations: ExpectationTable
@@ -55,6 +61,17 @@ class MomentMatrix:
     reach_p_min: tuple[float, ...]
     reach_e_max: tuple[float, ...]
     reach_b: tuple[float, ...]
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        """The largest block radius, by power iteration on every SCC block;
+        computed when first read, since the pipeline decides without it."""
+        index = {sym: i for i, sym in enumerate(self.alphabet)}
+        radius = 0.0
+        for comp in self.deps.sccs:
+            rows = [index[s] for s in comp]
+            radius = max(radius, _power_iteration(self.A[np.ix_(rows, rows)])[0])
+        return radius
 
 
 @dataclass(frozen=True)
@@ -94,15 +111,18 @@ def _power_iteration(block: np.ndarray) -> tuple[float, np.ndarray]:
 def moment_matrix(model: Pda) -> MomentMatrix:
     """The moment matrix of a stateless model and what its SCC blocks decide.
 
-    One walk of the dependence SCCs, callees first, takes each block's
-    spectral radius.  A block is certain when every member can empty the
-    stack, its radius is at most 1 + 1e-9 and every successor is certain:
-    Newton in doubles stalls about sqrt(machine epsilon) short of a critical
-    fixed point, and this certificate pins it to 1.  A block is infinite when
-    its radius is within CRITICAL_EPS of 1 or beyond, or a successor is
-    infinite; the other symbols solve (I - A) E = 1.  Each SCC's p_min, e_max
-    and B are then reduced over its own rules or symbols and those of its
-    successors.
+    One walk of the dependence SCCs, callees first, bounds each block's
+    spectral radius: by ``_radius_bound`` on the solution E of (I - A) E = 1
+    over every symbol, or, where that bound does not lie below
+    1 - CRITICAL_EPS, by power iteration.  A block is certain when every
+    member can empty the stack, its radius is at most 1 + 1e-9 and every
+    successor is certain: Newton in doubles stalls about sqrt(machine
+    epsilon) short of a critical fixed point, and this certificate pins it
+    to 1.  A block is infinite when its radius is within CRITICAL_EPS of 1
+    or beyond, or a successor is infinite; if any is, the other symbols
+    solve (I - A) E = 1 again without them, and else E stands.  Each SCC's
+    p_min, e_max and B are then reduced over its own rules or symbols and
+    those of its successors.
     """
     if not model.stateless:
         raise ValueError("moment matrix is defined on stateless models; transform first")
@@ -118,27 +138,32 @@ def moment_matrix(model: Pda) -> MomentMatrix:
                     np.broadcast_to(rules.prob[:, None], real.shape)[real],
                     minlength=n * n).astype(float, copy=False).reshape(n, n)
 
+    # (I - A) E = 1 over every symbol: the expectations if no block is
+    # infinite, and the test vector of each block's Collatz-Wielandt bound
+    E = _expectations(A, np.zeros(n, dtype=bool))
     can_empty = model.terminating_triples.any(axis=(0, 2))
-    radius = 0.0
     certain: list[bool] = []
     infinite: list[bool] = []
     for comp, succ in zip(deps.sccs, deps.scc_successors):
         rows = [index[s] for s in comp]
-        rho, _ = _power_iteration(A[np.ix_(rows, rows)])
-        radius = max(radius, rho)
+        block = A[np.ix_(rows, rows)]
+        rho = _radius_bound(block, E[rows])
+        if not rho < 1.0 - CRITICAL_EPS:
+            rho, _ = _power_iteration(block)
         certain.append(bool(can_empty[rows].all()) and rho <= 1.0 + 1e-9
                        and all(certain[j] for j in succ))
         infinite.append(rho >= 1.0 - CRITICAL_EPS or any(infinite[j] for j in succ))
 
     scc = np.array([deps.scc_of[sym] for sym in syms], dtype=np.intp)
-    E = _expectations(A, np.array(infinite, dtype=bool)[scc])
+    if any(infinite):
+        E = _expectations(A, np.array(infinite, dtype=bool)[scc])
     change = _weight_changes(rules, E)
     values = dict(zip(syms, E.tolist()))
     finite = bool(np.isfinite(E).all())
     rule_scc = scc[rules.lhs_symbol]
     return MomentMatrix(
         A=A,
-        spectral_radius=radius,
+        alphabet=syms,
         deps=deps,
         certain=frozenset(sym for sym in syms if certain[deps.scc_of[sym]]),
         expectations=ExpectationTable(
@@ -150,6 +175,26 @@ def moment_matrix(model: Pda) -> MomentMatrix:
         reach_e_max=_reduce_down(deps, np.maximum, -math.inf, scc, E),
         reach_b=_reduce_down(deps, np.maximum, -math.inf, rule_scc, change),
     )
+
+
+def _radius_bound(block: np.ndarray, x: np.ndarray) -> float:
+    """An upper bound on the spectral radius of a nonnegative block, or inf.
+
+    For x > 0 the Collatz-Wielandt bound gives rho <= max_i (block x)_i / x_i.
+    Each (block x)_i sums k nonnegative products, so its computed value is
+    within a factor 1 - gamma_k of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1, with gamma_k =
+    k u / (1 - k u) and u the unit roundoff); the quotient adds one rounding
+    and the margin itself another, so the computed maximum is divided by
+    1 - gamma_(k+2).  For x the solution E of (I - A) E = 1 the bound is
+    at most 1 - 1/max E.
+    """
+    if not (np.isfinite(x).all() and (x > 0).all()):
+        return math.inf
+    k = len(x) + 2
+    unit = np.finfo(float).eps / 2
+    gamma = k * unit / (1.0 - k * unit)
+    return float(np.max((block @ x) / x)) / (1.0 - gamma)
 
 
 def _expectations(A: np.ndarray, infinite: np.ndarray) -> np.ndarray:

@@ -15,13 +15,14 @@ and the system (``Pda.compiled``), which the solve, ``to_bpa`` and the DP
 all read.
 
 Each Newton step solves (I - F'(v)) delta = F(v) - v.  Systems of at most
-DENSE_MAX (512) variables build the matrix and take one LAPACK solve; every
-golden and pinned output comes from that path.  Larger systems never form
-the matrix.  Restarted GMRES works on the product (I - F'(v)) x, one gather
-and one bincount over the compiled monomials, down to a relative residual of
-KRYLOV_RTOL (1e-12); each Arnoldi step orthogonalises by classical
-Gram-Schmidt applied twice, in two block passes over the basis, which is as
-stable as modified Gram-Schmidt (Giraud, Langou and Rozloznik 2005).  The
+DENSE_MAX (224) variables, the measured crossover, build the matrix and
+take one LAPACK solve.  Larger systems never form the matrix.  Restarted
+GMRES works on the product (I - F'(v)) x, one gather over the compiled
+monomials and one ``np.add.reduceat`` over their partials, which come
+sorted by row, down to a relative residual of KRYLOV_RTOL (1e-12); each
+Arnoldi step orthogonalises by classical Gram-Schmidt applied twice, in
+two block passes over the basis, which is as stable as modified
+Gram-Schmidt (Giraud, Langou and Rozloznik 2005).  The
 steps are then close enough to exact that the iterates climb monotonically,
 as exact Newton's do on monotone systems.  If GMRES misses that tolerance
 within its cap, the step is solved densely as on small systems, up to
@@ -75,7 +76,7 @@ WARM_START = 1e-4  # a step in doubles this short is still far above their noise
 DOUBLING_BELOW = Decimal("1e-10")  # a doubled final step errs by about its square
 _ONE = np.ones(1)  # the value of the padding factor
 # How a Newton step is solved; see the module docstring.
-DENSE_MAX = 512  # variables; larger systems take GMRES steps
+DENSE_MAX = 224  # variables; larger systems take GMRES steps
 DENSE_FALLBACK_MAX = 4096  # largest system a missed GMRES step solves densely (128 MB)
 KRYLOV_RTOL = 1e-12
 KRYLOV_RESTART = 60  # Arnoldi steps between restarts
@@ -240,7 +241,11 @@ class CompiledSystem:
         return self.const + np.bincount(self._lhs, prod, minlength=self.n)
 
     def _jacobian(self, v: np.ndarray, free: np.ndarray):
-        """Rows and columns, local to ``free``, and values of the entries of -F'(v)."""
+        """Rows and columns, local to ``free``, and values of the entries of -F'(v).
+
+        The entries keep the order of the monomials, which is sorted by row
+        when ``free`` is sorted.
+        """
         at = self._gather(v)
         # negated partial derivatives: their sums are exactly -F'
         partial = np.empty_like(at)
@@ -269,10 +274,25 @@ class CompiledSystem:
         return matrix
 
     def newton_operator(self, v: np.ndarray, free: np.ndarray):
-        """x -> (I - F'(v)) x on the variables ``free``, without forming the matrix."""
+        """x -> (I - F'(v)) x on the variables ``free``, without forming the matrix.
+
+        ``free`` must be sorted: then the entries come sorted by row, and each
+        row of F'(v) x is the sum of one run of them, which
+        ``np.add.reduceat`` takes from the run's start.
+        """
+        if np.any(free[1:] <= free[:-1]):
+            raise ValueError("the free variables must be sorted and distinct")
         rows, cols, weights = self._jacobian(v, free)
-        m = len(free)
-        return lambda x: x + np.bincount(rows, weights * x[cols], minlength=m)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        present = rows[starts]
+        sums = np.zeros(len(free))
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            if len(starts):
+                sums[present] = np.add.reduceat(weights * x[cols], starts)
+            return x + sums
+
+        return apply
 
 
 def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
@@ -500,7 +520,7 @@ def _near_critical(system: CompiledSystem, v: np.ndarray, skip) -> list[list[int
     for comp in info.sccs:
         if comp[0] in skip or not info.on_cycle(comp[0]):
             continue
-        x, solved = _solve(system, v, np.array(comp), np.ones(len(comp)))
+        x, solved = _solve(system, v, np.array(sorted(comp)), np.ones(len(comp)))
         gain = float(np.max(np.abs(x))) if solved else math.inf
         if not gain <= NEAR_CRITICAL:
             found.update(info.reachable_from[comp[0]])

@@ -34,8 +34,9 @@ from ppda import (
     termination_probs,
 )
 from ppda.bounds import CASE3_LOWER_EXPONENT
-from ppda.distribution import SampleStats, _check_size
+from ppda.distribution import SampleStats, _check_budget
 from ppda.model import BPA_STATE, ModelError, Rule
+from ppda.moments import CRITICAL_EPS, _expectations, _power_iteration
 from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
                               EXTENDED_TOL, NewtonDivergedError, _solve_decimal)
 from ppda.transform import OMIT_BELOW, TransformError
@@ -469,7 +470,8 @@ def bpa_masses_loop(model: Pda, n_max: int) -> dict[str, np.ndarray]:
         raise ModelError("n_max must be at least 1")
     rules = model.rule_arrays
     # a row per symbol, and one per prefix convolution below
-    _check_size(len(model.alphabet) + int(np.maximum(rules.length - 1, 0).sum()), n_max)
+    _check_budget(len(model.alphabet) + int(np.maximum(rules.length - 1, 0).sum()),
+                  int(np.maximum(rules.length - 1, 0).sum()), n_max)
     D = [np.zeros(n_max + 1) for _ in model.alphabet]
 
     # Running prefix convolutions per rule; prefix[k][j] is final once the
@@ -652,6 +654,31 @@ def chain_monomials(model: Pda) -> dict:
         "lhs": lhs[order], "factors": factors[order], "degree": degree[order],
         "rule": rule, "coef": np.array([float(model.rules[k].prob) for k in rule]),
     }
+
+
+def moment_decisions_loop(model: Pda):
+    """The decisions of ``moment_matrix`` by power iteration on every SCC block.
+
+    Returns the radius of each SCC of the model's dependence, the certain
+    symbols, a per-symbol flag of infinite expectation and the expectations,
+    as the moment record decided them before its blocks were certified by
+    their own expectations solve.
+    """
+    mm = model.moments  # for A and the dependence, which that change kept
+    deps, index = mm.deps, model.symbol_index
+    can_empty = model.terminating_triples.any(axis=(0, 2))
+    radii, certain, infinite = [], [], []
+    for comp, succ in zip(deps.sccs, deps.scc_successors):
+        rows = [index[s] for s in comp]
+        rho, _ = _power_iteration(mm.A[np.ix_(rows, rows)])
+        radii.append(rho)
+        certain.append(bool(can_empty[rows].all()) and rho <= 1.0 + 1e-9
+                       and all(certain[j] for j in succ))
+        infinite.append(rho >= 1.0 - CRITICAL_EPS or any(infinite[j] for j in succ))
+    scc = np.array([deps.scc_of[sym] for sym in model.alphabet], dtype=np.intp)
+    flags = np.array(infinite, dtype=bool)[scc]
+    return (radii, frozenset(sym for sym in model.alphabet if certain[deps.scc_of[sym]]),
+            flags, _expectations(mm.A, flags))
 
 
 def dense_newton(model: Pda, tol: float = 1e-12, max_steps: int = 200) -> dict:

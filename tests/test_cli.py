@@ -2,8 +2,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +25,7 @@ from ppda import Triple, parse_model, serialize, termination_probs, to_bpa
 from ppda.cli import main
 
 from helpers import (ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass, critical_pda_chain,
-                     random_pda, term_dp_masses)
+                     dense_newton, random_pda, term_dp_masses)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -267,8 +269,8 @@ def benchmark_model(tmp_path, name: str) -> Path:
 ANALYZE_SHA256 = {
     "blocking_one_state.ppda": "13905ba0db0249e49665d26171c8c26a84f0067b9e488c117cb4e779dbfeb9a2",
     "blocking_two_state.ppda": "ce4880434371f025ab87ae4f2e17b92501d48a2a145312f3694a7b0ef91c8327",
-    "random_q4g20_s1": "1dedb88e33a52cde8166ab6e0305b468b7dc65f944c02b8035d5884287a592e4",
-    "random_q4g20_s1001": "504d3c1f59fcf15f94646ba824f6eb95b40ac0a88b20829b82cdaa7bf24d0d93",
+    "random_q4g20_s1": "4a94378117b224fb896fbb48ea6f6956bde97b2b787f6a88028300c4ee53e692",
+    "random_q4g20_s1001": "5ba6c242d1ee9d94f55a24f19b3013c23061237c815da73c995e9c54ec6406ba",
 }
 
 
@@ -281,12 +283,13 @@ def test_analyze_output_is_pinned(tmp_path, name):
 
 
 # sha256 of the `ppda transform` output of the stateful bundled models and of
-# the benchmark's random (4, 20) seed 1; all four are solved densely, with
-# one LAPACK call per Newton step.  Recorded before the transform wrote its
-# text from arrays: each probability prints as the fraction the double equals.
+# the benchmark's random (4, 20) seed 1.  The bundled models are solved
+# densely, one LAPACK call per Newton step; the random one has 320 variables,
+# past DENSE_MAX, and takes GMRES steps.  Each probability prints as the
+# fraction the double equals.
 TRANSFORM_SHA256 = {
     "ab.ppda": "713a7bf76dfdc65064cca6d66a9124da214413c7b888ca3daef48c8673dc197e",
-    "random_q4g20_s1": "2139489240034b1ee7b1c290edab388e6765e80a8c25ec78abd60b7024ff7c78",
+    "random_q4g20_s1": "31bfc2208d6e74ff92edd2fb850e04b96a9f250bb4724737a1fefa0723e2842b",
     "tree.ppda": "2b7888cce9563b4a72a0cb1e014c99eb33f54c742d4088b53ceb2be4f8814338",
     "twostate.ppda": "2dec6c6e4be7a16e57e2baad965884c6704be3240ff1cb3b50f41873764a438b",
 }
@@ -298,6 +301,40 @@ def test_transform_output_is_pinned(models_dir, tmp_path, name):
     out = tmp_path / "out.bpa"
     assert main(["transform", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TRANSFORM_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["random_q4g20_s1", "random_q4g20_s1001"])
+def test_random_pins_by_gmres_match_dense_newton(tmp_path, name):
+    model = parse_model(benchmark_model(tmp_path, name).read_text())
+    assert model.compiled.n > ppda.termination.DENSE_MAX  # Newton steps by GMRES
+    table, oracle = termination_probs(model), dense_newton(model)
+    for t, value in table.probs.items():
+        if not t.diverging:
+            assert abs(value - oracle.get(t, 0.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("command,name", [("analyze", "random_q4g20_s1"),
+                                          ("analyze", "random_q4g20_s1001"),
+                                          ("transform", "random_q4g20_s1")])
+def test_random_pins_do_not_depend_on_blas_threads(tmp_path, command, name):
+    # one and two OpenBLAS threads, each in a fresh interpreter, since
+    # OpenBLAS reads the setting when numpy loads it
+    path = benchmark_model(tmp_path, name)
+    flag, pins = {"analyze": ("--json", ANALYZE_SHA256),
+                  "transform": ("--out", TRANSFORM_SHA256)}[command]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        proc = subprocess.run([sys.executable, "-m", "ppda", command, str(path), flag, str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        text = out.read_text()
+        if command == "analyze":
+            text = json.dumps(canonical(json.loads(text)), indent=2)
+        outputs.append(text)
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == pins[name]
 
 
 def rule_lines(text: str) -> tuple[list[str], list[float]]:
@@ -498,6 +535,15 @@ def test_transform_then_analyze_pipeline(models_dir, tmp_path):
     assert report["expectations"]["values"]["p.X.q"] == pytest.approx(5.0, abs=1e-6)
 
 
+def test_parser_is_built_once(models_dir, tmp_path):
+    ppda.cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["analyze", str(models_dir / "delta1.bpa"),
+                     "--json", str(tmp_path / "out.json")]) == 0
+    info = ppda.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_module_entry_point(models_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "ppda", "analyze", str(models_dir / "delta1.bpa"),
@@ -587,12 +633,19 @@ def model_path(models_dir, tmp_path, source: str) -> Path:
     return path
 
 
+# power iterations of one analyze: the blocks of the random part and of tree's
+# are all certified subcritical by the expectations solve; delta4 has four
+# critical blocks
+POWER_ITERATIONS = {"tree.ppda": 0, "random": 0, "delta4.bpa": 4}
+
+
 @pytest.mark.parametrize("source,start", [("tree.ppda", "q.A"), ("random", "p0.X0"),
                                           ("delta4.bpa", "X4")])
 def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, source, start):
     path = model_path(models_dir, tmp_path, source)
     counts = count_calls(monkeypatch, ppda.termination.termination_probs,
                          ppda.graph.dependence, ppda.moments.moment_matrix,
+                         ppda.moments._power_iteration,
                          ppda.bounds.classify, ppda.model.validate)
     made = count_rules(monkeypatch)
     assert main(["analyze", str(path), "--start", start,
@@ -606,6 +659,7 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     # and its classification share them
     assert counts["dependence"] == 1
     assert counts["moment_matrix"] == 1
+    assert counts["_power_iteration"] == POWER_ITERATIONS[source]
     # the model is compiled and validated once; the stateless transform
     # output is neither
     assert counts["CompiledSystem"] == 1
@@ -772,6 +826,8 @@ ONE_LINE_FAILURES = [
     (["dist", "delta1.bpa", "--start", "X1", "--nmax", "1" + "0" * 23], 2),
     (["dist", "delta1.bpa", "--start", "X1", "--nmax", "10000000000"], 2),
     (["dist", "tree.ppda", "--nmax", "10000000000"], 2),
+    (["dist", "tree.ppda", "--nmax", "1000000"], 2),
+    (["dist", "tree.ppda", "--start", "q.A", "--target", "q", "--nmax", "1000000"], 2),
 ]
 
 
@@ -785,6 +841,20 @@ def test_output_and_range_failures_exit_with_one_line(models_dir, tmp_path, argv
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_dp_over_its_work_budget_is_refused_at_once(models_dir):
+    # 2 rows of 10^7 doubles pass the byte budget, but the DP would make
+    # 5e13 products, hours of work
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ppda", "dist", str(models_dir / "delta1.bpa"),
+                           "--start", "X1", "--nmax", "10000000"],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - started < 1.0
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: the exact DP to horizon 10000000 makes 1 dot product(s) a step, "
+        "about 5e+13 products in all; the budget is 1e+11"]
 
 
 def test_refused_target_horizon_skips_the_solve(models_dir, tmp_path, monkeypatch, capsys):

@@ -14,9 +14,12 @@ from ppda import (
     termination_probs,
     to_bpa,
 )
+from hypothesis import given, settings
+
+import ppda.moments
 from appendix import rule_weight_change
 from conftest import load_model
-from helpers import subcritical_unit
+from helpers import moment_decisions_loop, relaxed_bpas, small_bpas, subcritical_unit
 
 TREE_TABLE = {
     "q.A.r0": 7.155113,
@@ -53,6 +56,57 @@ def test_moment_matrix_values(delta1, delta2):
 def test_critical_family_radius_is_one(h):
     m = load_model(f"delta{h}.bpa")
     assert moment_matrix(m).spectral_radius == pytest.approx(1.0, abs=1e-9)
+
+
+def check_blocks_match_power_iteration(model):
+    radii, certain, infinite, E = moment_decisions_loop(model)
+    if any(abs(rho - 1.0) <= 1e-6 for rho in radii):
+        return  # inside the band where a power iteration's rounding may decide
+    mm = model.moments
+    assert mm.certain == certain
+    values = np.array([mm.expectations[s] for s in model.alphabet])
+    assert np.array_equal(np.isinf(values), infinite)
+    # the same solve over the same symbols, so the same bits
+    assert np.array_equal(values, E)
+
+
+@given(small_bpas())
+@settings(max_examples=150, deadline=None)
+def test_certified_blocks_decide_as_power_iteration(model):
+    check_blocks_match_power_iteration(model)
+
+
+@given(relaxed_bpas())
+@settings(max_examples=150, deadline=None)
+def test_certified_blocks_decide_as_power_iteration_relaxed(model):
+    check_blocks_match_power_iteration(model)
+
+
+def test_subcritical_blocks_skip_power_iteration(tree, monkeypatch):
+    part = to_bpa(tree, termination_probs(tree)).part
+    calls = []
+    original = ppda.moments._power_iteration
+
+    def counted(block):
+        calls.append(block.shape)
+        return original(block)
+
+    monkeypatch.setattr(ppda.moments, "_power_iteration", counted)
+    mm = moment_matrix(part)
+    assert mm.expectations.finite and not calls
+    # the radius is computed when read, by power iteration on every block
+    assert 0.0 < mm.spectral_radius < 1.0
+    assert len(calls) == len(mm.deps.sccs)
+
+
+def test_radius_bound_is_collatz_wielandt():
+    block = np.array([[0.25, 0.5], [0.125, 0.25]])
+    E = np.linalg.solve(np.eye(2) - block, np.ones(2))
+    bound = ppda.moments._radius_bound(block, E)
+    assert bound == pytest.approx(1.0 - 1.0 / E.max(), rel=1e-14)
+    assert max(abs(np.linalg.eigvals(block))) <= bound
+    for x in (np.array([1.0, 0.0]), np.array([1.0, -1.0]), np.array([np.inf, 1.0])):
+        assert ppda.moments._radius_bound(block, x) == math.inf
 
 
 def test_expectation_subcritical_unit():

@@ -22,6 +22,7 @@ from ppda import (
 )
 from ppda.model import Pda, Rule
 import ppda.termination
+from ppda.graph import _condense, _tarjan
 from ppda.termination import CompiledSystem, _gmres, may_terminate
 
 from helpers import (
@@ -316,6 +317,41 @@ def test_missed_gmres_steps_are_solved_densely(krylov, monkeypatch, tree, ab):
     monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 0)
     for model in (tree, ab, CRITICAL_PDAS["unary"]):
         assert termination_probs(model) == dense_table(model)
+
+
+def cyclic_sccs(system: CompiledSystem) -> list[np.ndarray]:
+    """The sorted cyclic SCCs of the graph of F', as ``_near_critical`` solves them."""
+    edges: dict[int, set[int]] = {i: set() for i in range(system.n)}
+    for i, a in zip(system._rows.tolist(), system._cols.tolist()):
+        edges[i].add(a)
+    info = _condense(edges, _tarjan(tuple(edges), edges))
+    return [np.array(sorted(comp)) for comp in info.sccs if info.on_cycle(comp[0])]
+
+
+@pytest.mark.parametrize("model", [random_pda(6, 20, seed=1), random_pda(4, 12, seed=3),
+                                   *CRITICAL_PDAS.values()],
+                         ids=["random_6_20", "random_4_12", *CRITICAL_PDAS])
+def test_newton_operator_sums_rows_as_bincount(model):
+    system = model.compiled
+    rng = np.random.default_rng(11)
+    v = rng.random(system.n) * 0.5 + 0.25
+    comps = cyclic_sccs(system)
+    assert comps
+    for free in (np.arange(system.n), *comps):
+        rows, cols, weights = system._jacobian(v, free)
+        x = rng.random(len(free)) + 0.5
+        sums = np.bincount(rows, weights * x[cols], minlength=len(free))
+        got = system.newton_operator(v, free)(x)
+        # every entry of -F' is negative, so no row sum cancels, but x plus
+        # its row sum may: the bound is relative to both terms
+        assert np.all(np.abs(got - (x + sums)) <= 1e-15 * (np.abs(x) + np.abs(sums)))
+
+
+def test_newton_operator_refuses_unsorted_variables():
+    system = random_pda(2, 6, seed=2).compiled
+    v = np.full(system.n, 0.5)
+    with pytest.raises(ValueError, match="sorted"):
+        system.newton_operator(v, np.arange(system.n)[::-1])
 
 
 def test_gmres_solves_nonsymmetric_systems_across_restarts(monkeypatch):
