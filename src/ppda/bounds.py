@@ -20,7 +20,8 @@ their heights, the moment matrix, the expectations and the symbols certified
 to terminate with certainty.  ``Pda.moments`` holds all of these once per
 model, with p_min, e_max and B reduced per SCC over all that SCC depends
 on, so ``classify`` reads a start's constants from its SCC and never visits
-a rule.
+a rule; |alphabet| and whether the start is bounded (case 1) come from one
+walk of the SCC DAG from the start's SCC.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .graph import _reached
 from .model import ModelError, Pda
 
 __all__ = [
@@ -97,12 +99,12 @@ def classify(model: Pda, start: str) -> TailReport:
         raise NotAlmostSurelyTerminating(
             f"symbols reachable from {start} may diverge; transform or condition first"
         )
-    i = deps.scc_of[start]
-    reach = deps.reachable_from[start]
-    gamma = len(reach) + (start not in reach)
+    i = int(deps.scc_of[model.symbol_index[start]])
+    below = _reached(deps, i)
+    gamma = sum(len(deps.sccs[j]) for j in below)
     pmin, h = moments.reach_p_min[i], deps.scc_height[i]
 
-    if deps.bounded(start):
+    if not any(deps.scc_cyclic[j] for j in below):
         return TailReport(start=start, case=1, gamma_size=gamma, p_min=pmin, height=h)
 
     exp = moments.expectations

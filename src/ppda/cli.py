@@ -218,8 +218,8 @@ def cmd_analyze(args) -> int:
         deps = moments.deps
         report["dependence"] = {
             "sccs": [list(comp) for comp in deps.sccs],
-            "height": deps.height,
-            "scc_dag_edges": sorted(list(e) for e in deps.scc_dag_edges),
+            "height": max(deps.scc_height),
+            "scc_dag_edges": [[i, j] for i, js in enumerate(deps.scc_successors) for j in js],
         }
     t_bounds = time.perf_counter() - t0
 

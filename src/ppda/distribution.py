@@ -115,7 +115,7 @@ def exact_distribution_word(model: Pda, word: tuple[str, ...], n_max: int) -> Di
     for sym in word:
         if sym not in model.symbol_index:
             raise ModelError(f"unknown start symbol {sym!r}")
-    masses = _bpa_masses(model, n_max)
+    masses = _bpa_masses(model, n_max, convolutions=len(word) - 1)
     acc = masses[word[0]]
     for sym in word[1:]:
         acc = np.convolve(acc, masses[sym])[: n_max + 1]
@@ -138,15 +138,16 @@ def _check_budget(rows: int, dots: int, n_max: int) -> None:
                          f"about {work:.3g} products in all; the budget is {DP_PRODUCTS:.3g}")
 
 
-def _bpa_masses(model: Pda, n_max: int) -> dict[str, np.ndarray]:
+def _bpa_masses(model: Pda, n_max: int, convolutions: int = 0) -> dict[str, np.ndarray]:
     if not model.stateless:
         raise ModelError("use exact_distribution_pda for stateful models")
     if n_max < 1:
         raise ModelError("n_max must be at least 1")
     rules = model.rule_arrays
-    # a law and its mirror per symbol, and a row per inner prefix convolution
+    # a law and its mirror per symbol, and a row per inner prefix convolution;
+    # each full convolution of a start word's laws costs 2 dots a step
     _check_budget(2 * len(model.alphabet) + int(np.maximum(rules.length - 2, 0).sum()),
-                  int(np.maximum(rules.length - 1, 0).sum()), n_max)
+                  int(np.maximum(rules.length - 1, 0).sum()) + 2 * convolutions, n_max)
     D = np.zeros((len(model.alphabet), n_max + 1))
     mirror = np.zeros_like(D)  # mirror[s, n_max - j] = D[s, j]
 

@@ -1,20 +1,23 @@
 """Dependence structure of stateless models.
 
 A symbol X depends directly on Y when some rule of X mentions Y on its
-right-hand side.  The SCC condensation of that relation, its height, and
-reachability sets drive the tail-regime classification: an acyclic
-(reachable) dependence relation means no run can revisit a symbol on a
-derivation path, so termination time is bounded by the tree of size
-2^|alphabet| - 1.
+right-hand side.  The SCC condensation of that relation drives the
+tail-regime classification: a start that reaches no cyclic SCC can revisit
+no symbol on a derivation path, so its termination time is bounded by the
+tree of size 2^|alphabet| - 1, and the height of its SCC gives d2.
 
-One ``DependenceInfo`` serves every start symbol of a model: a start's
-regime reads its reach set (``bounded``) and the height of its SCC, so
+``_condense`` condenses any graph given as integer edge arrays, so the
+same routine serves ``dependence`` and the near-critical check of the
+Newton solver.  It keeps per SCC only its successors, its height and
+whether it is cyclic: the record is linear in the size of the graph.  One
+``DependenceInfo`` serves every start symbol of a model; what a start
+reaches is one walk of the successors from its SCC (``_reached``), so
 nothing is restricted or recomputed per start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,119 +28,97 @@ __all__ = ["DependenceInfo", "dependence"]
 
 @dataclass(frozen=True)
 class DependenceInfo:
-    """Direct edges, SCC partition (reverse-topological), condensation, height.
+    """SCC partition (reverse-topological) and, per SCC, its condensation.
 
-    ``scc_height[i]`` counts the SCCs on the longest path down from SCC i:
-    the height of the relation restricted to what SCC i reaches.
+    ``sccs`` holds each SCC's members in the order Tarjan pops them: symbol
+    names from ``dependence``, node indices from ``_condense``.
+    ``scc_of[k]`` is the SCC of symbol (node) k, ``scc_successors[i]`` the
+    SCCs that SCC i depends on directly, in increasing order, and
+    ``scc_height[i]`` counts the SCCs on the longest path down from SCC i.
     """
 
-    direct_edges: dict[str, frozenset[str]]
-    sccs: tuple[tuple[str, ...], ...]
-    scc_of: dict[str, int]
-    scc_dag_edges: frozenset[tuple[int, int]]
-    height: int
-    reachable_from: dict[str, frozenset[str]]
-    scc_successors: tuple[frozenset[int], ...]  # the DAG edges, per source SCC
+    sccs: tuple[tuple, ...]
+    scc_of: np.ndarray
+    scc_successors: tuple[tuple[int, ...], ...]
     scc_height: tuple[int, ...]
-
-    def on_cycle(self, symbol: str) -> bool:
-        return symbol in self.reachable_from[symbol]
-
-    def bounded(self, start: str) -> bool:
-        """No symbol reachable from start, itself included, is on a cycle."""
-        return not any(self.on_cycle(sym) for sym in self.reachable_from[start])
+    scc_cyclic: tuple[bool, ...]
 
 
 def dependence(model: Pda) -> DependenceInfo:
-    """Compute the dependence relation, its SCC DAG, and the DAG height."""
+    """Compute the dependence relation's SCCs, their DAG and heights."""
     if not model.stateless:
         raise ModelError("dependence analysis is defined on stateless models; transform first")
     syms, rules = model.alphabet, model.rule_arrays
-    real = rules.words < len(syms)
+    n = len(syms)
+    real = rules.words < n
     lhs = np.broadcast_to(rules.lhs_symbol[:, None], real.shape)[real]
-    edges: dict[str, set[str]] = {sym: set() for sym in syms}
-    for x, y in zip(lhs.tolist(), rules.words[real].tolist()):
-        edges[syms[x]].add(syms[y])
-    return _condense(edges, _tarjan(syms, edges))
+    # successors are visited in the order of their names
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=syms.__getitem__)] = np.arange(n)
+    info = _condense(n, lhs, rules.words[real], rank)
+    return replace(info, sccs=tuple(tuple(syms[k] for k in comp) for comp in info.sccs))
 
 
-def _condense(edges, sccs) -> DependenceInfo:
-    """Condensation, height and reach sets in one pass over the SCCs.
+def _condense(n: int, src: np.ndarray, dst: np.ndarray, rank: np.ndarray) -> DependenceInfo:
+    """Iterative Tarjan over the nodes 0 .. n-1 and the edges src -> dst.
 
-    The SCCs come callees-first, so every successor is final when its
-    predecessors are visited.  A symbol reaches the members of its own SCC
-    when that SCC is cyclic, and every successor SCC together with all that
-    successor reaches; members of one SCC share one reach set.
+    Roots are taken in index order and each node's successors in the order
+    of their ``rank``; the components come out in reverse topological order.
+    A component is cyclic when it has an edge inside it.  The edges are
+    sorted by ``np.lexsort``, which the pipeline already runs (the default
+    sort kernels page in about 0.3 MB more, and ``np.unique`` imports
+    ``numpy.ma``), and a repeated edge is dropped where it follows itself.
     """
-    scc_of = {sym: i for i, comp in enumerate(sccs) for sym in comp}
-    succ = [frozenset({scc_of[y] for x in comp for y in edges[x]} - {i})
-            for i, comp in enumerate(sccs)]
-    longest: list[int] = []  # SCCs on the longest path from each SCC down
-    below: list[frozenset[str]] = []  # each SCC's members and all they reach
-    reach: dict[str, frozenset[str]] = {}
-    for i, comp in enumerate(sccs):
-        longest.append(max((longest[j] for j in succ[i]), default=0) + 1)
-        cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
-        shared = frozenset(comp if cyclic else ()).union(*(below[j] for j in succ[i]))
-        below.append(shared.union(comp))
-        reach.update(dict.fromkeys(comp, shared))
-    return DependenceInfo(
-        direct_edges={x: frozenset(ys) for x, ys in edges.items()},
-        sccs=tuple(tuple(c) for c in sccs),
-        scc_of=scc_of,
-        scc_dag_edges=frozenset((i, j) for i, js in enumerate(succ) for j in js),
-        height=max(longest, default=1),
-        reachable_from={x: reach[x] for x in edges},
-        scc_successors=tuple(succ),
-        scc_height=tuple(longest),
-    )
-
-
-def _tarjan(nodes: tuple[str, ...], edges: dict[str, set[str]]) -> list[list[str]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(edges[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+    order = np.lexsort((rank[dst], src))
+    src, dst = src[order], dst[order]
+    keep = np.diff(src * n + dst, prepend=-1) != 0  # repeats are adjacent
+    starts = np.searchsorted(src[keep], np.arange(n + 1)).tolist()
+    targets = dst[keep].tolist()
+    index, low, comp = [-1] * n, [0] * n, [-1] * n  # on the stack: indexed, no comp yet
+    cursor, stack, sccs, counter = starts[:-1], [], [], 0
+    for root in range(n):
+        work = [root] if index[root] < 0 else []
         while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(edges[succ]))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
+            node = work[-1]
+            if index[node] < 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+            k, end = cursor[node], starts[node + 1]
+            while k < end and index[targets[k]] >= 0:
+                y = targets[k]
+                if comp[y] < 0 and low[y] < low[node]:  # on the stack: in this SCC
+                    low[node] = low[y]
+                k += 1
+            cursor[node] = k
+            if k < end:
+                work.append(targets[k])
                 continue
             work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
             if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                sccs.append(comp)
-    return sccs
+                members = [stack.pop()]
+                while members[-1] != node:
+                    members.append(stack.pop())
+                for x in members:
+                    comp[x] = len(sccs)
+                sccs.append(tuple(members))
+    successors, height, cyclic = [], [], []
+    for i, members in enumerate(sccs):
+        below = {comp[y] for x in members for y in targets[starts[x]:starts[x + 1]]}
+        cyclic.append(i in below)
+        below.discard(i)
+        successors.append(tuple(sorted(below)))
+        height.append(max((height[j] for j in below), default=0) + 1)
+    return DependenceInfo(tuple(sccs), np.array(comp, dtype=np.intp), tuple(successors),
+                          tuple(height), tuple(cyclic))
 
+
+def _reached(info: DependenceInfo, i: int) -> set[int]:
+    """SCC i and every SCC it depends on, by one walk of the successors."""
+    seen, todo = {i}, [i]
+    while todo:
+        for j in info.scc_successors[todo.pop()]:
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return seen

@@ -154,7 +154,7 @@ def moment_matrix(model: Pda) -> MomentMatrix:
                        and all(certain[j] for j in succ))
         infinite.append(rho >= 1.0 - CRITICAL_EPS or any(infinite[j] for j in succ))
 
-    scc = np.array([deps.scc_of[sym] for sym in syms], dtype=np.intp)
+    scc = deps.scc_of
     if any(infinite):
         E = _expectations(A, np.array(infinite, dtype=bool)[scc])
     change = _weight_changes(rules, E)
@@ -165,7 +165,7 @@ def moment_matrix(model: Pda) -> MomentMatrix:
         A=A,
         alphabet=syms,
         deps=deps,
-        certain=frozenset(sym for sym in syms if certain[deps.scc_of[sym]]),
+        certain=frozenset(sym for sym, i in zip(syms, scc.tolist()) if certain[i]),
         expectations=ExpectationTable(
             values=values, e_max=max(values.values(), default=0.0),
             # a model without rules, such as an empty terminating part, has no B

@@ -36,8 +36,9 @@ models, variable SCCs whose Jacobian block is near-singular are therefore
 solved again, with all they depend on, by Newton in decimal arithmetic over
 the same compiled monomials, with the exact rule probabilities as their
 coefficients; the variables above them are then solved in doubles again.
-The SCCs and their reach sets come from ``graph._condense`` on the graph of
-F'.  Stateless models are certified structurally instead, by the certain
+The SCCs come from ``graph._condense`` over the compiled system's arrays of
+F', and what each depends on from one pass down the condensation.
+Stateless models are certified structurally instead, by the certain
 symbols of the moment matrix the model keeps (``Pda.moments``).
 """
 
@@ -49,7 +50,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .graph import _condense, _tarjan
+from .graph import _condense
 from .model import Pda, Triple
 
 __all__ = [
@@ -505,26 +506,29 @@ def _gmres(matvec, b: np.ndarray):
 def _near_critical(system: CompiledSystem, v: np.ndarray, skip) -> list[list[int]]:
     """SCCs whose block of I - F'(v) is nearly singular, and all they depend on.
 
-    The dependence graph of F' is condensed by ``graph._condense``; a cyclic
-    SCC whose gain ||(I - F')^-1 1|| on its block passes NEAR_CRITICAL is
-    taken with its reach set.  SCCs in ``skip`` are passed over and left out.
-    ``skip`` holds the SCCs of earlier rounds, each taken with all it depends
-    on, so it is closed under dependence: a reach set minus ``skip`` is what
-    the SCC depends on outside it.  The SCCs come callees first.
+    The graph of F' is condensed by ``graph._condense``; a cyclic SCC whose
+    gain ||(I - F')^-1 1|| on its block passes NEAR_CRITICAL is taken with
+    every SCC below it, marked by one pass down the successors.  SCCs in
+    ``skip`` are passed over and left out.  ``skip`` holds the SCCs of
+    earlier rounds, each taken with all it depends on, so it is closed under
+    dependence: what a found SCC depends on outside ``skip`` is new.  The
+    SCCs come callees first.
     """
-    edges: dict[int, set[int]] = {i: set() for i in range(system.n)}
-    for i, a in zip(system._rows.tolist(), system._cols.tolist()):
-        edges[i].add(a)
-    info = _condense(edges, _tarjan(tuple(edges), edges))
-    found: set[int] = set()
-    for comp in info.sccs:
-        if comp[0] in skip or not info.on_cycle(comp[0]):
+    n = system.n
+    info = _condense(n, system._rows, system._cols, np.arange(n))
+    found = [False] * len(info.sccs)
+    for i, comp in enumerate(info.sccs):
+        if comp[0] in skip or not info.scc_cyclic[i]:
             continue
         x, solved = _solve(system, v, np.array(sorted(comp)), np.ones(len(comp)))
         gain = float(np.max(np.abs(x))) if solved else math.inf
-        if not gain <= NEAR_CRITICAL:
-            found.update(info.reachable_from[comp[0]])
-    return [sorted(comp) for comp in info.sccs if comp[0] in found and comp[0] not in skip]
+        found[i] = not gain <= NEAR_CRITICAL
+    # callers come after their callees: each mark is final before it is passed on
+    for i in reversed(range(len(found))):
+        if found[i]:
+            for j in info.scc_successors[i]:
+                found[j] = True
+    return [sorted(comp) for comp, hit in zip(info.sccs, found) if hit and comp[0] not in skip]
 
 
 def _extended_newton(system: CompiledSystem, members: list[int], start: np.ndarray,

@@ -2,10 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ppda import parse_model
+
+# CI selects this profile (--hypothesis-profile=ci): a failing example is
+# printed with the blob that reproduces it, to become an @example
+settings.register_profile("ci", print_blob=True)
 
 MODELS = Path(__file__).parent.parent / "models"
 

@@ -4,7 +4,9 @@ The distribution oracle unfolds the induced Markov chain one step at a time
 (``step_distribution``) with exact rational weights, merging identical
 configurations.  It shares no code with the convolution dynamic program it
 is used to check.  The reachability oracles walk the dependence graph once
-per symbol, apart from the SCC pass of ``ppda.graph``.  The per-start path
+per symbol, apart from the SCC pass of ``ppda.graph``; the condensation
+over sets of names (``dependence_names``, ``near_critical_names``) is the
+oracle for that pass, which works on integer arrays.  The per-start path
 (``restrict_to_reachable`` and the checks on the restriction) is the oracle
 for ``classify``, which reads the moment record the model keeps; it takes B
 rule by rule with ``appendix.rule_weight_change``.  The paper's appendix
@@ -15,6 +17,7 @@ import functools
 import math
 import random
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -28,7 +31,6 @@ from ppda import (
     Pda,
     TailReport,
     Triple,
-    dependence,
     make_bpa,
     parse_model,
     termination_probs,
@@ -38,7 +40,8 @@ from ppda.distribution import SampleStats, _check_budget
 from ppda.model import BPA_STATE, ModelError, Rule
 from ppda.moments import CRITICAL_EPS, _expectations, _power_iteration
 from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
-                              EXTENDED_TOL, NewtonDivergedError, _solve_decimal)
+                              EXTENDED_TOL, NEAR_CRITICAL, NewtonDivergedError, _solve,
+                              _solve_decimal)
 from ppda.transform import OMIT_BELOW, TransformError
 
 from appendix import rule_weight_change
@@ -115,7 +118,7 @@ def scc_restriction(model: Pda, members) -> Pda:
 
 
 def _dependence_at(model: Pda, start: str):
-    info = dependence(model)
+    info = dependence_names(model)
     if start not in model.symbol_index:
         raise ModelError(f"unknown start symbol {start!r}")
     return info
@@ -154,13 +157,13 @@ def is_almost_surely_terminating(model: Pda, table, eps: float = 1e-9) -> bool:
 
 def restricted_analysis(model: Pda, start: str):
     """The per-start path: restrict ``model`` to the reach set of ``start``,
-    then run ``dependence``, ``termination_probs`` and ``moment_matrix`` on
-    the restriction.
+    then run ``dependence_names``, ``termination_probs`` and ``moment_matrix``
+    on the restriction.
 
     Starts with one reach set (the members of one cyclic SCC) share it.
     """
     restricted = restrict_to_reachable(model, start)
-    deps = dependence(restricted)
+    deps = dependence_names(restricted)
     table = termination_probs(restricted)
     exp = restricted.moments.expectations
     return restricted, deps, table, exp
@@ -233,6 +236,145 @@ def longest_scc_chain(edges) -> int:
         return 1 + max((chain(c) for c in below), default=0)
 
     return max((chain(c) for c in set(scc.values())), default=0)
+
+
+# ---------------------------------------------------------------------------
+# the condensation over sets of names: the oracle for ``graph._condense``
+
+@dataclass(frozen=True)
+class NameDependence:
+    """Direct edges, SCC partition (reverse-topological), condensation, height.
+
+    ``scc_height[i]`` counts the SCCs on the longest path down from SCC i:
+    the height of the relation restricted to what SCC i reaches.
+    """
+
+    direct_edges: dict
+    sccs: tuple
+    scc_of: dict
+    scc_dag_edges: frozenset
+    height: int
+    reachable_from: dict
+    scc_successors: tuple  # the DAG edges, per source SCC
+    scc_height: tuple
+
+    def on_cycle(self, symbol) -> bool:
+        return symbol in self.reachable_from[symbol]
+
+    def bounded(self, start) -> bool:
+        """No symbol reachable from start, itself included, is on a cycle."""
+        return not any(self.on_cycle(sym) for sym in self.reachable_from[start])
+
+
+def dependence_names(model: Pda) -> NameDependence:
+    """``graph.dependence`` over dicts of name sets, edges read from the rules."""
+    edges: dict[str, set[str]] = {sym: set() for sym in model.alphabet}
+    for rule in model.rules:
+        edges[rule.lhs_symbol].update(rule.rhs_word)
+    return condense_names(edges, tarjan_names(model.alphabet, edges))
+
+
+def condense_names(edges, sccs) -> NameDependence:
+    """Condensation, height and reach sets in one pass over the SCCs.
+
+    The SCCs come callees-first, so every successor is final when its
+    predecessors are visited.  A symbol reaches the members of its own SCC
+    when that SCC is cyclic, and every successor SCC together with all that
+    successor reaches; members of one SCC share one reach set.
+    """
+    scc_of = {sym: i for i, comp in enumerate(sccs) for sym in comp}
+    succ = [frozenset({scc_of[y] for x in comp for y in edges[x]} - {i})
+            for i, comp in enumerate(sccs)]
+    longest: list[int] = []  # SCCs on the longest path from each SCC down
+    below: list[frozenset] = []  # each SCC's members and all they reach
+    reach: dict = {}
+    for i, comp in enumerate(sccs):
+        longest.append(max((longest[j] for j in succ[i]), default=0) + 1)
+        cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
+        shared = frozenset(comp if cyclic else ()).union(*(below[j] for j in succ[i]))
+        below.append(shared.union(comp))
+        reach.update(dict.fromkeys(comp, shared))
+    return NameDependence(
+        direct_edges={x: frozenset(ys) for x, ys in edges.items()},
+        sccs=tuple(tuple(c) for c in sccs),
+        scc_of=scc_of,
+        scc_dag_edges=frozenset((i, j) for i, js in enumerate(succ) for j in js),
+        height=max(longest, default=1),
+        reachable_from={x: reach[x] for x in edges},
+        scc_successors=tuple(succ),
+        scc_height=tuple(longest),
+    )
+
+
+def tarjan_names(nodes, edges) -> list[list]:
+    """Iterative Tarjan; components come out in reverse topological order."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    sccs: list[list] = []
+    counter = 0
+
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(sorted(edges[root])))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for succ in it:
+                if succ not in index:
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(sorted(edges[succ]))))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    comp.append(member)
+                    if member == node:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
+def f_prime_names(system) -> NameDependence:
+    """The graph of F' of a compiled system, as a dict of edge sets, condensed."""
+    edges: dict[int, set[int]] = {i: set() for i in range(system.n)}
+    for i, a in zip(system._rows.tolist(), system._cols.tolist()):
+        edges[i].add(a)
+    return condense_names(edges, tarjan_names(tuple(edges), edges))
+
+
+def near_critical_names(system, v: np.ndarray, skip) -> list[list[int]]:
+    """``termination._near_critical`` over the reach sets of ``f_prime_names``."""
+    info = f_prime_names(system)
+    found: set[int] = set()
+    for comp in info.sccs:
+        if comp[0] in skip or not info.on_cycle(comp[0]):
+            continue
+        x, solved = _solve(system, v, np.array(sorted(comp)), np.ones(len(comp)))
+        gain = float(np.max(np.abs(x))) if solved else math.inf
+        if not gain <= NEAR_CRITICAL:
+            found.update(info.reachable_from[comp[0]])
+    return [sorted(comp) for comp in info.sccs if comp[0] in found and comp[0] not in skip]
 
 
 def random_pda(n_states: int, n_symbols: int, seed: int, band: int = 2) -> Pda:
@@ -675,9 +817,9 @@ def moment_decisions_loop(model: Pda):
         certain.append(bool(can_empty[rows].all()) and rho <= 1.0 + 1e-9
                        and all(certain[j] for j in succ))
         infinite.append(rho >= 1.0 - CRITICAL_EPS or any(infinite[j] for j in succ))
-    scc = np.array([deps.scc_of[sym] for sym in model.alphabet], dtype=np.intp)
-    flags = np.array(infinite, dtype=bool)[scc]
-    return (radii, frozenset(sym for sym in model.alphabet if certain[deps.scc_of[sym]]),
+    flags = np.array(infinite, dtype=bool)[deps.scc_of]
+    return (radii, frozenset(sym for sym, i in zip(model.alphabet, deps.scc_of.tolist())
+                             if certain[i]),
             flags, _expectations(mm.A, flags))
 
 

@@ -10,7 +10,6 @@ import ppda.moments
 from ppda import (
     NotAlmostSurelyTerminating,
     classify,
-    dependence,
     exact_distribution_word,
     lower_bound_pmin,
     make_bpa,
@@ -27,6 +26,7 @@ from appendix import cone_vector, g_function, make_u_progressive, upper_bound_az
 from conftest import load_model
 from helpers import (
     classify_restricted,
+    dependence_names,
     p_min,
     random_pda,
     relaxed_bpas,
@@ -120,7 +120,7 @@ SOLVED_FIELDS = ("e_start", "e_max", "b_constant")
 
 def assert_matches_per_start(model):
     """classify on the model-wide moment record agrees with the per-start path, every symbol."""
-    deps, solved = dependence(model), {}
+    deps, solved = dependence_names(model), {}
     for sym in model.alphabet:
         keep = deps.reachable_from[sym] | {sym}
         if keep not in solved:

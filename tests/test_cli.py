@@ -21,7 +21,7 @@ import ppda.model
 import ppda.moments
 import ppda.termination
 import ppda.transform
-from ppda import Triple, parse_model, serialize, termination_probs, to_bpa
+from ppda import Triple, exact_distribution_word, parse_model, serialize, termination_probs, to_bpa
 from ppda.cli import main
 
 from helpers import (ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass, critical_pda_chain,
@@ -644,6 +644,7 @@ POWER_ITERATIONS = {"tree.ppda": 0, "random": 0, "delta4.bpa": 4}
 def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, source, start):
     path = model_path(models_dir, tmp_path, source)
     counts = count_calls(monkeypatch, ppda.termination.termination_probs,
+                         ppda.termination._near_critical,
                          ppda.graph.dependence, ppda.moments.moment_matrix,
                          ppda.moments._power_iteration,
                          ppda.bounds.classify, ppda.model.validate)
@@ -655,6 +656,7 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     # one tail report per target state
     assert counts["classify"] == (1 if path.suffix == ".bpa" else 2)
     assert counts["termination_probs"] == 1  # the model; its terminating part is not solved
+    assert counts["_near_critical"] == 0  # no solve here is slow or near-critical
     # the stateless model or the part, once for every start; a stateless solve
     # and its classification share them
     assert counts["dependence"] == 1
@@ -855,6 +857,31 @@ def test_dp_over_its_work_budget_is_refused_at_once(models_dir):
     assert proc.stderr.splitlines() == [
         "error: the exact DP to horizon 10000000 makes 1 dot product(s) a step, "
         "about 5e+13 products in all; the budget is 1e+11"]
+
+
+def test_long_start_word_over_the_work_budget_is_refused_at_once(tmp_path):
+    # the DP of delta1 to 40,000 passes (8e8 products), but 127 convolutions
+    # of the start word's laws would add 127 * 1.6e9
+    path = tmp_path / "word.bpa"
+    path.write_text("bpa\nalphabet: X1\nstart: " + " ".join(["X1"] * 128)
+                    + "\nrule: X1 -> X1 X1 : 1/2\nrule: X1 -> : 1/2\n")
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ppda", "dist", str(path), "--nmax", "40000"],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - started < 1.0
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: the exact DP to horizon 40000 makes 255 dot product(s) a step, "
+        "about 2.04e+11 products in all; the budget is 1e+11"]
+
+
+def test_short_start_word_within_the_work_budget_runs():
+    # 1 + 2 * 3 dots a step: 5.6e9 products, within the budget
+    model = parse_model("bpa\nalphabet: X1\nstart: X1 X1 X1 X1\n"
+                        "rule: X1 -> X1 X1 : 1/2\nrule: X1 -> : 1/2\n")
+    dist = exact_distribution_word(model, model.start.stack, 40000)
+    assert dist.mass[4] == 1 / 16  # the four symbols each pop at once
+    assert 0.0 < dist.mass.sum() < 1.0
 
 
 def test_refused_target_horizon_skips_the_solve(models_dir, tmp_path, monkeypatch, capsys):

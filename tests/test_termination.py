@@ -22,7 +22,6 @@ from ppda import (
 )
 from ppda.model import Pda, Rule
 import ppda.termination
-from ppda.graph import _condense, _tarjan
 from ppda.termination import CompiledSystem, _gmres, may_terminate
 
 from helpers import (
@@ -31,8 +30,10 @@ from helpers import (
     critical_pda_chain,
     dense_newton,
     extended_newton_rows,
+    f_prime_names,
     is_almost_surely_terminating,
     may_terminate_loop,
+    near_critical_names,
     random_pda,
     relaxed_bpas,
     small_bpas,
@@ -292,6 +293,26 @@ def test_blocking_models_exact_under_krylov(krylov):
             assert table.prob(p, "X", q) == pytest.approx(0.5, abs=1e-15)
 
 
+NEAR_CRITICAL_MODELS = {**CRITICAL_PDAS, **BLOCKING,
+                        **{f"chain_{k}": critical_pda_chain(k) for k in range(1, 5)}}
+
+
+@pytest.mark.parametrize("name", NEAR_CRITICAL_MODELS)
+def test_near_critical_matches_name_set_oracle(monkeypatch, name):
+    # every call the solve makes, with its own iterate and skip set
+    near_critical, found = ppda.termination._near_critical, []
+
+    def checked(system, v, skip):
+        comps = near_critical(system, v, skip)
+        assert comps == near_critical_names(system, v, skip)
+        found.append(comps)
+        return comps
+
+    monkeypatch.setattr(ppda.termination, "_near_critical", checked)
+    solve_unchecked(NEAR_CRITICAL_MODELS[name])
+    assert found and found[0]
+
+
 def test_krylov_above_crossover_matches_dense_newton():
     model = random_pda(6, 20, seed=1)
     system = CompiledSystem(model)
@@ -321,10 +342,7 @@ def test_missed_gmres_steps_are_solved_densely(krylov, monkeypatch, tree, ab):
 
 def cyclic_sccs(system: CompiledSystem) -> list[np.ndarray]:
     """The sorted cyclic SCCs of the graph of F', as ``_near_critical`` solves them."""
-    edges: dict[int, set[int]] = {i: set() for i in range(system.n)}
-    for i, a in zip(system._rows.tolist(), system._cols.tolist()):
-        edges[i].add(a)
-    info = _condense(edges, _tarjan(tuple(edges), edges))
+    info = f_prime_names(system)
     return [np.array(sorted(comp)) for comp in info.sccs if info.on_cycle(comp[0])]
 
 
