@@ -177,7 +177,7 @@ def cmd_analyze(args) -> int:
             "kind": model.kind,
             "states": len(model.states),
             "symbols": len(model.alphabet),
-            "rules": len(model.rules),
+            "rules": len(model.rule_arrays.prob),
         },
         "termination": {
             "residual": table.residual,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
@@ -81,22 +82,26 @@ class DistTable:
     n_max: int
     norm: float | None  # 1.0 for stateless symbols, [pXq] for triples
 
-    @property
-    def residual_mass(self) -> float:
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """norm - P(T < n) for n = 0..n_max + 1, summed in order as the CSV's
+        cumulative column is; ``tail``, ``residual_mass`` and ``dist_csv`` read it."""
         if self.norm is None:
             raise ModelError("table has no termination probability attached")
-        return self.norm - float(np.cumsum(self.mass)[-1])  # as ``tail`` sums
+        tails = np.zeros(len(self.mass) + 1)
+        np.cumsum(self.mass, out=tails[1:])
+        return np.subtract(self.norm, tails, out=tails)
+
+    @property
+    def residual_mass(self) -> float:
+        return float(self.tails[-1])
 
 
 def tail(table: DistTable, n: int) -> float:
     """P(T >= n), conditioned on the subject's event for triple subjects; P(T >= 0) for n < 0."""
     if n > table.n_max + 1:
         raise ModelError(f"tail at {n} beyond horizon {table.n_max}")
-    if table.norm is None:
-        raise ModelError("table has no termination probability attached")
-    # the sequential prefix sum, the cumulative column ``dist_csv`` prints
-    gap = table.norm - (float(np.cumsum(table.mass[:n])[-1]) if n > 0 else 0.0)
-    gap = min(max(gap, 0.0), table.norm if table.norm > 0 else 0.0)
+    gap = min(max(float(table.tails[max(n, 0)]), 0.0), table.norm if table.norm > 0 else 0.0)
     if isinstance(table.subject, Triple):
         return gap / table.norm if table.norm > 0 else 0.0
     return gap
@@ -582,10 +587,10 @@ def dist_csv(table: DistTable) -> str:
     if conditional:
         header += ",cond_tail"
     lines = [header]
+    gaps = table.tails if table.norm is not None else np.full(table.n_max + 1, np.nan)
     running = 0.0
     for n in range(table.n_max + 1):
-        gap = (table.norm - running) if table.norm is not None else float("nan")
-        gap = max(gap, 0.0)
+        gap = max(float(gaps[n]), 0.0)
         running += float(table.mass[n])
         cells = [str(n), repr(float(table.mass[n])), repr(running), repr(gap)]
         if conditional:

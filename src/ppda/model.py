@@ -5,8 +5,10 @@ probabilistic rewrite rules ``p X -> q alpha`` with exact rational
 probabilities.  Stateless models ("bpa") carry a single synthetic control
 state; "relaxed-bpa" additionally permits right-hand sides longer than two
 symbols.  Probabilities are exact rationals, or doubles in a stateless model
-built over arrays (``Pda.from_arrays``); the numeric modules and the writer
-read the rules as index and double arrays (``Pda.rule_arrays``), built once.
+built over arrays (``Pda.from_arrays``).  Past the parse and ``validate``,
+no step reads a ``Rule``: the start check, the numeric modules, the
+transform and the writer read the rules as index and double arrays
+(``Pda.rule_arrays``), built once.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class Pda:
 
     Construction checks only the kind and that no name repeats;
     ``validate``, which ``parse_model`` runs, checks the rest.  Immutable
-    after construction.  Rule lookup tables, the rules as arrays
+    after construction.  The name indices, the rules as arrays
     (``rule_arrays``), the may-terminate array, the compiled termination
     system and, for stateless models, the moment matrix with its dependence
     and per-SCC reductions are each built once, lazily, and the value is
@@ -171,13 +173,6 @@ class Pda:
             for lhs, word, length, prob in zip(arrays.lhs_symbol.tolist(), arrays.words.tolist(),
                                                arrays.length.tolist(), arrays.prob.tolist()))
         return self.rules
-
-    @cached_property
-    def rules_by_pair(self) -> dict[tuple[str, str], tuple[Rule, ...]]:
-        table: dict[tuple[str, str], list[Rule]] = {}
-        for rule in self.rules:
-            table.setdefault((rule.lhs_state, rule.lhs_symbol), []).append(rule)
-        return {pair: tuple(rs) for pair, rs in table.items()}
 
     @cached_property
     def state_index(self) -> dict[str, int]:
@@ -228,9 +223,6 @@ class Pda:
         if not self.stateless:
             raise ModelError("only stateless models have a unique control state")
         return self.states[0]
-
-    def rules_for(self, state: str, symbol: str) -> tuple[Rule, ...]:
-        return self.rules_by_pair.get((state, symbol), ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,24 +297,20 @@ def make_bpa(rules: Iterable[tuple[Sequence[str], Fraction | float | int | str]]
 def validate(model: Pda, start: Configuration | None = None) -> list[str]:
     """Return a list of invariant violations (empty iff the model is valid).
 
-    With a ``start`` configuration, additionally checks that every (state,
-    symbol) pair reachable from it has at least one rule; pairs without
-    rules are legal only while unreachable.
+    With a ``start`` configuration, a model with no other violation is also
+    checked for pairs (state, symbol) that are reachable from it but have
+    no rule; pairs without rules are legal only while unreachable.
     """
     violations: list[str] = []
     states = set(model.states)
     alphabet = set(model.alphabet)
 
-    for name in model.states:
-        try:
-            _check_token(name, "state")
-        except ModelError as exc:
-            violations.append(str(exc))
-    for name in model.alphabet:
-        try:
-            _check_token(name, "symbol")
-        except ModelError as exc:
-            violations.append(str(exc))
+    for what, names in (("state", model.states), ("symbol", model.alphabet)):
+        for name in names:
+            try:
+                _check_token(name, what)
+            except ModelError as exc:
+                violations.append(str(exc))
 
     if model.kind == "pda":
         for name in model.states:
@@ -334,12 +322,12 @@ def validate(model: Pda, start: Configuration | None = None) -> list[str]:
 
     max_rhs = 2 if model.kind in ("pda", "bpa") else None
     seen_rules: set[tuple[str, str, str, tuple[str, ...]]] = set()
+    totals: dict[tuple[str, str], Fraction] = {}
     for rule in model.rules:
         where = f"rule '{rule}'"
-        if rule.lhs_state not in states:
-            violations.append(f"{where}: unknown state {rule.lhs_state!r}")
-        if rule.rhs_state not in states:
-            violations.append(f"{where}: unknown state {rule.rhs_state!r}")
+        for state in (rule.lhs_state, rule.rhs_state):
+            if state not in states:
+                violations.append(f"{where}: unknown state {state!r}")
         for sym in (rule.lhs_symbol, *rule.rhs_word):
             if sym not in alphabet:
                 violations.append(f"{where}: unknown symbol {sym!r}")
@@ -349,15 +337,15 @@ def validate(model: Pda, start: Configuration | None = None) -> list[str]:
         if key in seen_rules:
             violations.append(f"{where}: duplicate rule")
         seen_rules.add(key)
+        totals[key[:2]] = totals.get(key[:2], Fraction(0)) + rule.prob  # by pair
 
-    for (state, symbol), rules in model.rules_by_pair.items():
-        total = sum((r.prob for r in rules), Fraction(0))
+    for (state, symbol), total in totals.items():
         if abs(total - 1) > ROW_SUM_TOL:
             violations.append(f"row ({state}, {symbol}): probabilities sum to {total}, not 1")
 
     if model.start is not None:
         violations.extend(_check_configuration(model, model.start))
-    if start is not None:
+    if start is not None and not violations:  # the walk needs known names
         violations.extend(start_problems(model, start))
     return violations
 
@@ -378,45 +366,35 @@ def _check_configuration(model: Pda, cfg: Configuration) -> list[str]:
 
 
 def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
-    # Pairs (q, Z) exposed by popping are over-approximated through the
-    # boolean may-terminate relation on triples.
-    can, sidx, aidx = model.terminating_triples, model.state_index, model.symbol_index
-
-    def targets(state: str, symbol: str) -> list[str]:
-        return [model.states[q] for q in can[sidx[state], aidx[symbol]].nonzero()[0]]
-
-    reach: set[tuple[str, str]] = set()
-    frontier: list[tuple[str, str]] = []
-
-    def visit(state: str, symbol: str):
-        if (state, symbol) not in reach:
-            reach.add((state, symbol))
-            frontier.append((state, symbol))
-
-    if start.stack:
-        # A deeper start symbol becomes the top once the prefix above it
-        # empties; track the control states those prefixes can empty into.
-        entry_states = {start.state}
-        for sym in start.stack:
-            for q in entry_states:
-                visit(q, sym)
-            entry_states = {q for s in entry_states for q in targets(s, sym)}
-    while frontier:
-        state, symbol = frontier.pop()
-        for rule in model.rules_for(state, symbol):
-            if len(rule.rhs_word) >= 1:
-                visit(rule.rhs_state, rule.rhs_word[0])
-            if len(rule.rhs_word) >= 2:
-                head = rule.rhs_word[0]
-                for below in rule.rhs_word[1:]:
-                    for q in targets(rule.rhs_state, head):
-                        visit(q, below)
-                    head = below
-    return [
-        f"pair ({state}, {symbol}) reachable from start but has no rules"
-        for (state, symbol) in sorted(reach)
-        if not model.rules_for(state, symbol)
-    ]
+    # Symbol j of a word comes on top in the states its first j symbols may
+    # empty into from the word's state (the may-terminate relation): for the
+    # start word from the outset, for a rule's once its left-hand pair is
+    # reached.  Pair (s, X) is node s |alphabet| + X; the start is one more.
+    nq, ng = len(model.states), len(model.alphabet)
+    rules, node, eye = model.rule_arrays, nq * ng, np.eye(nq, dtype=bool)
+    can = np.concatenate((model.terminating_triples.transpose(1, 0, 2), eye[None]))  # [X, s, q]
+    lhs = rules.lhs_state * ng + rules.lhs_symbol
+    stack = np.array([[model.symbol_index[sym] for sym in start.stack]], dtype=np.intp)
+    src, dst = [], []
+    for sources, states, words in ((lhs, rules.rhs_state, rules.words),
+                                   (np.array([node]), [model.state_index[start.state]], stack)):
+        entry = eye[states]
+        for column in words.T:  # the padding symbol ng keeps every state
+            rows, on_top = np.nonzero(entry & (column < ng)[:, None])
+            src.append(sources[rows])
+            dst.append(on_top * ng + column[rows])
+            entry = (entry[:, :, None] & can[column]).any(axis=1)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    reached = np.zeros(node + 1, dtype=bool)
+    frontier = np.arange(node + 1) == node
+    while frontier.any():
+        reached |= frontier
+        frontier = (np.bincount(dst[frontier[src]], minlength=node + 1) > 0) & ~reached
+    reached[lhs] = False  # the pairs with rules
+    missing = sorted((model.states[c // ng], model.alphabet[c % ng])
+                     for c in np.flatnonzero(reached[:node]).tolist())
+    return [f"pair ({state}, {symbol}) reachable from start but has no rules"
+            for state, symbol in missing]
 
 
 # ---------------------------------------------------------------------------

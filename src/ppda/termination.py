@@ -164,7 +164,8 @@ def qualitative_zero(model: Pda) -> frozenset[Triple]:
 class CompiledSystem:
     """The polynomial system over the may-terminate triples, as flat arrays.
 
-    ``triples`` are sorted by (state, symbol, target) and numbered 0..n-1.
+    ``triples`` are sorted by (state, symbol, target) and numbered 0..n-1;
+    ``table[p, X, q]`` is the number of pXq, or n where pXq cannot terminate.
     A rule pX -> r Y1..Ym contributes one monomial per segment chain
     r = s0, s1, .., sm = q whose factors s(i-1) Yi s(i) may all terminate:
     monomial k adds ``coef[k]`` times the product of ``v[factors[k]]`` to
@@ -172,10 +173,9 @@ class CompiledSystem:
     constant 1 appended to v; ``degree[k]`` counts the real factors.
     ``rule[k]`` is the monomial's rule, whose exact probability in
     ``exact`` (``RuleArrays.exact``) serves the decimal refinement; the
-    model caches the system, which keeps no reference back to it.  Within
-    each equation, monomials keep the order the rules list them, and F and
-    F' add them in that order, so the sums are those of a plain loop over
-    the rules.
+    model caches the system, which keeps no reference back to it.  Within each
+    equation, monomials keep the order the rules list them, and F and F' add
+    them in that order, so the sums are those of a plain loop over the rules.
     """
 
     def __init__(self, model: Pda):
@@ -183,8 +183,7 @@ class CompiledSystem:
         nq = len(states)
         known = model.terminating_triples
         n = self.n = int(np.count_nonzero(known))
-        # table[p, X, q]: the number of triple pXq, or -1 if it cannot terminate
-        table = np.full(known.shape, -1, dtype=np.intp)
+        table = self.table = np.full(known.shape, n, dtype=np.intp)
         table[known] = np.arange(n)
         self.triples = [Triple(states[p], alphabet[x], states[q])
                         for p, x, q in np.argwhere(known).tolist()]
@@ -207,10 +206,10 @@ class CompiledSystem:
             factors[grows, j] = factor
             state[grows] = nxt[grows]
             keep = np.ones(len(rule), dtype=bool)
-            keep[grows] = factor >= 0
+            keep[grows] = factor < n
             rule, state, factors = rule[keep], state[keep], factors[keep]
         lhs = table[rules.lhs_state[rule], rules.lhs_symbol[rule], state]
-        keep = lhs >= 0
+        keep = lhs < n
         lhs, rule, factors = lhs[keep], rule[keep], factors[keep]
         degree = length[rule]
         # epsilon monomials first, then the others; each part grouped by lhs

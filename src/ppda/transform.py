@@ -8,15 +8,17 @@ obligations they spawn, so they are irrational in general and live in
 floats.  The terminating rules are the monomials of the compiled
 termination system divided by the value of their left-hand side:
 pX -> rYZ gives [pXq] -> [rYs][sZq] with probability x [rYs] [sZq] / [pXq].
-Terminating symbols never depend on diverging ones, and the restriction to
-terminating symbols terminates almost surely.  ``to_bpa`` emits the
-terminating symbols and their rules first, so that restriction, the
-terminating part, is a prefix of the stateless model and comes back with it.
+It also gives [pX up] -> [rYs][sZ up] with x [rYs] [sZ up] / [pX up], and
+the rules of pX that push rY on top give [pX up] -> [rY up] with the exact
+sum of their probabilities.  Terminating symbols never depend on diverging
+ones, and the restriction to terminating symbols terminates almost surely.
+``to_bpa`` emits the terminating symbols and their rules first, so that
+restriction, the terminating part, is a prefix of the stateless model and
+comes back with it.
 
 The stateless model is built directly over its ``RuleArrays``
-(``Pda.from_arrays``): the terminating rules are read off the compiled
-monomials in one pass of array operations, the diverging ones by a loop over
-the pairs.  Its ``Rule``s are decoded only when a caller reads them;
+(``Pda.from_arrays``) by array passes over the compiled monomials, the
+source's ``rule_arrays`` and its compiled triples: no step reads a ``Rule``.
 ``ppda transform`` writes the text from the arrays (``model.serialize``).
 """
 
@@ -29,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import BPA_STATE, Configuration, Pda, RuleArrays, Triple
-from .termination import TerminationTable
+from .termination import CompiledSystem, TerminationTable
 
 __all__ = ["TransformResult", "TransformError", "to_bpa"]
 
@@ -63,21 +65,20 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
     """
     probs = table.probs
     system = model.compiled
-    n = system.n
+    n, nq, ng = system.n, len(model.states), len(model.alphabet)
     v = np.array([probs[t] for t in system.triples] + [1.0])
     kept_triples = np.flatnonzero(v[:n] > OMIT_BELOW)
     term_syms = [system.triples[i] for i in kept_triples.tolist()]
+    up = np.array([probs[Triple(p, X, None)] for p in model.states for X in model.alphabet])
+    rules = model.rule_arrays
     # A pair without rules is stuck, not running forever; it neither gets a
     # diverging symbol nor appears in one.
-    div_syms = [
-        Triple(p, X, None)
-        for p in model.states
-        for X in model.alphabet
-        if probs[Triple(p, X, None)] > OMIT_BELOW and model.rules_for(p, X)
-    ]
+    ruled = np.bincount(rules.lhs_state * ng + rules.lhs_symbol, minlength=nq * ng) > 0
+    div_pairs = np.flatnonzero((up > OMIT_BELOW) & ruled)
+    div_syms = [Triple(model.states[c // ng], model.alphabet[c % ng], None)
+                for c in div_pairs.tolist()]
     syms = (*term_syms, *div_syms)
     alphabet = tuple(str(t) for t in syms)
-    index = {t: i for i, t in enumerate(syms)}
     pad = len(alphabet)
     # the symbol of each kept triple; the padding factor n becomes the padding symbol
     symbol = np.full(n + 1, pad, dtype=np.intp)
@@ -95,34 +96,8 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
         weight = weight * column
     width = factors.shape[1]
     parts = [(symbol[lhs], symbol[factors], system.degree[order], weight / v[lhs])]
-
-    # the diverging rules as (lhs, first, second, length, probability)
-    rows: list[tuple[int, int, int, int, float]] = []
-    for t in div_syms:
-        denom, at = probs[t], index[t]
-        heads: dict[Triple, Fraction] = {}
-        for rule in model.rules_for(t.state, t.symbol):
-            if len(rule.rhs_word) == 2:
-                x, r = float(rule.prob), rule.rhs_state
-                Y, Z = rule.rhs_word
-                for s in model.states:
-                    a, b = Triple(r, Y, s), Triple(s, Z, None)
-                    if probs[a] > OMIT_BELOW and b in index:
-                        rows.append((at, index[a], index[b], 2,
-                                     x * probs[a] * probs[b] / denom))
-            if rule.rhs_word:
-                head = Triple(rule.rhs_state, rule.rhs_word[0], None)
-                heads[head] = heads.get(head, Fraction(0)) + rule.prob
-        # Heads that keep running forever aggregate over all rules pushing
-        # the same (state, symbol) on top.
-        for head in sorted(heads.keys() & index.keys(), key=lambda h: (
-                model.state_index[h.state], model.symbol_index[h.symbol])):
-            rows.append((at, index[head], pad, 1, probs[head] * float(heads[head]) / denom))
-    if rows:
-        columns = [np.array(column) for column in zip(*rows)]
-        words = np.full((len(rows), width), pad, dtype=np.intp)
-        words[:, 0], words[:, 1] = columns[1], columns[2]
-        parts.append((columns[0], words, columns[3], columns[4]))
+    if len(div_pairs):
+        parts.append(_diverging_rows(rules, system, symbol, v, up, div_pairs, width))
     lhs, words, length, prob = (np.concatenate(column) for column in zip(*parts))
     # a lone rule's reweighted probability can overshoot 1 by an ulp
     keep = prob > 0.0
@@ -141,10 +116,9 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
 
     start = None
     if model.start is not None and len(model.start.stack) == 1:
-        for cand in syms:
-            if (cand.state, cand.symbol) == (model.start.state, model.start.stack[0]):
-                start = Configuration(BPA_STATE, (str(cand),))
-                break
+        pair = (model.start.state, model.start.stack[0])
+        start = next((Configuration(BPA_STATE, (str(t),)) for t in syms
+                      if (t.state, t.symbol) == pair), None)
     zeros = np.zeros_like(lhs)  # the one state
     bpa = Pda.from_arrays(alphabet, RuleArrays(zeros, lhs, zeros, length, words, prob, prob),
                           start)
@@ -158,3 +132,45 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
         np.minimum(words[:count], len(terminating)), prob[:count], prob[:count]), start)
     return TransformResult(bpa=bpa, part=part, symbols=dict(zip(alphabet, syms)))
 
+
+def _diverging_rows(rules: RuleArrays, system: CompiledSystem, symbol: np.ndarray, v: np.ndarray,
+                    up: np.ndarray, div_pairs: np.ndarray, width: int):
+    """The rules of the diverging symbols as (lhs, words, length, probability):
+    each symbol's binary rows by rule and split state, then its unary ones by
+    pair (r, Y).  ``up`` holds [pX up] by pair p |alphabet| + X."""
+    nq, ng = system.table.shape[:2]
+    pad = int(symbol[-1])
+    div_symbol = np.full(len(up), pad, dtype=np.intp)  # of each pair, or the padding
+    div_symbol[div_pairs] = np.arange(pad - len(div_pairs), pad)
+    pair = rules.lhs_state * ng + rules.lhs_symbol
+    at = div_symbol[pair]
+
+    twos = np.flatnonzero((at < pad) & (rules.length == 2))
+    binary, split = np.repeat(twos, nq), np.tile(np.arange(nq), len(twos))
+    first = system.table[rules.rhs_state[binary], rules.words[binary, 0], split]
+    second = split * ng + rules.words[binary, 1]
+    keep = (symbol[first] < pad) & (div_symbol[second] < pad)
+    binary, first, second = binary[keep], first[keep], second[keep]
+
+    # the rules that push a diverging head, grouped by symbol and head in rule order
+    push = np.flatnonzero((at < pad) & (rules.length > 0))
+    head = rules.rhs_state[push] * ng + rules.words[push, 0]
+    push, head = push[div_symbol[head] < pad], head[div_symbol[head] < pad]
+    by_group = np.lexsort((head, pair[push]))
+    push, head = push[by_group], head[by_group]
+    begins = np.flatnonzero(np.diff(pair[push] * len(up) + head, prepend=-1))
+    ends = np.append(begins[1:], len(push))
+    mass = rules.prob[push[begins]]
+    for k in np.flatnonzero(ends - begins > 1).tolist():
+        mass[k] = float(sum(Fraction(rules.exact[i]) for i in push[begins[k]:ends[k]].tolist()))
+    push, head = push[begins], head[begins]
+
+    lhs = np.concatenate((at[binary], at[push]))
+    words = np.full((len(lhs), width), pad, dtype=np.intp)
+    words[:, 0] = np.concatenate((symbol[first], div_symbol[head]))
+    words[:len(binary), 1] = div_symbol[second]
+    length = np.repeat([2, 1], [len(binary), len(push)])
+    prob = np.concatenate((rules.prob[binary] * v[first] * up[second] / up[pair[binary]],
+                           up[head] * mass / up[pair[push]]))
+    order = np.lexsort((lhs,))  # stable: each symbol's binary rows come first
+    return lhs[order], words[order], length[order], prob[order]

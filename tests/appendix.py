@@ -19,6 +19,8 @@ from ppda.model import BPA_STATE, Pda, Rule
 from ppda.moments import _power_iteration
 from ppda.transform import TransformError
 
+from helpers import rules_for
+
 
 def rule_weight_change(rule: Rule, weights: dict[str, float]) -> float:
     """weight(lhs) - total weight pushed by the rule."""
@@ -59,7 +61,7 @@ def _derivation_chains(model: Pda) -> dict[str, list[tuple[Rule, int | None]]]:
     """
     chains: dict[str, list[tuple[Rule, int | None]]] = {}
     for sym in model.alphabet:
-        for rule in model.rules_for(model.only_state, sym):
+        for rule in rules_for(model, model.only_state, sym):
             if not rule.rhs_word:
                 chains[sym] = [(rule, None)]
                 break
@@ -69,7 +71,7 @@ def _derivation_chains(model: Pda) -> dict[str, list[tuple[Rule, int | None]]]:
             if sym in chains or sym in added:
                 continue
             best = None
-            for ri, rule in enumerate(model.rules_for(model.only_state, sym)):
+            for ri, rule in enumerate(rules_for(model, model.only_state, sym)):
                 for k, y in enumerate(rule.rhs_word):
                     if y in chains:
                         cand = (len(chains[y]), ri, k, rule)
@@ -107,7 +109,7 @@ def _contract(model: Pda, chain: list[tuple[Rule, int | None]]) -> list[Rule]:
     inner = _contract(model, chain[1:])
     follow = chain[1][0]
     sub = [
-        r for r in model.rules_for(model.only_state, follow.lhs_symbol) if r != follow
+        r for r in rules_for(model, model.only_state, follow.lhs_symbol) if r != follow
     ] + inner
     out = []
     for alt in sub:
@@ -133,7 +135,7 @@ def make_u_progressive(model: Pda, u: dict[str, float]) -> Pda:
     chains = _derivation_chains(model)
 
     new_rules: dict[str, list[Rule]] = {
-        sym: list(model.rules_for(model.only_state, sym)) for sym in model.alphabet
+        sym: list(rules_for(model, model.only_state, sym)) for sym in model.alphabet
     }
     for sym in model.alphabet:
         rules = new_rules[sym]
@@ -210,7 +212,7 @@ def g_function(
     critical models.
     """
     g = g1 = g2 = 0.0
-    for rule in model.rules_for(model.only_state, symbol):
+    for rule in rules_for(model, model.only_state, symbol):
         p = float(rule.prob)
         drop = u[symbol] - sum(u[sym] for sym in rule.rhs_word)
         weight = math.exp(theta * drop)

@@ -10,7 +10,9 @@ oracle for that pass, which works on integer arrays.  The per-start path
 (``restrict_to_reachable`` and the checks on the restriction) is the oracle
 for ``classify``, which reads the moment record the model keeps; it takes B
 rule by rule with ``appendix.rule_weight_change``.  The paper's appendix
-constructions live in ``appendix``, not here.
+constructions live in ``appendix``, not here.  The library reads only rule
+arrays; the lookup of ``Rule``s by pair (``rules_for``) and the start check
+over sets of names (``missing_reachable_rows``) live here.
 """
 
 import functools
@@ -44,7 +46,22 @@ from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIO
                               _solve_decimal)
 from ppda.transform import OMIT_BELOW, TransformError
 
-from appendix import rule_weight_change
+
+def rules_by_pair(model: Pda) -> dict[tuple[str, str], tuple[Rule, ...]]:
+    """The rules of ``model`` by left-hand pair (state, symbol), in rule
+    order; built once per model and kept in its ``__dict__``."""
+    table = model.__dict__.get("_rules_by_pair")
+    if table is None:
+        rows: dict[tuple[str, str], list[Rule]] = {}
+        for rule in model.rules:
+            rows.setdefault((rule.lhs_state, rule.lhs_symbol), []).append(rule)
+        table = model.__dict__["_rules_by_pair"] = {pair: tuple(rs) for pair, rs in rows.items()}
+    return table
+
+
+def rules_for(model: Pda, state: str, symbol: str) -> tuple[Rule, ...]:
+    """The rules of ``model`` for the pair (state, symbol), in rule order."""
+    return rules_by_pair(model).get((state, symbol), ())
 
 
 def solve_unchecked(model: Pda):
@@ -53,6 +70,33 @@ def solve_unchecked(model: Pda):
         return termination_probs(model)
     except NewtonDivergedError as exc:
         return exc.table
+
+
+def missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
+    """``start_problems`` for a start of known names, by a walk over sets of
+    names.  A word's symbol j comes on top in the states its first j symbols
+    may empty into from the word's state; the start word's symbols from the
+    outset, a rule's once its left-hand pair is reached."""
+    can, sidx, aidx = model.terminating_triples, model.state_index, model.symbol_index
+    reach: set[tuple[str, str]] = set()
+    frontier: list[tuple[str, str]] = []
+
+    def visit(state: str, word: tuple[str, ...]):
+        entry_states = {state}
+        for sym in word:
+            for q in entry_states:
+                if (q, sym) not in reach:
+                    reach.add((q, sym))
+                    frontier.append((q, sym))
+            entry_states = {model.states[q] for s in entry_states
+                            for q in can[sidx[s], aidx[sym]].nonzero()[0]}
+
+    visit(start.state, start.stack)
+    while frontier:
+        for rule in rules_for(model, *frontier.pop()):
+            visit(rule.rhs_state, rule.rhs_word)
+    return [f"pair ({state}, {symbol}) reachable from start but has no rules"
+            for state, symbol in sorted(reach) if not rules_for(model, state, symbol)]
 
 
 def step_distribution(model: Pda, cfg: Configuration) -> list[tuple[Configuration, Fraction]]:
@@ -64,7 +108,7 @@ def step_distribution(model: Pda, cfg: Configuration) -> list[tuple[Configuratio
     if cfg.empty:
         return [(cfg, Fraction(1))]
     top, rest = cfg.stack[0], cfg.stack[1:]
-    rules = model.rules_for(cfg.state, top)
+    rules = rules_for(model, cfg.state, top)
     if not rules:
         raise ModelError(f"no rule for pair ({cfg.state}, {top})")
     return [
@@ -179,6 +223,8 @@ def classify_restricted(restricted: Pda, deps, table, exp, start: str,
     """
     if not is_almost_surely_terminating(restricted, table, eps=eps):
         raise NotAlmostSurelyTerminating(f"symbols reachable from {start} may diverge")
+    from appendix import rule_weight_change  # appendix reads rules_for from here
+
     pmin = p_min(restricted)
     gamma = len(restricted.alphabet)
     h = deps.height
@@ -469,6 +515,10 @@ def acyclic_bpas(draw, max_symbols=4):
 # A valid declared start; from q X the pair (q, Y), which has no rules, is reached.
 ORPHAN_TEXT = ("pda\nstates: p q\nalphabet: X Y\nstart: p X\nrule: p X -> p : 1/2\n"
                "rule: p X -> p X X : 1/2\nrule: q X -> q Y : 1\n")
+
+# X pushes A B C; A never empties, so C never comes on top and needs no rules
+NEVER_ON_TOP = ("relaxed-bpa\nalphabet: X A B C\nstart: X\n"
+                "rule: X -> A B C : 1\nrule: A -> A : 1\nrule: B -> : 1\n")
 
 # (q, Y) has no rules and only surfaces once the symbol above Y empties into q
 POP_ORPHAN_TEXTS = {
@@ -923,7 +973,7 @@ def to_bpa_loop(model: Pda, table) -> Pda:
         Triple(p, X, None)
         for p in model.states
         for X in model.alphabet
-        if positive(Triple(p, X, None)) and model.rules_for(p, X)
+        if positive(Triple(p, X, None)) and rules_for(model, p, X)
     ]
     div_set = set(div_syms)
     rules: list[Rule] = []
@@ -936,7 +986,7 @@ def to_bpa_loop(model: Pda, table) -> Pda:
     for t in term_syms:
         p, X, q = t.state, t.symbol, t.target
         denom = probs[t]
-        for rule in model.rules_for(p, X):
+        for rule in rules_for(model, p, X):
             x, r = float(rule.prob), rule.rhs_state
             word = rule.rhs_word
             if len(word) == 0:
@@ -956,7 +1006,7 @@ def to_bpa_loop(model: Pda, table) -> Pda:
     for t in div_syms:
         p, X = t.state, t.symbol
         denom = probs[t]
-        for rule in model.rules_for(p, X):
+        for rule in rules_for(model, p, X):
             if len(rule.rhs_word) == 2:
                 x, r = float(rule.prob), rule.rhs_state
                 Y, Z = rule.rhs_word
@@ -969,7 +1019,7 @@ def to_bpa_loop(model: Pda, table) -> Pda:
                 head = Triple(r, Y, None)
                 if head not in div_set:
                     continue
-                sources = [rule for rule in model.rules_for(p, X)
+                sources = [rule for rule in rules_for(model, p, X)
                            if rule.rhs_state == r and rule.rhs_word[:1] == (Y,)]
                 if sources:
                     x = float(sum((rule.prob for rule in sources), Fraction(0)))
@@ -983,7 +1033,7 @@ def to_bpa_loop(model: Pda, table) -> Pda:
                 break
     bpa = Pda((BPA_STATE,), tuple(str(t) for t in (*term_syms, *div_syms)), tuple(rules),
               kind="bpa", start=start)
-    for (_, lhs), row in bpa.rules_by_pair.items():
+    for (_, lhs), row in rules_by_pair(bpa).items():
         total = float(sum((r.prob for r in row), Fraction(0)))
         if abs(total - 1.0) > 1e-9:
             raise TransformError(f"row for {lhs} sums to {total!r}")
@@ -1000,7 +1050,7 @@ def _compile_rules(model: Pda):
     """Per-(state, symbol) outcome rows as (cumulative, next state, reversed push)."""
     rows: dict[tuple[int, int], list[tuple[float, int, tuple[int, ...]]]] = {}
     sidx, aidx = model.state_index, model.symbol_index
-    for (p, X), rules in model.rules_by_pair.items():
+    for (p, X), rules in rules_by_pair(model).items():
         acc = 0.0
         row = []
         for rule in rules:

@@ -30,8 +30,8 @@ from ppda.cli import main
 
 from appendix import cone_vector, g_function, make_u_progressive, rule_weight_change
 from conftest import load_model
-from helpers import (brute_total_mass, p_min, scc_restriction, subcritical_unit, suffix_tail,
-                     table_residual)
+from helpers import (brute_total_mass, p_min, rules_for, scc_restriction, subcritical_unit,
+                     suffix_tail, table_residual)
 
 TREE_EXPECTATIONS = {
     "q.A.r0": 7.155113,
@@ -246,7 +246,7 @@ def test_criterion_8_appendix_properties(tree, ab, twostate):
         prog = make_u_progressive(model, u)
         u_min = min(u.values())
         for sym in prog.alphabet:
-            margins = [abs(rule_weight_change(r, u)) for r in prog.rules_for("_", sym)]
+            margins = [abs(rule_weight_change(r, u)) for r in rules_for(prog, "_", sym)]
             assert max(margins) >= u_min / 2 - 1e-12, (name, sym)
         assert p_min(prog) >= pmin**gamma - 1e-12, name
         A_prog = moment_matrix(prog).A

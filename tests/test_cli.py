@@ -24,8 +24,8 @@ import ppda.transform
 from ppda import Triple, exact_distribution_word, parse_model, serialize, termination_probs, to_bpa
 from ppda.cli import main
 
-from helpers import (ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass, critical_pda_chain,
-                     dense_newton, random_pda, term_dp_masses)
+from helpers import (NEVER_ON_TOP, ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass,
+                     critical_pda_chain, dense_newton, random_pda, term_dp_masses)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -437,6 +437,14 @@ def test_simulate_censoring_reported(tmp_path, capsys):
     assert main(["simulate", str(src), "--samples", "100", "--seed", "1",
                  "--cap", "50", "--csv", str(out)]) == 0
     assert "censored=100" in capsys.readouterr().err
+
+
+def test_simulate_accepts_a_start_whose_ruleless_symbol_never_comes_on_top(tmp_path, capsys):
+    # C, below the A that never empties, has no rules and needs none
+    src = tmp_path / "never_on_top.ppda"
+    src.write_text(NEVER_ON_TOP)
+    assert main(["simulate", str(src), "--samples", "20", "--cap", "30"]) == 0
+    assert "censored=20" in capsys.readouterr().err
 
 
 def test_simulate_csv_counts_runs_that_end_at_step_0(tmp_path):

@@ -2,7 +2,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppda
@@ -12,12 +12,13 @@ from ppda import (
     make_bpa,
     parse_model,
     serialize,
+    simulate,
     validate,
 )
-from ppda.model import Rule, Pda
+from ppda.model import BPA_STATE, Rule, Pda, start_problems
 
-from helpers import (POP_ORPHAN_TEXTS, relaxed_bpas, serialize_loop, small_bpas, small_pdas,
-                     step_distribution)
+from helpers import (NEVER_ON_TOP, POP_ORPHAN_TEXTS, missing_reachable_rows, relaxed_bpas,
+                     rules_for, serialize_loop, small_bpas, small_pdas, step_distribution)
 
 TWOSTATE = """
 pda                      # comments allowed everywhere
@@ -65,7 +66,7 @@ def test_parse_accepts_split_rows_summing_to_one():
         "rule: q O -> r0 : 1\nrule: r1 A -> r1 : 1\nrule: r0 A -> r0 : 1\n"
         "rule: r1 O -> r1 : 1\nrule: r0 O -> r0 : 1\n"
     )
-    assert len(m.rules_for("q", "A")) == 3
+    assert len(rules_for(m, "q", "A")) == 3
 
 
 @pytest.mark.parametrize(
@@ -173,10 +174,50 @@ def test_validate_ruleless_pair_needs_unreachability():
     assert any("(p, Y)" in v for v in problems)
 
 
+@pytest.mark.parametrize("stack", [(), ("X",)])
+def test_validate_with_a_start_lists_an_unknown_symbol_in_a_rule(stack):
+    m = Pda(("p",), ("X",), (Rule("p", "X", "p", ("Y",), Fraction(1)),), kind="pda")
+    assert validate(m, start=Configuration("p", stack)) == [
+        "rule 'p X -> p Y : 1': unknown symbol 'Y'"]
+
+
 @pytest.mark.parametrize("text", POP_ORPHAN_TEXTS.values(), ids=POP_ORPHAN_TEXTS)
 def test_validate_follows_pops_to_ruleless_pair(text):
     model = parse_model(text)
     assert any("(q, Y)" in v for v in validate(model, model.start))
+
+
+@st.composite
+def starts_with_ruleless_pairs(draw):
+    """A model with the rules of some pairs dropped, and a start of 0-3 symbols."""
+    model = draw(st.one_of(small_pdas(), small_pdas(max_states=3, max_symbols=3),
+                           relaxed_bpas(max_symbols=4)))
+    dropped = draw(st.sets(st.sampled_from([(p, X) for p in model.states
+                                            for X in model.alphabet])))
+    rules = tuple(r for r in model.rules if (r.lhs_state, r.lhs_symbol) not in dropped)
+    start = Configuration(draw(st.sampled_from(model.states)),
+                          tuple(draw(st.lists(st.sampled_from(model.alphabet), max_size=3))))
+    return Pda(model.states, model.alphabet, rules, kind=model.kind), start
+
+
+@given(starts_with_ruleless_pairs())
+@settings(max_examples=200, deadline=None)
+@example((parse_model(NEVER_ON_TOP), Configuration(BPA_STATE, ("X",))))
+@example((parse_model(NEVER_ON_TOP), Configuration(BPA_STATE, ("B", "C"))))
+def test_start_problems_match_the_name_walk(case):
+    model, start = case
+    assert start_problems(model, start) == missing_reachable_rows(model, start)
+
+
+def test_rule_word_exposes_a_symbol_only_past_what_may_empty():
+    # A never empties, so C, below it in X's word, never comes on top
+    model = parse_model(NEVER_ON_TOP)
+    assert start_problems(model, Configuration(BPA_STATE, ("X",))) == []
+    assert start_problems(model, Configuration(BPA_STATE, ("A", "C"))) == []
+    assert start_problems(model, Configuration(BPA_STATE, ("B", "C"))) == [
+        "pair (_, C) reachable from start but has no rules"]
+    stats = simulate(model, Configuration(BPA_STATE, ("X",)), 20, step_cap=30, seed=1)
+    assert stats.censored == 20
 
 
 def test_package_exports_names_not_submodules():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 import ppda.moments
 from appendix import rule_weight_change
 from conftest import load_model
-from helpers import moment_decisions_loop, relaxed_bpas, small_bpas, subcritical_unit
+from helpers import moment_decisions_loop, relaxed_bpas, rules_for, small_bpas, subcritical_unit
 
 TREE_TABLE = {
     "q.A.r0": 7.155113,
@@ -181,8 +181,8 @@ def _drift_samples(model, exp, start, count, seed):
     rng = np.random.default_rng(seed)
     rows = {
         sym: (
-            np.cumsum([float(r.prob) for r in model.rules_for("_", sym)]),
-            [r.rhs_word for r in model.rules_for("_", sym)],
+            np.cumsum([float(r.prob) for r in rules_for(model, "_", sym)]),
+            [r.rhs_word for r in rules_for(model, "_", sym)],
         )
         for sym in model.alphabet
     }

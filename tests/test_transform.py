@@ -19,12 +19,13 @@ from ppda import (
     moment_matrix,
     parse_model,
     serialize,
+    simulate,
     simulate_heads,
     termination_probs,
     to_bpa,
     validate,
 )
-from ppda.model import BPA_STATE, Pda, Rule
+from ppda.model import BPA_STATE, Pda, Rule, start_problems
 from ppda.transform import TransformError
 
 from appendix import cone_vector, make_u_progressive, rule_weight_change
@@ -35,6 +36,8 @@ from helpers import (
     is_almost_surely_terminating,
     p_min,
     random_pda,
+    rules_by_pair,
+    rules_for,
     serialize_loop,
     small_bpas,
     small_pdas,
@@ -87,6 +90,11 @@ TWO_HEADS = parse_model(
 @example(CRITICAL_PDAS["with_bystander"])
 @example(CRITICAL_PDAS["alternating"])
 @example(CRITICAL_PDAS["unary"])
+# p.X.up -> p.X.up sums 1/10 and 1/5 exactly: 0.3, where the doubles give
+# 0.30000000000000004
+@example(parse_model("pda\nstates: p\nalphabet: X Y\n"
+                     "rule: p X -> p X : 1/10\nrule: p X -> p X X : 1/5\n"
+                     "rule: p X -> p Y Y : 7/10\nrule: p Y -> p Y Y : 1\n"))
 def test_to_bpa_matches_rule_loop(model):
     """The rules read off the compiled monomials are the loop's, in its order."""
     model = dataclasses.replace(model, start=Configuration(model.states[-1],
@@ -104,6 +112,20 @@ def test_to_bpa_matches_rule_loop(model):
     assert bpa.start == expected.start
 
 
+def test_transformed_model_is_read_without_decoding_its_rules():
+    """The start check, both walkers and a second transform read only the
+    arrays of a model built from them: no ``Rule`` is decoded."""
+    model = load_model("ab.ppda")
+    bpa = to_bpa(model, termination_probs(model)).bpa
+    start = Configuration(BPA_STATE, ("p.X.up",))
+    assert start_problems(bpa, start) == []
+    assert simulate(bpa, start, 50, step_cap=40, seed=3).samples == 50
+    simulate_heads(bpa, start, 50, horizon=8, seed=3)
+    again = to_bpa(bpa, termination_probs(bpa)).bpa
+    assert "rules" not in bpa.__dict__
+    assert "rules" not in again.__dict__
+
+
 def test_one_rule_pda_transform():
     m = Pda(("p",), ("X",), (Rule("p", "X", "p", (), Fraction(1)),), kind="pda")
     result = to_bpa(m, termination_probs(m))
@@ -114,7 +136,7 @@ def test_one_rule_pda_transform():
 def test_transform_row_sums(tree, twostate):
     for model in (tree, twostate):
         result = to_bpa(model, termination_probs(model))
-        for (_, sym), row in result.bpa.rules_by_pair.items():
+        for (_, sym), row in rules_by_pair(result.bpa).items():
             assert float(sum(r.prob for r in row)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -375,7 +397,7 @@ def test_cone_vector_rejects_supercritical():
 def progressive_posts(model, prog, u):
     u_min = min(u.values())
     for sym in prog.alphabet:
-        rules = prog.rules_for(prog.only_state, sym)
+        rules = rules_for(prog, prog.only_state, sym)
         assert any(abs(rule_weight_change(r, u)) >= u_min / 2 - 1e-12 for r in rules), sym
     assert p_min(prog) >= p_min(model) ** len(model.alphabet) - 1e-12
     assert validate(prog) == []
