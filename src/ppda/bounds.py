@@ -113,10 +113,13 @@ def classify(model: Pda, start: str) -> TailReport:
             start=start, case=2, gamma_size=gamma, p_min=pmin, height=h,
             e_start=exp[start], e_max=moments.reach_e_max[i], b_constant=moments.reach_b[i],
         )
+    # p_min^(3 |alphabet|) underflows to 0 on deep models, where d1 is inf;
+    # the integer division rounds d2 once and never converts 2^(h+1) to a float
+    power = pmin ** (3 * gamma)
     return TailReport(
         start=start, case=3, gamma_size=gamma, p_min=pmin, height=h,
-        d1=18.0 * h * gamma / pmin ** (3 * gamma),
-        d2=1.0 / (2 ** (h + 1) - 2),
+        d1=18.0 * h * gamma / power if power else math.inf,
+        d2=1 / (2 ** (h + 1) - 2),
         lower_exponent=CASE3_LOWER_EXPONENT,
         n0_caveat=True,
     )
@@ -165,7 +168,9 @@ def threshold_for_epsilon(report: TailReport, eps: float) -> ThresholdResult:
     """Least n with tail bound at most eps.
 
     Case 1 returns the structural horizon 2^|alphabet|; case 3 results are
-    flagged: the polynomial bound only holds beyond an unknown n0.
+    flagged: the polynomial bound only holds beyond an unknown n0.  A
+    threshold past the largest double, infinite (d1 inf) or undefined (d2
+    underflowed to 0) raises OverflowError.
     """
     if not (0.0 < eps < 1.0):
         if report.case == 1 and eps >= 1.0:
@@ -178,5 +183,7 @@ def threshold_for_epsilon(report: TailReport, eps: float) -> ThresholdResult:
             2.0 * report.e_start + 2.0 * report.b_constant ** 2 * math.log(1.0 / eps)
         )
         return ThresholdResult(max(n, _ceil_with_slack(2.0 * report.e_start)), False)
+    if not report.d2:  # d2 underflowed: the bound reaches no eps within a double
+        raise OverflowError("the polynomial bound's exponent underflows")
     return ThresholdResult(_ceil_with_slack((report.d1 / eps) ** (1.0 / report.d2)), True)
 

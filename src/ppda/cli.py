@@ -7,7 +7,8 @@ Exit codes, set in ``main`` alone, each failure on one line: 0 success, 2
 file/parse/validation problems, bad flag values (an ``--nmax`` past the
 DP's byte budget too) and unwritable outputs, 3
 numeric failures (non-convergence, a transform row that misses 1, a
-threshold beyond a double).  All commands are deterministic given their
+threshold beyond a double or undefined, a moment matrix past
+``moments.MOMENT_BYTES``).  All commands are deterministic given their
 flags; JSON reports round floats to 12 significant digits and spell
 infinity "inf".
 """
@@ -50,7 +51,7 @@ from .model import (
     serialize,
     start_problems,
 )
-from .moments import PowerIterationError
+from .moments import MomentBudgetError, PowerIterationError
 from .termination import NewtonDivergedError, termination_probs
 from .transform import TransformError, to_bpa
 
@@ -262,8 +263,8 @@ def cmd_dist(args) -> int:
         triple = Triple(start.state, _start_symbol(start), args.target)
         # the DP first: a horizon over its byte budget is refused before the solve
         mass = exact_distribution_pda(model, triple, args.nmax).mass
-        table = DistTable(subject=triple, mass=mass, n_max=args.nmax,
-                          norm=termination_probs(model).probs[triple])
+        norm = termination_probs(model).prob(triple.state, triple.symbol, triple.target)
+        table = DistTable(subject=triple, mass=mass, n_max=args.nmax, norm=norm)
     _emit(dist_csv(table), args.csv)
     return EXIT_OK
 
@@ -383,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         error, code = exc, exc.code
     except (ModelError, NotAlmostSurelyTerminating) as exc:
         error, code = exc, EXIT_VALIDATION
-    except (NewtonDivergedError, PowerIterationError, TransformError) as exc:
+    except (NewtonDivergedError, PowerIterationError, TransformError, MomentBudgetError) as exc:
         error, code = exc, EXIT_NUMERIC
     print(f"error: {error}", file=sys.stderr)
     return code

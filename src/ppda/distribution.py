@@ -44,7 +44,7 @@ from math import sqrt
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import Configuration, ModelError, Pda, Triple, start_problems
+from .model import Configuration, ModelError, Pda, Triple, _triples, start_problems
 from .termination import CompiledSystem
 
 __all__ = [
@@ -210,9 +210,10 @@ def exact_distribution_pda(
     mass = _pda_masses(system, n_max)
     if triple is None:
         return {t: DistTable(subject=t, mass=row, n_max=n_max, norm=None)
-                for t, row in zip(system.triples, mass)}
-    i = system.index.get(triple)
-    row = mass[i].copy() if i is not None else np.zeros(n_max + 1)
+                for t, row in zip(_triples(model, model.terminating_triples), mass)}
+    sidx = model.state_index
+    i = system.table[sidx[triple.state], model.symbol_index[triple.symbol], sidx[triple.target]]
+    row = mass[i].copy() if i < system.n else np.zeros(n_max + 1)
     return DistTable(subject=triple, mass=row, n_max=n_max, norm=norm)
 
 

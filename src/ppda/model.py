@@ -124,6 +124,15 @@ class Triple:
         return f"{self.state}.{self.symbol}.{tgt}"
 
 
+def _triples(model: Pda, mask: np.ndarray) -> list[Triple]:
+    """The ``Triple`` of every true entry of ``mask``, in index order: pXq of
+    a [p, X, q] mask, pX up of a [p, X] one.  Triples are made only where
+    their names are printed or returned; the numeric steps index arrays."""
+    states, alphabet = model.states, model.alphabet
+    return [Triple(states[p], alphabet[x], states[q[0]] if q else None)
+            for p, x, *q in np.argwhere(mask).tolist()]
+
+
 @dataclass(frozen=True)
 class Pda:
     """A probabilistic pushdown automaton.
@@ -384,12 +393,19 @@ def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
             src.append(sources[rows])
             dst.append(on_top * ng + column[rows])
             entry = (entry[:, :, None] & can[column]).any(axis=1)
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    reached = np.zeros(node + 1, dtype=bool)
-    frontier = np.arange(node + 1) == node
-    while frontier.any():
-        reached |= frontier
-        frontier = (np.bincount(dst[frontier[src]], minlength=node + 1) > 0) & ~reached
+    # the edges sorted by source (CSR): the walk reads each node's once
+    src = np.concatenate(src)
+    ends = np.cumsum(np.bincount(src, minlength=node + 1)).tolist()
+    dst = np.concatenate(dst)[np.argsort(src, kind="stable")].tolist()
+    reached = [False] * node + [True]
+    todo = [node]
+    while todo:
+        c = todo.pop()
+        for d in dst[ends[c - 1] if c else 0:ends[c]]:
+            if not reached[d]:
+                reached[d] = True
+                todo.append(d)
+    reached = np.array(reached)
     reached[lhs] = False  # the pairs with rules
     missing = sorted((model.states[c // ng], model.alphabet[c % ng])
                      for c in np.flatnonzero(reached[:node]).tolist())

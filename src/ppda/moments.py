@@ -39,10 +39,18 @@ __all__ = ["MomentMatrix", "ExpectationTable", "moment_matrix", "conditional_exp
 POWER_TOL = 1e-12
 POWER_CAP = 100_000
 CRITICAL_EPS = 1e-9
+# A is dense, |alphabet|^2 doubles, and its solves and block walk copy it, so
+# at least four such matrices exist at once.  A model whose A would pass this
+# many bytes (8,192 symbols) is refused before A is allocated.
+MOMENT_BYTES = 1 << 29
 
 
 class PowerIterationError(RuntimeError):
     pass
+
+
+class MomentBudgetError(RuntimeError):
+    """The dense moment matrix of the model would pass MOMENT_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -122,14 +130,18 @@ def moment_matrix(model: Pda) -> MomentMatrix:
     or beyond, or a successor is infinite; if any is, the other symbols
     solve (I - A) E = 1 again without them, and else E stands.  Each SCC's
     p_min, e_max and B are then reduced over its own rules or symbols and
-    those of its successors.
+    those of its successors.  A model whose A would pass MOMENT_BYTES raises
+    MomentBudgetError before anything is built.
     """
     if not model.stateless:
         raise ValueError("moment matrix is defined on stateless models; transform first")
-    deps = dependence(model)
     syms = model.alphabet
-    index = model.symbol_index
     n = len(syms)
+    if 8 * n * n > MOMENT_BYTES:
+        raise MomentBudgetError(f"the moment matrix of {n:,} symbols needs {8 * n * n:,} bytes; "
+                                f"the budget is {MOMENT_BYTES:,}")
+    deps = dependence(model)
+    index = model.symbol_index
     rules = model.rule_arrays
     real = rules.words < n
     # bincount adds in input order, rule by rule and along each word: the

@@ -7,12 +7,13 @@ For every triple pXq the value [pXq] is the least nonnegative solution of
            + sum_{pX -> rYZ}   x * sum_s V(rYs) * V(sZq)
 
 solved here with undamped Newton iteration from the zero vector after a
-boolean preprocessing pass pins the structurally-zero variables.  The
-divergence mass [pX^] is reported as the clamped complement.  Both that
+boolean preprocessing pass pins the structurally-zero variables.  Both that
 pass (``may_terminate``) and the ``CompiledSystem`` over its array read the
 rules through the model's ``Pda.rule_arrays``; the model keeps the array
 and the system (``Pda.compiled``), which the solve, ``to_bpa`` and the DP
-all read.
+all read.  The system's ``table[p, X, q]`` is the one triple index; the
+``TerminationTable`` holds [pXq] and the divergence mass [pX^], the clamped
+complement, as arrays over states and symbols.
 
 Each Newton step solves (I - F'(v)) delta = F(v) - v.  Systems of at most
 DENSE_MAX (224) variables, the measured crossover, build the matrix and
@@ -47,11 +48,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from functools import cached_property
 
 import numpy as np
 
 from .graph import _condense
-from .model import Pda, Triple
+from .model import Pda, Triple, _triples
 
 __all__ = [
     "TerminationTable",
@@ -95,11 +97,17 @@ class NewtonDivergedError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TerminationTable:
-    """Solved termination probabilities plus convergence metadata."""
+    """Solved termination probabilities as arrays, plus convergence metadata:
+    ``values[p, X, q]`` is [pXq], 0 where pXq cannot terminate, and ``up[p, X]``
+    is [pX up]; the model's ``state_index`` and ``symbol_index`` name the axes.
+    ``probs`` keys every value by its ``Triple`` and is built on first read."""
 
-    probs: dict[Triple, float]
+    values: np.ndarray
+    up: np.ndarray
+    state_index: dict[str, int]
+    symbol_index: dict[str, int]
     residual: float
     iterations: int
     qualitative_zero: frozenset[Triple]
@@ -109,16 +117,26 @@ class TerminationTable:
     def converged(self) -> bool:
         return self.residual <= self.tol
 
+    @cached_property
+    def probs(self) -> dict[Triple, float]:
+        """[pXq] for every target q, then [pX up], pair by pair in index order."""
+        probs: dict[Triple, float] = {}
+        for p, values, ups in zip(self.state_index, self.values.tolist(), self.up.tolist()):
+            for X, targets, up in zip(self.symbol_index, values, ups):
+                probs.update(zip([Triple(p, X, q) for q in self.state_index], targets))
+                probs[Triple(p, X, None)] = up
+        return probs
+
     def prob(self, state: str, symbol: str, target: str) -> float:
-        return self.probs.get(Triple(state, symbol, target), 0.0)
+        states = self.state_index
+        return float(self.values[states[state], self.symbol_index[symbol], states[target]])
 
     def diverge(self, state: str, symbol: str) -> float:
-        return self.probs[Triple(state, symbol, None)]
+        return float(self.up[self.state_index[state], self.symbol_index[symbol]])
 
     def symbol_prob(self, model: Pda, symbol: str) -> float:
         """[X] for stateless models."""
-        p = model.only_state
-        return self.prob(p, symbol, p)
+        return self.prob(model.only_state, symbol, model.only_state)
 
 
 def may_terminate(model: Pda) -> np.ndarray:
@@ -156,16 +174,14 @@ def may_terminate(model: Pda) -> np.ndarray:
 
 def qualitative_zero(model: Pda) -> frozenset[Triple]:
     """Triples pXq whose termination probability is exactly zero."""
-    states, alphabet = model.states, model.alphabet
-    return frozenset(Triple(states[p], alphabet[x], states[q])
-                     for p, x, q in np.argwhere(~model.terminating_triples).tolist())
+    return frozenset(_triples(model, ~model.terminating_triples))
 
 
 class CompiledSystem:
     """The polynomial system over the may-terminate triples, as flat arrays.
 
-    ``triples`` are sorted by (state, symbol, target) and numbered 0..n-1;
-    ``table[p, X, q]`` is the number of pXq, or n where pXq cannot terminate.
+    ``table[p, X, q]``, the one triple index, numbers the triples 0..n-1 in
+    (state, symbol, target) order and holds n where pXq cannot terminate.
     A rule pX -> r Y1..Ym contributes one monomial per segment chain
     r = s0, s1, .., sm = q whose factors s(i-1) Yi s(i) may all terminate:
     monomial k adds ``coef[k]`` times the product of ``v[factors[k]]`` to
@@ -179,15 +195,10 @@ class CompiledSystem:
     """
 
     def __init__(self, model: Pda):
-        states, alphabet = model.states, model.alphabet
-        nq = len(states)
         known = model.terminating_triples
         n = self.n = int(np.count_nonzero(known))
         table = self.table = np.full(known.shape, n, dtype=np.intp)
         table[known] = np.arange(n)
-        self.triples = [Triple(states[p], alphabet[x], states[q])
-                        for p, x, q in np.argwhere(known).tolist()]
-        self.index = {t: i for i, t in enumerate(self.triples)}
         rules = model.rule_arrays
         length, words = rules.length, rules.words
         width = words.shape[1]
@@ -198,7 +209,7 @@ class CompiledSystem:
         factors = np.full((len(words), width), n, dtype=np.intp)
         for j in range(width):
             grows = length[rule] > j
-            count = np.where(grows, nq, 1)
+            count = np.where(grows, len(model.states), 1)
             src = np.repeat(np.arange(len(rule)), count)
             nxt = np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)
             rule, state, factors, grows = rule[src], state[src], factors[src], grows[src]
@@ -311,7 +322,7 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
     if tol <= 0:
         raise ValueError("tol must be positive")
     system = model.compiled
-    idx, n = system.index, system.n
+    n = system.n
 
     def newton(v: np.ndarray, free: np.ndarray):
         """Newton steps on the indices ``free``, the other entries held fixed.
@@ -383,10 +394,8 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
     # then solve the others again with those held fixed, since values above
     # a critical SCC were computed from its stalled ones.
     if model.stateless and n:
-        p = model.only_state
-        uncertain = np.ones(n, dtype=bool)
-        for sym in model.moments.certain:
-            uncertain[idx[Triple(p, sym, p)]] = False
+        uncertain, index = np.ones(n, dtype=bool), model.symbol_index
+        uncertain[system.table[0, [index[sym] for sym in model.moments.certain], 0]] = False
         v[~uncertain] = 1.0
         residual = float(np.max(np.abs(system.apply(v) - v)))
         if residual > tol:
@@ -396,28 +405,19 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
 
     # Targets of a pair adding up to more than 1 + tol are unsolved, however
     # small the residual: a step past a critical fixed point leaves it tiny.
-    probs: dict[Triple, float] = {}
-    excess = 0.0
-    for p in model.states:
-        for X in model.alphabet:
-            total = 0.0
-            for q in model.states:
-                t = Triple(p, X, q)
-                val = v[idx[t]] if t in idx else 0.0
-                probs[t] = float(val)
-                total += float(val)
-            probs[Triple(p, X, None)] = min(1.0, max(0.0, 1.0 - total))
-            excess = max(excess, total - 1.0)
+    # The targets are added one state at a time, in state order.
+    values = np.append(v, 0.0)[system.table]
+    total = sum((values[:, :, q] for q in range(values.shape[2])), np.zeros(values.shape[:2]))
+    excess = float(np.max(total - 1.0, initial=0.0))
     if excess > tol:
         residual = max(residual, excess)
+    up = np.clip(1.0 - total, 0.0, 1.0)
+    values.flags.writeable = up.flags.writeable = False
 
-    table = TerminationTable(
-        probs=probs,
-        residual=residual,
-        iterations=iterations,
-        qualitative_zero=qualitative_zero(model),
-        tol=tol,
-    )
+    table = TerminationTable(values=values, up=up, state_index=model.state_index,
+                             symbol_index=model.symbol_index, residual=residual,
+                             iterations=iterations, qualitative_zero=qualitative_zero(model),
+                             tol=tol)
     if not table.converged:
         raise NewtonDivergedError(table)
     return table

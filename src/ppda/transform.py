@@ -18,7 +18,8 @@ comes back with it.
 
 The stateless model is built directly over its ``RuleArrays``
 (``Pda.from_arrays``) by array passes over the compiled monomials, the
-source's ``rule_arrays`` and its compiled triples: no step reads a ``Rule``.
+source's ``rule_arrays``, its triple table and the solve's value arrays: no
+step reads a ``Rule``, and ``Triple``s name the emitted symbols only.
 ``ppda transform`` writes the text from the arrays (``model.serialize``).
 """
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import BPA_STATE, Configuration, Pda, RuleArrays, Triple
+from .model import BPA_STATE, Configuration, Pda, RuleArrays, Triple, _triples
 from .termination import CompiledSystem, TerminationTable
 
 __all__ = ["TransformResult", "TransformError", "to_bpa"]
@@ -63,26 +64,23 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
     first-step identity when the table residual is small.  The terminating
     part keeps the model's start only when that start is terminating.
     """
-    probs = table.probs
     system = model.compiled
     n, nq, ng = system.n, len(model.states), len(model.alphabet)
-    v = np.array([probs[t] for t in system.triples] + [1.0])
-    kept_triples = np.flatnonzero(v[:n] > OMIT_BELOW)
-    term_syms = [system.triples[i] for i in kept_triples.tolist()]
-    up = np.array([probs[Triple(p, X, None)] for p in model.states for X in model.alphabet])
+    # the values in the system's numbering, then the padding factor's 1
+    v = np.append(table.values[model.terminating_triples], 1.0)
+    up = table.up.ravel()  # by pair p |alphabet| + X
     rules = model.rule_arrays
     # A pair without rules is stuck, not running forever; it neither gets a
     # diverging symbol nor appears in one.
     ruled = np.bincount(rules.lhs_state * ng + rules.lhs_symbol, minlength=nq * ng) > 0
-    div_pairs = np.flatnonzero((up > OMIT_BELOW) & ruled)
-    div_syms = [Triple(model.states[c // ng], model.alphabet[c % ng], None)
-                for c in div_pairs.tolist()]
-    syms = (*term_syms, *div_syms)
+    diverging = (up > OMIT_BELOW) & ruled
+    term_syms = _triples(model, table.values > OMIT_BELOW)
+    syms = (*term_syms, *_triples(model, diverging.reshape(nq, ng)))
     alphabet = tuple(str(t) for t in syms)
     pad = len(alphabet)
     # the symbol of each kept triple; the padding factor n becomes the padding symbol
     symbol = np.full(n + 1, pad, dtype=np.intp)
-    symbol[kept_triples] = np.arange(len(term_syms))
+    symbol[:n][v[:n] > OMIT_BELOW] = np.arange(len(term_syms))
 
     # The monomials whose left-hand side and factors all stay, by left-hand
     # side and then by rule; the sort is stable, so the chains of a rule keep
@@ -94,10 +92,9 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
     weight = system.coef[order]
     for column in v[factors].T:
         weight = weight * column
-    width = factors.shape[1]
     parts = [(symbol[lhs], symbol[factors], system.degree[order], weight / v[lhs])]
-    if len(div_pairs):
-        parts.append(_diverging_rows(rules, system, symbol, v, up, div_pairs, width))
+    if diverging.any():
+        parts.append(_diverging_rows(rules, system, symbol, v, up, diverging))
     lhs, words, length, prob = (np.concatenate(column) for column in zip(*parts))
     # a lone rule's reweighted probability can overshoot 1 by an ulp
     keep = prob > 0.0
@@ -134,14 +131,15 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
 
 
 def _diverging_rows(rules: RuleArrays, system: CompiledSystem, symbol: np.ndarray, v: np.ndarray,
-                    up: np.ndarray, div_pairs: np.ndarray, width: int):
+                    up: np.ndarray, diverging: np.ndarray):
     """The rules of the diverging symbols as (lhs, words, length, probability):
     each symbol's binary rows by rule and split state, then its unary ones by
-    pair (r, Y).  ``up`` holds [pX up] by pair p |alphabet| + X."""
+    pair (r, Y).  ``up`` holds [pX up] and ``diverging`` whether pX gets a
+    symbol, by pair p |alphabet| + X."""
     nq, ng = system.table.shape[:2]
     pad = int(symbol[-1])
     div_symbol = np.full(len(up), pad, dtype=np.intp)  # of each pair, or the padding
-    div_symbol[div_pairs] = np.arange(pad - len(div_pairs), pad)
+    div_symbol[diverging] = np.arange(pad - np.count_nonzero(diverging), pad)
     pair = rules.lhs_state * ng + rules.lhs_symbol
     at = div_symbol[pair]
 
@@ -166,7 +164,7 @@ def _diverging_rows(rules: RuleArrays, system: CompiledSystem, symbol: np.ndarra
     push, head = push[begins], head[begins]
 
     lhs = np.concatenate((at[binary], at[push]))
-    words = np.full((len(lhs), width), pad, dtype=np.intp)
+    words = np.full((len(lhs), rules.words.shape[1]), pad, dtype=np.intp)
     words[:, 0] = np.concatenate((symbol[first], div_symbol[head]))
     words[:len(binary), 1] = div_symbol[second]
     length = np.repeat([2, 1], [len(binary), len(push)])

@@ -14,6 +14,7 @@ from ppda import (
     lower_bound_pmin,
     make_bpa,
     tail,
+    tail_bounds,
     termination_probs,
     threshold_for_epsilon,
     to_bpa,
@@ -74,6 +75,23 @@ def test_classify_case3_delta2(delta2):
     rep = classify(delta2, "X2")
     assert rep.d1 == pytest.approx(4608.0)
     assert rep.d2 == pytest.approx(1 / 6)
+
+
+@pytest.mark.parametrize("depth,d2", [(1022, 2.0 ** -1024), (1100, 0.0)],
+                         ids=["height_1023", "height_1101"])
+def test_classify_on_a_chain_past_the_double_exponent_range(depth, d2):
+    # a critical X0 under a chain of height depth + 1: 2^(h+1) passes the
+    # largest double, p_min^(3 |alphabet|) underflows, and at 1100 so does d2
+    chain = [(("Y1", "X0"), Fraction(1, 2))] + [
+        ((f"Y{i}", f"Y{i - 1}"), Fraction(1, 2)) for i in range(2, depth + 1)]
+    model = make_bpa([(("X0", "X0", "X0"), Fraction(1, 2)), (("X0",), Fraction(1, 2)),
+                      *chain, *(((f"Y{i}",), Fraction(1, 2)) for i in range(1, depth + 1))])
+    rep = classify(model, f"Y{depth}")
+    assert (rep.case, rep.height, rep.d1) == (3, depth + 1, math.inf)
+    assert rep.d2 == d2
+    assert tail_bounds(rep, 10**6) == (0.5 ** 10**6, 1.0)
+    with pytest.raises(OverflowError):
+        threshold_for_epsilon(rep, 0.01)
 
 
 def test_classify_requires_certain_termination():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import json
@@ -695,6 +696,46 @@ def test_solve_and_transform_share_one_compile(models_dir, tmp_path, monkeypatch
     assert counts["validate"] == 1
 
 
+def count_triples(monkeypatch) -> Counter:
+    """Count the ``Triple``s made, under "Triple", and the ``probs`` dicts
+    that termination tables build, under "probs"."""
+    made = Counter()
+    triple_init = ppda.model.Triple.__init__
+    build = ppda.termination.TerminationTable.probs.func
+
+    def counted_init(self, *args, **kwargs):
+        made["Triple"] += 1
+        triple_init(self, *args, **kwargs)
+
+    def counted_probs(self):
+        made["probs"] += 1
+        return build(self)
+
+    probs = functools.cached_property(counted_probs)
+    probs.__set_name__(ppda.termination.TerminationTable, "probs")
+    monkeypatch.setattr(ppda.model.Triple, "__init__", counted_init)
+    monkeypatch.setattr(ppda.termination.TerminationTable, "probs", probs)
+    return made
+
+
+def test_triples_are_made_only_for_names(models_dir, tmp_path, monkeypatch):
+    model = parse_model(benchmark_model(tmp_path, "random_q4g20_s1").read_text())
+    made = count_triples(monkeypatch)
+    table = termination_probs(model)
+    result = to_bpa(model, table)
+    # the solve and the transform index arrays: Triples name only the
+    # qualitative zeros and the emitted symbols, 320 here
+    assert made["probs"] == 0
+    assert made["Triple"] <= len(table.qualitative_zero) + len(result.bpa.alphabet) == 320
+    made.clear()
+    assert main(["dist", str(models_dir / "tree.ppda"), "--start", "q.A", "--target", "q",
+                 "--nmax", "8", "--csv", str(tmp_path / "out.csv")]) == 0
+    assert made["probs"] == 0
+    assert main(["analyze", str(models_dir / "tree.ppda"),
+                 "--json", str(tmp_path / "out.json")]) == 0
+    assert made["probs"] == 1  # the report's
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_critical_pda_chain_exit_codes(tmp_path, capsys, k):
     # four links end about 1.3e-11 above 1 with a residual of 7e-21: the
@@ -941,3 +982,48 @@ def test_dist_runs_one_dp_for_all_targets(models_dir, tmp_path, monkeypatch, sou
         norm = solved.probs[Triple(state, symbol, q)]
         assert csv_column(out, 3)[1] == pytest.approx(norm, rel=1e-12)  # the tail at n = 1
     assert counts["exact_distribution_pda"] == 1 + len(model.states)
+
+
+def deep_case3_text(depth: int) -> str:
+    """A critical X0 under a chain Y1..Y<depth>, each rule 1/1000 down the chain:
+    p_min^(3 |alphabet|) underflows to 0 from about Y35 on."""
+    lines = ["bpa", "alphabet: X0 " + " ".join(f"Y{i}" for i in range(1, depth + 1)),
+             "rule: X0 -> X0 X0 : 1/2", "rule: X0 -> : 1/2"]
+    for i in range(1, depth + 1):
+        lines += [f"rule: Y{i} -> {'X0' if i == 1 else f'Y{i - 1}'} : 1/1000",
+                  f"rule: Y{i} -> : 999/1000"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("start", ["Y35", "Y40"])
+def test_analyze_deep_case3_reports_an_infinite_d1(tmp_path, start):
+    path = tmp_path / "deep.bpa"
+    path.write_text(deep_case3_text(40))
+    proc = subprocess.run([sys.executable, "-m", "ppda", "analyze", str(path), "--start", start],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (tail_report,) = json.loads(proc.stdout)["tails"]
+    assert tail_report["case"] == 3 and tail_report["d1"] == "inf"
+    assert 0.0 < tail_report["d2"] < 1e-10
+
+
+def test_bounds_deep_case3_threshold_exits_3_with_one_line(tmp_path):
+    path = tmp_path / "deep.bpa"
+    path.write_text(deep_case3_text(40))
+    proc = subprocess.run([sys.executable, "-m", "ppda", "bounds", str(path), "--start", "Y35"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["error: the threshold for --eps 0.01 exceeds a double"]
+
+
+def test_moment_matrix_over_its_byte_budget_exits_3(models_dir, tmp_path, monkeypatch, capsys):
+    # tree's terminating part has 10 symbols: A would take 800 bytes
+    monkeypatch.setattr(ppda.moments, "MOMENT_BYTES", 799)
+    assert main(["analyze", str(models_dir / "tree.ppda"),
+                 "--json", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the moment matrix of 10 symbols needs 800 bytes; the budget is 799"]
+    assert not (tmp_path / "out.json").exists()
+    monkeypatch.setattr(ppda.moments, "MOMENT_BYTES", 800)
+    assert main(["analyze", str(models_dir / "tree.ppda"),
+                 "--json", str(tmp_path / "out.json")]) == 0

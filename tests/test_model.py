@@ -200,10 +200,19 @@ def starts_with_ruleless_pairs(draw):
     return Pda(model.states, model.alphabet, rules, kind=model.kind), start
 
 
+def halving_chain(k: int) -> Pda:
+    """X_i -> X_(i-1) X_(i-1) and X_i -> at 1/2 each, for i = 1..k-1; X0 has no
+    rules.  From the top the reachable pairs form a chain k deep."""
+    return make_bpa([rule for i in range(1, k) for rule in
+                     (((f"X{i}", f"X{i - 1}", f"X{i - 1}"), Fraction(1, 2)),
+                      ((f"X{i}",), Fraction(1, 2)))])
+
+
 @given(starts_with_ruleless_pairs())
 @settings(max_examples=200, deadline=None)
 @example((parse_model(NEVER_ON_TOP), Configuration(BPA_STATE, ("X",))))
 @example((parse_model(NEVER_ON_TOP), Configuration(BPA_STATE, ("B", "C"))))
+@example((halving_chain(4000), Configuration(BPA_STATE, ("X3999",))))
 def test_start_problems_match_the_name_walk(case):
     model, start = case
     assert start_problems(model, start) == missing_reachable_rows(model, start)

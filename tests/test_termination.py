@@ -91,6 +91,32 @@ def test_tree_rows_sum_to_one(tree):
     assert t.prob("q", "A", "r0") == pytest.approx(math.sqrt(2.5) - 1, abs=1e-10)
 
 
+def test_probs_key_every_pair_by_target_then_up(tree, ab):
+    for model in (tree, ab):
+        table = termination_probs(model)
+        expected = {}
+        for p in model.states:
+            for X in model.alphabet:
+                for q in model.states:
+                    expected[Triple(p, X, q)] = table.prob(p, X, q)
+                expected[Triple(p, X, None)] = table.diverge(p, X)
+        assert list(table.probs.items()) == list(expected.items())
+        assert table.probs is table.probs  # built once
+
+
+def test_divergence_masses_add_the_targets_in_state_order():
+    # with 8 states a pairwise sum over the targets rounds differently in 15
+    # of the 40 pairs; the masses are those of a loop over the target states
+    model = random_pda(8, 5, seed=2)
+    table = termination_probs(model)
+    for p in model.states:
+        for X in model.alphabet:
+            total = 0.0
+            for q in model.states:
+                total += table.prob(p, X, q)
+            assert table.diverge(p, X) == min(1.0, max(0.0, 1.0 - total))
+
+
 def test_qualitative_zero_ab(ab):
     zeros = qualitative_zero(ab)
     assert Triple("p", "X", "p") in zeros
@@ -179,7 +205,12 @@ def check_compiled_system(model: Pda, seed: int):
     """F and I - F' of the compiled system equal the term-list ones exactly."""
     system = CompiledSystem(model)
     triples, apply_f, newton_matrix = term_system(model)
-    assert system.triples == triples
+    # the table numbers the triples that may terminate in (state, symbol, target) order
+    states, alphabet = model.states, model.alphabet
+    numbered = np.argwhere(system.table < system.n)
+    assert system.table[tuple(numbered.T)].tolist() == list(range(system.n))
+    assert [Triple(states[p], alphabet[x], states[q])
+            for p, x, q in numbered.tolist()] == triples
     rng = np.random.default_rng(seed)
     n = len(triples)
     for v in (np.zeros(n), np.ones(n), rng.random(n)):
@@ -337,7 +368,11 @@ def test_krylov_above_crossover_matches_dense_newton():
 def test_missed_gmres_steps_are_solved_densely(krylov, monkeypatch, tree, ab):
     monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 0)
     for model in (tree, ab, CRITICAL_PDAS["unary"]):
-        assert termination_probs(model) == dense_table(model)
+        table, dense = termination_probs(model), dense_table(model)
+        assert np.array_equal(table.values, dense.values)
+        assert np.array_equal(table.up, dense.up)
+        assert ((table.residual, table.iterations, table.qualitative_zero, table.tol)
+                == (dense.residual, dense.iterations, dense.qualitative_zero, dense.tol))
 
 
 def cyclic_sccs(system: CompiledSystem) -> list[np.ndarray]:

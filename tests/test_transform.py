@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ppda import (
     Configuration,
-    Triple,
     dependence,
     exact_distribution_pda,
     exact_distribution_word,
@@ -142,10 +141,10 @@ def test_transform_row_sums(tree, twostate):
 
 def test_to_bpa_rejects_a_row_that_misses_one(ab):
     table = termination_probs(ab)
-    raised = Triple("p", "X", "q")
-    probs = {**table.probs, raised: table.probs[raised] + 1e-6}
+    values = table.values.copy()
+    values[ab.state_index["p"], ab.symbol_index["X"], ab.state_index["q"]] += 1e-6
     with pytest.raises(TransformError, match="row for .* sums to"):
-        to_bpa(ab, dataclasses.replace(table, probs=probs))
+        to_bpa(ab, dataclasses.replace(table, values=values))
 
 
 def test_terminating_part_is_clean_and_certain(tree, ab, twostate):
