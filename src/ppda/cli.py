@@ -5,11 +5,12 @@ or of the terminating part ``to_bpa`` returns.  ``_emit`` writes all output.
 
 Exit codes, set in ``main`` alone, each failure on one line: 0 success, 2
 file/parse/validation problems, bad flag values (an ``--nmax`` past the
-DP's byte budget too) and unwritable outputs, 3
-numeric failures (non-convergence, a transform row that misses 1, a
-threshold beyond a double or undefined, a moment matrix past
-``moments.MOMENT_BYTES``).  All commands are deterministic given their
-flags; JSON reports round floats to 12 significant digits and spell
+DP's byte budget too) and unwritable outputs, 3 numeric failures
+(non-convergence, a transform row that misses 1, a threshold beyond a
+double or undefined, a moment matrix past ``moments.MOMENT_BYTES``, which
+``analyze`` checks against the triples that may terminate before the
+solve) and running out of memory.  All commands are deterministic given
+their flags; JSON reports round floats to 12 significant digits and spell
 infinity "inf".
 """
 
@@ -51,7 +52,7 @@ from .model import (
     serialize,
     start_problems,
 )
-from .moments import MomentBudgetError, PowerIterationError
+from .moments import MomentBudgetError, PowerIterationError, check_moment_budget
 from .termination import NewtonDivergedError, termination_probs
 from .transform import TransformError, to_bpa
 
@@ -166,6 +167,11 @@ def cmd_analyze(args) -> int:
     start = _parse_start(model, args.start)
     symbol = _start_symbol(start)
     t_parse = time.perf_counter() - t0
+
+    # The analysed part has at most one symbol per triple that may terminate:
+    # refuse a moment matrix over its budget before the solve.
+    check_moment_budget(len(model.alphabet) if model.stateless
+                        else int(np.count_nonzero(model.terminating_triples)))
 
     t0 = time.perf_counter()
     table = termination_probs(model, tol=args.tol)
@@ -386,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
         error, code = exc, EXIT_VALIDATION
     except (NewtonDivergedError, PowerIterationError, TransformError, MomentBudgetError) as exc:
         error, code = exc, EXIT_NUMERIC
+    except MemoryError as exc:
+        error = f"out of memory: {exc}" if str(exc) else "out of memory"
+        code = EXIT_NUMERIC
     print(f"error: {error}", file=sys.stderr)
     return code
 

@@ -53,6 +53,14 @@ class MomentBudgetError(RuntimeError):
     """The dense moment matrix of the model would pass MOMENT_BYTES."""
 
 
+def check_moment_budget(symbols: int) -> None:
+    """Raise MomentBudgetError if the moment matrix of ``symbols`` symbols would
+    pass MOMENT_BYTES."""
+    if 8 * symbols * symbols > MOMENT_BYTES:
+        raise MomentBudgetError(f"the moment matrix of {symbols:,} symbols needs "
+                                f"{8 * symbols * symbols:,} bytes; the budget is {MOMENT_BYTES:,}")
+
+
 @dataclass(frozen=True)
 class MomentMatrix:
     """Dense production-moment matrix over ``alphabet``, the symbols certain
@@ -137,9 +145,7 @@ def moment_matrix(model: Pda) -> MomentMatrix:
         raise ValueError("moment matrix is defined on stateless models; transform first")
     syms = model.alphabet
     n = len(syms)
-    if 8 * n * n > MOMENT_BYTES:
-        raise MomentBudgetError(f"the moment matrix of {n:,} symbols needs {8 * n * n:,} bytes; "
-                                f"the budget is {MOMENT_BYTES:,}")
+    check_moment_budget(n)
     deps = dependence(model)
     index = model.symbol_index
     rules = model.rule_arrays

@@ -18,17 +18,25 @@ complement, as arrays over states and symbols.
 Each Newton step solves (I - F'(v)) delta = F(v) - v.  Systems of at most
 DENSE_MAX (224) variables, the measured crossover, build the matrix and
 take one LAPACK solve.  Larger systems never form the matrix.  Restarted
-GMRES works on the product (I - F'(v)) x, one gather over the compiled
-monomials and one ``np.add.reduceat`` over their partials, which come
-sorted by row, down to a relative residual of KRYLOV_RTOL (1e-12); each
-Arnoldi step orthogonalises by classical Gram-Schmidt applied twice, in
-two block passes over the basis, which is as stable as modified
-Gram-Schmidt (Giraud, Langou and Rozloznik 2005).  The
-steps are then close enough to exact that the iterates climb monotonically,
-as exact Newton's do on monotone systems.  If GMRES misses that tolerance
-within its cap, the step is solved densely as on small systems, up to
-DENSE_FALLBACK_MAX variables; above that the GMRES iterate is taken as it
-stands.
+GMRES works on the product (I - F'(v)) x, down to a relative residual of
+KRYLOV_RTOL (1e-12).  The product lays each row's entries of -F' out in
+padded rows, and takes one gather and one ``einsum`` over them; rows far
+longer than the mean are split into chunks, whose sums one
+``np.add.reduceat`` adds (``CompiledSystem.newton_operator``).  Near v* the
+Newton steps shrink slowly along one direction, the one in which I - F' is
+nearly singular, so each solve deflates the previous step's direction u by
+the rank-1 right preconditioner I + (1/theta - 1) u u^T, theta =
+u.(I - F')u (Parks et al. 2006 recycle Krylov subspaces across such
+sequences of systems; this keeps one vector).  That costs one product per
+solve and saves about a tenth of them: 645 products become 578 on random
+(8, 40) seed 1, 772 become 666 on (16, 80) seed 1.  Each Arnoldi step
+orthogonalises by classical Gram-Schmidt applied twice, in two block passes
+over the basis, which is as stable as modified Gram-Schmidt (Giraud, Langou
+and Rozloznik 2005).  The steps are then close enough to exact that the
+iterates climb monotonically, as exact Newton's do on monotone systems.  If
+GMRES misses that tolerance within its cap, the step is solved densely as
+on small systems, up to DENSE_FALLBACK_MAX variables; above that the GMRES
+iterate is taken as it stands.
 
 At a critical fixed point, where I - F' is singular, Newton in doubles
 stalls about sqrt(machine epsilon) short, and rounding the rule
@@ -287,21 +295,40 @@ class CompiledSystem:
     def newton_operator(self, v: np.ndarray, free: np.ndarray):
         """x -> (I - F'(v)) x on the variables ``free``, without forming the matrix.
 
-        ``free`` must be sorted: then the entries come sorted by row, and each
-        row of F'(v) x is the sum of one run of them, which
-        ``np.add.reduceat`` takes from the run's start.
+        ``free`` must be sorted: then the entries come sorted by row.  Each
+        row's entries of -F'(v) are laid out in padded rows of columns and
+        weights, padded with weight 0, and -F'(v) x is one gather and one
+        ``einsum`` over them.  The padded rows are as wide as the longest row
+        unless that would more than double the entries stored; then long rows
+        are split into chunks of the mean width, whose sums
+        ``np.add.reduceat`` adds per row.  The arrays live as long as the
+        operator, one Newton step.
         """
         if np.any(free[1:] <= free[:-1]):
             raise ValueError("the free variables must be sorted and distinct")
         rows, cols, weights = self._jacobian(v, free)
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        present = rows[starts]
-        sums = np.zeros(len(free))
+        m, entries = len(free), len(rows)
+        bounds = np.searchsorted(rows, np.arange(m + 1))  # where each row starts, then the end
+        counts = np.diff(bounds)
+        width = int(counts.max(initial=0))
+        if m * width > 2 * entries:
+            width = -(-entries // m)
+        width = max(width, 1)
+        chunks = np.maximum(-(-counts // width), 1)
+        first = np.cumsum(chunks) - chunks  # each row's first chunk
+        size = int(chunks.sum())
+        if size * width == entries:  # no padding: the entries are the padded rows
+            padded_cols, padded_weights = cols.reshape(size, width), weights.reshape(size, width)
+        else:
+            slot = np.arange(entries) + np.repeat(first * width - bounds[:-1], counts)
+            padded_cols = np.zeros((size, width), dtype=np.intp)
+            padded_weights = np.zeros(padded_cols.shape)
+            padded_cols.ravel()[slot] = cols
+            padded_weights.ravel()[slot] = weights
 
         def apply(x: np.ndarray) -> np.ndarray:
-            if len(starts):
-                sums[present] = np.add.reduceat(weights * x[cols], starts)
-            return x + sums
+            sums = np.einsum("ij,ij->i", padded_weights, x[padded_cols])
+            return x + (sums if len(sums) == m else np.add.reduceat(sums, first))
 
         return apply
 
@@ -329,10 +356,12 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
 
         Returns the last iterate, the step count, the largest ratio of a step
         to its residual (a lower bound on the norm of (I - F')^-1), and the
-        step count and iterate where a step first fell to WARM_START.
+        step count and iterate where a step first fell to WARM_START.  Each
+        solve deflates the direction of the step before it.
         """
         v = v.copy()
         iterations, gain, warm = 0, 0.0, (0, v.copy())
+        direction = None  # the last step, of unit length
         # Stop on step size, not residual: at critical fixed points Newton
         # degrades to halving the error, where the residual is quadratically
         # smaller than the remaining value error.
@@ -341,9 +370,12 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
             size = np.max(np.abs(residual))
             if size == 0.0:
                 break
-            delta, _ = _solve(system, v, free, residual)
+            delta, _ = _solve(system, v, free, residual, direction)
             new = np.clip(v[free] + delta, 0.0, 1.0)
-            step = float(np.max(np.abs(new - v[free])))
+            moved = new - v[free]
+            step = float(np.max(np.abs(moved)))
+            length = math.sqrt(moved @ moved)
+            direction = moved / length if length > 0.0 else None
             gain = max(gain, step / size)
             v[free] = new
             iterations += 1
@@ -423,18 +455,19 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
     return table
 
 
-def _solve(system: CompiledSystem, v: np.ndarray, free: np.ndarray, b: np.ndarray):
+def _solve(system: CompiledSystem, v: np.ndarray, free: np.ndarray, b: np.ndarray,
+           u: np.ndarray | None = None):
     """x with (I - F'(v)) x = b on the variables ``free``, and whether it was solved.
 
     Small systems are solved densely.  Larger ones by GMRES on the
-    matrix-free operator; if it misses KRYLOV_RTOL, the dense solve stands
-    in while its matrix is small enough, else the GMRES iterate comes back
-    unsolved.  A singular matrix gives b itself, unsolved: for a Newton
-    step, the fixed-point step.
+    matrix-free operator, deflating the unit vector ``u`` when one is given;
+    if it misses KRYLOV_RTOL, the dense solve stands in while its matrix is
+    small enough, else the GMRES iterate comes back unsolved.  A singular
+    matrix gives b itself, unsolved: for a Newton step, the fixed-point step.
     """
     m = len(free)
     if m > DENSE_MAX:
-        x, solved = _gmres(system.newton_operator(v, free), b)
+        x, solved = _gmres(system.newton_operator(v, free), b, u)
         if solved or m > DENSE_FALLBACK_MAX:
             return x, solved
     try:
@@ -443,40 +476,63 @@ def _solve(system: CompiledSystem, v: np.ndarray, free: np.ndarray, b: np.ndarra
         return b, False
 
 
-def _gmres(matvec, b: np.ndarray):
+def _gmres(matvec, b: np.ndarray, u: np.ndarray | None = None):
     """Restarted GMRES for A x = b from x = 0, with A given by ``matvec``.
+
+    Given a unit vector ``u`` with theta = u.A u > 0, it solves A M y = b
+    with the rank-1 right preconditioner M = I + (1/theta - 1) u u^T, which
+    maps u to u / theta, and returns x = M y: when u is close to the
+    direction A shrinks most, as the last Newton step is to that of I - F',
+    M takes that direction out of the iteration.  A M y = A y + (1/theta - 1)
+    (u.y) A u costs no product beyond the one that gives A u.  Without ``u``,
+    or when theta <= 0, M = I.
 
     Each Arnoldi step orthogonalises against the basis by classical
     Gram-Schmidt applied twice (CGS2): two block passes c = V w, w -= c V of
     two matrix-vector products each, as stable as modified Gram-Schmidt.
-    Givens rotations, applied to Python floats, keep the Hessenberg matrix
+    Givens rotations, applied to Python floats, keep the Hessenberg columns
     triangular, so the residual of the least-squares problem is known at
-    every step without solving it.  Returns x and whether
-    ||b - A x|| <= KRYLOV_RTOL ||b|| held within KRYLOV_MAX_STEPS Arnoldi
-    steps, restarting every KRYLOV_RESTART.
+    every step without solving it; the columns stay Python lists until the
+    cycle's triangular solve.  Returns x and whether the true residual
+    ||b - A x||, taken at the end of each cycle, fell to KRYLOV_RTOL ||b||
+    within KRYLOV_MAX_STEPS Arnoldi steps, restarting every KRYLOV_RESTART.
     """
     m = len(b)
+    operator, precondition = matvec, None
+    if u is not None:
+        au = matvec(u)
+        theta = float(u @ au)
+        if theta > 0.0:
+            scale = 1.0 / theta - 1.0
+
+            def operator(y: np.ndarray) -> np.ndarray:
+                return matvec(y) + (scale * float(u @ y)) * au
+
+            def precondition(y: np.ndarray) -> np.ndarray:
+                return y + (scale * float(u @ y)) * u
+
     x = np.zeros(m)
-    target = KRYLOV_RTOL * np.linalg.norm(b)
-    r, beta, steps = b, np.linalg.norm(b), 0
+    beta = math.sqrt(b @ b)
+    target = KRYLOV_RTOL * beta
+    r, steps = b, 0
     while beta > target and steps < KRYLOV_MAX_STEPS:
         size = min(KRYLOV_RESTART, m, KRYLOV_MAX_STEPS - steps)
         basis = np.empty((size + 1, m))
-        h = np.zeros((size + 1, size))
+        columns: list[list[float]] = []
         cos: list[float] = []
         sin: list[float] = []
-        g = [float(beta)]
-        basis[0] = r / beta
+        g = [beta]
+        np.divide(r, beta, out=basis[0])
         k = 0
         while k < size:
-            w = matvec(basis[k])
+            w = operator(basis[k])
             done = basis[: k + 1]
             first = done @ w
             w -= first @ done
             second = done @ w
             w -= second @ done
             column = (first + second).tolist()
-            below = float(np.linalg.norm(w))
+            below = math.sqrt(w @ w)
             for i in range(k):
                 column[i], column[i + 1] = (cos[i] * column[i] + sin[i] * column[i + 1],
                                             cos[i] * column[i + 1] - sin[i] * column[i])
@@ -486,19 +542,23 @@ def _gmres(matvec, b: np.ndarray):
             cos.append(column[k] / diag)
             sin.append(below / diag)
             column[k] = diag
-            h[: k + 1, k] = column
+            columns.append(column)
             g.append(-sin[k] * g[k])
             g[k] = cos[k] * g[k]
             k += 1
             if abs(g[k]) <= target or below == 0.0:
                 break
-            basis[k] = w / below
+            np.divide(w, below, out=basis[k])
         steps += k
         if k == 0:
             break
-        x = x + np.linalg.solve(h[:k, :k], g[:k]) @ basis[:k]  # h[:k, :k] is triangular
+        h = np.zeros((k, k))
+        for j, column in enumerate(columns):
+            h[: j + 1, j] = column
+        step = np.linalg.solve(h, g[:k]) @ basis[:k]  # h is upper triangular
+        x = x + (step if precondition is None else precondition(step))
         r = b - matvec(x)
-        beta = np.linalg.norm(r)
+        beta = math.sqrt(r @ r)
     return x, bool(beta <= target)
 
 

@@ -270,8 +270,8 @@ def benchmark_model(tmp_path, name: str) -> Path:
 ANALYZE_SHA256 = {
     "blocking_one_state.ppda": "13905ba0db0249e49665d26171c8c26a84f0067b9e488c117cb4e779dbfeb9a2",
     "blocking_two_state.ppda": "ce4880434371f025ab87ae4f2e17b92501d48a2a145312f3694a7b0ef91c8327",
-    "random_q4g20_s1": "4a94378117b224fb896fbb48ea6f6956bde97b2b787f6a88028300c4ee53e692",
-    "random_q4g20_s1001": "5ba6c242d1ee9d94f55a24f19b3013c23061237c815da73c995e9c54ec6406ba",
+    "random_q4g20_s1": "c43a09fe61f191157e2f4f36472b6fcbf16d4aa5254453764ea34ee1bcdc47e1",
+    "random_q4g20_s1001": "a3593aab80424171de493623015c21ceb46dbb2d2979797f1a5b8e3f0619b6cd",
 }
 
 
@@ -290,7 +290,7 @@ def test_analyze_output_is_pinned(tmp_path, name):
 # fraction the double equals.
 TRANSFORM_SHA256 = {
     "ab.ppda": "713a7bf76dfdc65064cca6d66a9124da214413c7b888ca3daef48c8673dc197e",
-    "random_q4g20_s1": "31bfc2208d6e74ff92edd2fb850e04b96a9f250bb4724737a1fefa0723e2842b",
+    "random_q4g20_s1": "46f0f9e6fbc29513d7b2544fc46f8970a793205cf017d172405cda4eaa0b3231",
     "tree.ppda": "2b7888cce9563b4a72a0cb1e014c99eb33f54c742d4088b53ceb2be4f8814338",
     "twostate.ppda": "2dec6c6e4be7a16e57e2baad965884c6704be3240ff1cb3b50f41873764a438b",
 }
@@ -336,6 +336,21 @@ def test_random_pins_do_not_depend_on_blas_threads(tmp_path, command, name):
         outputs.append(text)
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0].encode()).hexdigest() == pins[name]
+
+
+def test_transform_at_2560_variables_does_not_depend_on_blas_threads(tmp_path):
+    # random (8, 40) seed 1 takes GMRES steps on 2,560 variables, past the
+    # (4, 20) pins, in two fresh interpreters as above
+    path = benchmark_model(tmp_path, "random_q8g40_s1")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}.bpa"
+        proc = subprocess.run([sys.executable, "-m", "ppda", "transform", str(path), "--out", str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def rule_lines(text: str) -> tuple[list[str], list[float]]:
@@ -1027,3 +1042,32 @@ def test_moment_matrix_over_its_byte_budget_exits_3(models_dir, tmp_path, monkey
     monkeypatch.setattr(ppda.moments, "MOMENT_BYTES", 800)
     assert main(["analyze", str(models_dir / "tree.ppda"),
                  "--json", str(tmp_path / "out.json")]) == 0
+
+
+def test_analyze_refuses_an_over_budget_part_before_the_solve(models_dir, tmp_path, monkeypatch,
+                                                               capsys):
+    # tree has 10 triples that may terminate, so its part has at most 10 symbols
+    monkeypatch.setattr(ppda.moments, "MOMENT_BYTES", 100)
+    solves = []
+    monkeypatch.setattr(ppda.cli, "termination_probs", lambda *args, **kw: solves.append(args))
+    for name in ("tree.ppda", "delta4.bpa"):
+        assert main(["analyze", str(models_dir / name), "--json", str(tmp_path / "out.json")]) == 3
+    assert solves == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the moment matrix of 10 symbols needs 800 bytes; the budget is 100",
+        "error: the moment matrix of 4 symbols needs 128 bytes; the budget is 100"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.00 TiB for an array with shape "
+                                     "(370727, 370727) and data type float64", ""])
+def test_memory_error_exits_3_with_one_line(models_dir, tmp_path, monkeypatch, capsys, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(ppda.cli, "termination_probs", exhausted)
+    assert main(["transform", str(models_dir / "tree.ppda"),
+                 "--out", str(tmp_path / "out.bpa")]) == 3
+    want = f"error: out of memory: {message}" if message else "error: out of memory"
+    assert capsys.readouterr().err.splitlines() == [want]
+    assert not (tmp_path / "out.bpa").exists()

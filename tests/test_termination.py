@@ -365,6 +365,42 @@ def test_krylov_above_crossover_matches_dense_newton():
             assert value == pytest.approx(oracle.get(t, 0.0), abs=1e-13)
 
 
+def count_products(mp) -> list:
+    """Count the products of every ``newton_operator`` made under ``mp``."""
+    products, operator = [], CompiledSystem.newton_operator
+
+    def counted_operator(self, v, free):
+        apply = operator(self, v, free)
+
+        def counted(x):
+            products.append(len(x))
+            return apply(x)
+
+        return counted
+
+    mp.setattr(CompiledSystem, "newton_operator", counted_operator)
+    return products
+
+
+def test_deflated_newton_steps_take_fewer_products_and_still_climb():
+    solve, tables, counts = ppda.termination._solve, {}, {}
+
+    def undeflated(system, v, free, b, u=None):
+        return solve(system, v, free, b)
+
+    for deflate in (True, False):
+        model = random_pda(6, 20, seed=1)
+        assert model.compiled.n > ppda.termination.DENSE_MAX  # Newton steps by GMRES
+        with pytest.MonkeyPatch.context() as mp:
+            products = count_products(mp)
+            if not deflate:
+                mp.setattr(ppda.termination, "_solve", undeflated)
+            tables[deflate] = check_newton_monotone_and_consistent(model)
+        counts[deflate] = len(products)
+    assert counts[True] < counts[False]
+    np.testing.assert_allclose(tables[True].values, tables[False].values, rtol=0, atol=1e-13)
+
+
 def test_missed_gmres_steps_are_solved_densely(krylov, monkeypatch, tree, ab):
     monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 0)
     for model in (tree, ab, CRITICAL_PDAS["unary"]):
@@ -381,9 +417,29 @@ def cyclic_sccs(system: CompiledSystem) -> list[np.ndarray]:
     return [np.array(sorted(comp)) for comp in info.sccs if info.on_cycle(comp[0])]
 
 
+def uneven_pda() -> Pda:
+    """A model whose pair p X0 has 33 rules and every other pair 2: two rows
+    of its Newton operator hold 128 entries, the other fourteen one each."""
+    states, syms = ("p", "q"), ("X0", "X1", "X2", "X3")
+    rules = [Rule("p", "X0", "q", (), Fraction(1, 33))]
+    rules += [Rule("p", "X0", r, (Y, Z), Fraction(1, 33))
+              for r in states for Y in syms for Z in syms]
+    rules += [Rule(p, X, r, word, Fraction(1, 2))
+              for p in states for X in syms if (p, X) != ("p", "X0")
+              for r, word in ((p, ()), ("q" if p == "p" else "p", (X,)))]
+    return Pda(states, syms, tuple(rules), kind="pda")
+
+
+def test_uneven_rows_are_split_into_chunks():
+    system = uneven_pda().compiled
+    rows, _, _ = system._jacobian(np.full(system.n, 0.5), np.arange(system.n))
+    # padding every row to the longest would more than double the entries
+    assert system.n * np.bincount(rows).max() > 2 * len(rows)
+
+
 @pytest.mark.parametrize("model", [random_pda(6, 20, seed=1), random_pda(4, 12, seed=3),
-                                   *CRITICAL_PDAS.values()],
-                         ids=["random_6_20", "random_4_12", *CRITICAL_PDAS])
+                                   uneven_pda(), *CRITICAL_PDAS.values()],
+                         ids=["random_6_20", "random_4_12", "uneven", *CRITICAL_PDAS])
 def test_newton_operator_sums_rows_as_bincount(model):
     system = model.compiled
     rng = np.random.default_rng(11)
@@ -428,6 +484,30 @@ def test_gmres_solves_nonsymmetric_systems_across_restarts(monkeypatch):
         assert solved
         assert np.linalg.norm(b - near @ x) <= 1e-12 * np.linalg.norm(b)
         np.testing.assert_allclose(x, np.linalg.solve(near, b), rtol=1e-8)
+    # deflating the right Perron vector of S, which I - 0.999 S shrinks to
+    # 0.001 of its length, saves products in every restart setting
+    values, vectors = np.linalg.eig(stochastic)
+    perron = np.real(vectors[:, np.argmax(np.real(values))])
+    u = perron / np.linalg.norm(perron)
+    for restart in (3, 10, 40):
+        monkeypatch.setattr(ppda.termination, "KRYLOV_RESTART", restart)
+        counts = []
+        for deflate in (None, u):
+            products = []
+            x, solved = _gmres(lambda y: products.append(y) or near @ y, b, deflate)
+            counts.append(len(products))
+            assert solved
+            assert np.linalg.norm(b - near @ x) <= 1e-12 * np.linalg.norm(b)
+            np.testing.assert_allclose(x, np.linalg.solve(near, b), rtol=1e-8)
+        assert counts[1] < counts[0]
+    # u.(A u) <= 0: the solve runs undeflated, after the one product that tells
+    skew = near.copy()
+    skew[0, 0] = -0.5
+    unit = np.eye(40)[0]
+    plain, products = _gmres(lambda y: skew @ y, b), []
+    deflated = _gmres(lambda y: products.append(y) or skew @ y, b, unit)
+    assert deflated[1] and np.array_equal(deflated[0], plain[0])
+    assert np.array_equal(products[0], unit)
     monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 2)
     x, solved = _gmres(lambda y: a @ y, b)
     assert not solved
