@@ -19,24 +19,24 @@ Each Newton step solves (I - F'(v)) delta = F(v) - v.  Systems of at most
 DENSE_MAX (224) variables, the measured crossover, build the matrix and
 take one LAPACK solve.  Larger systems never form the matrix.  Restarted
 GMRES works on the product (I - F'(v)) x, down to a relative residual of
-KRYLOV_RTOL (1e-12).  The product lays each row's entries of -F' out in
-padded rows, and takes one gather and one ``einsum`` over them; rows far
-longer than the mean are split into chunks, whose sums one
-``np.add.reduceat`` adds (``CompiledSystem.newton_operator``).  Near v* the
-Newton steps shrink slowly along one direction, the one in which I - F' is
-nearly singular, so each solve deflates the previous step's direction u by
-the rank-1 right preconditioner I + (1/theta - 1) u u^T, theta =
-u.(I - F')u (Parks et al. 2006 recycle Krylov subspaces across such
-sequences of systems; this keeps one vector).  That costs one product per
-solve and saves about a tenth of them: 645 products become 578 on random
-(8, 40) seed 1, 772 become 666 on (16, 80) seed 1.  Each Arnoldi step
-orthogonalises by classical Gram-Schmidt applied twice, in two block passes
-over the basis, which is as stable as modified Gram-Schmidt (Giraud, Langou
-and Rozloznik 2005).  The steps are then close enough to exact that the
-iterates climb monotonically, as exact Newton's do on monotone systems.  If
-GMRES misses that tolerance within its cap, the step is solved densely as
-on small systems, up to DENSE_FALLBACK_MAX variables; above that the GMRES
-iterate is taken as it stands.
+KRYLOV_RTOL (1e-12).  When every row of -F' holds the same number of
+entries, the product is one gather and one ``einsum`` over them as a
+matrix; otherwise one ``np.add.reduceat`` adds each row's run of them
+(``CompiledSystem.newton_operator``).  Near v* the Newton steps shrink
+slowly along one direction, the one in which I - F' is nearly singular, so
+each solve deflates the previous step's direction u by the rank-1 right
+preconditioner I + (1/theta - 1) u u^T, theta = u.(I - F')u (Parks et al.
+2006 recycle Krylov subspaces across such sequences of systems; this keeps
+one vector), at the cost of one product per solve.  Where theta falls below
+DEFLATE_MIN, as it does close to a critical fixed point, rounding would
+swamp the deflated operator, and the solve runs undeflated.  Each Arnoldi
+step orthogonalises by classical Gram-Schmidt applied twice, in two block
+passes over the basis, which is as stable as modified Gram-Schmidt (Giraud,
+Langou and Rozloznik 2005).  The steps are then close enough to exact that
+the iterates climb monotonically, as exact Newton's do on monotone systems.
+If GMRES misses that tolerance within its cap, the step is solved densely
+as on small systems, up to DENSE_FALLBACK_MAX variables; above that the
+GMRES iterate is taken as it stands.
 
 At a critical fixed point, where I - F' is singular, Newton in doubles
 stalls about sqrt(machine epsilon) short, and rounding the rule
@@ -90,6 +90,10 @@ _ONE = np.ones(1)  # the value of the padding factor
 DENSE_MAX = 224  # variables; larger systems take GMRES steps
 DENSE_FALLBACK_MAX = 4096  # largest system a missed GMRES step solves densely (128 MB)
 KRYLOV_RTOL = 1e-12
+# The deflated operator adds A u / theta, and A u carries a rounding error of
+# about machine epsilon relative to u: below this theta that error alone
+# passes KRYLOV_RTOL, and the solve runs undeflated.
+DEFLATE_MIN = float(np.finfo(float).eps) / KRYLOV_RTOL
 KRYLOV_RESTART = 60  # Arnoldi steps between restarts
 KRYLOV_MAX_STEPS = 600  # Arnoldi steps per solve
 
@@ -295,40 +299,34 @@ class CompiledSystem:
     def newton_operator(self, v: np.ndarray, free: np.ndarray):
         """x -> (I - F'(v)) x on the variables ``free``, without forming the matrix.
 
-        ``free`` must be sorted: then the entries come sorted by row.  Each
-        row's entries of -F'(v) are laid out in padded rows of columns and
-        weights, padded with weight 0, and -F'(v) x is one gather and one
-        ``einsum`` over them.  The padded rows are as wide as the longest row
-        unless that would more than double the entries stored; then long rows
-        are split into chunks of the mean width, whose sums
-        ``np.add.reduceat`` adds per row.  The arrays live as long as the
-        operator, one Newton step.
+        ``free`` must be sorted: then the entries come sorted by row.  When
+        every row holds the same number of entries, as in systems whose
+        pairs all carry rules of the same shapes, the entries are a matrix
+        of rows and -F'(v) x is one gather and one ``einsum`` over it.
+        Otherwise each row is the sum of one run of the entries, which
+        ``np.add.reduceat`` takes from the run's start.
         """
         if np.any(free[1:] <= free[:-1]):
             raise ValueError("the free variables must be sorted and distinct")
         rows, cols, weights = self._jacobian(v, free)
-        m, entries = len(free), len(rows)
-        bounds = np.searchsorted(rows, np.arange(m + 1))  # where each row starts, then the end
-        counts = np.diff(bounds)
-        width = int(counts.max(initial=0))
-        if m * width > 2 * entries:
-            width = -(-entries // m)
-        width = max(width, 1)
-        chunks = np.maximum(-(-counts // width), 1)
-        first = np.cumsum(chunks) - chunks  # each row's first chunk
-        size = int(chunks.sum())
-        if size * width == entries:  # no padding: the entries are the padded rows
-            padded_cols, padded_weights = cols.reshape(size, width), weights.reshape(size, width)
-        else:
-            slot = np.arange(entries) + np.repeat(first * width - bounds[:-1], counts)
-            padded_cols = np.zeros((size, width), dtype=np.intp)
-            padded_weights = np.zeros(padded_cols.shape)
-            padded_cols.ravel()[slot] = cols
-            padded_weights.ravel()[slot] = weights
+        m = len(free)
+        counts = np.bincount(rows, minlength=m)
+        if m and counts.min() == counts.max() > 0:
+            width = int(counts[0])
+            cols, weights = cols.reshape(m, width), weights.reshape(m, width)
+
+            def apply(x: np.ndarray) -> np.ndarray:
+                return x + np.einsum("ij,ij->i", weights, x[cols])
+
+            return apply
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        present = rows[starts]
+        sums = np.zeros(m)
 
         def apply(x: np.ndarray) -> np.ndarray:
-            sums = np.einsum("ij,ij->i", padded_weights, x[padded_cols])
-            return x + (sums if len(sums) == m else np.add.reduceat(sums, first))
+            if len(starts):
+                sums[present] = np.add.reduceat(weights * x[cols], starts)
+            return x + sums
 
         return apply
 
@@ -479,13 +477,14 @@ def _solve(system: CompiledSystem, v: np.ndarray, free: np.ndarray, b: np.ndarra
 def _gmres(matvec, b: np.ndarray, u: np.ndarray | None = None):
     """Restarted GMRES for A x = b from x = 0, with A given by ``matvec``.
 
-    Given a unit vector ``u`` with theta = u.A u > 0, it solves A M y = b
-    with the rank-1 right preconditioner M = I + (1/theta - 1) u u^T, which
-    maps u to u / theta, and returns x = M y: when u is close to the
+    Given a unit vector ``u`` with theta = u.A u >= DEFLATE_MIN, it solves
+    A M y = b with the rank-1 right preconditioner M = I + (1/theta - 1) u u^T,
+    which maps u to u / theta, and returns x = M y: when u is close to the
     direction A shrinks most, as the last Newton step is to that of I - F',
     M takes that direction out of the iteration.  A M y = A y + (1/theta - 1)
     (u.y) A u costs no product beyond the one that gives A u.  Without ``u``,
-    or when theta <= 0, M = I.
+    or with a smaller theta, M = I: near a critical fixed point theta falls
+    towards 0, and A u / theta turns to rounding noise.
 
     Each Arnoldi step orthogonalises against the basis by classical
     Gram-Schmidt applied twice (CGS2): two block passes c = V w, w -= c V of
@@ -502,7 +501,7 @@ def _gmres(matvec, b: np.ndarray, u: np.ndarray | None = None):
     if u is not None:
         au = matvec(u)
         theta = float(u @ au)
-        if theta > 0.0:
+        if theta >= DEFLATE_MIN:
             scale = 1.0 / theta - 1.0
 
             def operator(y: np.ndarray) -> np.ndarray:

@@ -419,7 +419,8 @@ def cyclic_sccs(system: CompiledSystem) -> list[np.ndarray]:
 
 def uneven_pda() -> Pda:
     """A model whose pair p X0 has 33 rules and every other pair 2: two rows
-    of its Newton operator hold 128 entries, the other fourteen one each."""
+    of its Newton operator hold 128 entries, the other fourteen one each, so
+    the operator cannot lay them out as one matrix."""
     states, syms = ("p", "q"), ("X0", "X1", "X2", "X3")
     rules = [Rule("p", "X0", "q", (), Fraction(1, 33))]
     rules += [Rule("p", "X0", r, (Y, Z), Fraction(1, 33))
@@ -428,13 +429,6 @@ def uneven_pda() -> Pda:
               for p in states for X in syms if (p, X) != ("p", "X0")
               for r, word in ((p, ()), ("q" if p == "p" else "p", (X,)))]
     return Pda(states, syms, tuple(rules), kind="pda")
-
-
-def test_uneven_rows_are_split_into_chunks():
-    system = uneven_pda().compiled
-    rows, _, _ = system._jacobian(np.full(system.n, 0.5), np.arange(system.n))
-    # padding every row to the longest would more than double the entries
-    assert system.n * np.bincount(rows).max() > 2 * len(rows)
 
 
 @pytest.mark.parametrize("model", [random_pda(6, 20, seed=1), random_pda(4, 12, seed=3),
@@ -508,6 +502,16 @@ def test_gmres_solves_nonsymmetric_systems_across_restarts(monkeypatch):
     deflated = _gmres(lambda y: products.append(y) or skew @ y, b, unit)
     assert deflated[1] and np.array_equal(deflated[0], plain[0])
     assert np.array_equal(products[0], unit)
+    # theta = 1e-4 < DEFLATE_MIN: the rounding of A u / theta would come near
+    # KRYLOV_RTOL (deflated, the solve takes three times the products), so
+    # the solve runs undeflated
+    critical = np.eye(40) - (1 - 1e-4) * stochastic
+    theta = float(u @ critical @ u)
+    assert 0 < theta < ppda.termination.DEFLATE_MIN
+    plain, products = _gmres(lambda y: critical @ y, b), []
+    deflated = _gmres(lambda y: products.append(y) or critical @ y, b, u)
+    assert plain[1] and deflated[1] and np.array_equal(deflated[0], plain[0])
+    assert np.array_equal(products[0], u)
     monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 2)
     x, solved = _gmres(lambda y: a @ y, b)
     assert not solved
