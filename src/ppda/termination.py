@@ -16,7 +16,7 @@ all read.  The system's ``table[p, X, q]`` is the one triple index; the
 complement, as arrays over states and symbols.
 
 Each Newton step solves (I - F'(v)) delta = F(v) - v.  Systems of at most
-DENSE_MAX (224) variables, the measured crossover, build the matrix and
+DENSE_MAX (192) variables, the measured crossover, build the matrix and
 take one LAPACK solve.  Larger systems never form the matrix.  Restarted
 GMRES works on the product (I - F'(v)) x, down to a relative residual of
 KRYLOV_RTOL (1e-12).  When every row of -F' holds the same number of
@@ -24,19 +24,21 @@ entries, the product is one gather and one ``einsum`` over them as a
 matrix; otherwise one ``np.add.reduceat`` adds each row's run of them
 (``CompiledSystem.newton_operator``).  Near v* the Newton steps shrink
 slowly along one direction, the one in which I - F' is nearly singular, so
-each solve deflates the previous step's direction u by the rank-1 right
-preconditioner I + (1/theta - 1) u u^T, theta = u.(I - F')u (Parks et al.
-2006 recycle Krylov subspaces across such sequences of systems; this keeps
-one vector), at the cost of one product per solve.  Where theta falls below
-DEFLATE_MIN, as it does close to a critical fixed point, rounding would
-swamp the deflated operator, and the solve runs undeflated.  Each Arnoldi
-step orthogonalises by classical Gram-Schmidt applied twice, in two block
-passes over the basis, which is as stable as modified Gram-Schmidt (Giraud,
-Langou and Rozloznik 2005).  The steps are then close enough to exact that
-the iterates climb monotonically, as exact Newton's do on monotone systems.
-If GMRES misses that tolerance within its cap, the step is solved densely
-as on small systems, up to DENSE_FALLBACK_MAX variables; above that the
-GMRES iterate is taken as it stands.
+each solve recycles the previous step's direction u by projection, at the
+cost of one product (Parks et al. 2006 recycle Krylov subspaces across
+such sequences of systems; this keeps one vector): a multiple of u solves
+the residual's part along (I - F')u, and GMRES the rest.  Where u.(I - F')u
+falls below DEFLATE_MIN, as close to a critical fixed point, rounding would
+swamp (I - F')u, and nothing is recycled.  GMRES runs under a Neumann
+polynomial of degree NEUMANN_DEGREE, a right preconditioner that takes
+that many more products per Arnoldi step and fewer steps.  Each step
+orthogonalises once by classical Gram-Schmidt, and again only when the
+first pass loses most of the vector (Daniel, Gragg, Kaufman and Stewart
+1976).  The steps are then close enough to exact that the iterates climb
+monotonically, as exact Newton's do on monotone systems.  If GMRES misses
+that tolerance within KRYLOV_MAX_PRODUCTS products, the step is solved
+densely as on small systems, up to DENSE_FALLBACK_MAX variables; above
+that the GMRES iterate is taken as it stands.
 
 At a critical fixed point, where I - F' is singular, Newton in doubles
 stalls about sqrt(machine epsilon) short, and rounding the rule
@@ -87,15 +89,16 @@ WARM_START = 1e-4  # a step in doubles this short is still far above their noise
 DOUBLING_BELOW = Decimal("1e-10")  # a doubled final step errs by about its square
 _ONE = np.ones(1)  # the value of the padding factor
 # How a Newton step is solved; see the module docstring.
-DENSE_MAX = 224  # variables; larger systems take GMRES steps
+DENSE_MAX = 192  # variables; larger systems take GMRES steps
 DENSE_FALLBACK_MAX = 4096  # largest system a missed GMRES step solves densely (128 MB)
 KRYLOV_RTOL = 1e-12
-# The deflated operator adds A u / theta, and A u carries a rounding error of
-# about machine epsilon relative to u: below this theta that error alone
-# passes KRYLOV_RTOL, and the solve runs undeflated.
+# A recycled u enters as A u / ||A u||, and A u carries a rounding error of
+# about machine epsilon relative to u: below this theta = u.A u that error
+# alone passes KRYLOV_RTOL, and the solve recycles nothing.
 DEFLATE_MIN = float(np.finfo(float).eps) / KRYLOV_RTOL
+NEUMANN_DEGREE = 2  # of the polynomial preconditioner: 3 products per Arnoldi step
 KRYLOV_RESTART = 60  # Arnoldi steps between restarts
-KRYLOV_MAX_STEPS = 600  # Arnoldi steps per solve
+KRYLOV_MAX_PRODUCTS = 600  # operator products per solve, the last residual aside
 
 
 class NewtonDivergedError(RuntimeError):
@@ -355,7 +358,7 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
         Returns the last iterate, the step count, the largest ratio of a step
         to its residual (a lower bound on the norm of (I - F')^-1), and the
         step count and iterate where a step first fell to WARM_START.  Each
-        solve deflates the direction of the step before it.
+        solve recycles the direction of the step before it.
         """
         v = v.copy()
         iterations, gain, warm = 0, 0.0, (0, v.copy())
@@ -458,7 +461,7 @@ def _solve(system: CompiledSystem, v: np.ndarray, free: np.ndarray, b: np.ndarra
     """x with (I - F'(v)) x = b on the variables ``free``, and whether it was solved.
 
     Small systems are solved densely.  Larger ones by GMRES on the
-    matrix-free operator, deflating the unit vector ``u`` when one is given;
+    matrix-free operator, recycling the unit vector ``u`` when one is given;
     if it misses KRYLOV_RTOL, the dense solve stands in while its matrix is
     small enough, else the GMRES iterate comes back unsolved.  A singular
     matrix gives b itself, unsolved: for a Newton step, the fixed-point step.
@@ -475,63 +478,77 @@ def _solve(system: CompiledSystem, v: np.ndarray, free: np.ndarray, b: np.ndarra
 
 
 def _gmres(matvec, b: np.ndarray, u: np.ndarray | None = None):
-    """Restarted GMRES for A x = b from x = 0, with A given by ``matvec``.
+    """Restarted GMRES for A x = b, with A given by ``matvec``.
 
-    Given a unit vector ``u`` with theta = u.A u >= DEFLATE_MIN, it solves
-    A M y = b with the rank-1 right preconditioner M = I + (1/theta - 1) u u^T,
-    which maps u to u / theta, and returns x = M y: when u is close to the
-    direction A shrinks most, as the last Newton step is to that of I - F',
-    M takes that direction out of the iteration.  A M y = A y + (1/theta - 1)
-    (u.y) A u costs no product beyond the one that gives A u.  Without ``u``,
-    or with a smaller theta, M = I: near a critical fixed point theta falls
-    towards 0, and A u / theta turns to rounding noise.
+    Given a unit vector ``u`` with theta = u.A u >= DEFLATE_MIN, it recycles
+    u by projection (GCRO, Parks et al. 2006): with c = A u / ||A u||, the
+    part c (c.r) of each cycle's residual r is solved by u (c.r) / ||A u||,
+    and GMRES runs on P = (I - c c^T) A, each of its updates z corrected by
+    -u (c.A z) / ||A u||.  When u is close to the direction A shrinks most,
+    as the last Newton step is to that of I - F', P leaves it out.  Without
+    ``u``, or with a smaller theta, P = A: near a critical fixed point theta
+    falls towards 0, and A u turns to rounding noise.
 
-    Each Arnoldi step orthogonalises against the basis by classical
-    Gram-Schmidt applied twice (CGS2): two block passes c = V w, w -= c V of
-    two matrix-vector products each, as stable as modified Gram-Schmidt.
-    Givens rotations, applied to Python floats, keep the Hessenberg columns
-    triangular, so the residual of the least-squares problem is known at
-    every step without solving it; the columns stay Python lists until the
-    cycle's triangular solve.  Returns x and whether the true residual
-    ||b - A x||, taken at the end of each cycle, fell to KRYLOV_RTOL ||b||
-    within KRYLOV_MAX_STEPS Arnoldi steps, restarting every KRYLOV_RESTART.
+    GMRES is right-preconditioned by the Neumann polynomial
+    M = sum_{i <= NEUMANN_DEGREE} (I - P)^i, so it runs on
+    K = P M = I - (I - P)^(NEUMANN_DEGREE + 1), and each Arnoldi step keeps
+    M v, corrected as above, for the update.  The steps run on K - I, whose
+    products leave the basis vector out, so one classical Gram-Schmidt pass
+    mostly suffices; a second runs only when the first leaves less than
+    1/sqrt(2) of the norm (Daniel, Gragg, Kaufman and Stewart 1976).  Givens
+    rotations, applied to Python floats, keep the columns of K's Hessenberg
+    matrix, that of K - I plus the identity, triangular.  Returns x and
+    whether the true residual ||b - A x||, taken at the end of each cycle,
+    fell to KRYLOV_RTOL ||b||.  Cycles restart after KRYLOV_RESTART steps,
+    and no step starts that would pass KRYLOV_MAX_PRODUCTS products: the
+    residual of the last cycle is at most one more.
     """
-    m = len(b)
-    operator, precondition = matvec, None
+    m, products, c = len(b), 0, None
     if u is not None:
         au = matvec(u)
-        theta = float(u @ au)
-        if theta >= DEFLATE_MIN:
-            scale = 1.0 / theta - 1.0
-
-            def operator(y: np.ndarray) -> np.ndarray:
-                return matvec(y) + (scale * float(u @ y)) * au
-
-            def precondition(y: np.ndarray) -> np.ndarray:
-                return y + (scale * float(u @ y)) * u
-
-    x = np.zeros(m)
+        products = 1
+        if float(u @ au) >= DEFLATE_MIN:
+            norm = math.sqrt(au @ au)
+            c, u = au / norm, u / norm  # A u = c
+    x, r = np.zeros(m), b
     beta = math.sqrt(b @ b)
     target = KRYLOV_RTOL * beta
-    r, steps = b, 0
-    while beta > target and steps < KRYLOV_MAX_STEPS:
-        size = min(KRYLOV_RESTART, m, KRYLOV_MAX_STEPS - steps)
-        basis = np.empty((size + 1, m))
+    cost = NEUMANN_DEGREE + 1  # products per Arnoldi step
+    while beta > target and (size := min(KRYLOV_RESTART, m,
+                                         (KRYLOV_MAX_PRODUCTS - products) // cost)) > 0:
+        if c is not None:
+            along = float(c @ r)
+            x, r = x + along * u, r - along * c
+        basis, mapped = np.empty((size + 1, m)), np.zeros((size, m))
+        basis[0] = r
         columns: list[list[float]] = []
         cos: list[float] = []
         sin: list[float] = []
-        g = [beta]
-        np.divide(r, beta, out=basis[0])
-        k = 0
-        while k < size:
-            w = operator(basis[k])
-            done = basis[: k + 1]
-            first = done @ w
-            w -= first @ done
-            second = done @ w
-            w -= second @ done
-            column = (first + second).tolist()
+        below = math.sqrt(r @ r)
+        g, k = [below], 0
+        while k < size and below > 0.0 and abs(g[k]) > target:
+            t = basis[k]
+            t /= below
+            for _ in range(cost):  # t -> (I - P) t, adding up M v on the way
+                mapped[k] += t
+                at = matvec(t)
+                if c is not None:
+                    along = float(c @ at)
+                    at -= along * c
+                    mapped[k] -= along * u
+                t = t - at
+            w = np.negative(t, out=basis[k + 1])  # (K - I) v
+            done, before = basis[: k + 1], w @ w
+            h = done @ w
+            w -= h @ done
             below = math.sqrt(w @ w)
+            if 2.0 * below * below < before:  # less than 1/sqrt(2) of the norm is left
+                again = done @ w
+                w -= again @ done
+                h += again
+                below = math.sqrt(w @ w)
+            column = h.tolist()
+            column[k] += 1.0
             for i in range(k):
                 column[i], column[i + 1] = (cos[i] * column[i] + sin[i] * column[i + 1],
                                             cos[i] * column[i + 1] - sin[i] * column[i])
@@ -545,19 +562,16 @@ def _gmres(matvec, b: np.ndarray, u: np.ndarray | None = None):
             g.append(-sin[k] * g[k])
             g[k] = cos[k] * g[k]
             k += 1
-            if abs(g[k]) <= target or below == 0.0:
-                break
-            np.divide(w, below, out=basis[k])
-        steps += k
+        if k:
+            h = np.zeros((k, k))
+            for j, column in enumerate(columns):
+                h[: j + 1, j] = column
+            x = x + np.linalg.solve(h, g[:k]) @ mapped[:k]  # h is upper triangular
+        r = b - matvec(x)
+        products += cost * k + 1
+        beta = math.sqrt(r @ r)
         if k == 0:
             break
-        h = np.zeros((k, k))
-        for j, column in enumerate(columns):
-            h[: j + 1, j] = column
-        step = np.linalg.solve(h, g[:k]) @ basis[:k]  # h is upper triangular
-        x = x + (step if precondition is None else precondition(step))
-        r = b - matvec(x)
-        beta = math.sqrt(r @ r)
     return x, bool(beta <= target)
 
 

@@ -270,8 +270,8 @@ def benchmark_model(tmp_path, name: str) -> Path:
 ANALYZE_SHA256 = {
     "blocking_one_state.ppda": "13905ba0db0249e49665d26171c8c26a84f0067b9e488c117cb4e779dbfeb9a2",
     "blocking_two_state.ppda": "ce4880434371f025ab87ae4f2e17b92501d48a2a145312f3694a7b0ef91c8327",
-    "random_q4g20_s1": "c43a09fe61f191157e2f4f36472b6fcbf16d4aa5254453764ea34ee1bcdc47e1",
-    "random_q4g20_s1001": "a3593aab80424171de493623015c21ceb46dbb2d2979797f1a5b8e3f0619b6cd",
+    "random_q4g20_s1": "b7a0a1d00ab31e509a8dfb43a254062be00676ade5de59e133d6d157e6864766",
+    "random_q4g20_s1001": "504d3c1f59fcf15f94646ba824f6eb95b40ac0a88b20829b82cdaa7bf24d0d93",
 }
 
 
@@ -290,7 +290,7 @@ def test_analyze_output_is_pinned(tmp_path, name):
 # fraction the double equals.
 TRANSFORM_SHA256 = {
     "ab.ppda": "713a7bf76dfdc65064cca6d66a9124da214413c7b888ca3daef48c8673dc197e",
-    "random_q4g20_s1": "46f0f9e6fbc29513d7b2544fc46f8970a793205cf017d172405cda4eaa0b3231",
+    "random_q4g20_s1": "ec4c40ff7716965eace673e28b26194f6af0398b8ae07abeed90658dc98cb982",
     "tree.ppda": "2b7888cce9563b4a72a0cb1e014c99eb33f54c742d4088b53ceb2be4f8814338",
     "twostate.ppda": "2dec6c6e4be7a16e57e2baad965884c6704be3240ff1cb3b50f41873764a438b",
 }
@@ -318,13 +318,13 @@ def test_random_pins_by_gmres_match_dense_newton(tmp_path, name):
                                           ("analyze", "random_q4g20_s1001"),
                                           ("transform", "random_q4g20_s1")])
 def test_random_pins_do_not_depend_on_blas_threads(tmp_path, command, name):
-    # one and two OpenBLAS threads, each in a fresh interpreter, since
+    # one, two and four OpenBLAS threads, each in a fresh interpreter, since
     # OpenBLAS reads the setting when numpy loads it
     path = benchmark_model(tmp_path, name)
     flag, pins = {"analyze": ("--json", ANALYZE_SHA256),
                   "transform": ("--out", TRANSFORM_SHA256)}[command]
     outputs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         out = tmp_path / f"out-{threads}"
         proc = subprocess.run([sys.executable, "-m", "ppda", command, str(path), flag, str(out)],
                               capture_output=True, text=True,
@@ -334,23 +334,23 @@ def test_random_pins_do_not_depend_on_blas_threads(tmp_path, command, name):
         if command == "analyze":
             text = json.dumps(canonical(json.loads(text)), indent=2)
         outputs.append(text)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert hashlib.sha256(outputs[0].encode()).hexdigest() == pins[name]
 
 
 def test_transform_at_2560_variables_does_not_depend_on_blas_threads(tmp_path):
     # random (8, 40) seed 1 takes GMRES steps on 2,560 variables, past the
-    # (4, 20) pins, in two fresh interpreters as above
+    # (4, 20) pins, in three fresh interpreters as above
     path = benchmark_model(tmp_path, "random_q8g40_s1")
     outputs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         out = tmp_path / f"out-{threads}.bpa"
         proc = subprocess.run([sys.executable, "-m", "ppda", "transform", str(path), "--out", str(out)],
                               capture_output=True, text=True,
                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def rule_lines(text: str) -> tuple[list[str], list[float]]:

@@ -402,7 +402,7 @@ def test_deflated_newton_steps_take_fewer_products_and_still_climb():
 
 
 def test_missed_gmres_steps_are_solved_densely(krylov, monkeypatch, tree, ab):
-    monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 0)
+    monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_PRODUCTS", 0)
     for model in (tree, ab, CRITICAL_PDAS["unary"]):
         table, dense = termination_probs(model), dense_table(model)
         assert np.array_equal(table.values, dense.values)
@@ -512,9 +512,69 @@ def test_gmres_solves_nonsymmetric_systems_across_restarts(monkeypatch):
     deflated = _gmres(lambda y: products.append(y) or critical @ y, b, u)
     assert plain[1] and deflated[1] and np.array_equal(deflated[0], plain[0])
     assert np.array_equal(products[0], u)
-    monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_STEPS", 2)
+    monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_PRODUCTS", 2)
     x, solved = _gmres(lambda y: a @ y, b)
     assert not solved
+
+
+def nonsymmetric_systems():
+    """The matrices of ``test_gmres_solves_nonsymmetric_systems_across_restarts``:
+    a, near = I - 0.999 S with S column-stochastic, the right side b and the
+    unit right Perron vector u of S."""
+    rng = np.random.default_rng(7)
+    a = np.eye(40) - 0.9 * rng.random((40, 40)) / 40
+    b = rng.random(40)
+    stochastic = rng.random((40, 40))
+    stochastic /= stochastic.sum(axis=0)
+    values, vectors = np.linalg.eig(stochastic)
+    perron = np.real(vectors[:, np.argmax(np.real(values))])
+    return a, np.eye(40) - 0.999 * stochastic, b, perron / np.linalg.norm(perron)
+
+
+def counted_gmres(matrix: np.ndarray, b: np.ndarray, u=None):
+    """``_gmres`` on ``matrix``: x, whether solved, and the number of products."""
+    products = []
+    x, solved = _gmres(lambda y: products.append(y) or matrix @ y, b, u)
+    return x, solved, len(products)
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_gmres_reaches_the_tolerance_at_every_neumann_degree(monkeypatch, degree):
+    monkeypatch.setattr(ppda.termination, "NEUMANN_DEGREE", degree)
+    a, near, b, u = nonsymmetric_systems()
+    assert float(u @ near @ u) >= ppda.termination.DEFLATE_MIN  # u is recycled
+    for restart in (3, 10, 40):
+        monkeypatch.setattr(ppda.termination, "KRYLOV_RESTART", restart)
+        for matrix, recycle in ((a, None), (a, u), (near, None), (near, u)):
+            x, solved, _ = counted_gmres(matrix, b, recycle)
+            assert solved
+            residual = np.linalg.norm(b - matrix @ x)
+            assert residual <= ppda.termination.KRYLOV_RTOL * np.linalg.norm(b)
+        # near shrinks the Perron vector to 0.001 of its length: recycling it
+        # saves products at every degree and restart
+        plain, recycled = counted_gmres(near, b)[2], counted_gmres(near, b, u)[2]
+        assert recycled < plain
+    # at restart 40 one cycle holds every step, and the corrected updates
+    # leave no part along A u for a second: the recycled solve takes the
+    # product of u, NEUMANN_DEGREE + 1 per Arnoldi step and one residual
+    assert (recycled - 2) % (degree + 1) == 0
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_gmres_stops_within_one_product_past_the_cap(monkeypatch, degree):
+    # Arnoldi steps take NEUMANN_DEGREE + 1 products each and none starts past
+    # KRYLOV_MAX_PRODUCTS; the last cycle's residual is the one product more.
+    # So a solve stopped by the cap has made between cap - NEUMANN_DEGREE and
+    # cap + 1 products.
+    monkeypatch.setattr(ppda.termination, "NEUMANN_DEGREE", degree)
+    monkeypatch.setattr(ppda.termination, "KRYLOV_RESTART", 3)
+    _, near, b, u = nonsymmetric_systems()
+    for cap in (5, 8, 10):
+        monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_PRODUCTS", cap)
+        for recycle in (None, u):
+            _, solved, products = counted_gmres(near, b, recycle)
+            assert not solved
+            assert cap - degree <= products <= cap + 1
 
 
 def may_terminate_triples(model: Pda) -> frozenset[Triple]:
