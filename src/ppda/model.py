@@ -4,19 +4,24 @@ A model is a finite set of control states, a finite stack alphabet, and
 probabilistic rewrite rules ``p X -> q alpha`` with exact rational
 probabilities.  Stateless models ("bpa") carry a single synthetic control
 state; "relaxed-bpa" additionally permits right-hand sides longer than two
-symbols.  Probabilities are exact rationals, or doubles in a stateless model
-built over arrays (``Pda.from_arrays``).  Past the parse and ``validate``,
-no step reads a ``Rule``: the start check, the numeric modules, the
-transform and the writer read the rules as index and double arrays
-(``Pda.rule_arrays``), built once.
+symbols.  Probabilities are exact rationals, or doubles in the transform's
+models.  Every model holds its rules as index and double arrays
+(``Pda.rule_arrays``): the parser, ``make_bpa`` and the transform build a
+model from them (``Pda.from_arrays``), and ``validate``, the start check,
+the numeric modules and the writer read them.  A ``Rule`` is made only
+where a caller reads ``Pda.rules``.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from math import lcm
+from operator import truediv
+from typing import Iterable
 
 import numpy as np
 
@@ -62,7 +67,7 @@ class ModelError(ValueError):
 
 
 def _check_token(name: str, what: str) -> str:
-    if not name or any(ch.isspace() for ch in name):
+    if name.split() != [name]:  # empty, or holds whitespace
         raise ModelError(f"invalid {what} token {name!r}")
     for res in _RESERVED:
         if res in name:
@@ -143,8 +148,11 @@ class Pda:
     (``rule_arrays``), the may-terminate array, the compiled termination
     system and, for stateless models, the moment matrix with its dependence
     and per-SCC reductions are each built once, lazily, and the value is
-    safe to share across threads.  A model built by ``from_arrays`` starts
-    from its ``rule_arrays`` instead and decodes ``rules`` on first read.
+    safe to share across threads.  The library builds every model from its
+    ``rule_arrays`` (``from_arrays``), and ``rules`` is decoded on first
+    read.  A model given ``Rule``s, by this constructor or by
+    ``dataclasses.replace``, looks their names up as the parser does on
+    first read of ``rule_arrays``.
     """
 
     states: tuple[str, ...]
@@ -162,12 +170,12 @@ class Pda:
             raise ModelError("duplicate stack symbol")
 
     @classmethod
-    def from_arrays(cls, alphabet: tuple[str, ...], arrays: RuleArrays,
-                    start: Configuration | None) -> Pda:
-        """The stateless model over ``alphabet`` whose ``rule_arrays`` are ``arrays``."""
+    def from_arrays(cls, states: tuple[str, ...], alphabet: tuple[str, ...],
+                    arrays: RuleArrays, kind: str, start: Configuration | None = None) -> Pda:
+        """The model over ``states`` and ``alphabet`` whose ``rule_arrays`` are ``arrays``."""
         model = cls.__new__(cls)
-        model.__dict__.update(states=(BPA_STATE,), alphabet=alphabet, kind="bpa",
-                              start=start, rule_arrays=arrays)
+        model.__dict__.update(states=states, alphabet=alphabet, kind=kind, start=start,
+                              rule_arrays=arrays)
         model.__post_init__()
         return model
 
@@ -175,12 +183,14 @@ class Pda:
         # only a model built by from_arrays lacks its rules, until they are read
         if name != "rules":
             raise AttributeError(f"'Pda' object has no attribute {name!r}")
-        arrays, names = self.rule_arrays, self.alphabet
+        arrays, states, names = self.rule_arrays, self.states, self.alphabet
         self.__dict__["rules"] = tuple(
-            Rule(BPA_STATE, names[lhs], BPA_STATE, tuple([names[s] for s in word[:length]]),
-                 Fraction(prob))
-            for lhs, word, length, prob in zip(arrays.lhs_symbol.tolist(), arrays.words.tolist(),
-                                               arrays.length.tolist(), arrays.prob.tolist()))
+            Rule(states[lhs_state], names[lhs], states[rhs_state],
+                 tuple([names[s] for s in word[:length]]), Fraction(prob))
+            for lhs_state, lhs, rhs_state, word, length, prob in zip(
+                arrays.lhs_state.tolist(), arrays.lhs_symbol.tolist(),
+                arrays.rhs_state.tolist(), arrays.words.tolist(), arrays.length.tolist(),
+                arrays.exact))
         return self.rules
 
     @cached_property
@@ -195,7 +205,10 @@ class Pda:
     def rule_arrays(self) -> RuleArrays:
         """``RuleArrays`` of this model, built once: every numeric module reads
         the rules through it."""
-        return RuleArrays.of(self)
+        arrays, states, symbols = _encoded(self)
+        if len(states) > len(self.states) or len(symbols) > len(self.alphabet) + 1:
+            raise ModelError("; ".join(validate(self)))
+        return arrays
 
     @cached_property
     def terminating_triples(self):
@@ -241,8 +254,9 @@ class RuleArrays:
     Per rule: ``lhs_state``, ``lhs_symbol`` and ``rhs_state`` as indices,
     the word ``length``, the word in ``words`` as symbol indices padded with
     |alphabet| to at least two columns, ``prob``, the probability rounded
-    to a double, and ``exact``, the probability itself: a ``Fraction``, or
-    ``prob`` for a model built from arrays.  Read-only, with no reference to
+    to a double, and ``exact``, the probability itself: ``Rationals`` for a
+    parsed model, the numbers given to ``make_bpa`` or in ``Rule``s, and
+    ``prob`` for the transform's models.  Read-only, with no reference to
     the model.
     """
 
@@ -259,21 +273,76 @@ class RuleArrays:
                       self.words, self.prob):
             array.flags.writeable = False  # shared by every reader of the model
 
+
+class Rationals(Sequence):
+    """Rationals ``nums[i]/dens[i]`` as integer pairs, not always in lowest
+    terms; item i is read as its ``Fraction``, made then."""
+
+    __slots__ = ("nums", "dens")
+
+    def __init__(self, nums: list[int], dens: list[int]):
+        self.nums, self.dens = nums, dens
+
     @classmethod
-    def of(cls, model: Pda) -> RuleArrays:
-        """The arrays of the ``Rule``s of ``model``."""
-        sidx, aidx = model.state_index, model.symbol_index
-        rules, pad = model.rules, len(model.alphabet)
-        width = max([2] + [len(rule.rhs_word) for rule in rules])
-        table = np.array(
-            [(sidx[rule.lhs_state], aidx[rule.lhs_symbol], sidx[rule.rhs_state],
-              len(rule.rhs_word), *(aidx[sym] for sym in rule.rhs_word),
-              *(pad,) * (width - len(rule.rhs_word))) for rule in rules],
-            dtype=np.intp,
-        ).reshape(len(rules), 4 + width)
-        exact = tuple(rule.prob for rule in rules)
-        return cls(*table[:, :4].T, words=table[:, 4:],
-                   prob=np.array([float(p) for p in exact], dtype=float), exact=exact)
+    def of(cls, values: Sequence) -> Rationals:
+        """The exact values of numbers such as ``Fraction``s, ints or doubles."""
+        pairs = [value.as_integer_ratio() for value in values]
+        return cls([num for num, _ in pairs], [den for _, den in pairs])
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i) -> Fraction:
+        return Fraction(self.nums[i], self.dens[i])
+
+
+def _word_columns(words: list) -> list[list]:
+    """The words by position, None where a word has ended."""
+    return [[word[j] if j < len(word) else None for word in words]
+            for j in range(max(map(len, words), default=0))]
+
+
+def _encode(states, alphabet, lhs_state, lhs_symbol, rhs_state, word_columns, exact):
+    """Rule arrays from columns of names, looked up by dict, and the exact
+    probabilities: the one path from names to indices.  A state column of
+    None puts every rule in state 0; a word column holds None past the
+    word.  A name not in ``states`` or ``alphabet`` gets the next index past
+    them (past the padding index |alphabet| for symbols) so that
+    ``validate`` can name it: returns the arrays with the names of their
+    state and symbol indices."""
+    state_table = {name: i for i, name in enumerate(states)}
+    symbol_table = {**{name: i for i, name in enumerate(alphabet)}, None: len(alphabet)}
+    n, ng = len(exact), len(alphabet)
+
+    def indices(table: dict, names) -> np.ndarray:
+        if names is None:
+            return np.zeros(n, dtype=np.intp)
+        try:
+            return np.fromiter(map(table.__getitem__, names), dtype=np.intp, count=n)
+        except KeyError:
+            return np.array([table.setdefault(name, len(table)) for name in names], np.intp)
+
+    words = np.full((n, max(2, len(word_columns))), ng, dtype=np.intp)
+    for j, column in enumerate(word_columns):
+        words[:, j] = indices(symbol_table, column)
+    # int / int rounds the rational correctly, so prob[i] is float(Fraction(exact[i]))
+    prob = (list(map(truediv, exact.nums, exact.dens)) if isinstance(exact, Rationals)
+            else [float(p) for p in exact])
+    arrays = RuleArrays(indices(state_table, lhs_state), indices(symbol_table, lhs_symbol),
+                        indices(state_table, rhs_state), np.count_nonzero(words != ng, axis=1),
+                        words, np.array(prob, dtype=float), exact)
+    return arrays, list(state_table), list(symbol_table)
+
+
+def _encoded(model: Pda):
+    """``_encode`` of ``model``: its ``rule_arrays`` once they exist, else
+    its ``Rule``s, which may name states and symbols it lacks."""
+    if "rule_arrays" in model.__dict__:
+        return model.rule_arrays, model.states, model.alphabet + (None,)
+    rules = model.rules
+    return _encode(model.states, model.alphabet, [r.lhs_state for r in rules],
+                   [r.lhs_symbol for r in rules], [r.rhs_state for r in rules],
+                   _word_columns([r.rhs_word for r in rules]), tuple(r.prob for r in rules))
 
 
 def make_bpa(rules: Iterable[tuple[Sequence[str], Fraction | float | int | str]],
@@ -285,19 +354,19 @@ def make_bpa(rules: Iterable[tuple[Sequence[str], Fraction | float | int | str]]
     ``rules`` maps each left-hand symbol via the first element of the word
     key: pass tuples ``((lhs, *rhs), prob)``.
     """
-    built = []
-    symbols: list[str] = list(alphabet) if alphabet else []
-    seen = set(symbols)
-    for word, prob in rules:
-        lhs, *rhs = word
-        for sym in (lhs, *rhs):
-            if sym not in seen:
-                seen.add(sym)
-                symbols.append(sym)
-        built.append(Rule(BPA_STATE, lhs, BPA_STATE, tuple(rhs), Fraction(prob)))
-    kind = "relaxed-bpa" if relaxed or any(len(r.rhs_word) > 2 for r in built) else "bpa"
-    cfg = Configuration(BPA_STATE, (start,)) if start else None
-    return Pda((BPA_STATE,), tuple(symbols), tuple(built), kind=kind, start=cfg)
+    rules = [(word, Fraction(prob)) for word, prob in rules]
+    for _, prob in rules:
+        if not 0 < prob <= 1:
+            raise ModelError(f"rule probability {prob} outside (0, 1]")
+    seen = set(alphabet or ())
+    symbols = (*(alphabet or ()), *dict.fromkeys(sym for word, _ in rules for sym in word
+                                                 if sym not in seen))
+    words = [tuple(word[1:]) for word, _ in rules]
+    kind = "relaxed-bpa" if relaxed or any(len(word) > 2 for word in words) else "bpa"
+    arrays, *_ = _encode((BPA_STATE,), symbols, None, [word[0] for word, _ in rules], None,
+                         _word_columns(words), tuple(prob for _, prob in rules))
+    return Pda.from_arrays((BPA_STATE,), symbols, arrays, kind,
+                           Configuration(BPA_STATE, (start,)) if start else None)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +379,11 @@ def validate(model: Pda, start: Configuration | None = None) -> list[str]:
     checked for pairs (state, symbol) that are reachable from it but have
     no rule; pairs without rules are legal only while unreachable.
     """
-    violations: list[str] = []
-    states = set(model.states)
-    alphabet = set(model.alphabet)
+    return _validate(model, _encoded(model), start)
 
+
+def _validate(model: Pda, encoded, start: Configuration | None = None) -> list[str]:
+    violations: list[str] = []
     for what, names in (("state", model.states), ("symbol", model.alphabet)):
         for name in names:
             try:
@@ -329,34 +399,57 @@ def validate(model: Pda, start: Configuration | None = None) -> list[str]:
     if model.stateless and len(model.states) != 1:
         violations.append(f"kind {model.kind} requires exactly one control state")
 
-    max_rhs = 2 if model.kind in ("pda", "bpa") else None
-    seen_rules: set[tuple[str, str, str, tuple[str, ...]]] = set()
-    totals: dict[tuple[str, str], Fraction] = {}
-    for rule in model.rules:
-        where = f"rule '{rule}'"
-        for state in (rule.lhs_state, rule.rhs_state):
-            if state not in states:
-                violations.append(f"{where}: unknown state {state!r}")
-        for sym in (rule.lhs_symbol, *rule.rhs_word):
-            if sym not in alphabet:
-                violations.append(f"{where}: unknown symbol {sym!r}")
-        if max_rhs is not None and len(rule.rhs_word) > max_rhs:
-            violations.append(f"{where}: right-hand side longer than {max_rhs} under kind {model.kind}")
-        key = (rule.lhs_state, rule.lhs_symbol, rule.rhs_state, rule.rhs_word)
-        if key in seen_rules:
-            violations.append(f"{where}: duplicate rule")
-        seen_rules.add(key)
-        totals[key[:2]] = totals.get(key[:2], Fraction(0)) + rule.prob  # by pair
-
-    for (state, symbol), total in totals.items():
-        if abs(total - 1) > ROW_SUM_TOL:
-            violations.append(f"row ({state}, {symbol}): probabilities sum to {total}, not 1")
+    violations.extend(_rule_problems(model, *encoded))
 
     if model.start is not None:
         violations.extend(_check_configuration(model, model.start))
     if start is not None and not violations:  # the walk needs known names
         violations.extend(start_problems(model, start))
     return violations
+
+
+def _rule_problems(model: Pda, arrays: RuleArrays, states: list, symbols: list) -> list[str]:
+    """The problems of each rule in rule order (unknown states, unknown
+    symbols, a word too long for the kind, a repeat of an earlier rule),
+    then each row that misses 1, in the order of its first rule."""
+    nq, ng = len(model.states), len(model.alphabet)
+    lhs_state, lhs, rhs_state = arrays.lhs_state, arrays.lhs_symbol, arrays.rhs_state
+    length, words = arrays.length, arrays.words
+    too_long = (length > 2) & (model.kind in ("pda", "bpa"))
+    # by pair, then by right-hand side, stably: a repeat follows its first copy
+    order = np.lexsort((*words.T[::-1], rhs_state, lhs, lhs_state))
+    keys = np.column_stack((lhs_state, lhs, rhs_state, words))[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:][(keys[1:] == keys[:-1]).all(axis=1)]] = True
+
+    violations = []
+    flagged = (lhs_state >= nq) | (rhs_state >= nq) | (lhs > ng) | (words > ng).any(axis=1)
+    for i in np.flatnonzero(flagged | too_long | repeat).tolist():
+        word = words[i, :length[i]].tolist()
+        where = "rule '{}'".format(Rule(states[lhs_state[i]], symbols[lhs[i]],
+                                        states[rhs_state[i]], tuple(symbols[s] for s in word),
+                                        arrays.exact[i]))
+        violations += [f"{where}: unknown state {states[s]!r}"
+                       for s in (lhs_state[i], rhs_state[i]) if s >= nq]
+        violations += [f"{where}: unknown symbol {symbols[s]!r}"
+                       for s in (lhs[i], *word) if s > ng]
+        if too_long[i]:
+            violations.append(f"{where}: right-hand side longer than 2 under kind {model.kind}")
+        if repeat[i]:
+            violations.append(f"{where}: duplicate rule")
+
+    # each row's sum, exactly: integer numerators over the row's common denominator
+    exact = arrays.exact if isinstance(arrays.exact, Rationals) else Rationals.of(arrays.exact)
+    nums, dens, rows, missed = exact.nums, exact.dens, order.tolist(), []
+    starts = (np.flatnonzero((keys[1:, :2] != keys[:-1, :2]).any(axis=1)) + 1).tolist()
+    for begin, end in zip([0, *starts] if rows else [], [*starts, len(rows)]):
+        row = rows[begin:end]
+        den = lcm(*[dens[i] for i in row])
+        total = sum([nums[i] * (den // dens[i]) for i in row])
+        if abs(total - den) * ROW_SUM_TOL.denominator > den * ROW_SUM_TOL.numerator:
+            missed.append((min(row), Fraction(total, den)))
+    return violations + [f"row ({states[lhs_state[i]]}, {symbols[lhs[i]]}): "
+                         f"probabilities sum to {total}, not 1" for i, total in sorted(missed)]
 
 
 def start_problems(model: Pda, start: Configuration) -> list[str]:
@@ -416,67 +509,89 @@ def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
 # ---------------------------------------------------------------------------
 # text format
 
+def _rule_line(lhs: str, rhs: str) -> re.Pattern:
+    """A rule line in the common form: its names, and the digits of its
+    probability ``a`` or ``a/b``.  A left name holds no '-', so the arrow
+    after it is the line's first "->"; a right name holds no ':', so the
+    colon after it is the line's last ':', as ``_parse_rule`` reads a line."""
+    return re.compile(rf"_*rule_*:_*{lhs}_*->{rhs}:_*([0-9]+)(?:/([0-9]+))?_*(?:#.*)?"
+                      .replace("_", r"\s"))
+
+
+_LHS, _NAME = r"([^\s:#-]+)", r"([^\s:#]+)"
+_RULE_LINES = {"pda": _rule_line(f"{_LHS}_+{_LHS}", f"_*{_NAME}(?:_+{_NAME}(?:_+{_NAME})?)?_*"),
+               "bpa": _rule_line(_LHS, f"(?:_*{_NAME}(?:_+{_NAME})?)?_*"),
+               "relaxed-bpa": _rule_line(_LHS, r"([^:#]*)")}
+
+
 def parse_model(text: str) -> Pda:
     """Parse the line-oriented model format into a validated Pda.
 
     Raises ModelError (with line information) on syntax errors, unknown
-    names, rule rows not summing to 1, or duplicate rules.
+    names, rule rows not summing to 1, or duplicate rules.  A rule line in
+    the common form (``_rule_line``) becomes a row of names and an integer
+    pair; any other line is read by the directive.
     """
-    kind: str | None = None
-    states: list[str] = []
-    alphabet: list[str] = []
-    rules: list[Rule] = []
-    start_tokens: list[str] | None = None
-    start_line = 0
-    states_given = alphabet_given = False
-
+    kind, match, given = None, lambda line: None, {}  # no rule before the kind line
+    rows: list[tuple] = []  # the names of each rule, its numerator and its denominator
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = match(raw)
+        if tokens is not None:
+            *names, num, den = tokens.groups()
+            num, den = int(num), int(den or 1)
+            if 0 < num <= den:  # else _parse_rule raises the error
+                rows.append((*names, num, den))
+                continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if kind is None:
             if line not in KINDS:
                 raise ModelError(f"expected model kind {KINDS}, got {line!r}", lineno)
-            kind = line
+            kind, match = line, _RULE_LINES[line].fullmatch
             continue
         if ":" not in line:
             raise ModelError(f"expected 'directive: ...', got {line!r}", lineno)
         directive, _, body = line.partition(":")
         directive = directive.strip()
-        if directive == "states":
-            states_given = True
-            states = [_parse_token(tok, "state", lineno) for tok in body.split()]
-        elif directive == "alphabet":
-            alphabet_given = True
-            alphabet = [_parse_token(tok, "symbol", lineno) for tok in body.split()]
-        elif directive == "start":
-            start_tokens = body.split()
-            start_line = lineno
-        elif directive == "rule":
-            rules.append(_parse_rule(body, kind, lineno))
-        else:
+        if directive == "rule":
+            *names, prob = _parse_rule(body, kind, lineno)
+            rows.append((*names, prob.numerator, prob.denominator))
+        elif directive not in ("states", "alphabet", "start"):
             raise ModelError(f"unknown directive {directive!r}", lineno)
+        elif directive in given:
+            raise ModelError(f"repeated '{directive}:' line", lineno)
+        else:
+            what = {"states": "state", "alphabet": "symbol"}.get(directive)
+            given[directive] = (lineno, [_parse_token(tok, what, lineno) if what else tok
+                                         for tok in body.split()])
 
     if kind is None:
         raise ModelError("empty model: missing kind line")
-    if kind != "pda":
-        states = [BPA_STATE]
-    elif not states_given:
+    if kind == "pda" and "states" not in given:
         raise ModelError("pda model missing 'states:' line")
-    if not alphabet_given:
+    if "alphabet" not in given:
         raise ModelError("missing 'alphabet:' line")
-
     start = None
-    if start_tokens is not None:
-        if kind == "pda":
-            if len(start_tokens) < 1:
-                raise ModelError("empty start configuration", start_line)
-            start = Configuration(start_tokens[0], tuple(start_tokens[1:]))
+    if "start" in given:
+        lineno, tokens = given["start"]
+        if kind != "pda":
+            start = Configuration(BPA_STATE, tuple(tokens))
+        elif not tokens:
+            raise ModelError("empty start configuration", lineno)
         else:
-            start = Configuration(BPA_STATE, tuple(start_tokens))
+            start = Configuration(tokens[0], tuple(tokens[1:]))
 
-    model = Pda(tuple(states), tuple(alphabet), tuple(rules), kind=kind, start=start)
-    problems = validate(model)
+    states = tuple(given["states"][1]) if kind == "pda" else (BPA_STATE,)
+    alphabet = tuple(given["alphabet"][1])
+    *names, nums, dens = list(zip(*rows)) or [()] * _RULE_LINES[kind].groups
+    if kind == "relaxed-bpa":
+        names = [names[0], *_word_columns(list(map(str.split, names[1])))]
+    lhs_state, lhs, rhs_state, *words = names if kind == "pda" else (None, names[0], None,
+                                                                     *names[1:])
+    encoded = _encode(states, alphabet, lhs_state, lhs, rhs_state, words, Rationals(nums, dens))
+    model = Pda.from_arrays(states, alphabet, encoded[0], kind, start)
+    problems = _validate(model, encoded)
     if problems:
         raise ModelError("; ".join(problems))
     return model
@@ -489,28 +604,23 @@ def _parse_token(tok: str, what: str, lineno: int) -> str:
         raise ModelError(str(exc), lineno) from None
 
 
-def _parse_rule(body: str, kind: str, lineno: int) -> Rule:
+def _parse_rule(body: str, kind: str, lineno: int) -> tuple:
+    """The names of a rule line that ``_rule_line`` did not take, as it
+    gives them, and its probability."""
     head, arrow, tail = body.partition("->")
     if not arrow:
         raise ModelError("rule missing '->'", lineno)
     rhs_text, colon, prob_text = tail.rpartition(":")
     if not colon:
         raise ModelError("rule missing ': probability'", lineno)
-    lhs = head.split()
-    rhs = rhs_text.split()
-    if kind == "pda":
-        if len(lhs) != 2:
-            raise ModelError(f"expected 'state symbol' before '->', got {head.strip()!r}", lineno)
-        if not rhs:
-            raise ModelError("pda rule needs a control state after '->'", lineno)
-        lhs_state, lhs_symbol = lhs
-        rhs_state, rhs_word = rhs[0], tuple(rhs[1:])
-    else:
-        if len(lhs) != 1:
-            raise ModelError(f"expected one symbol before '->', got {head.strip()!r}", lineno)
-        lhs_state, lhs_symbol = BPA_STATE, lhs[0]
-        rhs_state, rhs_word = BPA_STATE, tuple(rhs)
-    if kind in ("pda", "bpa") and len(rhs_word) > 2:
+    lhs, rhs = head.split(), rhs_text.split()
+    if kind == "pda" and len(lhs) != 2:
+        raise ModelError(f"expected 'state symbol' before '->', got {head.strip()!r}", lineno)
+    if kind == "pda" and not rhs:
+        raise ModelError("pda rule needs a control state after '->'", lineno)
+    if kind != "pda" and len(lhs) != 1:
+        raise ModelError(f"expected one symbol before '->', got {head.strip()!r}", lineno)
+    if kind != "relaxed-bpa" and len(rhs) > 2 + (kind == "pda"):
         raise ModelError(f"right-hand side longer than 2 under kind {kind}", lineno)
     try:
         prob = Fraction(prob_text.strip())
@@ -518,7 +628,9 @@ def _parse_rule(body: str, kind: str, lineno: int) -> Rule:
         raise ModelError(f"bad probability {prob_text.strip()!r}", lineno) from None
     if not (0 < prob <= 1):
         raise ModelError(f"probability {prob} outside (0, 1]", lineno)
-    return Rule(lhs_state, lhs_symbol, rhs_state, tuple(rhs_word), prob)
+    if kind == "relaxed-bpa":
+        return (*lhs, " ".join(rhs), prob)
+    return (*lhs, *rhs, *[None] * (2 + (kind == "pda") - len(rhs)), prob)
 
 
 def serialize(model: Pda) -> str:

@@ -117,16 +117,16 @@ def to_bpa(model: Pda, table: TerminationTable) -> TransformResult:
         start = next((Configuration(BPA_STATE, (str(t),)) for t in syms
                       if (t.state, t.symbol) == pair), None)
     zeros = np.zeros_like(lhs)  # the one state
-    bpa = Pda.from_arrays(alphabet, RuleArrays(zeros, lhs, zeros, length, words, prob, prob),
-                          start)
+    bpa = Pda.from_arrays((BPA_STATE,), alphabet,
+                          RuleArrays(zeros, lhs, zeros, length, words, prob, prob), "bpa", start)
     # the monomial rules come first and name terminating symbols only, so the
     # padding is the only index past the part's alphabet
     count, terminating = int(np.count_nonzero(keep[:len(order)])), alphabet[:len(term_syms)]
     if start is not None and start.stack[0] not in terminating:
         start = None
-    part = Pda.from_arrays(terminating, RuleArrays(
+    part = Pda.from_arrays((BPA_STATE,), terminating, RuleArrays(
         zeros[:count], lhs[:count], zeros[:count], length[:count],
-        np.minimum(words[:count], len(terminating)), prob[:count], prob[:count]), start)
+        np.minimum(words[:count], len(terminating)), prob[:count], prob[:count]), "bpa", start)
     return TransformResult(bpa=bpa, part=part, symbols=dict(zip(alphabet, syms)))
 
 

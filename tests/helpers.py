@@ -12,16 +12,22 @@ for ``classify``, which reads the moment record the model keeps; it takes B
 rule by rule with ``appendix.rule_weight_change``.  The paper's appendix
 constructions live in ``appendix``, not here.  The library reads only rule
 arrays; the lookup of ``Rule``s by pair (``rules_for``) and the start check
-over sets of names (``missing_reachable_rows``) live here.
+over sets of names (``missing_reachable_rows``) live here.  So does the
+``Rule`` path of the parser, the oracle of its arrays and messages: a line
+loop that makes one ``Rule`` per rule line (``parse_loop``), the checks of
+a model over its ``Rule``s (``validate_loop``) and the arrays of its
+``Rule``s (``rule_arrays_of``).
 """
 
 import functools
+import importlib.util
 import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -39,7 +45,8 @@ from ppda import (
 )
 from ppda.bounds import CASE3_LOWER_EXPONENT
 from ppda.distribution import SampleStats, _check_budget
-from ppda.model import BPA_STATE, ModelError, Rule
+from ppda.model import (BPA_STATE, KINDS, ROW_SUM_TOL, ModelError, Rule, RuleArrays,
+                        _check_configuration, _check_token)
 from ppda.moments import CRITICAL_EPS, _expectations, _power_iteration
 from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
                               EXTENDED_TOL, NEAR_CRITICAL, NewtonDivergedError, _solve,
@@ -792,6 +799,170 @@ def serialize_loop(model: Pda) -> str:
     for lhs, rhs, prob in rows:
         lines.append(f"rule: {lhs} -> {rhs} : {prob}")
     return "\n".join(lines) + "\n"
+
+
+MODELS = Path(__file__).parent.parent / "models"
+
+
+@functools.cache
+def perfbench_gen():
+    """The benchmark's seeded input generator, ``perfbench/gen.py``."""
+    path = Path(__file__).parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def rule_arrays_of(model: Pda) -> RuleArrays:
+    """``model.rule_arrays`` built from the ``Rule``s of ``model`` directly,
+    one table row per rule: the oracle of the parser's columns and of the
+    name lookup of ``ppda.model._encode``."""
+    sidx, aidx = model.state_index, model.symbol_index
+    rules, pad = model.rules, len(model.alphabet)
+    width = max([2] + [len(rule.rhs_word) for rule in rules])
+    table = np.array(
+        [(sidx[rule.lhs_state], aidx[rule.lhs_symbol], sidx[rule.rhs_state],
+          len(rule.rhs_word), *(aidx[sym] for sym in rule.rhs_word),
+          *(pad,) * (width - len(rule.rhs_word))) for rule in rules],
+        dtype=np.intp,
+    ).reshape(len(rules), 4 + width)
+    exact = tuple(rule.prob for rule in rules)
+    return RuleArrays(*table[:, :4].T, words=table[:, 4:],
+                      prob=np.array([float(p) for p in exact], dtype=float), exact=exact)
+
+
+def validate_loop(model: Pda) -> list[str]:
+    """``validate`` without a start, by a loop over the ``Rule``s of ``model``
+    that sums each row in ``Fraction``s."""
+    violations: list[str] = []
+    states, alphabet = set(model.states), set(model.alphabet)
+    for what, names in (("state", model.states), ("symbol", model.alphabet)):
+        for name in names:
+            try:
+                _check_token(name, what)
+            except ModelError as exc:
+                violations.append(str(exc))
+    if model.kind == "pda":
+        for name in model.states:
+            if name == "up" or "." in name:
+                violations.append(f"state {name!r} clashes with the transformed symbols "
+                                  "p.X.q and p.X.up: no state may be 'up' or contain '.'")
+    if model.stateless and len(model.states) != 1:
+        violations.append(f"kind {model.kind} requires exactly one control state")
+
+    max_rhs = 2 if model.kind in ("pda", "bpa") else None
+    seen_rules: set = set()
+    totals: dict[tuple[str, str], Fraction] = {}
+    for rule in model.rules:
+        where = f"rule '{rule}'"
+        for state in (rule.lhs_state, rule.rhs_state):
+            if state not in states:
+                violations.append(f"{where}: unknown state {state!r}")
+        for sym in (rule.lhs_symbol, *rule.rhs_word):
+            if sym not in alphabet:
+                violations.append(f"{where}: unknown symbol {sym!r}")
+        if max_rhs is not None and len(rule.rhs_word) > max_rhs:
+            violations.append(f"{where}: right-hand side longer than {max_rhs} "
+                              f"under kind {model.kind}")
+        key = (rule.lhs_state, rule.lhs_symbol, rule.rhs_state, rule.rhs_word)
+        if key in seen_rules:
+            violations.append(f"{where}: duplicate rule")
+        seen_rules.add(key)
+        totals[key[:2]] = totals.get(key[:2], Fraction(0)) + rule.prob
+    for (state, symbol), total in totals.items():
+        if abs(total - 1) > ROW_SUM_TOL:
+            violations.append(f"row ({state}, {symbol}): probabilities sum to {total}, not 1")
+    if model.start is not None:
+        violations.extend(_check_configuration(model, model.start))
+    return violations
+
+
+def parse_loop(text: str) -> Pda:
+    """``parse_model`` by a loop over the lines that makes one ``Rule`` per
+    rule line, with ``Fraction(text)`` for every probability, and checks the
+    model built from them with ``validate_loop``."""
+    kind = None
+    given: dict[str, tuple[int, list[str]]] = {}
+    rules: list[Rule] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if kind is None:
+            if line not in KINDS:
+                raise ModelError(f"expected model kind {KINDS}, got {line!r}", lineno)
+            kind = line
+            continue
+        if ":" not in line:
+            raise ModelError(f"expected 'directive: ...', got {line!r}", lineno)
+        directive, _, body = line.partition(":")
+        directive = directive.strip()
+        if directive == "rule":
+            rules.append(_rule_of_line(body, kind, lineno))
+        elif directive not in ("states", "alphabet", "start"):
+            raise ModelError(f"unknown directive {directive!r}", lineno)
+        elif directive in given:
+            raise ModelError(f"repeated '{directive}:' line", lineno)
+        else:
+            what = {"states": "state", "alphabet": "symbol"}.get(directive)
+            tokens = body.split()
+            for tok in tokens if what else ():
+                try:
+                    _check_token(tok, what)
+                except ModelError as exc:
+                    raise ModelError(str(exc), lineno) from None
+            given[directive] = (lineno, tokens)
+    if kind is None:
+        raise ModelError("empty model: missing kind line")
+    if kind == "pda" and "states" not in given:
+        raise ModelError("pda model missing 'states:' line")
+    if "alphabet" not in given:
+        raise ModelError("missing 'alphabet:' line")
+    states = given["states"][1] if kind == "pda" else [BPA_STATE]
+    start = None
+    if "start" in given:
+        start_line, tokens = given["start"]
+        if kind != "pda":
+            start = Configuration(BPA_STATE, tuple(tokens))
+        elif not tokens:
+            raise ModelError("empty start configuration", start_line)
+        else:
+            start = Configuration(tokens[0], tuple(tokens[1:]))
+    model = Pda(tuple(states), tuple(given["alphabet"][1]), tuple(rules), kind=kind, start=start)
+    problems = validate_loop(model)
+    if problems:
+        raise ModelError("; ".join(problems))
+    return model
+
+
+def _rule_of_line(body: str, kind: str, lineno: int) -> Rule:
+    head, arrow, tail = body.partition("->")
+    if not arrow:
+        raise ModelError("rule missing '->'", lineno)
+    rhs_text, colon, prob_text = tail.rpartition(":")
+    if not colon:
+        raise ModelError("rule missing ': probability'", lineno)
+    lhs, rhs = head.split(), rhs_text.split()
+    if kind == "pda":
+        if len(lhs) != 2:
+            raise ModelError(f"expected 'state symbol' before '->', got {head.strip()!r}", lineno)
+        if not rhs:
+            raise ModelError("pda rule needs a control state after '->'", lineno)
+        (lhs_state, lhs_symbol), rhs_state, rhs_word = lhs, rhs[0], tuple(rhs[1:])
+    else:
+        if len(lhs) != 1:
+            raise ModelError(f"expected one symbol before '->', got {head.strip()!r}", lineno)
+        lhs_state, lhs_symbol, rhs_state, rhs_word = BPA_STATE, lhs[0], BPA_STATE, tuple(rhs)
+    if kind in ("pda", "bpa") and len(rhs_word) > 2:
+        raise ModelError(f"right-hand side longer than 2 under kind {kind}", lineno)
+    try:
+        prob = Fraction(prob_text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ModelError(f"bad probability {prob_text.strip()!r}", lineno) from None
+    if not (0 < prob <= 1):
+        raise ModelError(f"probability {prob} outside (0, 1]", lineno)
+    return Rule(lhs_state, lhs_symbol, rhs_state, rhs_word, prob)
 
 
 def may_terminate_loop(model: Pda) -> frozenset[Triple]:

@@ -26,7 +26,8 @@ from ppda import Triple, exact_distribution_word, parse_model, serialize, termin
 from ppda.cli import main
 
 from helpers import (NEVER_ON_TOP, ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass,
-                     critical_pda_chain, dense_newton, random_pda, term_dp_masses)
+                     critical_pda_chain, dense_newton, perfbench_gen, random_pda,
+                     term_dp_masses)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -255,13 +256,10 @@ def benchmark_model(tmp_path, name: str) -> Path:
     bench = Path(__file__).parent.parent / "perfbench"
     if name.startswith("blocking"):
         return bench / "models" / name
-    spec = importlib.util.spec_from_file_location("perfbench_gen", bench / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
     shape, seed = name.split("_s")
     n_states, n_symbols = map(int, shape.removeprefix("random_q").split("g"))
     path = tmp_path / f"{name}.ppda"
-    path.write_text(gen.random_pda(n_states, n_symbols, int(seed)))
+    path.write_text(perfbench_gen().random_pda(n_states, n_symbols, int(seed)))
     return path
 
 
@@ -401,8 +399,8 @@ def test_transform_builds_no_rule(tmp_path, monkeypatch):
     out = tmp_path / "out.bpa"
     assert main(["transform", str(path), "--out", str(out)]) == 0
     assert out.read_text().count("\nrule: ") > len(model.rules)
-    # the parse makes one Rule per rule line of the model; the transform none
-    assert made["Rule"] == len(model.rules)
+    # the parse makes no Rule, and the transform none
+    assert made["Rule"] == 0
 
 
 @pytest.mark.parametrize("name,start", [("ab.ppda", "p.X"), ("twostate.ppda", "p.X")])
@@ -414,9 +412,8 @@ def test_analyze_counts_the_transform_without_building_it(models_dir, tmp_path, 
     assert diverging
     made = count_rules(monkeypatch)
     report = run_analyze(models_dir, tmp_path, name, start)
-    # the parse makes one Rule per rule line of the model; the transform and
-    # the analysis of its part none
-    assert made["Rule"] == len(model.rules)
+    # the parse, the transform and the analysis of its part make no Rule
+    assert made["Rule"] == 0
     assert report["transform"]["rules"] == len(bpa.rules)
     assert report["transform"]["diverging_symbols"] == diverging
 
@@ -621,7 +618,7 @@ def test_numeric_failure_exits_3(models_dir, monkeypatch, capsys, error):
 
 def count_calls(monkeypatch, *functions) -> Counter:
     """Count calls of each function under every ppda name bound to it, and
-    the systems compiled and rule arrays built from ``Rule``s, under
+    the systems compiled and the rule arrays encoded from names, under
     "CompiledSystem" and "RuleArrays"."""
     counts: Counter = Counter()
     modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "ppda"]
@@ -633,18 +630,18 @@ def count_calls(monkeypatch, *functions) -> Counter:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
-    system_init, arrays_of = ppda.termination.CompiledSystem.__init__, ppda.model.RuleArrays.of
+    system_init, encode = ppda.termination.CompiledSystem.__init__, ppda.model._encode
 
     def counted_init(self, model):
         counts["CompiledSystem"] += 1
         system_init(self, model)
 
-    def counted_of(model):
+    def counted_encode(*args, **kwargs):
         counts["RuleArrays"] += 1
-        return arrays_of(model)
+        return encode(*args, **kwargs)
 
     monkeypatch.setattr(ppda.termination.CompiledSystem, "__init__", counted_init)
-    monkeypatch.setattr(ppda.model.RuleArrays, "of", counted_of)
+    monkeypatch.setattr(ppda.model, "_encode", counted_encode)
     return counts
 
 
@@ -671,12 +668,12 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
                          ppda.termination._near_critical,
                          ppda.graph.dependence, ppda.moments.moment_matrix,
                          ppda.moments._power_iteration,
-                         ppda.bounds.classify, ppda.model.validate)
+                         ppda.bounds.classify, ppda.model._validate)
     made = count_rules(monkeypatch)
     assert main(["analyze", str(path), "--start", start,
                  "--json", str(tmp_path / "out.json")]) == 0
-    # Rules are made by the parse alone, one per rule line of the model
-    assert made["Rule"] == path.read_text().count("\nrule: ")
+    # no step makes a Rule, the parse included
+    assert made["Rule"] == 0
     # one tail report per target state
     assert counts["classify"] == (1 if path.suffix == ".bpa" else 2)
     assert counts["termination_probs"] == 1  # the model; its terminating part is not solved
@@ -689,7 +686,7 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     # the model is compiled and validated once; the stateless transform
     # output is neither
     assert counts["CompiledSystem"] == 1
-    assert counts["validate"] == 1
+    assert counts["_validate"] == 1
     # the model's rules become arrays once; the part of a stateful one is
     # built over the transform's arrays
     assert counts["RuleArrays"] == 1
@@ -701,14 +698,14 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
 def test_solve_and_transform_share_one_compile(models_dir, tmp_path, monkeypatch,
                                                source, start, target, command):
     path = model_path(models_dir, tmp_path, source)
-    counts = count_calls(monkeypatch, ppda.termination.termination_probs, ppda.model.validate)
+    counts = count_calls(monkeypatch, ppda.termination.termination_probs, ppda.model._validate)
     argv = {"transform": ["transform", str(path), "--out", str(tmp_path / "out.bpa")],
             "dist": ["dist", str(path), "--start", start, "--target", target, "--nmax", "8",
                      "--csv", str(tmp_path / "out.csv")]}[command]
     assert main(argv) == 0
     assert counts["termination_probs"] == 1
     assert counts["CompiledSystem"] == 1
-    assert counts["validate"] == 1
+    assert counts["_validate"] == 1
 
 
 def count_triples(monkeypatch) -> Counter:
@@ -1071,3 +1068,45 @@ def test_memory_error_exits_3_with_one_line(models_dir, tmp_path, monkeypatch, c
     want = f"error: out of memory: {message}" if message else "error: out of memory"
     assert capsys.readouterr().err.splitlines() == [want]
     assert not (tmp_path / "out.bpa").exists()
+
+
+# one call of each command on a parsed model
+COMMANDS = {
+    "analyze": ["analyze", "ab.ppda", "--json", "{tmp}/out.json"],
+    "transform": ["transform", "twostate.ppda", "--out", "{tmp}/out.bpa"],
+    "dist": ["dist", "ab.ppda", "--target", "q", "--nmax", "20", "--csv", "{tmp}/out.csv"],
+    "dist-bpa": ["dist", "delta2.bpa", "--nmax", "50", "--csv", "{tmp}/out.csv"],
+    "simulate": ["simulate", "tree.ppda", "--samples", "20", "--csv", "{tmp}/out.csv"],
+    "bounds": ["bounds", "delta2.bpa", "--csv", "{tmp}/out.csv"],
+}
+
+
+def command_argv(models_dir, tmp_path, command: str) -> list[str]:
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in COMMANDS[command]]
+    return [argv[0], str(models_dir / argv[1]), *argv[2:]]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_decodes_the_rules(models_dir, tmp_path, monkeypatch, command):
+    """Every step after the parse reads the rule arrays: no command makes the
+    parsed model decode its ``Rule``s."""
+    loaded = []
+
+    def parse(text):
+        loaded.append(parse_model(text))
+        return loaded[-1]
+
+    monkeypatch.setattr(ppda.cli, "parse_model", parse)
+    assert main(command_argv(models_dir, tmp_path, command)) == 0
+    assert len(loaded) == 1 and "rules" not in loaded[0].__dict__
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_numpy_ma(models_dir, tmp_path, command):
+    """``numpy.ma`` costs 2.5 MB of memory; no command imports it (np.unique,
+    np.isin and np.setdiff1d do).  Each runs in a fresh interpreter."""
+    code = ("import sys\nfrom ppda.cli import main\ncode = main(sys.argv[1:])\n"
+            "sys.exit('numpy.ma was imported' if 'numpy.ma' in sys.modules else code)")
+    argv = command_argv(models_dir, tmp_path, command)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)

@@ -1,6 +1,9 @@
+import dataclasses
+import pickle
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,12 +16,15 @@ from ppda import (
     parse_model,
     serialize,
     simulate,
+    termination_probs,
+    to_bpa,
     validate,
 )
 from ppda.model import BPA_STATE, Rule, Pda, start_problems
 
-from helpers import (NEVER_ON_TOP, POP_ORPHAN_TEXTS, missing_reachable_rows, relaxed_bpas,
-                     rules_for, serialize_loop, small_bpas, small_pdas, step_distribution)
+from helpers import (MODELS, NEVER_ON_TOP, POP_ORPHAN_TEXTS, missing_reachable_rows,
+                     parse_loop, perfbench_gen, relaxed_bpas, rule_arrays_of, rules_for,
+                     serialize_loop, small_bpas, small_pdas, step_distribution)
 
 TWOSTATE = """
 pda                      # comments allowed everywhere
@@ -126,6 +132,12 @@ MODEL_ERRORS = [
      "rule 'p X -> q : 1': unknown state 'q'"),
     (_pda(("_", "r"), ("X",), (Rule("_", "X", "_", (), Fraction(1)),), kind="bpa"),
      "kind bpa requires exactly one control state"),
+    # a directive given twice is refused, not overridden by the last
+    ("bpa\nalphabet: X\nalphabet: Y\nrule: Y -> : 1\n", "line 3: repeated 'alphabet:' line"),
+    ("pda\nstates: p\nalphabet: X\nstates: q\nrule: q X -> q : 1\n",
+     "line 4: repeated 'states:' line"),
+    ("bpa\nalphabet: X\nstart: X\nrule: X -> : 1\nstart: X X\n",
+     "line 5: repeated 'start:' line"),
 ]
 
 
@@ -314,3 +326,159 @@ def test_relaxed_round_trip():
     assert m.kind == "relaxed-bpa"
     again = parse_model(serialize(m))
     assert again == m
+
+
+# ---------------------------------------------------------------------------
+# the parser against the Rule path (helpers.parse_loop, rule_arrays_of)
+
+def assert_same_arrays(got, want):
+    for name in ("lhs_state", "lhs_symbol", "rhs_state", "length", "words"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.prob.tobytes() == want.prob.tobytes()
+    assert [Fraction(p) for p in got.exact] == [Fraction(p) for p in want.exact]
+
+
+def assert_parses_as_the_rule_path(text: str) -> None:
+    """``parse_model`` gives the arrays and the model of ``parse_loop``, or
+    fails with its message."""
+    try:
+        want = parse_loop(text)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as err:
+            parse_model(text)
+        assert str(err.value) == str(exc)
+        return
+    got = parse_model(text)
+    assert_same_arrays(got.rule_arrays, rule_arrays_of(want))
+    assert "rules" not in got.__dict__  # the parse decodes no Rule
+    assert got == want
+
+
+@pytest.mark.parametrize("name", [path.name for path in sorted(MODELS.iterdir())]
+                         + ["random_q4g20_s1", "random_q4g20_s1001"])
+def test_parse_gives_the_arrays_of_the_rule_path(name):
+    if name.startswith("random"):
+        text = perfbench_gen().random_pda(4, 20, int(name.rpartition("_s")[2]))
+    else:
+        text = (MODELS / name).read_text()
+    assert_parses_as_the_rule_path(text)
+
+
+@given(st.one_of(small_pdas(), small_pdas(max_states=3, max_symbols=3), relaxed_bpas()))
+@settings(max_examples=100, deadline=None)
+def test_parse_of_generated_models_matches_the_rule_path(model):
+    assert_parses_as_the_rule_path(serialize(model))
+
+
+def probability_text(prob: str) -> str:
+    """A model whose first rule has probability ``prob``, the rest of its row
+    on a second rule where ``prob`` is a number in (0, 1)."""
+    try:
+        value = Fraction(prob)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    rest = f"rule: X -> Y : {1 - value}\n" if value is not None and 0 < value < 1 else ""
+    return f"bpa\nalphabet: X Y\nrule: X -> : {prob}\n{rest}rule: Y -> : 1\n"
+
+
+PROBABILITY_TEXTS = st.one_of(
+    st.fractions(min_value=0, max_value=1).map(str),
+    st.floats(min_value=0, max_value=1).map(repr),
+    st.decimals(min_value=0, max_value=1, places=4).map(str),
+    st.text(alphabet="0123456789/._eE+- ", max_size=8),
+)
+
+
+@given(PROBABILITY_TEXTS)
+@settings(max_examples=200, deadline=None)
+@example("0.5")
+@example("5e-1")
+@example("1_0/2_0")
+@example("1")
+# a double of a to_bpa output, written n/d with d = 2**56, past 2**53
+@example("6840815095424681/72057594037927936")
+@example("1 / 2")
+@example("half")
+@example("1/0")
+@example("-1/2")
+@example("0")
+def test_probability_syntax_is_that_of_fraction(prob):
+    """A probability is read as ``Fraction(text)`` reads it: the same forms
+    accepted, the same double and exact value, the same messages."""
+    assert_parses_as_the_rule_path(probability_text(prob))
+
+
+@pytest.mark.parametrize("prob,message", [
+    ("1 / 2", "line 3: bad probability '1 / 2'"),
+    ("half", "line 3: bad probability 'half'"),
+    ("1/0", "line 3: bad probability '1/0'"),
+    ("-1/2", "line 3: probability -1/2 outside (0, 1]"),
+    ("0", "line 3: probability 0 outside (0, 1]"),
+])
+def test_rejected_probabilities_and_their_messages(prob, message):
+    with pytest.raises(ModelError) as err:
+        parse_model(probability_text(prob))
+    assert str(err.value) == message
+
+
+@st.composite
+def mutated_texts(draw):
+    """The text of a model with one to three edits: a rule line dropped,
+    repeated or given a bad probability, a name in a rule replaced, or a
+    line inserted."""
+    model = draw(st.one_of(small_pdas(), small_bpas(), relaxed_bpas()))
+    lines = serialize(model).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        rules = [i for i, line in enumerate(lines) if line.startswith("rule: ")]
+        edit = draw(st.sampled_from(["drop", "repeat", "name", "prob", "insert"]))
+        if edit == "insert" or not rules:
+            lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from([
+                "states: u", "alphabet: S0", "start: S0", "foo: bar", "nonsense",
+                "rule: S0 -> S0 :", "rule: u S0 -> : 1 # c", "  rule : S0 ->  : 1/1"])))
+            continue
+        i = draw(st.sampled_from(rules))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "prob":
+            lines[i] = lines[i].rpartition(" : ")[0] + " : " + draw(PROBABILITY_TEXTS)
+        else:
+            tokens = lines[i].split(" ")
+            at = draw(st.sampled_from([k for k, tok in enumerate(tokens[:-1])
+                                       if k and tok not in ("->", ":")]))
+            tokens[at] = draw(st.sampled_from(["Z", "w", "S0", "u", "_", "X-Y", "a->b", "up"]))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_texts())
+@settings(max_examples=300, deadline=None)
+@example("bpa\nalphabet: X Y\nrule: X -> Y : 1/2\nrule: X -> Y : 1/2\nrule: Y -> Z : 5/4\n")
+@example("pda\nstates: p q\nalphabet: X\nrule: p X->X -> q : 1\nrule: q X -> q : 1\n")
+@example("pda\nstates: p\nalphabet: X\nrule: p X -> p : 5/4\nfoo: bar\n")
+@example("pda\nstates: p\nalphabet: X\nfoo: bar\nrule: p X -> p : 5/4\n")
+def test_parse_errors_match_the_rule_path(text):
+    assert_parses_as_the_rule_path(text)
+
+
+def test_parse_of_a_transform_output_is_the_built_model():
+    model = parse_model(perfbench_gen().random_pda(4, 20, 1))
+    bpa = to_bpa(model, termination_probs(model)).bpa
+    again = parse_model(serialize(bpa))
+    assert_same_arrays(again.rule_arrays, bpa.rule_arrays)
+    assert again == bpa
+
+
+def test_a_parsed_model_behaves_as_one_built_from_rules():
+    """Equality, hashing, repr, pickling and dataclasses.replace see the rules
+    a parsed model decodes on first read."""
+    built, parsed = parse_loop(TWOSTATE), parse_model(TWOSTATE)
+    again = pickle.loads(pickle.dumps(parsed))
+    assert "rules" not in again.__dict__
+    assert parsed == built == again
+    assert hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    start = Configuration("q", ("Y", "X"))
+    moved = dataclasses.replace(parsed, start=start)
+    assert moved == dataclasses.replace(built, start=start) and moved.start == start
+    assert_same_arrays(moved.rule_arrays, parsed.rule_arrays)
