@@ -559,6 +559,8 @@ def parse_model(text: str) -> Pda:
             rows.append((*names, prob.numerator, prob.denominator))
         elif directive not in ("states", "alphabet", "start"):
             raise ModelError(f"unknown directive {directive!r}", lineno)
+        elif directive == "states" and kind != "pda":
+            raise ModelError("'states:' applies to pda models only", lineno)
         elif directive in given:
             raise ModelError(f"repeated '{directive}:' line", lineno)
         else:

@@ -36,9 +36,9 @@ orthogonalises once by classical Gram-Schmidt, and again only when the
 first pass loses most of the vector (Daniel, Gragg, Kaufman and Stewart
 1976).  The steps are then close enough to exact that the iterates climb
 monotonically, as exact Newton's do on monotone systems.  If GMRES misses
-that tolerance within KRYLOV_MAX_PRODUCTS products, the step is solved
-densely as on small systems, up to DENSE_FALLBACK_MAX variables; above
-that the GMRES iterate is taken as it stands.
+that tolerance within KRYLOV_MAX_PRODUCTS products, the GMRES iterate is
+taken as it stands: near a critical fixed point, where such misses
+happen, a dense solve in doubles leaves a larger residual than it does.
 
 At a critical fixed point, where I - F' is singular, Newton in doubles
 stalls about sqrt(machine epsilon) short, and rounding the rule
@@ -90,7 +90,6 @@ DOUBLING_BELOW = Decimal("1e-10")  # a doubled final step errs by about its squa
 _ONE = np.ones(1)  # the value of the padding factor
 # How a Newton step is solved; see the module docstring.
 DENSE_MAX = 192  # variables; larger systems take GMRES steps
-DENSE_FALLBACK_MAX = 4096  # largest system a missed GMRES step solves densely (128 MB)
 KRYLOV_RTOL = 1e-12
 # A recycled u enters as A u / ||A u||, and A u carries a rounding error of
 # about machine epsilon relative to u: below this theta = u.A u that error
@@ -460,17 +459,14 @@ def _solve(system: CompiledSystem, v: np.ndarray, free: np.ndarray, b: np.ndarra
            u: np.ndarray | None = None):
     """x with (I - F'(v)) x = b on the variables ``free``, and whether it was solved.
 
-    Small systems are solved densely.  Larger ones by GMRES on the
-    matrix-free operator, recycling the unit vector ``u`` when one is given;
-    if it misses KRYLOV_RTOL, the dense solve stands in while its matrix is
-    small enough, else the GMRES iterate comes back unsolved.  A singular
+    Systems of up to DENSE_MAX variables are solved densely; a singular
     matrix gives b itself, unsolved: for a Newton step, the fixed-point step.
+    Larger ones are solved by GMRES on the matrix-free operator, recycling
+    the unit vector ``u`` when one is given; if it misses KRYLOV_RTOL, its
+    iterate comes back unsolved.
     """
-    m = len(free)
-    if m > DENSE_MAX:
-        x, solved = _gmres(system.newton_operator(v, free), b, u)
-        if solved or m > DENSE_FALLBACK_MAX:
-            return x, solved
+    if len(free) > DENSE_MAX:
+        return _gmres(system.newton_operator(v, free), b, u)
     try:
         return np.linalg.solve(system.newton_matrix(v, free), b), True
     except np.linalg.LinAlgError:

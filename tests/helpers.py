@@ -454,6 +454,33 @@ def random_pda(n_states: int, n_symbols: int, seed: int, band: int = 2) -> Pda:
     return Pda(states, syms, tuple(rules), kind="pda")
 
 
+def near_critical_pda(n_states: int, n_symbols: int, seed: int) -> Pda:
+    """Seeded stateful model with a critical symbol C in every state.
+
+    Each state p has p C -> p and p C -> p C C, each 1/2: a fair walk, so
+    the fixed point is critical.  Each (p, X_i) gets a pop, a unary and a
+    binary rule with random target states and integer weights 1..5, whose
+    word symbols are C with probability 1/5 and a random X otherwise.  The
+    solve of such a model takes GMRES steps near a critical fixed point,
+    where some of them miss KRYLOV_RTOL.
+    """
+    rng = random.Random(seed)
+    states = tuple(f"p{i}" for i in range(n_states))
+    syms = tuple(f"X{i}" for i in range(n_symbols))
+    rules = [Rule(p, "C", p, word, Fraction(1, 2)) for p in states for word in ((), ("C", "C"))]
+
+    def symbol():
+        return "C" if rng.random() < 0.2 else rng.choice(syms)
+
+    for p in states:
+        for X in syms:
+            weights = [rng.randint(1, 5) for _ in range(3)]
+            words = ((), (symbol(),), (symbol(), symbol()))
+            rules += [Rule(p, X, rng.choice(states), word, Fraction(w, sum(weights)))
+                      for w, word in zip(weights, words)]
+    return Pda(states, syms + ("C",), tuple(rules), kind="pda")
+
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies
 
@@ -902,6 +929,8 @@ def parse_loop(text: str) -> Pda:
             rules.append(_rule_of_line(body, kind, lineno))
         elif directive not in ("states", "alphabet", "start"):
             raise ModelError(f"unknown directive {directive!r}", lineno)
+        elif directive == "states" and kind != "pda":
+            raise ModelError("'states:' applies to pda models only", lineno)
         elif directive in given:
             raise ModelError(f"repeated '{directive}:' line", lineno)
         else:

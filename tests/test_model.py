@@ -138,6 +138,11 @@ MODEL_ERRORS = [
      "line 4: repeated 'states:' line"),
     ("bpa\nalphabet: X\nstart: X\nrule: X -> : 1\nstart: X X\n",
      "line 5: repeated 'start:' line"),
+    # a stateless model has the one state BPA_STATE, so it names none
+    ("bpa\nstates: p q\nalphabet: X\nrule: X -> : 1\n",
+     "line 2: 'states:' applies to pda models only"),
+    ("relaxed-bpa\nalphabet: X\nstates: _\nrule: X -> : 1\n",
+     "line 3: 'states:' applies to pda models only"),
 ]
 
 

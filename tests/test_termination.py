@@ -34,6 +34,7 @@ from helpers import (
     is_almost_surely_terminating,
     may_terminate_loop,
     near_critical_names,
+    near_critical_pda,
     random_pda,
     relaxed_bpas,
     small_bpas,
@@ -401,14 +402,47 @@ def test_deflated_newton_steps_take_fewer_products_and_still_climb():
     np.testing.assert_allclose(tables[True].values, tables[False].values, rtol=0, atol=1e-13)
 
 
-def test_missed_gmres_steps_are_solved_densely(krylov, monkeypatch, tree, ab):
-    monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_PRODUCTS", 0)
-    for model in (tree, ab, CRITICAL_PDAS["unary"]):
-        table, dense = termination_probs(model), dense_table(model)
-        assert np.array_equal(table.values, dense.values)
-        assert np.array_equal(table.up, dense.up)
-        assert ((table.residual, table.iterations, table.qualitative_zero, table.tol)
-                == (dense.residual, dense.iterations, dense.qualitative_zero, dense.tol))
+@pytest.mark.parametrize("args,n", [((4, 20, 3), 324), ((6, 30, 1), 1086), ((6, 30, 6), 1079)])
+def test_near_critical_pda_sizes(args, n):
+    assert near_critical_pda(*args).compiled.n == n
+
+
+def test_missed_gmres_steps_keep_their_iterate(monkeypatch):
+    """Near a critical fixed point some GMRES steps miss KRYLOV_RTOL; each
+    keeps its iterate, no Newton matrix above DENSE_MAX is formed, and the
+    values still match the dense solve's and climb."""
+    model = near_critical_pda(4, 20, 3)
+    solves, sizes, matrix = [], [], CompiledSystem.newton_matrix
+
+    def counted(*args, **kwargs):
+        x, solved = _gmres(*args, **kwargs)
+        solves.append(solved)
+        return x, solved
+
+    def measured(self, v, free):
+        sizes.append(len(free))
+        return matrix(self, v, free)
+
+    monkeypatch.setattr(ppda.termination, "_gmres", counted)
+    monkeypatch.setattr(CompiledSystem, "newton_matrix", measured)
+    table = check_newton_monotone_and_consistent(model)
+    assert not all(solves)
+    assert max(sizes, default=0) <= ppda.termination.DENSE_MAX
+    monkeypatch.undo()
+    dense = dense_table(near_critical_pda(4, 20, 3))
+    np.testing.assert_allclose(table.values, dense.values, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(table.up, dense.up, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", CRITICAL_PDAS)
+def test_missed_gain_solves_are_near_critical(krylov, monkeypatch, name):
+    """A block whose gain solve misses has an infinite gain, even at v = 0,
+    where every gain is small."""
+    system = CRITICAL_PDAS[name].compiled
+    monkeypatch.setattr(ppda.termination, "_gmres",
+                        lambda matvec, b, u=None: (np.zeros(len(b)), False))
+    found = ppda.termination._near_critical(system, np.zeros(system.n), {})
+    assert all(comp.tolist() in found for comp in cyclic_sccs(system))
 
 
 def cyclic_sccs(system: CompiledSystem) -> list[np.ndarray]:
