@@ -53,7 +53,7 @@ from .model import (
     start_problems,
 )
 from .moments import MomentBudgetError, PowerIterationError, check_moment_budget
-from .termination import NewtonDivergedError, termination_probs
+from .termination import NewtonDivergedError, RefinementBudgetError, termination_probs
 from .transform import TransformError, to_bpa
 
 EXIT_OK = 0
@@ -390,7 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         error, code = exc, exc.code
     except (ModelError, NotAlmostSurelyTerminating) as exc:
         error, code = exc, EXIT_VALIDATION
-    except (NewtonDivergedError, PowerIterationError, TransformError, MomentBudgetError) as exc:
+    except (NewtonDivergedError, PowerIterationError, TransformError, MomentBudgetError,
+            RefinementBudgetError) as exc:
         error, code = exc, EXIT_NUMERIC
     except MemoryError as exc:
         error = f"out of memory: {exc}" if str(exc) else "out of memory"

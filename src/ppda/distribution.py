@@ -8,13 +8,15 @@ each symbol's law twice, forward and mirrored (mirror[s, n_max - j] =
 D[s, j]), so that every convolution term is one BLAS dot of two forward
 slices; a reversed slice would make NumPy copy it before each dot.  The dot
 sums the same products in the same order either way, so the mirror changes
-no bit of the masses.  All masses are kept
-unconditioned; conditioning on the terminal state divides by the triple's
-termination probability only at the reporting boundary.  A stateless start
-of several symbols empties its entries one after another, so
-``exact_distribution_word`` convolves their laws; it is the one stateless
-entry, and a single symbol is a one-symbol word.  ``dist_csv`` and
-``sample_csv`` write the tables the CLI prints; CSV is its only format.
+no bit of the masses.  A step adds its terms as Python floats, per symbol in
+rule order, and writes each sum once to the law and once to its mirror.
+All masses are kept unconditioned; conditioning on the terminal state
+divides by the triple's termination probability only at the reporting
+boundary.  A stateless start of several symbols empties its entries one
+after another, so ``exact_distribution_word`` convolves their laws; it is
+the one stateless entry, and a single symbol is a one-symbol word.
+``dist_csv`` and ``sample_csv`` write the tables the CLI prints, CSV its
+only format, a column at a time over chunks of rows.
 
 The simulator walks the induced Markov chain.  Randomness comes from Philox
 streams keyed per sample as (seed << 64) | sample_index; step t of sample i
@@ -68,8 +70,8 @@ DP_BYTES = 1 << 30
 # Step n of the DP takes one dot product of about n terms per word position
 # past the first (stateless) or per pair monomial (stateful), so a horizon
 # costs about dots * n_max^2 / 2 products.  One that would pass this many is
-# refused as well: on a 2.1 GHz Xeon the stateless DP ran 2-3e9 products/s
-# and the stateful one 5-6e8, so the limit is about a minute and three.
+# refused as well: on a 2.1 GHz Xeon the stateless DP ran 3-4e9 products/s
+# and the stateful one 5-6e8, so the limit is about half a minute and three.
 DP_PRODUCTS = 10**11
 
 
@@ -159,9 +161,9 @@ def _bpa_masses(model: Pda, n_max: int, convolutions: int = 0) -> dict[str, np.n
     # Running prefix convolutions per rule: a word of m symbols keeps a row
     # for each prefix of 2 .. m-1 symbols, whose entry j is final once the
     # step loop passes j, so each entry is filled exactly once.  The whole
-    # word's term is added to its target as soon as it is dotted, and needs
-    # no row.
-    plans = []
+    # word's term is added to its symbol's sum as soon as it is dotted, and
+    # needs no row.  Each symbol keeps its rules' plans in rule order.
+    plans = [[] for _ in model.alphabet]
     for prob, lhs, length, word in zip(rules.prob.tolist(), rules.lhs_symbol.tolist(),
                                        rules.length.tolist(), rules.words.tolist()):
         if length == 0:
@@ -169,24 +171,27 @@ def _bpa_masses(model: Pda, n_max: int, convolutions: int = 0) -> dict[str, np.n
             continue
         inner = [(mirror[sym], np.zeros(n_max + 1)) for sym in word[1 : length - 1]]
         last = mirror[word[length - 1]] if length > 1 else None
-        plans.append((prob, D[lhs], D[word[0]], inner, last))
+        plans[lhs].append((prob, D[word[0]], inner, last))
     mirror[:, n_max - 1] = D[:, 1]
+    laws = [law for law in zip(D, mirror, plans) if law[2]]
 
     # At step n the dots read laws and prefixes at 1 .. n-2 only: left[1 : n-1]
     # against mirror[n_max-n+2 : n_max], which holds D[n-2], ..., D[1] in
-    # that order.  A column copy mirrors each step's laws once they are final.
+    # that order, so a symbol's sum is final once its own terms are added.
     for n in range(2, n_max + 1):
         lo = n_max - n + 2
-        for prob, target, first, inner, last in plans:
-            left = first
-            for right, row in inner:
-                row[n - 1] = np.dot(left[1 : n - 1], right[lo:n_max])
-                left = row
-            if last is None:
-                target[n] += prob * left[n - 1]
-            else:
-                target[n] += prob * np.dot(left[1 : n - 1], last[lo:n_max])
-        mirror[:, n_max - n] = D[:, n]
+        for law, mirrored, terms in laws:
+            total = 0.0
+            for prob, first, inner, last in terms:
+                left = first
+                for right, row in inner:
+                    row[n - 1] = left[1 : n - 1].dot(right[lo:n_max])
+                    left = row
+                if last is None:
+                    total += prob * left.item(n - 1)
+                else:
+                    total += prob * float(left[1 : n - 1].dot(last[lo:n_max]))
+            law[n] = mirrored[lo - 2] = total
     return dict(zip(model.alphabet, D))
 
 
@@ -583,21 +588,15 @@ def simulate_heads(
 
 def dist_csv(table: DistTable) -> str:
     """Rows n, mass, cumulative, tail; triples get a conditional tail column."""
-    conditional = isinstance(table.subject, Triple)
+    gaps = table.tails[:-1] if table.norm is not None else np.full(len(table.mass), np.nan)
+    gaps = np.where(gaps < 0.0, 0.0, gaps)  # max(gap, 0.0), which keeps -0.0 and nan
+    # + 0.0: a running sum from +0.0, as the row loop's, never reads -0.0
+    columns = [table.mass, np.cumsum(table.mass) + 0.0, gaps]
     header = "n,mass,cumulative,tail"
-    if conditional:
+    if isinstance(table.subject, Triple):
         header += ",cond_tail"
-    lines = [header]
-    gaps = table.tails if table.norm is not None else np.full(table.n_max + 1, np.nan)
-    running = 0.0
-    for n in range(table.n_max + 1):
-        gap = max(float(gaps[n]), 0.0)
-        running += float(table.mass[n])
-        cells = [str(n), repr(float(table.mass[n])), repr(running), repr(gap)]
-        if conditional:
-            cells.append(repr(gap / table.norm if table.norm else 0.0))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        columns.append(gaps / table.norm if table.norm else np.zeros(len(gaps)))
+    return _csv(header, 0, columns)
 
 
 def sample_csv(stats: SampleStats) -> str:
@@ -606,19 +605,23 @@ def sample_csv(stats: SampleStats) -> str:
     merged = Counter()
     for counter in stats.outcomes.values():
         merged.update(counter)
-    top = max(merged, default=1)
-    lines = ["n,count,mass,cumulative,tail,stderr"]
-    running = 0
-    for n in range(min(1, min(merged, default=1)), top + 1):
-        still = stats.samples - running
-        count = merged.get(n, 0)
-        running += count
-        p = still / stats.samples
-        se = sqrt(p * (1.0 - p) / stats.samples)
-        lines.append(
-            ",".join(
-                (str(n), str(count), repr(count / stats.samples),
-                 repr(running / stats.samples), repr(p), repr(se))
-            )
-        )
-    return "\n".join(lines) + "\n"
+    first = min(1, min(merged, default=1))
+    count = np.zeros(max(merged, default=1) - first + 1, np.int64)
+    count[np.fromiter(merged, np.int64, len(merged)) - first] = list(merged.values())
+    running = np.cumsum(count)
+    p = (stats.samples - (running - count)) / stats.samples
+    return _csv("n,count,mass,cumulative,tail,stderr", first,
+                [count, count / stats.samples, running / stats.samples, p,
+                 np.sqrt(p * (1.0 - p) / stats.samples)])
+
+
+def _csv(header: str, first: int, columns: list[np.ndarray]) -> str:
+    """``header``, then a row per entry of the columns led by n from ``first``:
+    ``repr`` a column at a time over chunks of 1,024 rows, so that no column
+    is ever a full-length list of Python numbers (``str`` for n)."""
+    parts = [header]
+    for lo in range(0, len(columns[0]), 1024):
+        cells = [map(repr, column[lo : lo + 1024].tolist()) for column in columns]
+        parts.append("\n".join(map(",".join, zip(map(str, range(first + lo, first + lo + 1024)),
+                                                   *cells))))
+    return "\n".join([*parts, ""])  # the last newline without a copy of the text

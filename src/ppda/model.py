@@ -626,6 +626,10 @@ def _parse_rule(body: str, kind: str, lineno: int) -> tuple:
         raise ModelError(f"right-hand side longer than 2 under kind {kind}", lineno)
     try:
         prob = Fraction(prob_text.strip())
+        # a value such as 1E-5000 that str() cannot write back, past the
+        # interpreter's limit on integer digits, is as bad as a digit
+        # string past that limit, which Fraction() rejects
+        str(prob)
     except (ValueError, ZeroDivisionError):
         raise ModelError(f"bad probability {prob_text.strip()!r}", lineno) from None
     if not (0 < prob <= 1):

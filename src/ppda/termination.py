@@ -84,6 +84,9 @@ NEAR_CRITICAL = 1e4
 EXTENDED_DIGITS = 50
 EXTENDED_TOL = Decimal("1e-20")
 EXTENDED_ITERATIONS = 500
+# Each decimal step builds a block's m x m matrix and eliminates in O(m^3): at
+# m = 210 that took about 1 s on a 2.1 GHz Xeon.  Larger blocks are refused.
+EXTENDED_MAX = 210
 SLOW_SOLVE = 20  # Newton steps; off critical points it converges quadratically
 WARM_START = 1e-4  # a step in doubles this short is still far above their noise
 DOUBLING_BELOW = Decimal("1e-10")  # a doubled final step errs by about its square
@@ -98,6 +101,10 @@ DEFLATE_MIN = float(np.finfo(float).eps) / KRYLOV_RTOL
 NEUMANN_DEGREE = 2  # of the polynomial preconditioner: 3 products per Arnoldi step
 KRYLOV_RESTART = 60  # Arnoldi steps between restarts
 KRYLOV_MAX_PRODUCTS = 600  # operator products per solve, the last residual aside
+
+
+class RefinementBudgetError(RuntimeError):
+    """A near-critical block is larger than EXTENDED_MAX variables."""
 
 
 class NewtonDivergedError(RuntimeError):
@@ -609,9 +616,13 @@ def _extended_newton(system: CompiledSystem, members: list[int], start: np.ndarr
     rounded to doubles and an estimate of the error left.  Iterates are not
     clamped: exact Newton from below stays below the fixed point, and a
     value pinned at a critical 1 would make the matrix exactly singular.
+    A block of more than EXTENDED_MAX variables raises RefinementBudgetError.
     """
-    local = {g: k for k, g in enumerate(members)}
     m = len(members)
+    if m > EXTENDED_MAX:
+        raise RefinementBudgetError(f"the decimal refinement of a near-critical block of {m:,} "
+                                    f"variables is over its budget of {EXTENDED_MAX:,}")
+    local = {g: k for k, g in enumerate(members)}
     iterates: list[list[float]] = []
     with localcontext() as ctx:
         ctx.prec = EXTENDED_DIGITS

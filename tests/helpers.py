@@ -16,7 +16,9 @@ over sets of names (``missing_reachable_rows``) live here.  So does the
 ``Rule`` path of the parser, the oracle of its arrays and messages: a line
 loop that makes one ``Rule`` per rule line (``parse_loop``), the checks of
 a model over its ``Rule``s (``validate_loop``) and the arrays of its
-``Rule``s (``rule_arrays_of``).
+``Rule``s (``rule_arrays_of``).  The CSV writers' row loops
+(``dist_csv_loop``, ``sample_csv_loop``) are the byte oracle of the writers,
+which format by column.
 """
 
 import functools
@@ -987,6 +989,10 @@ def _rule_of_line(body: str, kind: str, lineno: int) -> Rule:
         raise ModelError(f"right-hand side longer than 2 under kind {kind}", lineno)
     try:
         prob = Fraction(prob_text.strip())
+        # a value such as 1E-5000 that str() cannot write back, past the
+        # interpreter's limit on integer digits, is as bad as a digit
+        # string past that limit, which Fraction() rejects
+        str(prob)
     except (ValueError, ZeroDivisionError):
         raise ModelError(f"bad probability {prob_text.strip()!r}", lineno) from None
     if not (0 < prob <= 1):
@@ -1376,3 +1382,41 @@ def heads_loop(
             if head is not None:
                 counts[k][(model.states[head[0]], model.alphabet[head[1]])] += 1
     return counts, kept
+
+
+def dist_csv_loop(table) -> str:
+    """``dist_csv`` one row at a time, as it was before the column writers."""
+    conditional = isinstance(table.subject, Triple)
+    header = "n,mass,cumulative,tail"
+    if conditional:
+        header += ",cond_tail"
+    lines = [header]
+    gaps = table.tails if table.norm is not None else np.full(table.n_max + 1, np.nan)
+    running = 0.0
+    for n in range(table.n_max + 1):
+        gap = max(float(gaps[n]), 0.0)
+        running += float(table.mass[n])
+        cells = [str(n), repr(float(table.mass[n])), repr(running), repr(gap)]
+        if conditional:
+            cells.append(repr(gap / table.norm if table.norm else 0.0))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def sample_csv_loop(stats: SampleStats) -> str:
+    """``sample_csv`` one row at a time, as it was before the column writers."""
+    merged = Counter()
+    for counter in stats.outcomes.values():
+        merged.update(counter)
+    top = max(merged, default=1)
+    lines = ["n,count,mass,cumulative,tail,stderr"]
+    running = 0
+    for n in range(min(1, min(merged, default=1)), top + 1):
+        still = stats.samples - running
+        count = merged.get(n, 0)
+        running += count
+        p = still / stats.samples
+        se = math.sqrt(p * (1.0 - p) / stats.samples)
+        lines.append(",".join((str(n), str(count), repr(count / stats.samples),
+                               repr(running / stats.samples), repr(p), repr(se))))
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ import ppda.transform
 from ppda import Triple, exact_distribution_word, parse_model, serialize, termination_probs, to_bpa
 from ppda.cli import main
 
-from helpers import (NEVER_ON_TOP, ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass,
+from helpers import (CRITICAL_PDAS, NEVER_ON_TOP, ORPHAN_TEXT, POP_ORPHAN_TEXTS, brute_total_mass,
                      critical_pda_chain, dense_newton, perfbench_gen, random_pda,
                      term_dp_masses)
 
@@ -1054,6 +1054,22 @@ def test_analyze_refuses_an_over_budget_part_before_the_solve(models_dir, tmp_pa
         "error: the moment matrix of 10 symbols needs 800 bytes; the budget is 100",
         "error: the moment matrix of 4 symbols needs 128 bytes; the budget is 100"]
     assert not (tmp_path / "out.json").exists()
+
+
+def test_decimal_refinement_over_its_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # the symmetric critical model refines one block of all 4 of its triples
+    path = tmp_path / "symmetric.ppda"
+    path.write_text(serialize(CRITICAL_PDAS["symmetric"]))
+    analyze = ["analyze", str(path), "--start", "u.S0", "--json", str(tmp_path / "out.json")]
+    transform = ["transform", str(path), "--out", str(tmp_path / "out.bpa")]
+    monkeypatch.setattr(ppda.termination, "EXTENDED_MAX", 3)
+    assert main(analyze) == 3 and main(transform) == 3
+    assert capsys.readouterr().err.splitlines() == 2 * [
+        "error: the decimal refinement of a near-critical block of 4 variables "
+        "is over its budget of 3"]
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.bpa").exists()
+    monkeypatch.setattr(ppda.termination, "EXTENDED_MAX", 4)
+    assert main(analyze) == 0 and main(transform) == 0
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 1.00 TiB for an array with shape "

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -22,7 +23,7 @@ from ppda import (
     termination_probs,
 )
 import ppda.distribution
-from ppda.distribution import dist_csv, sample_csv
+from ppda.distribution import DistTable, SampleStats, dist_csv, sample_csv
 
 from conftest import MODELS, load_model
 from helpers import (
@@ -31,9 +32,11 @@ from helpers import (
     bpa_masses_loop,
     brute_mass,
     brute_total_mass,
+    dist_csv_loop,
     heads_loop,
     random_pda,
     relaxed_bpas,
+    sample_csv_loop,
     simulate_loop,
     small_bpas,
     small_pdas,
@@ -106,6 +109,13 @@ def test_bpa_dp_matches_exact_enumeration(model):
         assert table.mass[n] == pytest.approx(float(truth[n]), abs=1e-12)
 
 
+# Three terms a step per symbol, whose sum depends on the order they are added in
+THREE_TERMS = make_bpa([(("X", "X", "X"), Fraction(1, 3)), (("X", "Y"), Fraction(1, 3)),
+                        (("X", "X", "Y", "X"), Fraction(1, 6)), (("X",), Fraction(1, 6)),
+                        (("Y", "X"), Fraction(1, 2)), (("Y",), Fraction(1, 2))],
+                       start="X", relaxed=True)
+
+
 @given(model=st.one_of(small_bpas(), relaxed_bpas(max_length=4)),
        n_max=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 300)))
 @settings(max_examples=80, deadline=None)
@@ -113,6 +123,8 @@ def test_bpa_dp_matches_exact_enumeration(model):
 @example(model=load_model("delta2.bpa"), n_max=4096)
 @example(model=load_model("delta3.bpa"), n_max=4096)
 @example(model=load_model("delta4.bpa"), n_max=4096)
+@example(model=load_model("delta4.bpa"), n_max=16384)  # dots past BLAS's threading cutoff
+@example(model=THREE_TERMS, n_max=300)
 def test_bpa_dp_is_bit_identical_to_the_loop(model, n_max):
     # the mirror rows feed BLAS the products of the reversed-slice dots, in order
     new, old = ppda.distribution._bpa_masses(model, n_max), bpa_masses_loop(model, n_max)
@@ -319,6 +331,57 @@ def test_dist_csv_shape(delta1, tree):
     tt = exact_distribution_pda(tree, trip, 4, norm=solved.probs[trip])
     header = dist_csv(tt).splitlines()[0]
     assert header.endswith(",cond_tail")
+
+
+MODEL_HORIZONS = dict(model=st.one_of(small_bpas(), relaxed_bpas(max_length=4), small_pdas()),
+                      horizon=st.integers(1, 300))
+SUBJECT = Triple("p", "X", "q")
+
+
+@st.composite
+def dist_tables(draw):
+    """Tables of a stateless start word, or of a triple with its termination
+    probability or with no norm, as ``ppda dist`` builds them."""
+    model, n_max = draw(MODEL_HORIZONS["model"]), draw(MODEL_HORIZONS["horizon"])
+    if model.stateless:
+        word = draw(st.lists(st.sampled_from(model.alphabet), min_size=1, max_size=3))
+        return exact_distribution_word(model, tuple(word), n_max)
+    triple = Triple(draw(st.sampled_from(model.states)), draw(st.sampled_from(model.alphabet)),
+                    draw(st.sampled_from(model.states)))
+    norm = None
+    if draw(st.booleans()):
+        norm = termination_probs(model).prob(triple.state, triple.symbol, triple.target)
+    return exact_distribution_pda(model, triple, n_max, norm=norm)
+
+
+@given(dist_tables())
+@settings(max_examples=80, deadline=None)
+@example(DistTable(SUBJECT, np.zeros(4), 3, norm=0.0))
+@example(DistTable(SUBJECT, np.array([0.0, 0.25, 0.5]), 2, norm=None))  # nan tails
+@example(DistTable(SUBJECT, np.array([0.0, 0.1, 0.2, 0.7, 0.3]), 4, norm=1.0))  # gaps below 0
+@example(DistTable("X", np.array([0.0, 0.5, 0.75]), 2, norm=1.0))
+@example(DistTable("X", np.zeros(3), 2, norm=-0.0))  # gaps of -0.0, which max keeps
+@example(exact_distribution_word(load_model("delta4.bpa"), ("X4",), 16384))
+def test_dist_csv_matches_the_row_loop(table):
+    assert dist_csv(table) == dist_csv_loop(table)
+
+
+@given(seed=st.integers(0, 2**64 - 1), samples=st.integers(1, 30), **MODEL_HORIZONS)
+@settings(max_examples=60, deadline=None)
+@example(model=make_bpa([(("X", "X", "X"), Fraction(1))], start="X"), horizon=20, samples=5,
+         seed=0)  # all censored
+@example(model=load_model("tree.ppda"), horizon=300, samples=30, seed=1)
+def test_sample_csv_matches_the_row_loop(model, horizon, samples, seed):
+    start = Configuration(model.states[0], (model.alphabet[0],))
+    stats = simulate(model, start, samples=samples, step_cap=horizon, seed=seed)
+    assert sample_csv(stats) == sample_csv_loop(stats)
+
+
+def test_sample_csv_of_an_empty_start_matches_the_row_loop():
+    stats = SampleStats(samples=7, seed=0, step_cap=5, outcomes={"_": Counter({0: 7})},
+                        censored=0)
+    assert sample_csv(stats) == sample_csv_loop(stats)
+    assert sample_csv(stats).splitlines()[1].startswith("0,7,1.0,")
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])

@@ -377,12 +377,13 @@ def test_parse_of_generated_models_matches_the_rule_path(model):
 
 def probability_text(prob: str) -> str:
     """A model whose first rule has probability ``prob``, the rest of its row
-    on a second rule where ``prob`` is a number in (0, 1)."""
+    on a second rule where ``prob`` is a number in (0, 1) whose complement
+    has a text within the interpreter's limit on integer digits."""
     try:
         value = Fraction(prob)
+        rest = f"rule: X -> Y : {1 - value}\n" if 0 < value < 1 else ""
     except (ValueError, ZeroDivisionError):
-        value = None
-    rest = f"rule: X -> Y : {1 - value}\n" if value is not None and 0 < value < 1 else ""
+        rest = ""
     return f"bpa\nalphabet: X Y\nrule: X -> : {prob}\n{rest}rule: Y -> : 1\n"
 
 
@@ -407,9 +408,13 @@ PROBABILITY_TEXTS = st.one_of(
 @example("1/0")
 @example("-1/2")
 @example("0")
+# past the interpreter's limit on the digits of an integer made into text
+@example("1E5000")
+@example("1E-5000")
 def test_probability_syntax_is_that_of_fraction(prob):
     """A probability is read as ``Fraction(text)`` reads it: the same forms
-    accepted, the same double and exact value, the same messages."""
+    accepted, the same double and exact value, the same messages.  A value
+    that ``str()`` cannot write back is a bad probability."""
     assert_parses_as_the_rule_path(probability_text(prob))
 
 
@@ -419,6 +424,8 @@ def test_probability_syntax_is_that_of_fraction(prob):
     ("1/0", "line 3: bad probability '1/0'"),
     ("-1/2", "line 3: probability -1/2 outside (0, 1]"),
     ("0", "line 3: probability 0 outside (0, 1]"),
+    ("1E5000", "line 3: bad probability '1E5000'"),
+    ("1E-5000", "line 3: bad probability '1E-5000'"),
 ])
 def test_rejected_probabilities_and_their_messages(prob, message):
     with pytest.raises(ModelError) as err:
