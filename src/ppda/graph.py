@@ -7,8 +7,8 @@ no symbol on a derivation path, so its termination time is bounded by the
 tree of size 2^|alphabet| - 1, and the height of its SCC gives d2.
 
 ``_condense`` condenses any graph given as integer edge arrays, so the
-same routine serves ``dependence`` and the near-critical check of the
-Newton solver.  It keeps per SCC only its successors, its height and
+same routine serves ``dependence`` and the SCC-by-SCC Newton solve of slow
+stateful systems.  It keeps per SCC only its successors, its height and
 whether it is cyclic: the record is linear in the size of the graph.  One
 ``DependenceInfo`` serves every start symbol of a model; what a start
 reaches is one walk of the successors from its SCC (``_reached``), so

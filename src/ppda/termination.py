@@ -42,13 +42,16 @@ happen, a dense solve in doubles leaves a larger residual than it does.
 
 At a critical fixed point, where I - F' is singular, Newton in doubles
 stalls about sqrt(machine epsilon) short, and rounding the rule
-probabilities to doubles moves the fixed point by as much.  In stateful
-models, variable SCCs whose Jacobian block is near-singular are therefore
-solved again, with all they depend on, by Newton in decimal arithmetic over
-the same compiled monomials, with the exact rule probabilities as their
-coefficients; the variables above them are then solved in doubles again.
-The SCCs come from ``graph._condense`` over the compiled system's arrays of
-F', and what each depends on from one pass down the condensation.
+probabilities to doubles moves the fixed point by as much, and one Newton
+over all variables converges at the linear rate of its worst critical SCC
+in every variable (Esparza, Kiefer and Luttenberger 2010).  A stateful solve
+that is slow is therefore solved again from zero by decomposed Newton
+(Etessami and Yannakakis 2009): one SCC of F' at a time, callees first, the
+values below held.  The SCCs come from ``graph._condense`` over the compiled
+system's arrays of F'.  An SCC whose own steps show a near-singular block
+is solved again, with every SCC it depends on that is not yet, by Newton in
+decimal arithmetic over the same compiled monomials, with the exact rule
+probabilities as their coefficients; the SCCs above it read those values.
 Stateless models are certified structurally instead, by the certain
 symbols of the moment matrix the model keeps (``Pda.moments``).
 """
@@ -62,7 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import _condense
+from .graph import _condense, _reached
 from .model import Pda, Triple, _triples
 
 __all__ = [
@@ -347,9 +350,11 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
     Newton steps from the zero vector are componentwise nondecreasing for
     this system; iterates are clamped into [0, 1] against round-off.  On a
     singular Jacobian a plain fixed-point step substitutes for that round.
-    A caller-supplied ``trace`` list receives a copy of every iterate; when
-    near-critical SCCs are refined, the iterates in doubles past the restart
-    point are replaced by the decimal ones, rounded to doubles.  The error
+    A caller-supplied ``trace`` list receives a copy of every iterate.  A
+    slow stateful solve starts again from zero, SCC by SCC, and so does its
+    trace; where an SCC is refined in decimal, its iterates in doubles past
+    the refinement's start are replaced by the decimal ones, rounded to
+    doubles.  ``iterations`` then counts the steps of that walk.  The error
     estimate of the decimal solves counts towards the residual.  A solve
     that misses ``tol`` raises NewtonDivergedError, which carries its table.
     """
@@ -358,13 +363,15 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
     system = model.compiled
     n = system.n
 
-    def newton(v: np.ndarray, free: np.ndarray):
+    def newton(v: np.ndarray, free: np.ndarray, stop_slow: bool = False):
         """Newton steps on the indices ``free``, the other entries held fixed.
 
         Returns the last iterate, the step count, the largest ratio of a step
         to its residual (a lower bound on the norm of (I - F')^-1), and the
         step count and iterate where a step first fell to WARM_START.  Each
-        solve recycles the direction of the step before it.
+        solve recycles the direction of the step before it.  With
+        ``stop_slow``, the steps stop once they are SLOW_SOLVE or the ratio
+        passes NEAR_CRITICAL.
         """
         v = v.copy()
         iterations, gain, warm = 0, 0.0, (0, v.copy())
@@ -390,42 +397,48 @@ def termination_probs(model: Pda, tol: float = DEFAULT_TOL,
                 trace.append(v.copy())
             if not warm[0] and step <= WARM_START:
                 warm = (iterations, v.copy())
-            if step <= tol:
+            if step <= tol or stop_slow and (iterations >= SLOW_SOLVE or gain > NEAR_CRITICAL):
                 break
         return v, iterations, gain, warm
 
     v = np.zeros(n)
     if trace is not None:
         trace.append(v.copy())
-    mark = len(trace) if trace is not None else 0
-    v, steps, gain, (done, warm) = newton(v, np.arange(n))
-    iterations, extended_error = steps, 0.0
-    # A stalled or slow solve hints at a critical SCC.  Each round solves the
-    # near-critical SCCs found, and all SCCs they depend on, again one by one
-    # in decimal from the first iterate with a step down to WARM_START (that
-    # far the iterates in doubles follow exact Newton closely), then the rest
-    # again in doubles; an SCC above a critical one can turn critical only
-    # then.  Stateless models get exact values from the certainty snap below.
-    exact: dict[int, Decimal] = {}
-    while not model.stateless and (steps >= SLOW_SOLVE or gain > NEAR_CRITICAL):
-        comps = _near_critical(system, v, exact)
-        if not comps:
-            break
+    v, iterations, gain, _ = newton(v, np.arange(n), stop_slow=not model.stateless)
+    extended_error = 0.0
+    # A slow stateful solve hints at a critical SCC, whose linear rate one
+    # Newton pays in every variable.  It is solved again from zero, one SCC
+    # of F' at a time, callees first, with the values below held.  An SCC
+    # whose own steps pass the NEAR_CRITICAL gain is solved again in decimal,
+    # with every SCC below it not yet refined, from its first iterate with a
+    # step down to WARM_START (that far the iterates in doubles follow exact
+    # Newton closely); the SCCs above then read its values.  Stateless models
+    # get exact values from the certainty snap below.
+    if not model.stateless and (iterations >= SLOW_SOLVE or gain > NEAR_CRITICAL):
+        info = _condense(n, system._rows, system._cols, np.arange(n))
+        v, iterations, exact = np.zeros(n), 0, {}
         if trace is not None:
-            del trace[mark + done:]
-        v = warm
-        for comp in comps:
-            iterates, error = _extended_newton(system, comp, warm[comp], exact)
-            extended_error = max(extended_error, error)
-            iterations += len(iterates)
-            for values in iterates:
-                v[comp] = values
-                if trace is not None:
-                    trace.append(v.copy())
-        mark = len(trace) if trace is not None else 0
-        rest = np.array([i for i in range(n) if i not in exact], dtype=int)
-        v, steps, gain, (done, warm) = newton(v, rest)
-        iterations += steps
+            del trace[1:]
+        for i, comp in enumerate(info.sccs):
+            mark = len(trace) if trace is not None else 0
+            v, steps, gain, (done, warm) = newton(v, np.array(sorted(comp)))
+            iterations += steps
+            if not gain > NEAR_CRITICAL:
+                continue
+            if trace is not None:
+                del trace[mark + done:]
+            v = warm
+            for j in sorted(_reached(info, i)):
+                members = sorted(info.sccs[j])
+                if members[0] in exact:
+                    continue
+                iterates, error = _extended_newton(system, members, warm[members], exact)
+                extended_error = max(extended_error, error)
+                iterations += len(iterates)
+                for values in iterates:
+                    v[members] = values
+                    if trace is not None:
+                        trace.append(v.copy())
     residual = float(np.max(np.abs(system.apply(v) - v))) if n else 0.0
     residual = max(residual, extended_error)
 
@@ -576,34 +589,6 @@ def _gmres(matvec, b: np.ndarray, u: np.ndarray | None = None):
         if k == 0:
             break
     return x, bool(beta <= target)
-
-
-def _near_critical(system: CompiledSystem, v: np.ndarray, skip) -> list[list[int]]:
-    """SCCs whose block of I - F'(v) is nearly singular, and all they depend on.
-
-    The graph of F' is condensed by ``graph._condense``; a cyclic SCC whose
-    gain ||(I - F')^-1 1|| on its block passes NEAR_CRITICAL is taken with
-    every SCC below it, marked by one pass down the successors.  SCCs in
-    ``skip`` are passed over and left out.  ``skip`` holds the SCCs of
-    earlier rounds, each taken with all it depends on, so it is closed under
-    dependence: what a found SCC depends on outside ``skip`` is new.  The
-    SCCs come callees first.
-    """
-    n = system.n
-    info = _condense(n, system._rows, system._cols, np.arange(n))
-    found = [False] * len(info.sccs)
-    for i, comp in enumerate(info.sccs):
-        if comp[0] in skip or not info.scc_cyclic[i]:
-            continue
-        x, solved = _solve(system, v, np.array(sorted(comp)), np.ones(len(comp)))
-        gain = float(np.max(np.abs(x))) if solved else math.inf
-        found[i] = not gain <= NEAR_CRITICAL
-    # callers come after their callees: each mark is final before it is passed on
-    for i in reversed(range(len(found))):
-        if found[i]:
-            for j in info.scc_successors[i]:
-                found[j] = True
-    return [sorted(comp) for comp, hit in zip(info.sccs, found) if hit and comp[0] not in skip]
 
 
 def _extended_newton(system: CompiledSystem, members: list[int], start: np.ndarray,

@@ -5,7 +5,7 @@ The distribution oracle unfolds the induced Markov chain one step at a time
 configurations.  It shares no code with the convolution dynamic program it
 is used to check.  The reachability oracles walk the dependence graph once
 per symbol, apart from the SCC pass of ``ppda.graph``; the condensation
-over sets of names (``dependence_names``, ``near_critical_names``) is the
+over sets of names (``dependence_names``, ``f_prime_names``) is the
 oracle for that pass, which works on integer arrays.  The per-start path
 (``restrict_to_reachable`` and the checks on the restriction) is the oracle
 for ``classify``, which reads the moment record the model keeps; it takes B
@@ -51,8 +51,7 @@ from ppda.model import (BPA_STATE, KINDS, ROW_SUM_TOL, ModelError, Rule, RuleArr
                         _check_configuration, _check_token)
 from ppda.moments import CRITICAL_EPS, _expectations, _power_iteration
 from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
-                              EXTENDED_TOL, NEAR_CRITICAL, NewtonDivergedError, _solve,
-                              _solve_decimal)
+                              EXTENDED_TOL, NewtonDivergedError, _solve_decimal)
 from ppda.transform import OMIT_BELOW, TransformError
 
 
@@ -416,20 +415,6 @@ def f_prime_names(system) -> NameDependence:
     for i, a in zip(system._rows.tolist(), system._cols.tolist()):
         edges[i].add(a)
     return condense_names(edges, tarjan_names(tuple(edges), edges))
-
-
-def near_critical_names(system, v: np.ndarray, skip) -> list[list[int]]:
-    """``termination._near_critical`` over the reach sets of ``f_prime_names``."""
-    info = f_prime_names(system)
-    found: set[int] = set()
-    for comp in info.sccs:
-        if comp[0] in skip or not info.on_cycle(comp[0]):
-            continue
-        x, solved = _solve(system, v, np.array(sorted(comp)), np.ones(len(comp)))
-        gain = float(np.max(np.abs(x))) if solved else math.inf
-        if not gain <= NEAR_CRITICAL:
-            found.update(info.reachable_from[comp[0]])
-    return [sorted(comp) for comp in info.sccs if comp[0] in found and comp[0] not in skip]
 
 
 def random_pda(n_states: int, n_symbols: int, seed: int, band: int = 2) -> Pda:

@@ -508,6 +508,35 @@ def test_analyze_diverging_bpa_rejected(tmp_path, capsys):
         "error: symbols reachable from X may diverge; transform or condition first"]
 
 
+def one_symbol_bpa(tmp_path, num: int, den: int) -> Path:
+    """X -> X X at num/den and X -> eps at the rest, written out."""
+    src = tmp_path / "near_one.bpa"
+    src.write_text(f"bpa\nalphabet: X\nstart: X\nrule: X -> X X : {num}/{den}\n"
+                   f"rule: X -> : {den - num}/{den}\n")
+    return src
+
+
+# Known defects: the moment matrix decides in doubles with fixed bands of
+# 1e-9 around spectral radius 1, so both models below fall inside a band.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="rho = 1 - 2e-11 lies in the critical band: case 3 with E = inf")
+def test_analyze_subcritical_near_one_is_case_2(tmp_path):
+    out = tmp_path / "out.json"
+    src = one_symbol_bpa(tmp_path, 49_999_999_999, 100_000_000_000)
+    assert main(["analyze", str(src), "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["tails"][0]["case"] == 2
+    assert report["expectations"]["values"]["X"] == pytest.approx(5e10, rel=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="rho = 1 + 2e-12 lies in the certain band: [X] is pinned to 1.0")
+def test_analyze_refuses_supercritical_near_one(tmp_path, capsys):
+    src = one_symbol_bpa(tmp_path, 500_000_000_001, 1_000_000_000_000)
+    assert main(["analyze", str(src), "--json", str(tmp_path / "out.json")]) == 2
+    assert "diverge" in capsys.readouterr().err
+
+
 def test_analyze_reports_the_bounded_horizon(tmp_path):
     # X and Y lie on no cycle, so every run from X ends within the horizon
     src, out = tmp_path / "acyclic.bpa", tmp_path / "acyclic.json"
@@ -665,10 +694,13 @@ POWER_ITERATIONS = {"tree.ppda": 0, "random": 0, "delta4.bpa": 4}
 def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, source, start):
     path = model_path(models_dir, tmp_path, source)
     counts = count_calls(monkeypatch, ppda.termination.termination_probs,
-                         ppda.termination._near_critical,
                          ppda.graph.dependence, ppda.moments.moment_matrix,
                          ppda.moments._power_iteration,
                          ppda.bounds.classify, ppda.model._validate)
+    # the solve's own condensations of F', apart from those of ``dependence``
+    condense, condensed = ppda.termination._condense, []
+    monkeypatch.setattr(ppda.termination, "_condense",
+                        lambda *args: condensed.append(args) or condense(*args))
     made = count_rules(monkeypatch)
     assert main(["analyze", str(path), "--start", start,
                  "--json", str(tmp_path / "out.json")]) == 0
@@ -677,7 +709,7 @@ def test_analyze_solves_and_condenses_once(models_dir, tmp_path, monkeypatch, so
     # one tail report per target state
     assert counts["classify"] == (1 if path.suffix == ".bpa" else 2)
     assert counts["termination_probs"] == 1  # the model; its terminating part is not solved
-    assert counts["_near_critical"] == 0  # no solve here is slow or near-critical
+    assert condensed == []  # no solve here is slow, so none condenses F'
     # the stateless model or the part, once for every start; a stateless solve
     # and its classification share them
     assert counts["dependence"] == 1
@@ -750,8 +782,9 @@ def test_triples_are_made_only_for_names(models_dir, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_critical_pda_chain_exit_codes(tmp_path, capsys, k):
-    # four links end about 1.3e-11 above 1 with a residual of 7e-21: the
-    # excess over 1 counts as residual, so the solve fails instead of passing
+    # four links end with the top value about 3.2e-12 above 1 and a zero
+    # residual: the excess over 1 counts as residual, so the solve fails
+    # instead of passing
     path = tmp_path / "chain.ppda"
     path.write_text(serialize(critical_pda_chain(k)))
     code = main(["analyze", str(path), "--json", str(tmp_path / "out.json")])

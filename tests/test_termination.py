@@ -22,7 +22,7 @@ from ppda import (
 )
 from ppda.model import Pda, Rule
 import ppda.termination
-from ppda.termination import CompiledSystem, _gmres, may_terminate
+from ppda.termination import CompiledSystem, NewtonDivergedError, _gmres, may_terminate
 
 from helpers import (
     CRITICAL_PDAS,
@@ -33,7 +33,6 @@ from helpers import (
     f_prime_names,
     is_almost_surely_terminating,
     may_terminate_loop,
-    near_critical_names,
     near_critical_pda,
     random_pda,
     relaxed_bpas,
@@ -287,7 +286,7 @@ def check_newton_monotone_and_consistent(model: Pda):
 
 @pytest.fixture
 def krylov(monkeypatch):
-    """Every Newton step and near-critical block gain goes through GMRES."""
+    """Every Newton step goes through GMRES."""
     monkeypatch.setattr(ppda.termination, "DENSE_MAX", 0)
 
 
@@ -331,18 +330,35 @@ NEAR_CRITICAL_MODELS = {**CRITICAL_PDAS, **BLOCKING,
 
 @pytest.mark.parametrize("name", NEAR_CRITICAL_MODELS)
 def test_near_critical_matches_name_set_oracle(monkeypatch, name):
-    # every call the solve makes, with its own iterate and skip set
-    near_critical, found = ppda.termination._near_critical, []
+    # each member list the decimal refinement receives is one SCC of the
+    # name-set condensation of F', refined once and after every SCC it
+    # depends on; every model refines at least one
+    real, refined = ppda.termination._extended_newton, []
 
-    def checked(system, v, skip):
-        comps = near_critical(system, v, skip)
-        assert comps == near_critical_names(system, v, skip)
-        found.append(comps)
-        return comps
+    def recorded(system, members, start, exact):
+        refined.append(members)
+        return real(system, members, start, exact)
 
-    monkeypatch.setattr(ppda.termination, "_near_critical", checked)
-    solve_unchecked(NEAR_CRITICAL_MODELS[name])
-    assert found and found[0]
+    monkeypatch.setattr(ppda.termination, "_extended_newton", recorded)
+    model = NEAR_CRITICAL_MODELS[name]
+    solve_unchecked(model)
+    info = f_prime_names(model.compiled)
+    sccs = [sorted(comp) for comp in info.sccs]
+    assert refined and all(members in sccs for members in refined)
+    order = [sccs.index(members) for members in refined]
+    assert len(set(order)) == len(order)
+    for k, i in enumerate(order):
+        assert info.scc_successors[i] <= set(order[:k])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8])
+def test_critical_pda_chains_are_exact_or_refused(k):
+    # a wrong value with a passing residual is the one outcome ruled out
+    try:
+        table = termination_probs(critical_pda_chain(k))
+    except NewtonDivergedError:
+        return
+    assert np.all(np.abs(table.values - 1.0) <= 1e-12)
 
 
 def test_krylov_above_crossover_matches_dense_newton():
@@ -408,10 +424,11 @@ def test_near_critical_pda_sizes(args, n):
 
 
 def test_missed_gmres_steps_keep_their_iterate(monkeypatch):
-    """Near a critical fixed point some GMRES steps miss KRYLOV_RTOL; each
-    keeps its iterate, no Newton matrix above DENSE_MAX is formed, and the
-    values still match the dense solve's and climb."""
+    """GMRES steps that miss KRYLOV_RTOL, here under a cap of 60 products,
+    each keep their iterate, no Newton matrix above DENSE_MAX is formed, and
+    the values still match the dense solve's and climb."""
     model = near_critical_pda(4, 20, 3)
+    monkeypatch.setattr(ppda.termination, "KRYLOV_MAX_PRODUCTS", 60)
     solves, sizes, matrix = [], [], CompiledSystem.newton_matrix
 
     def counted(*args, **kwargs):
@@ -434,19 +451,22 @@ def test_missed_gmres_steps_keep_their_iterate(monkeypatch):
     np.testing.assert_allclose(table.up, dense.up, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("name", CRITICAL_PDAS)
-def test_missed_gain_solves_are_near_critical(krylov, monkeypatch, name):
-    """A block whose gain solve misses has an infinite gain, even at v = 0,
-    where every gain is small."""
-    system = CRITICAL_PDAS[name].compiled
-    monkeypatch.setattr(ppda.termination, "_gmres",
-                        lambda matvec, b, u=None: (np.zeros(len(b)), False))
-    found = ppda.termination._near_critical(system, np.zeros(system.n), {})
-    assert all(comp.tolist() in found for comp in cyclic_sccs(system))
+# operator products of each solve when one Newton ran over all variables
+# and then restarted the near-critical SCCs from its warm iterate
+@pytest.mark.parametrize("args,products_before", [((4, 20, 3), 8_178), ((6, 30, 1), 9_919),
+                                                  ((6, 30, 6), 5_652)])
+def test_near_critical_family_solves_scc_by_scc(args, products_before):
+    with pytest.MonkeyPatch.context() as mp:
+        products = count_products(mp)
+        table = check_newton_monotone_and_consistent(near_critical_pda(*args))
+    assert 5 * len(products) <= products_before
+    dense = dense_table(near_critical_pda(*args))
+    np.testing.assert_allclose(table.values, dense.values, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(table.up, dense.up, rtol=0, atol=1e-15)
 
 
 def cyclic_sccs(system: CompiledSystem) -> list[np.ndarray]:
-    """The sorted cyclic SCCs of the graph of F', as ``_near_critical`` solves them."""
+    """The sorted cyclic SCCs of the graph of F'."""
     info = f_prime_names(system)
     return [np.array(sorted(comp)) for comp in info.sccs if info.on_cycle(comp[0])]
 
