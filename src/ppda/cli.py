@@ -1,17 +1,19 @@
 """Command-line front end: analyze, transform, dist, simulate, bounds.
 
 ``analyze`` classifies every start through the moment record of the model,
-or of the terminating part ``to_bpa`` returns.  ``_emit`` writes all output.
+or of the terminating part ``to_bpa`` returns.  ``_emit`` opens every
+output once, after the computation, and the writers stream into it.
 
 Exit codes, set in ``main`` alone, each failure on one line: 0 success, 2
 file/parse/validation problems, bad flag values (an ``--nmax`` past the
-DP's byte budget too) and unwritable outputs, 3 numeric failures
-(non-convergence, a transform row that misses 1, a threshold beyond a
-double or undefined, a moment matrix past ``moments.MOMENT_BYTES``, which
-``analyze`` checks against the triples that may terminate before the
-solve) and running out of memory.  All commands are deterministic given
-their flags; JSON reports round floats to 12 significant digits and spell
-infinity "inf".
+DP's byte budget and an empty output path too) and unwritable outputs,
+stdout too, 3 numeric failures (non-convergence, a transform row that
+misses 1, a threshold beyond a double or undefined, a moment matrix past
+``moments.MOMENT_BYTES``, which ``analyze`` checks against the triples that
+may terminate before the solve) and running out of memory.  A failure
+after an output file is opened removes it, if it is a regular file.  All
+commands are deterministic given their flags; JSON reports round floats to
+12 significant digits and spell infinity "inf".
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -145,15 +149,34 @@ def _tail_report_dict(rep: TailReport) -> dict:
     return {name: getattr(rep, name) for name in fields}
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write a command's output to ``path``, or to stdout when none is given."""
-    if not path:
-        sys.stdout.write(text)
+def _emit(path: str | None, write: Callable[[TextIO], object]) -> None:
+    """Open the command's output once, the file at ``path`` or stdout when
+    none is given, and hand it to ``write``, which writes the text into it.
+    A regular file left part-written by a failure is removed, so that no
+    cut-off model text is left to parse as another model."""
+    if path is None:
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe or a full disk
+            # the interpreter's flush at exit would fail again, with a second message
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise CliError(f"cannot write stdout: {exc}") from exc
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        out = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+    regular = os.path.isfile(path)  # not a pipe or a device
+    try:
+        with out:
+            write(out)
+    except BaseException as exc:
+        if regular:
+            Path(path).unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise CliError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +255,7 @@ def cmd_analyze(args) -> int:
 
     report["timings"] = {"parse_s": t_parse, "solve_s": t_solve, "bounds_s": t_bounds}
 
-    _emit(_report_json(report), args.json)
+    _emit(args.json, lambda out: out.write(_report_json(report)))
     return EXIT_OK
 
 
@@ -241,8 +264,8 @@ def cmd_transform(args) -> int:
     if model.stateless:
         raise CliError("model is already stateless")
     result = to_bpa(model, termination_probs(model))
-    del model  # with its compiled system, before the text is built
-    _emit(serialize(result.bpa), args.out)
+    del model  # with its compiled system, before the text is written
+    _emit(args.out, lambda out: serialize(result.bpa, out))
     return EXIT_OK
 
 
@@ -271,7 +294,7 @@ def cmd_dist(args) -> int:
         mass = exact_distribution_pda(model, triple, args.nmax).mass
         norm = termination_probs(model).prob(triple.state, triple.symbol, triple.target)
         table = DistTable(subject=triple, mass=mass, n_max=args.nmax, norm=norm)
-    _emit(dist_csv(table), args.csv)
+    _emit(args.csv, lambda out: dist_csv(table, out))
     return EXIT_OK
 
 
@@ -279,7 +302,7 @@ def cmd_simulate(args) -> int:
     model = _load(args.model)
     start = _parse_start(model, args.start)
     stats = simulate(model, start, samples=args.samples, step_cap=args.cap, seed=args.seed)
-    _emit(sample_csv(stats), args.csv)
+    _emit(args.csv, lambda out: sample_csv(stats, out))
     per_state = {q: sum(c.values()) for q, c in sorted(stats.outcomes.items())}
     print(
         f"samples={stats.samples} terminated={stats.terminated} censored={stats.censored} "
@@ -322,7 +345,7 @@ def cmd_bounds(args) -> int:
         cells = [str(n), repr(low), repr(up)]
         cells.append(repr(tail(exact, n)) if exact is not None else "")
         lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.csv)
+    _emit(args.csv, lambda out: out.write("\n".join(lines) + "\n"))
 
     caveat = " (valid beyond an unknown n0)" if threshold.n0_caveat else ""
     print(f"case={report.case} threshold(eps={args.eps})={threshold.n}{caveat}",
@@ -385,6 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "csv", "json"):
+            if getattr(args, flag, None) == "":
+                raise CliError(f"--{flag} needs a path; it writes to stdout when left out")
         return args.func(args)
     except CliError as exc:
         error, code = exc, exc.code

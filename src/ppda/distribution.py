@@ -16,7 +16,8 @@ boundary.  A stateless start of several symbols empties its entries one
 after another, so ``exact_distribution_word`` convolves their laws; it is
 the one stateless entry, and a single symbol is a one-symbol word.
 ``dist_csv`` and ``sample_csv`` write the tables the CLI prints, CSV its
-only format, a column at a time over chunks of rows.
+only format, a column at a time over chunks of rows, each chunk straight
+to the destination.
 
 The simulator walks the induced Markov chain.  Randomness comes from Philox
 streams keyed per sample as (seed << 64) | sample_index; step t of sample i
@@ -38,15 +39,18 @@ step 0.
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
+from typing import TextIO
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import Configuration, ModelError, Pda, Triple, _triples, start_problems
+from .model import (CHUNK_ROWS, Configuration, ModelError, Pda, Triple, _triples,
+                    start_problems)
 from .termination import CompiledSystem
 
 __all__ = [
@@ -586,8 +590,9 @@ def simulate_heads(
 # ---------------------------------------------------------------------------
 # CSV export
 
-def dist_csv(table: DistTable) -> str:
-    """Rows n, mass, cumulative, tail; triples get a conditional tail column."""
+def dist_csv(table: DistTable, out: TextIO | None = None) -> str | None:
+    """Rows n, mass, cumulative, tail; triples get a conditional tail column.
+    Written to ``out``, or returned without it (``_csv``)."""
     gaps = table.tails[:-1] if table.norm is not None else np.full(len(table.mass), np.nan)
     gaps = np.where(gaps < 0.0, 0.0, gaps)  # max(gap, 0.0), which keeps -0.0 and nan
     # + 0.0: a running sum from +0.0, as the row loop's, never reads -0.0
@@ -596,12 +601,13 @@ def dist_csv(table: DistTable) -> str:
     if isinstance(table.subject, Triple):
         header += ",cond_tail"
         columns.append(gaps / table.norm if table.norm else np.zeros(len(gaps)))
-    return _csv(header, 0, columns)
+    return _csv(header, 0, columns, out)
 
 
-def sample_csv(stats: SampleStats) -> str:
+def sample_csv(stats: SampleStats, out: TextIO | None = None) -> str | None:
     """Empirical mass/tail rows from step 1, or 0 when a run ends there (an
-    empty start), up to the largest observed termination time."""
+    empty start), up to the largest observed termination time.  Written to
+    ``out``, or returned without it (``_csv``)."""
     merged = Counter()
     for counter in stats.outcomes.values():
         merged.update(counter)
@@ -612,16 +618,21 @@ def sample_csv(stats: SampleStats) -> str:
     p = (stats.samples - (running - count)) / stats.samples
     return _csv("n,count,mass,cumulative,tail,stderr", first,
                 [count, count / stats.samples, running / stats.samples, p,
-                 np.sqrt(p * (1.0 - p) / stats.samples)])
+                 np.sqrt(p * (1.0 - p) / stats.samples)], out)
 
 
-def _csv(header: str, first: int, columns: list[np.ndarray]) -> str:
-    """``header``, then a row per entry of the columns led by n from ``first``:
-    ``repr`` a column at a time over chunks of 1,024 rows, so that no column
-    is ever a full-length list of Python numbers (``str`` for n)."""
-    parts = [header]
-    for lo in range(0, len(columns[0]), 1024):
-        cells = [map(repr, column[lo : lo + 1024].tolist()) for column in columns]
-        parts.append("\n".join(map(",".join, zip(map(str, range(first + lo, first + lo + 1024)),
-                                                   *cells))))
-    return "\n".join([*parts, ""])  # the last newline without a copy of the text
+def _csv(header: str, first: int, columns: list[np.ndarray],
+         out: TextIO | None = None) -> str | None:
+    """``header``, then a row per entry of the columns led by n from ``first``,
+    written to ``out`` ``CHUNK_ROWS`` rows at a time, or returned without it:
+    ``repr`` a column at a time, so that no column is ever a full-length
+    list of Python numbers (``str`` for n), and no text written to ``out``
+    is ever whole."""
+    sink = io.StringIO() if out is None else out
+    sink.write(header + "\n")
+    for lo in range(0, len(columns[0]), CHUNK_ROWS):
+        hi = lo + CHUNK_ROWS
+        cells = [map(repr, column[lo:hi].tolist()) for column in columns]
+        sink.write("\n".join(map(",".join, zip(map(str, range(first + lo, first + hi)), *cells))))
+        sink.write("\n")
+    return sink.getvalue() if out is None else None

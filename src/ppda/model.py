@@ -14,6 +14,7 @@ where a caller reads ``Pda.rules``.
 
 from __future__ import annotations
 
+import io
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import truediv
-from typing import Iterable
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -51,6 +52,9 @@ KINDS = ("pda", "bpa", "relaxed-bpa")
 ROW_SUM_TOL = Fraction(1, 10**9)
 
 _RESERVED = ("->", ":", "#")
+
+# Rule lines or CSV rows that a text writer formats and writes at a time.
+CHUNK_ROWS = 1024
 
 
 class ModelError(ValueError):
@@ -639,32 +643,80 @@ def _parse_rule(body: str, kind: str, lineno: int) -> tuple:
     return (*lhs, *rhs, *[None] * (2 + (kind == "pda") - len(rhs)), prob)
 
 
-def serialize(model: Pda) -> str:
-    """Render a model in the text format; parse_model(serialize(m)) == m.
-
-    The rule lines are written from ``model.rule_arrays``, so a model built
-    from arrays makes no ``Rule``.  Each probability p is written as the
-    fraction it equals, n/d from p.as_integer_ratio(), or n when d is 1:
-    str(p) for a ``Fraction``, str(Fraction(p)) for a double.
-    """
-    arrays = model.rule_arrays
-    names = np.array(model.alphabet + ("",), dtype=object)  # padding is no symbol
-    lhs, rhs, first = names[arrays.lhs_symbol], names[arrays.words[:, 0]], 1
+def _header(model: Pda) -> str:
+    """The lines of a model's text before its rules."""
     lines = [model.kind]
     if model.kind == "pda":
-        states = np.array(model.states, dtype=object)
-        lhs, rhs, first = states[arrays.lhs_state] + " " + lhs, states[arrays.rhs_state], 0
         lines.append("states: " + " ".join(model.states))
-    for j in range(first, arrays.words.shape[1]):
-        more = arrays.length > j
-        rhs[more] = rhs[more] + " " + names[arrays.words[more, j]]
     lines.append("alphabet: " + " ".join(model.alphabet))
     if model.start is not None:
         stack = model.start.stack
         lines.append("start: " + " ".join((model.start.state, *stack) if model.kind == "pda"
                                           else stack))
-    for lhs_text, rhs_text, prob in zip(lhs.tolist(), rhs.tolist(), arrays.exact):
-        num, den = prob.as_integer_ratio()
-        lines.append(f"rule: {lhs_text} -> {rhs_text} : {num}/{den}" if den != 1 else
-                     f"rule: {lhs_text} -> {rhs_text} : {num}")
     return "\n".join(lines) + "\n"
+
+
+def serialize(model: Pda, out: TextIO | None = None) -> str | None:
+    """Render a model in the text format; parse_model(serialize(m)) == m.
+
+    With ``out``, the text is written to it ``CHUNK_ROWS`` rule lines at a
+    time and is never held whole; without, it is returned.  The rule lines
+    are read from ``model.rule_arrays``, so a model built from arrays makes
+    no ``Rule``.  Each probability p is written as the fraction it equals,
+    n/d in lowest terms, or n when d is 1: str(p) for a ``Fraction``,
+    str(Fraction(p)) for a double.
+    """
+    sink = io.StringIO() if out is None else out
+    pda = model.kind == "pda"
+    sink.write(_header(model))
+    arrays = model.rule_arrays
+    names = np.array(model.alphabet + ("",), dtype=object)  # padding is no symbol
+    states = np.array(model.states, dtype=object)
+    powers: dict[int, str] = {}  # "/2^k" by k, shared by the chunks
+
+    def write_chunk(rows: slice) -> None:
+        # A line's right-hand side is its first name (the state of a pda,
+        # the first symbol or "" of a bpa) and ``rest`` more names, in one
+        # of three forms; a relaxed word's fourth symbol on is joined to
+        # its third.  A call of its own, so that a chunk's arrays and lists
+        # are gone before the next chunk's are made.  The probabilities
+        # come first, so that their arrays are gone before the names' are
+        # made, and the lines read the names' object arrays with no list.
+        if isinstance(arrays.exact, np.ndarray):
+            nums, dens = _binary_fractions(arrays.exact[rows], powers)
+        else:
+            pairs = [arrays.exact[i].as_integer_ratio() for i in range(len(arrays.exact))[rows]]
+            nums = [num for num, _ in pairs]
+            dens = [f"/{den}" if den != 1 else "" for _, den in pairs]
+        lhs = names[arrays.lhs_symbol[rows]]
+        columns = [names[column] for column in arrays.words[rows].T]
+        if pda:
+            lhs = states[arrays.lhs_state[rows]] + " " + lhs
+            columns.insert(0, states[arrays.rhs_state[rows]])
+        rest = arrays.length[rows] - (not pda)
+        while len(columns) > 3:
+            last = columns.pop()
+            more = rest >= len(columns)  # the rows whose word reaches the last column
+            columns[-1][more] = columns[-1][more] + " " + last[more]
+        rest = rest.tolist()
+        sink.writelines(f"rule: {l} -> {h} {a} {b} : {n}{d}\n" if r > 1 else
+                        f"rule: {l} -> {h} {a} : {n}{d}\n" if r == 1 else
+                        f"rule: {l} -> {h} : {n}{d}\n"
+                        for l, h, a, b, r, n, d in zip(lhs, columns[0], columns[1], columns[-1],
+                                                       rest, nums, dens))
+
+    for lo in range(0, len(arrays.prob), CHUNK_ROWS):
+        write_chunk(slice(lo, lo + CHUNK_ROWS))
+    return sink.getvalue() if out is None else None
+
+
+def _binary_fractions(probs: np.ndarray, powers: dict[int, str]) -> tuple[list, list]:
+    """Doubles p in (0, 1] as n/2^k in lowest terms: the n, and "/2^k", or
+    "" for k = 0, each text made once into ``powers``."""
+    mant, exp = np.frexp(probs)  # p = mant 2^exp with 1/2 <= mant < 1
+    num = np.ldexp(mant, 53).astype(np.int64)  # p = num / 2^(53 - exp), exactly
+    shift = np.frexp(num & -num)[1] - 1  # the trailing zero bits of num, as 2^t = 1/2 2^(t + 1)
+    ks = (53 - exp - shift).tolist()
+    for k in set(ks).difference(powers):
+        powers[k] = f"/{1 << k}" if k else ""
+    return (num >> shift).tolist(), list(map(powers.__getitem__, ks))

@@ -18,11 +18,15 @@ loop that makes one ``Rule`` per rule line (``parse_loop``), the checks of
 a model over its ``Rule``s (``validate_loop``) and the arrays of its
 ``Rule``s (``rule_arrays_of``).  The CSV writers' row loops
 (``dist_csv_loop``, ``sample_csv_loop``) are the byte oracle of the writers,
-which format by column.
+which format by column; ``written`` checks that a writer writes into a
+sink the text it returns without one, and ``CHUNK_EDGES`` are the rule and
+row counts about the edges of the writers' chunks.
 """
 
+import dataclasses
 import functools
 import importlib.util
+import io
 import math
 import random
 from collections import Counter, defaultdict
@@ -47,8 +51,8 @@ from ppda import (
 )
 from ppda.bounds import CASE3_LOWER_EXPONENT
 from ppda.distribution import SampleStats, _check_budget
-from ppda.model import (BPA_STATE, KINDS, ROW_SUM_TOL, ModelError, Rule, RuleArrays,
-                        _check_configuration, _check_token)
+from ppda.model import (BPA_STATE, CHUNK_ROWS, KINDS, ROW_SUM_TOL, ModelError, Rule,
+                        RuleArrays, _check_configuration, _check_token)
 from ppda.moments import CRITICAL_EPS, _expectations, _power_iteration
 from ppda.termination import (DOUBLING_BELOW, EXTENDED_DIGITS, EXTENDED_ITERATIONS,
                               EXTENDED_TOL, NewtonDivergedError, _solve_decimal)
@@ -813,6 +817,40 @@ def serialize_loop(model: Pda) -> str:
     for lhs, rhs, prob in rows:
         lines.append(f"rule: {lhs} -> {rhs} : {prob}")
     return "\n".join(lines) + "\n"
+
+
+def written(writer, *args) -> str:
+    """The text ``writer(*args, out)`` writes into a sink, checked to be the
+    text ``writer(*args)`` returns."""
+    sink = io.StringIO()
+    assert writer(*args, sink) is None
+    assert sink.getvalue() == writer(*args)
+    return sink.getvalue()
+
+
+# rule or row counts one short of a chunk, at one, one past it and one past two
+CHUNK_EDGES = (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1)
+
+
+def rule_count_models(n: int) -> tuple[Pda, Pda]:
+    """A pda of ``n`` rules with exact rationals, and the bpa of as many
+    rules over doubles, as the transform's models hold them.  Each symbol
+    X<i> but the last has three rules, one of each line form: a pop, one
+    symbol pushed and two pushed."""
+    symbols = [f"X{i}" for i in range(-(-n // 3))]
+    weights = {1: ["1"], 2: ["1/4", "3/4"], 3: ["1/3", "1/6", "1/2"]}
+    pda_lines, bpa_lines = [], []
+    for i, lhs in enumerate(symbols):
+        words = ("", f" {symbols[(i + 1) % len(symbols)]}", f" {lhs} X0")
+        group = min(3, n - 3 * i)
+        for word, prob in zip(words, weights[group]):
+            pda_lines.append(f"rule: p {lhs} -> q{word} : {prob}")
+            bpa_lines.append(f"rule: {lhs} ->{word} : {prob}")
+    alphabet = "alphabet: " + " ".join(symbols)
+    pda = parse_model("\n".join(["pda", "states: p q", alphabet, *pda_lines]) + "\n")
+    bpa = parse_model("\n".join(["bpa", alphabet, *bpa_lines]) + "\n")
+    doubles = dataclasses.replace(bpa.rule_arrays, exact=bpa.rule_arrays.prob)
+    return pda, Pda.from_arrays(bpa.states, bpa.alphabet, doubles, "bpa")
 
 
 MODELS = Path(__file__).parent.parent / "models"

@@ -812,6 +812,16 @@ INLINE_MODELS = {
 }
 
 
+# each command with the flag that names its output file, on a model it accepts
+OUTPUT_FLAGS = {
+    "analyze": ["tree.ppda", "--json"],
+    "transform": ["ab.ppda", "--out"],
+    "dist": ["delta1.bpa", "--csv"],
+    "simulate": ["tree.ppda", "--samples", "50", "--seed", "3", "--csv"],
+    "bounds": ["delta1.bpa", "--csv"],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "ab.ppda", "--tol", "0"],
     ["analyze", "ab.ppda", "--tol", "-1"],
@@ -853,11 +863,15 @@ INLINE_MODELS = {
     ["bounds", "word.bpa"],
     ["dist", "word.ppda"],
     ["dist", "word.ppda", "--target", "p"],
+    # an empty output path, refused before the model (here none) is read
+    *([command, "missing.ppda", *OUTPUT_FLAGS[command][1:], ""] for command in OUTPUT_FLAGS),
 ], ids=" ".join)
 def test_bad_flag_values_exit_2(models_dir, tmp_path, capsys, argv):
     err = run_exit_2(models_dir, tmp_path, capsys, argv)
     if argv[1].startswith("orphan"):
         assert "pair (q, Y) reachable from start but has no rules" in err
+    if argv[-1] == "":
+        assert err == f"error: {argv[-2]} needs a path; it writes to stdout when left out"
 
 
 CLI_ERRORS = [
@@ -886,14 +900,22 @@ def run_exit_2(models_dir, tmp_path, capsys, argv) -> str:
     return err[0]
 
 
-# each command with the flag that names its output file, on a model it accepts
-OUTPUT_FLAGS = {
-    "analyze": ["tree.ppda", "--json"],
-    "transform": ["ab.ppda", "--out"],
-    "dist": ["delta1.bpa", "--csv"],
-    "simulate": ["tree.ppda", "--samples", "50", "--seed", "3", "--csv"],
-    "bounds": ["delta1.bpa", "--csv"],
-}
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # two chunks of rules: the second fails after the first is written
+    path, out = benchmark_model(tmp_path, "random_q4g20_s1"), tmp_path / "out.bpa"
+    chunks = []
+
+    def fail_after_one(probs, powers):
+        if chunks:
+            raise MemoryError
+        chunks.append(out.stat().st_size)
+        return binary_fractions(probs, powers)
+
+    binary_fractions = ppda.model._binary_fractions
+    monkeypatch.setattr(ppda.model, "_binary_fractions", fail_after_one)
+    assert main(["transform", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+    assert chunks and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "transform", "dist", "simulate"])
@@ -937,6 +959,24 @@ def test_output_and_range_failures_exit_with_one_line(models_dir, tmp_path, argv
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
+def test_an_unwritable_stdout_exits_2_with_one_line(models_dir, stdout):
+    if not Path(stdout).exists() and stdout != "closed pipe":
+        pytest.skip(f"no {stdout} here")
+    argv = [sys.executable, "-m", "ppda", "transform", str(models_dir / "ab.ppda")]
+    if stdout == "closed pipe":  # the reader is gone before the text is written
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err, code = proc.stderr.read(), proc.wait(timeout=60)
+        proc.stderr.close()
+    else:  # every write fails for want of space
+        with open(stdout, "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        err, code = proc.stderr, proc.returncode
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write stdout: ")
 
 
 def test_dp_over_its_work_budget_is_refused_at_once(models_dir):

@@ -27,6 +27,7 @@ from ppda.distribution import DistTable, SampleStats, dist_csv, sample_csv
 
 from conftest import MODELS, load_model
 from helpers import (
+    CHUNK_EDGES,
     CRITICAL_PDAS,
     ORPHAN_TEXT,
     bpa_masses_loop,
@@ -42,6 +43,7 @@ from helpers import (
     small_pdas,
     subcritical_unit,
     term_dp_masses,
+    written,
 )
 
 BUNDLED = sorted(path.name for path in MODELS.iterdir())
@@ -363,7 +365,7 @@ def dist_tables(draw):
 @example(DistTable("X", np.zeros(3), 2, norm=-0.0))  # gaps of -0.0, which max keeps
 @example(exact_distribution_word(load_model("delta4.bpa"), ("X4",), 16384))
 def test_dist_csv_matches_the_row_loop(table):
-    assert dist_csv(table) == dist_csv_loop(table)
+    assert written(dist_csv, table) == dist_csv_loop(table)
 
 
 @given(seed=st.integers(0, 2**64 - 1), samples=st.integers(1, 30), **MODEL_HORIZONS)
@@ -374,7 +376,22 @@ def test_dist_csv_matches_the_row_loop(table):
 def test_sample_csv_matches_the_row_loop(model, horizon, samples, seed):
     start = Configuration(model.states[0], (model.alphabet[0],))
     stats = simulate(model, start, samples=samples, step_cap=horizon, seed=seed)
-    assert sample_csv(stats) == sample_csv_loop(stats)
+    assert written(sample_csv, stats) == sample_csv_loop(stats)
+
+
+@pytest.mark.parametrize("rows", CHUNK_EDGES)
+def test_csv_writers_match_the_row_loops_at_the_chunk_edges(rows):
+    mass = np.random.default_rng(rows).random(rows) / rows
+    for table in (DistTable(SUBJECT, mass, rows - 1, norm=0.75),
+                  DistTable("X", mass, rows - 1, norm=1.0)):
+        text = written(dist_csv, table)
+        assert text == dist_csv_loop(table) and text.count("\n") == rows + 1
+    # a run ending at each step from 1 to ``rows``, and one at 0 besides
+    for first in (1, 0):
+        stats = SampleStats(samples=rows + 1 - first, seed=0, step_cap=rows,
+                            outcomes={"_": Counter(range(first, rows + 1))}, censored=0)
+        text = written(sample_csv, stats)
+        assert text == sample_csv_loop(stats) and text.count("\n") == rows + 2 - first
 
 
 def test_sample_csv_of_an_empty_start_matches_the_row_loop():

@@ -22,9 +22,10 @@ from ppda import (
 )
 from ppda.model import BPA_STATE, Rule, Pda, start_problems
 
-from helpers import (MODELS, NEVER_ON_TOP, POP_ORPHAN_TEXTS, missing_reachable_rows,
-                     parse_loop, perfbench_gen, relaxed_bpas, rule_arrays_of, rules_for,
-                     serialize_loop, small_bpas, small_pdas, step_distribution)
+from helpers import (CHUNK_EDGES, MODELS, NEVER_ON_TOP, POP_ORPHAN_TEXTS,
+                     missing_reachable_rows, parse_loop, perfbench_gen, relaxed_bpas,
+                     rule_arrays_of, rule_count_models, rules_for, serialize_loop, small_bpas,
+                     small_pdas, step_distribution, written)
 
 TWOSTATE = """
 pda                      # comments allowed everywhere
@@ -313,8 +314,18 @@ def test_serialize_round_trip_bpa(model):
 @given(st.one_of(small_pdas(), small_bpas(), relaxed_bpas()))
 @settings(max_examples=100, deadline=None)
 def test_serialize_writes_the_bytes_of_the_rule_loop(model):
-    """The writer reads the rule arrays; a loop over the Rules is its oracle."""
-    assert serialize(model) == serialize_loop(model)
+    """The writer reads the rule arrays; a loop over the Rules is its oracle,
+    of the text written into a sink and of the text returned."""
+    assert written(serialize, model) == serialize_loop(model)
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+def test_serialize_writes_the_bytes_of_the_rule_loop_at_the_chunk_edges(n):
+    for model in rule_count_models(n):
+        text = written(serialize, model)
+        assert text == serialize_loop(model)
+        assert text.count("\nrule: ") == n
+        assert parse_model(text) == model
 
 
 def test_serialize_round_trip_examples(tree, ab, twostate, delta3):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from helpers import (
     chained_critical,
     is_almost_surely_terminating,
     p_min,
+    perfbench_gen,
     random_pda,
     rules_by_pair,
     rules_for,
@@ -196,6 +198,28 @@ def test_serialize_writes_the_result_as_its_bpa(name):
         assert "rules" not in vars(stateless)  # written without decoding a Rule
         assert text == serialize_loop(stateless)
         assert text.count("\nrule: ") == len(stateless.rule_arrays.prob) == len(stateless.rules)
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_serialize_to_a_file_never_holds_the_text(tmp_path):
+    # random (6, 30) seed 1002 of the benchmark's generator: 7,740 rules, 8 chunks
+    model = parse_model(perfbench_gen().random_pda(6, 30, 1002))
+    bpa = to_bpa(model, termination_probs(model)).bpa
+    length = len(serialize(bpa))
+    assert len(bpa.rule_arrays.prob) == 7740
+    with open(tmp_path / "out.bpa", "w", encoding="utf-8") as out:
+        assert traced_peak(lambda: serialize(bpa, out)) < length / 4
+    assert (tmp_path / "out.bpa").stat().st_size == length
+    assert traced_peak(lambda: serialize(bpa)) > length
 
 
 @given(st.one_of(small_pdas(), small_pdas(max_states=3, max_symbols=3)))
