@@ -26,15 +26,16 @@ regardless of execution order.  One walker, ``_walk``, serves ``simulate``
 and ``simulate_heads``: it advances a batch of runs in lockstep, one NumPy
 step for all live runs, with the stacks as rows of small unsigned integers
 and the rules as a table of cumulative probabilities that makes every
-``r < cum`` decision of a one-run-at-a-time walk.  Runs that end leave by
-compaction, and for ``simulate`` samples not yet walked take their places,
-so that heavy tails do not leave a few runs stepping alone.  Uniforms come
-in blocks per run; Philox is counter-based, so a block can start any
-stream at any step that is a multiple of 4, and neither the batching nor
-the block lengths change a single draw.  ``WALK_BYTES`` caps the uniform
-block plus the stacks; ``STACK_BYTES`` bounds the stacks: a walk whose
-stacks would pass it sets its youngest runs aside, to walk them again from
-step 0.
+``r < cum`` decision of a one-run-at-a-time walk, on ranks among the
+cumulatives instead of the doubles.  Runs that end leave by compaction, and
+for ``simulate`` samples not yet walked take their places, so that heavy
+tails do not leave a few runs stepping alone.  Uniforms come in blocks per
+run, kept as their ranks, step by step; Philox is counter-based, so a block
+can start any stream at any step that is a multiple of 4, and neither the
+batching nor the block lengths change a single draw.  ``WALK_BYTES`` caps
+the rank block plus the stacks; ``STACK_BYTES`` bounds the stacks: a walk
+whose stacks would pass it sets its youngest runs aside, to walk them again
+from step 0.
 """
 
 from __future__ import annotations
@@ -299,16 +300,22 @@ class SampleStats:
 
 
 # Runs walked at once: when runs end, samples not yet walked take their
-# places at the next block of uniforms.  WALK_BYTES caps the uniform block
-# plus the stacks: the block gets what the stacks leave (at least 4 uniforms
-# a run), so deep stacks shorten the blocks instead of adding memory.  Blocks
-# start at FIRST_BLOCK uniforms a run and double with the age of the youngest
-# run.  Stacks alone may outgrow WALK_BYTES up to STACK_BYTES; past that the
+# places at the next block of uniforms.  WALK_BYTES caps the block of the
+# uniforms' ranks plus the stacks: the block gets half of what the stacks
+# leave (at least 4 uniforms a run), so deep stacks shorten the blocks
+# instead of adding memory.  (A block of ranks over all of it, 8 times the
+# draws of a block of doubles, raised the peak memory of repeated walks by
+# 0.3 MB; half of it, 4 times the draws, did not.)  Blocks start at
+# FIRST_BLOCK uniforms a run and double with the age of the youngest run.
+# Stacks alone may outgrow WALK_BYTES up to STACK_BYTES; past that the
 # youngest runs are set aside and walked again from step 0 later.
 WALK_BATCH = 1024
 WALK_BYTES = 3 << 18
 FIRST_BLOCK = 32
 STACK_BYTES = 1 << 26
+# Past a few cuts, a uniform's rank is read from a table of this many equal
+# buckets of [0, 1), unless a cut lies in its bucket (_Outcomes.ranks).
+RANK_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -320,14 +327,50 @@ class _Outcomes:
     and padded with +inf, so the outcome a uniform r < 1 picks, the first j
     with r < cum[j], is the number of entries <= r.  The last column is
     never <= r and is not stored; ``cum`` is stored column by column.
+
+    ``cum`` holds ranks, not doubles: the rank of a cumulative below 1 is
+    its place among ``cuts``, the sorted distinct cumulatives below 1,
+    counted from 1, and the rank of a uniform r is the number of cuts <= r.
+    So c <= r exactly when rank(c) <= rank(r).  Entries of 1 or more (the
+    sentinel, the padding) get len(cuts) + 1, which no uniform reaches.
+    Ranks take the smallest unsigned type that holds len(cuts) + 1.
     """
 
     symbols: int  # |Γ|
     k: int  # most rules of one pair
-    cum: np.ndarray  # [k - 1, |Q|·|Γ|]
+    cuts: np.ndarray  # the distinct cumulatives below 1, ascending
+    cum: np.ndarray  # [k - 1, |Q|·|Γ|] ranks
     state: np.ndarray  # next state times |Γ|, per outcome
     shift: np.ndarray  # pushed length minus one, per outcome
     push: np.ndarray  # [longest word, outcomes] the word reversed, its head last
+
+    def ranks(self, u: np.ndarray) -> np.ndarray:
+        """The rank of each uniform in ``u``, of ``cum``'s type and ``u``'s shape.
+
+        Up to 8 cuts, one comparison per cut, 0.4 ns a uniform each on a 2.1
+        GHz Xeon.  Past that, a table of ``RANK_BUCKETS`` equal buckets of
+        [0, 1) gives the rank of every uniform whose bucket holds no cut, and
+        a binary search the others, about 3 ns a uniform in all; u·RANK_BUCKETS
+        is exact, so a uniform falls in its bucket exactly.
+        """
+        if len(self.cuts) <= 8:
+            out = np.zeros(u.shape, self.cum.dtype)
+            for cut in self.cuts.tolist():
+                out += u >= cut
+            return out
+        out = self._buckets[(u * RANK_BUCKETS).astype(np.intp)]
+        exact = np.flatnonzero(out == len(self.cuts) + 1)
+        if len(exact):
+            out.reshape(-1)[exact] = np.searchsorted(self.cuts, u.reshape(-1)[exact], side="right")
+        return out
+
+    @cached_property
+    def _buckets(self) -> np.ndarray:
+        """Per bucket, the cuts below it, or len(cuts) + 1 if a cut lies in it."""
+        below = np.searchsorted(self.cuts, np.arange(RANK_BUCKETS + 1) / RANK_BUCKETS)
+        table = below[:-1].astype(self.cum.dtype)
+        table[below[1:] > below[:-1]] = len(self.cuts) + 1
+        return table
 
 
 def _outcomes(model: Pda) -> _Outcomes:
@@ -346,6 +389,11 @@ def _outcomes(model: Pda) -> _Outcomes:
     cum[np.arange(k) >= count[:, None]] = np.inf
     used = np.flatnonzero(count)
     cum[used, count[used] - 1] = 1.0 + 1e-12
+    below = np.sort(cum[cum < 1.0])  # not np.unique, which imports numpy.ma
+    cuts = below[np.flatnonzero(np.diff(below, prepend=-1.0))]
+    ranks = np.searchsorted(cuts, cum[:, :-1], side="right")
+    ranks[cum[:, :-1] >= 1.0] = len(cuts) + 1
+    ranks = np.ascontiguousarray(ranks.T, np.min_scalar_type(len(cuts) + 1))
     state = np.zeros(cum.size, np.intp)
     state[o] = rules.rhs_state * n_sym
     shift = np.zeros(cum.size, np.intp)
@@ -355,20 +403,22 @@ def _outcomes(model: Pda) -> _Outcomes:
     at = rules.length[:, None] - 1 - np.arange(longest)  # word position of each push row
     r, row = np.nonzero(at >= 0)
     push[row, o[r]] = rules.words[r, at[r, row]]
-    return _Outcomes(n_sym, k, np.ascontiguousarray(cum[:, :-1].T), state, shift, push)
+    return _Outcomes(n_sym, k, cuts, ranks, state, shift, push)
 
 
 class _Streams:
-    """Blocks of uniforms from the per-sample Philox streams.
+    """Blocks of outcome ranks of the uniforms of the per-sample Philox streams.
 
     Sample i reads the stream keyed (seed << 64) | i, for 0 <= seed < 2**64.
     Philox turns one counter into four words, one double each, so after t
     draws, t a multiple of 4, a stream stands at counter t/4 with an empty
     buffer.  Setting one generator to that key and counter continues any
     stream at step t, bit for bit, at a tenth of the cost of a new generator.
+    The doubles pass through a scratch of 8,192 (a few runs' rows, or part of
+    one) on their way to ``table.ranks``; only their ranks are kept.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, table: _Outcomes):
         self.bits = Philox(0)
         self.gen = Generator(self.bits)
         self.counter = [0, 0, 0, 0]
@@ -376,18 +426,31 @@ class _Streams:
         self.state = {"bit_generator": "Philox",
                       "state": {"counter": self.counter, "key": self.key},
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self.buffer = np.empty(WALK_BYTES // 8)
+        self.table = table
+        self.scratch = np.empty(1 << 13)
+        self.buffer = np.empty(WALK_BYTES // (2 * table.cum.itemsize), table.cum.dtype)
 
     def block(self, ids: np.ndarray, t: np.ndarray, size: int) -> np.ndarray:
-        """Row r holds draws t[r] .. t[r] + size - 1 of sample ids[r]'s stream."""
-        if len(self.buffer) < len(ids) * size:  # 4 uniforms a run top a tiny budget
-            self.buffer = np.empty(len(ids) * size)
-        out = self.buffer[: len(ids) * size].reshape(len(ids), size)
-        for row, i, c in zip(out, ids.tolist(), (t // 4).tolist()):
-            self.key[0] = i
-            self.counter[0] = c
-            self.bits.state = self.state
-            self.gen.random(out=row)
+        """Step-major ranks: entry [s, r] ranks draw t[r] + s of sample ids[r]'s stream."""
+        n, span = len(ids), len(self.scratch)
+        if len(self.buffer) < n * size:  # 4 uniforms a run top a tiny budget
+            self.buffer = np.empty(n * size, self.buffer.dtype)
+        out = self.buffer[: n * size].reshape(size, n)
+        key, counter, bits, state, random = (self.key, self.counter, self.bits, self.state,
+                                             self.gen.random)
+        ids, at = ids.tolist(), (t // 4).tolist()
+        runs = max(1, span // size)  # whole rows a fill, or one row in pieces
+        for lo in range(0, n, runs):
+            hi = min(lo + runs, n)
+            for a in range(0, size, span):
+                u = self.scratch[: (hi - lo) * min(span, size - a)].reshape(hi - lo, -1)
+                for row, i, c in zip(u, ids[lo:hi], at[lo:hi]):
+                    key[0] = i
+                    counter[0] = c
+                    bits.state = state
+                    random(out=row)
+                out[a : a + u.shape[1], lo:hi] = self.table.ranks(u).T
+                at[lo] += span // 4  # where a row longer than the scratch goes on
         return out
 
 
@@ -440,7 +503,14 @@ def _walk(model: Pda, start: Configuration, samples: int, cap: int, seed: int,
         deepest = len(stack0) + cap * max(longest - 1, 0) + longest
         batch = min(batch, STACK_BYTES // (2 * max(deepest, 8) * itemsize))
     batch = max(1, batch)
-    streams = _Streams(seed)
+    streams = _Streams(seed, table)
+    # A step's ranks of its draws and of one column of cumulatives go into
+    # these: new arrays of a few hundred bytes each step would be kept by
+    # NumPy's cache of small buffers, up to 7 for each size the live runs
+    # pass through.  "clip", since take writes an ``out`` through a copy in
+    # its default mode.
+    drawn, cut = np.empty(batch, table.cum.dtype), np.empty(batch, table.cum.dtype)
+    columns, next_state, shifts, push = list(table.cum), table.state, table.shift, table.push
     fresh, shed = 0, []  # the first sample not yet walked; samples to walk again
     # per live run: sample, step joined, state·|Γ|, depth, flat index of the top, block row
     ids = born = state = depth = pos = row = pair = np.empty(0, np.intp)
@@ -474,7 +544,7 @@ def _walk(model: Pda, start: Configuration, samples: int, cap: int, seed: int,
             if not len(ids):
                 return
             age = g - int(born[-1])  # of the youngest run
-            room = max(WALK_BYTES - stacks.nbytes, 0) // (8 * len(ids))
+            room = max(WALK_BYTES - stacks.nbytes, 0) // (2 * table.cum.itemsize * len(ids))
             size = max(4, min(room, max(FIRST_BLOCK, age), cap - age + 3) // 4 * 4)
             if k > 1:  # one rule a pair needs no uniforms
                 block = streams.block(ids, g - born, size)
@@ -483,19 +553,20 @@ def _walk(model: Pda, start: Configuration, samples: int, cap: int, seed: int,
         if k == 1:
             o = pair
         else:
-            r = block[:, g - block_start][row]
+            n = len(row)
+            r = block[g - block_start].take(row, out=drawn[:n], mode="clip")
             o = pair * k
-            for column in table.cum:
-                o += column[pair] <= r
-        state = table.state[o]
+            for column in columns:
+                o += column.take(pair, out=cut[:n], mode="clip") <= r
+        state = next_state[o]
         if longest:
-            flat[pos + cols] = table.push.take(o, axis=1)
-        shift = table.shift[o]
+            flat[pos + cols] = push.take(o, axis=1)
+        shift = shifts[o]
         depth += shift
         pos += shift
         g += 1
         ended = ended_born = None
-        if not depth.all():
+        if np.count_nonzero(depth) < len(depth):
             done = depth == 0
             ended, ended_born = state[done], born[done]
             keep = depth.nonzero()[0]

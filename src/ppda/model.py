@@ -20,8 +20,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import truediv
+from math import gcd, lcm
+from operator import floordiv, truediv
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -673,6 +673,8 @@ def serialize(model: Pda, out: TextIO | None = None) -> str | None:
     names = np.array(model.alphabet + ("",), dtype=object)  # padding is no symbol
     states = np.array(model.states, dtype=object)
     powers: dict[int, str] = {}  # "/2^k" by k, shared by the chunks
+    exact = (arrays.exact if isinstance(arrays.exact, (np.ndarray, Rationals))
+             else Rationals.of(arrays.exact))
 
     def write_chunk(rows: slice) -> None:
         # A line's right-hand side is its first name (the state of a pda,
@@ -682,12 +684,13 @@ def serialize(model: Pda, out: TextIO | None = None) -> str | None:
         # are gone before the next chunk's are made.  The probabilities
         # come first, so that their arrays are gone before the names' are
         # made, and the lines read the names' object arrays with no list.
-        if isinstance(arrays.exact, np.ndarray):
-            nums, dens = _binary_fractions(arrays.exact[rows], powers)
-        else:
-            pairs = [arrays.exact[i].as_integer_ratio() for i in range(len(arrays.exact))[rows]]
-            nums = [num for num, _ in pairs]
-            dens = [f"/{den}" if den != 1 else "" for _, den in pairs]
+        if isinstance(exact, np.ndarray):
+            nums, dens = _binary_fractions(exact[rows], powers)
+        else:  # integer pairs, reduced by their gcd: no Fraction per rule
+            nums, dens = exact.nums[rows], exact.dens[rows]
+            common = list(map(gcd, nums, dens))
+            nums = list(map(floordiv, nums, common))
+            dens = [f"/{den // c}" if den != c else "" for den, c in zip(dens, common)]
         lhs = names[arrays.lhs_symbol[rows]]
         columns = [names[column] for column in arrays.words[rows].T]
         if pda:

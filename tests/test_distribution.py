@@ -35,6 +35,7 @@ from helpers import (
     brute_total_mass,
     dist_csv_loop,
     heads_loop,
+    perfbench_gen,
     random_pda,
     relaxed_bpas,
     sample_csv_loop,
@@ -579,3 +580,141 @@ def test_seeds_span_the_high_word_of_the_stream_key(ab):
 def test_simulate_heads_rejects_empty_requests(delta1, samples, horizon):
     with pytest.raises(ModelError):
         simulate_heads(delta1, Configuration("_", ("X1",)), samples=samples, horizon=horizon)
+
+
+# ---------------------------------------------------------------------------
+# outcome ranks: the walker compares ranks among the cumulatives, not doubles
+
+EDGE = Fraction(1, ppda.distribution.RANK_BUCKETS)  # the width of a bucket of [0, 1)
+# X: 10 cuts on bucket edges and one between; Y: two cuts in bucket 0 and one
+# at 1/2; Z: one rule, so no cut; W: a row summing to just over 1, within
+# ROW_SUM_TOL, whose second cumulative is 1.0, which no draw reaches.  12
+# cuts in all, past the compared few.
+EDGE_CUTS = make_bpa([*[(("X", "X", "X"), EDGE)] * 10, (("X", "Y"), Fraction(1, 3)),
+                      (("X", "W"), 1 - 10 * EDGE - Fraction(1, 3)),
+                      (("Y", "Z"), Fraction(1, 10**6)), (("Y",), Fraction(1, 10**6)),
+                      (("Y", "Y", "Y"), Fraction(1, 2) - Fraction(2, 10**6)),
+                      (("Y",), Fraction(1, 2)), (("Z",), Fraction(1)),
+                      (("W",), Fraction(1, 2)), (("W", "W"), Fraction(1, 2)),
+                      (("W", "W", "W"), Fraction(1, 10**10))], start="X")
+# two cuts, one on a bucket edge: the comparison path
+FEW_CUTS = make_bpa([(("X", "X", "X"), Fraction(1, 2)), (("X", "X"), Fraction(1, 4)),
+                     (("X",), Fraction(1, 4)), (("Y",), Fraction(1))], start="X")
+
+
+def float_cumulatives(model) -> list[list[float]]:
+    """Per pair, its rule probabilities summed in rule order as doubles, the
+    last the sentinel 1 + 1e-12: what a walk over doubles compares."""
+    rules, n_sym = model.rule_arrays, len(model.alphabet)
+    sums: dict[int, list[float]] = {}
+    for pair, prob in zip((rules.lhs_state * n_sym + rules.lhs_symbol).tolist(),
+                          rules.prob.tolist()):
+        row = sums.setdefault(pair, [])
+        row.append((row[-1] if row else 0.0) + prob)
+    for row in sums.values():
+        row[-1] = 1.0 + 1e-12
+    return [sums.get(pair, []) for pair in range(len(model.states) * n_sym)]
+
+
+def edge_draws(cuts) -> np.ndarray:
+    """0, the largest double below 1, every bucket edge, and each cut with
+    its neighbours one double below and above."""
+    points = [*cuts.tolist(), *(np.arange(ppda.distribution.RANK_BUCKETS)
+                                / ppda.distribution.RANK_BUCKETS).tolist()]
+    draws = [0.0, np.nextafter(1.0, 0.0)]
+    for x in points:
+        draws += [x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
+    return np.array([d for d in draws if 0.0 <= d < 1.0])
+
+
+@pytest.mark.parametrize("model", [EDGE_CUTS, FEW_CUTS], ids=["table", "compared"])
+def test_ranks_pick_as_the_doubles_at_the_edges(model):
+    table = ppda.distribution._outcomes(model)
+    cumulatives = float_cumulatives(model)
+    assert model is FEW_CUTS or [0.5, 1.0, 1.0 + 1e-12] in cumulatives
+    assert table.cuts.tolist() == sorted({c for row in cumulatives for c in row if c < 1.0})
+    assert table.cum.dtype == np.uint8
+    u = edge_draws(table.cuts)
+    ranks = table.ranks(u.reshape(1, -1)).reshape(-1)  # a block's scratch is 2-d
+    assert ranks.tolist() == [sum(c <= x for c in table.cuts.tolist()) for x in u.tolist()]
+    assert ranks.max() <= len(table.cuts) < table.cum.max()  # no draw reaches the sentinel
+    for pair, row in enumerate(cumulatives):
+        for j in range(table.k - 1):
+            stored = table.cum[j][pair]
+            if j < len(row):
+                assert (stored == len(table.cuts) + 1) == (row[j] >= 1.0)
+            picked = (stored <= ranks).tolist()
+            assert picked == [j < len(row) and row[j] <= x for x in u.tolist()]
+
+
+def many_cut_bpa(rules: int = 300):
+    """A relaxed bpa whose one symbol has ``rules`` rules of the distinct
+    probabilities i/(1 + ... + rules), with words of 0 to 3 symbols (5/6
+    expected): rules - 1 cuts, whose ranks need uint16."""
+    total, lengths = rules * (rules + 1) // 2, (0, 0, 0, 0, 2, 3)
+    return make_bpa([(("X",) + ("X",) * lengths[i % 6], Fraction(i, total))
+                     for i in range(1, rules + 1)], start="X", relaxed=True)
+
+
+MANY_CUTS = many_cut_bpa()
+
+
+def test_many_cuts_rank_in_uint16():
+    table = ppda.distribution._outcomes(MANY_CUTS)
+    assert len(table.cuts) == 299 and table.cum.dtype == np.uint16
+    u = edge_draws(table.cuts)
+    assert table.ranks(u).tolist() == np.searchsorted(table.cuts, u, side="right").tolist()
+
+
+@given(model=st.just(MANY_CUTS), seed=SEEDS, samples=st.integers(1, 12),
+       batch=st.integers(1, 5), budget=st.sampled_from([1, 2**20]), cap=st.integers(1, 80),
+       horizon=st.integers(1, 12))
+@settings(max_examples=20, deadline=None)
+@example(model=parse_model(perfbench_gen().random_pda(4, 20, 1)), seed=1, samples=30, batch=7,
+         budget=1, cap=300, horizon=8)
+@example(model=parse_model(perfbench_gen().random_pda(4, 20, 1)), seed=2**64 - 1, samples=30,
+         batch=7, budget=2**20, cap=300, horizon=8)
+def test_walker_on_many_cuts_matches_scalar_walker(model, seed, samples, batch, budget, cap,
+                                                   horizon):
+    # a budget of 1 byte gives blocks of 4 draws; 2**20 lets blocks grow
+    with walker_sizes(batch, budget):
+        stats = simulate(model, model.start, samples=samples, step_cap=cap, seed=seed)
+        heads = simulate_heads(model, model.start, samples, horizon, seed, horizon + cap)
+    assert stats == simulate_loop(model, model.start, samples=samples, step_cap=cap, seed=seed)
+    assert heads == heads_loop(model, model.start, samples, horizon, seed, horizon + cap)
+
+
+@pytest.mark.parametrize("name,samples,cap", [("delta4.bpa", 1_000, 10_000),
+                                              ("ab.ppda", 2_000, 2_000)])
+def test_rank_blocks_stay_within_the_walk_budget(name, samples, cap):
+    # the rank block gets half of what the stacks leave of WALK_BYTES, and the
+    # doubles pass through the scratch: no call allocates more than two
+    # scratches' worth
+    real_block, real_restack = ppda.distribution._Streams.block, ppda.distribution._restack
+    stacks, calls = [0], []
+
+    def restack(*args):
+        new, pos = real_restack(*args)
+        stacks[0] = new.nbytes
+        return new, pos
+
+    def block(self, ids, t, size):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = real_block(self, ids, t, size)
+        calls.append((out.nbytes, ppda.distribution.WALK_BYTES - stacks[0], self.scratch.size,
+                      tracemalloc.get_traced_memory()[1] - before))
+        return out
+
+    model = load_model(name)
+    tracemalloc.start()
+    try:
+        with mock.patch.object(ppda.distribution, "_restack", restack), \
+                mock.patch.object(ppda.distribution._Streams, "block", block):
+            stats = simulate(model, model.start, samples=samples, step_cap=cap, seed=7)
+    finally:
+        tracemalloc.stop()
+    assert 0 < stats.censored < samples and len(calls) > 5
+    assert all(nbytes <= room // 2 for nbytes, room, _, _ in calls)
+    assert max(scratch for _, _, scratch, _ in calls) <= 8_192
+    assert max(peak for *_, peak in calls) <= 2 * 8_192 * 8

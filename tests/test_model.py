@@ -313,6 +313,10 @@ def test_serialize_round_trip_bpa(model):
 
 @given(st.one_of(small_pdas(), small_bpas(), relaxed_bpas()))
 @settings(max_examples=100, deadline=None)
+# parsed probabilities not in lowest terms, which the writer reduces
+@example(parse_model("bpa\nalphabet: X\nstart: X\nrule: X -> X X : 2/4\nrule: X -> : 10/20\n"))
+@example(parse_model("pda\nstates: p q\nalphabet: X\nstart: p X\n"
+                     "rule: p X -> q X X : 10/20\nrule: p X -> p : 6/12\nrule: q X -> q : 4/4\n"))
 def test_serialize_writes_the_bytes_of_the_rule_loop(model):
     """The writer reads the rule arrays; a loop over the Rules is its oracle,
     of the text written into a sink and of the text returned."""
