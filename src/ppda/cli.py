@@ -57,7 +57,12 @@ from .model import (
     start_problems,
 )
 from .moments import MomentBudgetError, PowerIterationError, check_moment_budget
-from .termination import NewtonDivergedError, RefinementBudgetError, termination_probs
+from .termination import (
+    DEFAULT_TOL,
+    NewtonDivergedError,
+    RefinementBudgetError,
+    termination_probs,
+)
 from .transform import TransformError, to_bpa
 
 EXIT_OK = 0
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full pipeline: probabilities, transform, tail regimes")
     p.add_argument("model")
     p.add_argument("--start", help="state.symbol for stateful models, symbol otherwise")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 

@@ -15,11 +15,11 @@ where a caller reads ``Pda.rules``.
 from __future__ import annotations
 
 import io
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import floordiv, truediv
 from typing import Iterable, TextIO
@@ -300,10 +300,9 @@ class Rationals(Sequence):
         return Fraction(self.nums[i], self.dens[i])
 
 
-def _word_columns(words: list) -> list[list]:
+def _word_columns(words: Sequence) -> list[tuple]:
     """The words by position, None where a word has ended."""
-    return [[word[j] if j < len(word) else None for word in words]
-            for j in range(max(map(len, words), default=0))]
+    return list(zip_longest(*words))
 
 
 def _encode(states, alphabet, lhs_state, lhs_symbol, rhs_state, word_columns, exact):
@@ -513,54 +512,31 @@ def _missing_reachable_rows(model: Pda, start: Configuration) -> list[str]:
 # ---------------------------------------------------------------------------
 # text format
 
-def _rule_line(lhs: str, rhs: str) -> re.Pattern:
-    """A rule line in the common form: its names, and the digits of its
-    probability ``a`` or ``a/b``.  A left name holds no '-', so the arrow
-    after it is the line's first "->"; a right name holds no ':', so the
-    colon after it is the line's last ':', as ``_parse_rule`` reads a line."""
-    return re.compile(rf"_*rule_*:_*{lhs}_*->{rhs}:_*([0-9]+)(?:/([0-9]+))?_*(?:#.*)?"
-                      .replace("_", r"\s"))
-
-
-_LHS, _NAME = r"([^\s:#-]+)", r"([^\s:#]+)"
-_RULE_LINES = {"pda": _rule_line(f"{_LHS}_+{_LHS}", f"_*{_NAME}(?:_+{_NAME}(?:_+{_NAME})?)?_*"),
-               "bpa": _rule_line(_LHS, f"(?:_*{_NAME}(?:_+{_NAME})?)?_*"),
-               "relaxed-bpa": _rule_line(_LHS, r"([^:#]*)")}
-
-
 def parse_model(text: str) -> Pda:
     """Parse the line-oriented model format into a validated Pda.
 
     Raises ModelError (with line information) on syntax errors, unknown
-    names, rule rows not summing to 1, or duplicate rules.  A rule line in
-    the common form (``_rule_line``) becomes a row of names and an integer
-    pair; any other line is read by the directive.
+    names, rule rows not summing to 1, or duplicate rules.  Each rule line
+    becomes a row of names and an integer pair (``_parse_rule``); once all
+    are read, the rows become columns and their names are looked up by dict.
     """
-    kind, match, given = None, lambda line: None, {}  # no rule before the kind line
-    rows: list[tuple] = []  # the names of each rule, its numerator and its denominator
+    kind, given = None, {}
+    rows: list[tuple] = []  # per rule, the row that _parse_rule gives
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = match(raw)
-        if tokens is not None:
-            *names, num, den = tokens.groups()
-            num, den = int(num), int(den or 1)
-            if 0 < num <= den:  # else _parse_rule raises the error
-                rows.append((*names, num, den))
-                continue
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if kind is None:
             if line not in KINDS:
                 raise ModelError(f"expected model kind {KINDS}, got {line!r}", lineno)
-            kind, match = line, _RULE_LINES[line].fullmatch
+            kind = line
             continue
         if ":" not in line:
             raise ModelError(f"expected 'directive: ...', got {line!r}", lineno)
         directive, _, body = line.partition(":")
         directive = directive.strip()
         if directive == "rule":
-            *names, prob = _parse_rule(body, kind, lineno)
-            rows.append((*names, prob.numerator, prob.denominator))
+            rows.append(_parse_rule(body, kind, lineno))
         elif directive not in ("states", "alphabet", "start"):
             raise ModelError(f"unknown directive {directive!r}", lineno)
         elif directive == "states" and kind != "pda":
@@ -590,11 +566,10 @@ def parse_model(text: str) -> Pda:
 
     states = tuple(given["states"][1]) if kind == "pda" else (BPA_STATE,)
     alphabet = tuple(given["alphabet"][1])
-    *names, nums, dens = list(zip(*rows)) or [()] * _RULE_LINES[kind].groups
-    if kind == "relaxed-bpa":
-        names = [names[0], *_word_columns(list(map(str.split, names[1])))]
-    lhs_state, lhs, rhs_state, *words = names if kind == "pda" else (None, names[0], None,
-                                                                     *names[1:])
+    # the word columns hold None past each word
+    lhs_state, lhs, rhs_state, nums, dens, *words = list(zip_longest(*rows)) or [()] * 5
+    if kind != "pda":
+        lhs_state = rhs_state = None  # every rule in the one state
     encoded = _encode(states, alphabet, lhs_state, lhs, rhs_state, words, Rationals(nums, dens))
     model = Pda.from_arrays(states, alphabet, encoded[0], kind, start)
     problems = _validate(model, encoded)
@@ -611,8 +586,11 @@ def _parse_token(tok: str, what: str, lineno: int) -> str:
 
 
 def _parse_rule(body: str, kind: str, lineno: int) -> tuple:
-    """The names of a rule line that ``_rule_line`` did not take, as it
-    gives them, and its probability."""
+    """A rule line after its ``rule:`` as a row: its left state and
+    symbol, its right state, its probability as an integer pair, then the
+    symbols of its word.  The states are None in a stateless model.  A
+    probability ``a`` or ``a/b`` in ASCII digits is kept as written; any
+    other text is read by ``Fraction``."""
     head, arrow, tail = body.partition("->")
     if not arrow:
         raise ModelError("rule missing '->'", lineno)
@@ -620,27 +598,37 @@ def _parse_rule(body: str, kind: str, lineno: int) -> tuple:
     if not colon:
         raise ModelError("rule missing ': probability'", lineno)
     lhs, rhs = head.split(), rhs_text.split()
-    if kind == "pda" and len(lhs) != 2:
-        raise ModelError(f"expected 'state symbol' before '->', got {head.strip()!r}", lineno)
-    if kind == "pda" and not rhs:
-        raise ModelError("pda rule needs a control state after '->'", lineno)
-    if kind != "pda" and len(lhs) != 1:
-        raise ModelError(f"expected one symbol before '->', got {head.strip()!r}", lineno)
-    if kind != "relaxed-bpa" and len(rhs) > 2 + (kind == "pda"):
+    if kind == "pda":
+        if len(lhs) != 2:
+            raise ModelError(f"expected 'state symbol' before '->', got {head.strip()!r}", lineno)
+        if not rhs:
+            raise ModelError("pda rule needs a control state after '->'", lineno)
+        (state, symbol), (rhs_state, *word) = lhs, rhs
+    else:
+        if len(lhs) != 1:
+            raise ModelError(f"expected one symbol before '->', got {head.strip()!r}", lineno)
+        state, (symbol,), rhs_state, word = None, lhs, None, rhs
+    if kind != "relaxed-bpa" and len(word) > 2:
         raise ModelError(f"right-hand side longer than 2 under kind {kind}", lineno)
+    prob_text = prob_text.strip()
+    num, slash, den = prob_text.partition("/")
     try:
-        prob = Fraction(prob_text.strip())
-        # a value such as 1E-5000 that str() cannot write back, past the
-        # interpreter's limit on integer digits, is as bad as a digit
-        # string past that limit, which Fraction() rejects
-        str(prob)
+        if prob_text.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            num, den = int(num), int(den or 1)
+            if 0 < num <= den:
+                return (state, symbol, rhs_state, num, den, *word)
+            prob = Fraction(num, den)  # to name below, or a zero denominator
+        else:
+            prob = Fraction(prob_text)
+            # a value such as 1E-5000 that str() cannot write back, past the
+            # interpreter's limit on integer digits, is as bad as a digit
+            # string past that limit, which int() and Fraction() reject
+            str(prob)
     except (ValueError, ZeroDivisionError):
-        raise ModelError(f"bad probability {prob_text.strip()!r}", lineno) from None
+        raise ModelError(f"bad probability {prob_text!r}", lineno) from None
     if not (0 < prob <= 1):
         raise ModelError(f"probability {prob} outside (0, 1]", lineno)
-    if kind == "relaxed-bpa":
-        return (*lhs, " ".join(rhs), prob)
-    return (*lhs, *rhs, *[None] * (2 + (kind == "pda") - len(rhs)), prob)
+    return (state, symbol, rhs_state, prob.numerator, prob.denominator, *word)
 
 
 def _header(model: Pda) -> str:

@@ -809,6 +809,8 @@ INLINE_MODELS = {
                   "rule: p X -> p X X : 1/4\nrule: p X -> p : 3/4\n"),
     "diverging.bpa": "bpa\nalphabet: X\nstart: X\nrule: X -> X X : 3/4\nrule: X -> : 1/4\n",
     "nostart.bpa": "bpa\nalphabet: X\nrule: X -> : 1\n",
+    # a denominator of 4,301 digits, past the interpreter's limit for int()
+    "longdigits.bpa": f"bpa\nalphabet: X\nstart: X\nrule: X -> : 1/{'0' * 4300}1\n",
 }
 
 
@@ -878,11 +880,14 @@ CLI_ERRORS = [
     (["dist", "ab.ppda", "--target", "zz"], "unknown target state 'zz'"),
     (["analyze", "delta1.bpa", "--start", "Q"], "unknown start symbol 'Q'"),
     (["analyze", "nostart.bpa"], "model declares no start; pass --start"),
+    (["analyze", "longdigits.bpa"], f"{{path}}: line 4: bad probability '1/{'0' * 4300}1'"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", CLI_ERRORS, ids=[" ".join(a) for a, _ in CLI_ERRORS])
 def test_errors_exit_2_with_their_message(models_dir, tmp_path, capsys, argv, message):
+    # {path} stands for the path of the inline model that the message names
+    message = message.format(path=tmp_path / argv[1])
     assert run_exit_2(models_dir, tmp_path, capsys, argv) == f"error: {message}"
 
 

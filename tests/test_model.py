@@ -375,10 +375,14 @@ def assert_parses_as_the_rule_path(text: str) -> None:
 
 
 @pytest.mark.parametrize("name", [path.name for path in sorted(MODELS.iterdir())]
-                         + ["random_q4g20_s1", "random_q4g20_s1001"])
+                         + ["random_q4g20_s1", "random_q4g20_s1001", "transform_q4g20_s1"])
 def test_parse_gives_the_arrays_of_the_rule_path(name):
     if name.startswith("random"):
         text = perfbench_gen().random_pda(4, 20, int(name.rpartition("_s")[2]))
+    elif name.startswith("transform"):
+        # the text of `ppda transform`: doubles written n/2^k, k past 53
+        model = parse_model(perfbench_gen().random_pda(4, 20, 1))
+        text = serialize(to_bpa(model, termination_probs(model)).bpa)
     else:
         text = (MODELS / name).read_text()
     assert_parses_as_the_rule_path(text)
@@ -426,6 +430,8 @@ PROBABILITY_TEXTS = st.one_of(
 # past the interpreter's limit on the digits of an integer made into text
 @example("1E5000")
 @example("1E-5000")
+@example("0" * 4300 + "1/2")
+@example("1/" + "0" * 4300 + "2")
 def test_probability_syntax_is_that_of_fraction(prob):
     """A probability is read as ``Fraction(text)`` reads it: the same forms
     accepted, the same double and exact value, the same messages.  A value
@@ -441,6 +447,8 @@ def test_probability_syntax_is_that_of_fraction(prob):
     ("0", "line 3: probability 0 outside (0, 1]"),
     ("1E5000", "line 3: bad probability '1E5000'"),
     ("1E-5000", "line 3: bad probability '1E-5000'"),
+    pytest.param("1/" + "0" * 4300 + "2", f"line 3: bad probability '1/{'0' * 4300}2'",
+                 id="4301-digit denominator"),
 ])
 def test_rejected_probabilities_and_their_messages(prob, message):
     with pytest.raises(ModelError) as err:
